@@ -21,20 +21,21 @@ import numpy as np
 from . import __version__
 from .errors import DataError, HiddenPopError, SchemaMismatch
 from .eval import evaluate, kfold_cv, roc, split_train_validate
-from .expand import bias_report, expand_dataset, impute_pa, tabulate_population
-from .features import (
-    assemble_training_set,
-    build_schema,
-    correlation_report,
-    encode_matrix,
+from .expand import (
+    bias_report,
+    expand_dataset,
+    impute_pa,
+    predict_scores,
+    tabulate_population,
 )
+from .features import assemble_training_set, build_schema, correlation_report
 from .ingest import build_name_table, link, parse_admin, parse_survey
 from .models import (
     fit_forest,
     fit_logistic,
-    forest_trainer,
     load_model,
     logistic_trainer,
+    model_type,
     permutation_importance,
     predict_forest,
     predict_logistic,
@@ -154,11 +155,11 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _train_stage(data_dir, out, *, model_kind, seed, ratio, k, threshold,
+def _train_stage(inputs, out, *, model_kind, seed, ratio, k, threshold,
                  n_trees, jobs):
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    admin, survey, table, linked = _load_inputs(data_dir)
+    _admin, _survey, table, linked = inputs
     train_records = [a for a, _ in linked.matched if a.bp == 1 and a.cit == 1]
     if not train_records:
         raise DataError("no linked records with bp=cit=1 to train on")
@@ -221,7 +222,7 @@ def _train_stage(data_dir, out, *, model_kind, seed, ratio, k, threshold,
 def cmd_train(args) -> int:
     data_dir = _resolve_data_dir(args)
     outputs, reports, _, _ = _train_stage(
-        data_dir, args.out, model_kind=args.model, seed=args.seed,
+        _load_inputs(data_dir), args.out, model_kind=args.model, seed=args.seed,
         ratio=args.ratio, k=args.k, threshold=args.threshold,
         n_trees=args.trees, jobs=args.jobs,
     )
@@ -239,11 +240,9 @@ def _check_schema_digest(model_path, schema):
     """The train stage leaves schema.json beside the model; if present it must match."""
     sidecar = Path(model_path).parent / "schema.json"
     if sidecar.exists():
-        saved = sidecar.read_text()
-        if hashlib.sha256(saved.encode()).hexdigest() != \
-                hashlib.sha256(schema.to_json().encode()).hexdigest():
+        if sidecar.read_text() != schema.to_json():
             raise SchemaMismatch(
-                f"schema digest of {sidecar} does not match the model's embedded schema"
+                f"schema in {sidecar} does not match the model's embedded schema"
             )
 
 
@@ -255,12 +254,8 @@ def cmd_evaluate(args) -> int:
     _check_schema_digest(args.model_file, schema)
     admin, survey, table, linked = _load_inputs(data_dir)
     data = assemble_training_set(linked, schema, table)
-    if hasattr(model, "trees"):
-        scores = predict_forest(model, data.X)
-        name = "forest"
-    else:
-        scores = predict_logistic(model, data.X)
-        name = "logistic"
+    scores = predict_scores(model, data.X)
+    name = model_type(model)
     report = evaluate(scores, data.y, args.threshold)
     metrics_csv = out / "metrics.csv"
     write_metrics_csv(metrics_csv, {name: report})
@@ -272,11 +267,11 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _impute_stage(data_dir, out, model_file, threshold):
+def _impute_stage(inputs, out, model_file, threshold):
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     model, schema = load_model(model_file)
-    admin, survey, table, linked = _load_inputs(data_dir)
+    admin, _survey, table, linked = inputs
     linked_keys = {a.link_key for a, _ in linked.matched}
     imputations = impute_pa(model, schema, admin, table,
                             linked_keys=linked_keys, threshold=threshold)
@@ -295,7 +290,7 @@ def _impute_stage(data_dir, out, model_file, threshold):
 def cmd_impute(args) -> int:
     data_dir = _resolve_data_dir(args)
     outputs, expanded, dist, _ = _impute_stage(
-        data_dir, args.out, args.model_file, args.threshold)
+        _load_inputs(data_dir), args.out, args.model_file, args.threshold)
     write_manifest(Path(args.out), "impute",
                    {"model_file": str(args.model_file), "threshold": args.threshold},
                    args.seed, _input_files(data_dir) + [Path(args.model_file)], outputs)
@@ -351,9 +346,10 @@ def cmd_pipeline(args) -> int:
                         bundle.screened_out_path, bundle.name_table_path,
                         bundle.truth_path, bundle.meta_path]
 
+    inputs = _load_inputs(data_dir)
     train_out = out / "train"
     outputs, reports, models, schema = _train_stage(
-        data_dir, train_out, model_kind=args.model, seed=seed,
+        inputs, train_out, model_kind=args.model, seed=seed,
         ratio=args.ratio, k=args.k, threshold=args.threshold,
         n_trees=args.trees, jobs=args.jobs,
     )
@@ -363,7 +359,7 @@ def cmd_pipeline(args) -> int:
         "model_logistic.json" if args.model in ("logistic", "both") else "model_forest.json"
     )
     outputs, expanded, dist, linked = _impute_stage(
-        data_dir, out / "impute", impute_model, args.threshold)
+        inputs, out / "impute", impute_model, args.threshold)
     all_outputs += outputs
 
     outputs, br = _report_stage(out / "report", expanded, linked,

@@ -33,19 +33,7 @@ class NameFileMalformed(DataError):
     pass
 
 
-class DegenerateFeature(HiddenPopError):
-    pass
-
-
-class UnknownLevel(DataError):
-    pass
-
-
 class EmptyClass(DataError):
-    pass
-
-
-class Nonconvergence(HiddenPopError):
     pass
 
 

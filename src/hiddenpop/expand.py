@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    BackgroundKind,
-    KIND_LABELS,
-    MembershipIndicators,
-    compute_delta_type,
-    resolve_membership,
-)
+from .domain import BackgroundKind, KIND_LABELS, compute_delta_type
 from .errors import CoverageGap, LevelMismatch, SchemaMismatch
 from .features import FeatureSchema, encode_matrix
 from .ingest import AdminRecord, LinkedDataset, NameFrequencyTable
@@ -67,16 +61,14 @@ def impute_pa(
 ) -> dict:
     """Score every unlinked (bp,cit)=(1,1) record; returns link_key -> (pa_hat, score).
 
-    The score is P(pa=0); pa_hat = 0 when the score exceeds the threshold
+    The score is the model's P(pa=0) under the case-control training mix, not
+    a population probability; pa_hat = 0 when the score exceeds the threshold
     (score exactly at the threshold resolves to pa_hat=1, the same tie rule
     classification uses everywhere else).
     """
-    width = (
-        len(model.weights) if isinstance(model, LogisticModel) else model.n_features
-    )
-    if width != schema.width:
+    if model.width != schema.width:
         raise SchemaMismatch(
-            f"model width {width} does not match schema width {schema.width}"
+            f"model width {model.width} does not match schema width {schema.width}"
         )
     targets = [
         r for r in admin
@@ -110,10 +102,9 @@ def expand_dataset(
     out = []
     for rec in sorted(admin, key=lambda r: r.link_key):
         if (rec.bp, rec.cit) != (1, 1):
-            status = resolve_membership(
-                MembershipIndicators(bp=rec.bp, cit=rec.cit, pa=None)
-            )
-            bg = status.background
+            # outside (1,1) the Jus Sanguinis exclusions make pa=0 the only
+            # completion that matters (see domain.resolve_membership)
+            bg = compute_delta_type(rec.bp, rec.cit, 0)
             out.append(ExpandedRecord(rec, bg.delta, bg.kind, "exact"))
         elif rec.link_key in survey_pa:
             bg = compute_delta_type(1, 1, survey_pa[rec.link_key])

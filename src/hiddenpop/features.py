@@ -25,12 +25,14 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
-# (group, source field, reference level, encoded levels) in fixed order
+# (source field, reference level, encoded levels) in fixed order; each
+# feature's column group is named after its source field
 _CATEGORICALS = [
-    ("gender", "gender", "F", ["M"]),
-    ("employment", "employment", "student", ["worker_student", "student_worker", "not_available"]),
-    ("course_level", "course_level", "bachelor", ["master", "bachelor_and_master"]),
+    ("gender", "F", ["M"]),
+    ("employment", "student", ["worker_student", "student_worker", "not_available"]),
+    ("course_level", "bachelor", ["master", "bachelor_and_master"]),
 ]
+NAME_FLAG = "common_italian_name"
 _NUMERICS = ["years_enrolled", "ects_earned"]
 
 
@@ -108,6 +110,44 @@ class LabeledDataset:
             raise ValueError("X and y length mismatch")
 
 
+def feature_layout(moments: dict) -> list[Column]:
+    """Every column in the fixed order: categorical dummies, the name flag, numerics.
+
+    moments maps each numeric source to the (mean, sd) it is z-scored by.
+    """
+    columns = [
+        Column(name=f"{source}={level}", kind="onehot", group=source,
+               source=source, level=level)
+        for source, _ref, levels in _CATEGORICALS for level in levels
+    ]
+    columns.append(Column(name=NAME_FLAG, kind="binary", group=NAME_FLAG,
+                          source="given_name"))
+    for source in _NUMERICS:
+        mean, sd = moments[source]
+        columns.append(Column(name=source, kind="numeric", group=source,
+                              source=source, mean=mean, sd=sd))
+    return columns
+
+
+def _source_values(records, name_table, name_rule) -> dict:
+    """Column group -> array of its source values over the records.
+
+    The name flag is computed once per distinct given name.
+    """
+    names = [r.given_name for r in records]
+    common = {
+        nm: is_common_name(nm, name_table, min_count=name_rule["min_count"],
+                           top_k=name_rule["top_k"])
+        for nm in set(names)
+    }
+    values = {source: np.array([getattr(r, source) for r in records])
+              for source, _, _ in _CATEGORICALS}
+    values[NAME_FLAG] = np.array([common[nm] for nm in names])
+    for source in _NUMERICS:
+        values[source] = np.array([getattr(r, source) for r in records], dtype=float)
+    return values
+
+
 def build_schema(
     records: list[AdminRecord],
     name_table: NameFrequencyTable,
@@ -122,86 +162,63 @@ def build_schema(
     if not records:
         raise ValueError("cannot build a schema from zero records")
     name_rule = dict(name_rule or {"min_count": 5, "top_k": None})
-    columns = []
-    dropped = []
-
-    for group, source, ref, levels in _CATEGORICALS:
-        observed = {getattr(r, source) for r in records}
-        if len(observed) < 2:
-            dropped.append(group)
-            log.warning("feature %r degenerate (only %s observed), dropped", group, observed)
-            continue
-        for level in levels:
-            if level in observed:
-                columns.append(
-                    Column(name=f"{source}={level}", kind="onehot", group=group,
-                           source=source, level=level)
-                )
-
-    flags = [
-        int(is_common_name(r.given_name, name_table,
-                           min_count=name_rule["min_count"], top_k=name_rule["top_k"]))
-        for r in records
+    values = _source_values(records, name_table, name_rule)
+    observed = {group: set(v.tolist()) for group, v in values.items()}
+    dropped = [group for group in values if len(observed[group]) < 2]
+    for group in dropped:
+        log.warning("feature %r degenerate (only %s observed), dropped",
+                    group, observed[group])
+    moments = {source: (float(values[source].mean()), float(values[source].std(ddof=0)))
+               for source in _NUMERICS}
+    columns = [
+        c for c in feature_layout(moments)
+        if c.group not in dropped and (c.kind != "onehot" or c.level in observed[c.group])
     ]
-    if len(set(flags)) < 2:
-        dropped.append("common_italian_name")
-        log.warning("common_italian_name degenerate, dropped")
-    else:
-        columns.append(Column(name="common_italian_name", kind="binary",
-                              group="common_italian_name", source="given_name"))
-
-    for source in _NUMERICS:
-        values = np.array([getattr(r, source) for r in records], dtype=float)
-        sd = float(values.std(ddof=0))
-        if sd == 0.0:
-            dropped.append(source)
-            log.warning("numeric feature %r has zero variance, dropped", source)
-            continue
-        columns.append(Column(name=source, kind="numeric", group=source,
-                              source=source, mean=float(values.mean()), sd=sd))
-
     return FeatureSchema(columns=columns, dropped=dropped, name_rule=name_rule)
 
 
-def encode(
-    record: AdminRecord,
+def encode_columns(values: dict, schema: FeatureSchema) -> np.ndarray:
+    """Encode per-group source arrays into the schema's columns, one column at a time.
+
+    values maps each column group to an array over the rows: the raw level of
+    a categorical, the boolean name flag, or the numeric value.  Category
+    levels unseen at schema build fall back to the reference level (all-zero
+    dummies) and add, per row, one count for each of that source's dummies to
+    schema.unknown_level_count.
+    """
+    n = len(next(iter(values.values())))
+    X = np.empty((n, schema.width))
+    reference = {source: ref for source, ref, _ in _CATEGORICALS}
+    dummies = {}
+    for c in schema.columns:
+        if c.kind == "onehot":
+            dummies.setdefault(c.group, []).append(c.level)
+    for source, encoded in dummies.items():
+        known = {reference[source], *encoded}
+        for value, count in zip(*np.unique(values[source], return_counts=True)):
+            if value not in known:
+                schema.unknown_level_count += int(count) * len(encoded)
+                log.warning("unknown %s level %r mapped to reference (%d rows)",
+                            source, str(value), count)
+    for i, c in enumerate(schema.columns):
+        if c.kind == "numeric":
+            X[:, i] = (values[c.group] - c.mean) / c.sd
+        elif c.kind == "onehot":
+            X[:, i] = values[c.group] == c.level
+        else:
+            X[:, i] = values[c.group]
+    return X
+
+
+def encode_matrix(
+    records: list[AdminRecord],
     schema: FeatureSchema,
     name_table: NameFrequencyTable,
 ) -> np.ndarray:
-    """Encode one standardized record into the schema's column order.
-
-    Category levels unseen at schema build fall back to the reference level
-    (all-zero dummies) and bump schema.unknown_level_count.
-    """
-    out = np.empty(schema.width)
-    known_levels = {}
-    for c in schema.columns:
-        if c.kind == "onehot":
-            known_levels.setdefault(c.source, set()).add(c.level)
-    reference = {source: ref for _, source, ref, _ in _CATEGORICALS}
-    for i, c in enumerate(schema.columns):
-        if c.kind == "onehot":
-            value = getattr(record, c.source)
-            if value != c.level and value != reference[c.source] \
-                    and value not in known_levels[c.source]:
-                schema.unknown_level_count += 1
-                log.warning("unknown %s level %r mapped to reference", c.source, value)
-            out[i] = float(value == c.level)
-        elif c.kind == "binary":
-            out[i] = float(
-                is_common_name(record.given_name, name_table,
-                               min_count=schema.name_rule["min_count"],
-                               top_k=schema.name_rule["top_k"])
-            )
-        else:
-            out[i] = (getattr(record, c.source) - c.mean) / c.sd
-    return out
-
-
-def encode_matrix(records, schema, name_table) -> np.ndarray:
+    """Encode standardized records into the schema's column order, one row each."""
     if not records:
         return np.empty((0, schema.width))
-    return np.stack([encode(r, schema, name_table) for r in records])
+    return encode_columns(_source_values(records, name_table, schema.name_rule), schema)
 
 
 def assemble_training_set(
@@ -214,22 +231,17 @@ def assemble_training_set(
     Only in the (bp,cit)=(1,1) stratum does pa carry information; everywhere
     else membership is already determined by the register.
     """
-    rows = []
-    labels = []
-    ids = []
-    for arec, srec in sorted(linked.matched, key=lambda pair: pair[0].link_key):
-        if arec.bp == 1 and arec.cit == 1:
-            rows.append(encode(arec, schema, name_table))
-            labels.append(int(srec.pa_observed == 0))
-            ids.append(arec.link_key)
-    if not rows:
+    pairs = [(a, s) for a, s in sorted(linked.matched, key=lambda pair: pair[0].link_key)
+             if a.bp == 1 and a.cit == 1]
+    if not pairs:
         raise EmptyClass("no linked rows with bp=cit=1")
-    y = np.array(labels, dtype=int)
+    y = np.array([int(s.pa_observed == 0) for _, s in pairs], dtype=int)
     if y.min() == y.max():
         raise EmptyClass(f"training labels are all {y[0]}")
-    X = np.stack(rows)
+    records = [a for a, _ in pairs]
+    X = encode_matrix(records, schema, name_table)
     log.info("training set: %d rows, %.1f%% positive (pa=0)", len(y), 100 * y.mean())
-    return LabeledDataset(X=X, y=y, row_ids=ids)
+    return LabeledDataset(X=X, y=y, row_ids=[a.link_key for a in records])
 
 
 def correlation_report(data: LabeledDataset, schema: FeatureSchema) -> dict:

@@ -7,14 +7,7 @@ from .forest import (
     permutation_importance,
     predict_forest,
 )
-from .io import load_model, save_model
-
-
-def classify(scores, threshold: float = 0.5):
-    """Score -> class at a threshold; a score exactly at the threshold is negative."""
-    import numpy as np
-
-    return (np.asarray(scores) > threshold).astype(int)
+from .io import load_model, model_type, save_model
 
 
 def logistic_trainer(**config):
@@ -23,13 +16,5 @@ def logistic_trainer(**config):
     def train(data):
         model = fit_logistic(data, **config)
         return lambda X: predict_logistic(model, X)
-
-    return train
-
-
-def forest_trainer(**config):
-    def train(data):
-        model = fit_forest(data, **config)
-        return lambda X: predict_forest(model, X)
 
     return train

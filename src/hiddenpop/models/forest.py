@@ -63,6 +63,10 @@ class ForestModel:
     oob_error: float
     oob_votes: np.ndarray = field(repr=False, default=None)
 
+    @property
+    def width(self) -> int:
+        return self.n_features
+
 
 def _gini_best_split(X, y, idx, features, min_leaf):
     """Best (cost, feature, threshold) over the candidate features at a node.

@@ -13,6 +13,16 @@ from .logistic import LogisticModel
 
 FORMAT_VERSION = 1
 
+_MODEL_TYPES = {LogisticModel: "logistic", ForestModel: "forest"}
+
+
+def model_type(model) -> str:
+    """The `model_type` tag a model is saved under: "logistic" or "forest"."""
+    try:
+        return _MODEL_TYPES[type(model)]
+    except KeyError:
+        raise TypeError(f"unsupported model type {type(model).__name__}") from None
+
 
 def _tree_to_dict(tree: DecisionTree) -> dict:
     return {
@@ -38,9 +48,9 @@ def save_model(path, model, schema: FeatureSchema):
     payload = {
         "format_version": FORMAT_VERSION,
         "schema": json.loads(schema.to_json()),
+        "model_type": model_type(model),
     }
     if isinstance(model, LogisticModel):
-        payload["model_type"] = "logistic"
         payload["model"] = {
             "intercept": model.intercept,
             "weights": model.weights.tolist(),
@@ -49,8 +59,7 @@ def save_model(path, model, schema: FeatureSchema):
             "iterations": model.iterations,
             "max_abs_gradient": model.max_abs_gradient,
         }
-    elif isinstance(model, ForestModel):
-        payload["model_type"] = "forest"
+    else:
         payload["model"] = {
             "n_trees": model.n_trees,
             "mtry": model.mtry,
@@ -61,8 +70,6 @@ def save_model(path, model, schema: FeatureSchema):
             "oob_error": model.oob_error,
             "trees": [_tree_to_dict(t) for t in model.trees],
         }
-    else:
-        raise TypeError(f"cannot save model of type {type(model).__name__}")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, sort_keys=True)
 
@@ -99,8 +106,6 @@ def load_model(path):
         )
     else:
         raise SchemaMismatch(f"{path}: unknown model_type {payload['model_type']!r}")
-    if len(schema.columns) != (
-        len(model.weights) if payload["model_type"] == "logistic" else model.n_features
-    ):
+    if schema.width != model.width:
         raise SchemaMismatch(f"{path}: schema width does not match model width")
     return model, schema

@@ -29,6 +29,10 @@ class LogisticModel:
     iterations: int
     max_abs_gradient: float
 
+    @property
+    def width(self) -> int:
+        return len(self.weights)
+
 
 def _sigmoid(eta):
     out = np.empty_like(eta)

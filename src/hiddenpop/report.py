@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -21,8 +20,14 @@ from .models import ImportanceReport
 
 @contextmanager
 def atomic_open(path):
+    """Write to a temp file beside path, then rename it over path.
+
+    The temp file is created with mode 0666 less the umask, as open() would
+    create it (mkstemp would leave 0600).
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="", encoding="utf-8") as f:
             yield f

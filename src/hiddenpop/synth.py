@@ -18,28 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InfeasibleConfig
+from .features import NAME_FLAG, FeatureSchema, encode_columns, encode_matrix, feature_layout
 from .ingest import (
     AdminRecord,
     NameFrequencyTable,
     SurveyRecord,
-    is_common_name,
     write_admin_csv,
     write_name_table,
     write_survey_csv,
 )
-
-# encoded column order of the generating model (matches the feature module)
-SIGNAL_COLUMNS = [
-    "gender=M",
-    "employment=worker_student",
-    "employment=student_worker",
-    "employment=not_available",
-    "course_level=master",
-    "course_level=bachelor_and_master",
-    "common_italian_name",
-    "years_enrolled",
-    "ects_earned",
-]
 
 _COMMON_NAMES = [
     "maria", "giuseppe", "francesca", "giovanni", "anna", "antonio", "rosa",
@@ -155,20 +142,16 @@ def _draw_levels(rng, shares: dict, n: int) -> np.ndarray:
     return np.array(levels, dtype=object)[idx]
 
 
-def _encode_design(gender, employment, course, common, years, ects, cfg) -> np.ndarray:
-    """Design matrix in SIGNAL_COLUMNS order, numerics z-scored by config moments."""
-    cols = [
-        (gender == "M").astype(float),
-        (employment == "worker_student").astype(float),
-        (employment == "student_worker").astype(float),
-        (employment == "not_available").astype(float),
-        (course == "master").astype(float),
-        (course == "bachelor_and_master").astype(float),
-        common.astype(float),
-        (years - cfg.years_mean) / cfg.years_sd,
-        (ects - cfg.ects_mean) / cfg.ects_sd,
-    ]
-    return np.column_stack(cols)
+def _generating_schema(config: SynthConfig) -> FeatureSchema:
+    """The full feature layout, numerics z-scored by the config's moments."""
+    return FeatureSchema(feature_layout({
+        "years_enrolled": (config.years_mean, config.years_sd),
+        "ects_earned": (config.ects_mean, config.ects_sd),
+    }))
+
+
+# encoded column order of the generating model
+SIGNAL_COLUMNS = _generating_schema(SynthConfig()).names
 
 
 def _calibrate_intercept(eta_slope: np.ndarray, target: float) -> float:
@@ -225,7 +208,10 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     ) / 100.0
     common = rng.random(n) < p_common
 
-    X = _encode_design(gender, employment, course, common, years, ects, config)
+    X = encode_columns({
+        "gender": gender, "employment": employment, "course_level": course,
+        NAME_FLAG: common, "years_enrolled": years, "ects_earned": ects,
+    }, _generating_schema(config))
     beta = np.array([config.signal[c] for c in SIGNAL_COLUMNS])
     eta_slope = X @ beta
     target_pa0 = shares[1] / (shares[0] + shares[1])
@@ -345,13 +331,7 @@ def generating_design(
     config: SynthConfig,
 ) -> np.ndarray:
     """Re-encode admin records exactly as the generating model saw them."""
-    gender = np.array([r.gender for r in records], dtype=object)
-    employment = np.array([r.employment for r in records], dtype=object)
-    course = np.array([r.course_level for r in records], dtype=object)
-    common = np.array([is_common_name(r.given_name, table) for r in records])
-    years = np.array([r.years_enrolled for r in records], dtype=float)
-    ects = np.array([r.ects_earned for r in records], dtype=float)
-    return _encode_design(gender, employment, course, common, years, ects, config)
+    return encode_matrix(records, _generating_schema(config), table)
 
 
 def load_truth(path) -> dict:

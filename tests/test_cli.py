@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import hiddenpop.cli
 from hiddenpop.cli import main
 from conftest import small_config
 
@@ -117,3 +118,18 @@ def test_pipeline_with_config_override(tmp_path):
     assert (out / "report" / "bias_report.csv").exists()
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["seed"] == cfg.seed
+
+
+def test_pipeline_parses_inputs_once(cli_run, tmp_path, monkeypatch):
+    _root, data, _train = cli_run
+    calls = []
+    parse_admin = hiddenpop.cli.parse_admin
+
+    def counting_parse_admin(*args, **kwargs):
+        calls.append(args)
+        return parse_admin(*args, **kwargs)
+
+    monkeypatch.setattr(hiddenpop.cli, "parse_admin", counting_parse_admin)
+    assert main(["pipeline", "--data-dir", str(data), "--out", str(tmp_path / "pipe"),
+                 "--model", "logistic", "--k", "0"]) == 0
+    assert len(calls) == 1

@@ -8,11 +8,10 @@ from hiddenpop.features import (
     assemble_training_set,
     build_schema,
     correlation_report,
-    encode,
     encode_matrix,
     FeatureSchema,
 )
-from hiddenpop.ingest import LinkedDataset, NameFrequencyTable, SurveyRecord
+from hiddenpop.ingest import LinkedDataset, NameFrequencyTable, SurveyRecord, is_common_name
 
 from test_ingest import make_admin
 
@@ -76,12 +75,26 @@ def test_encode_values():
     np.testing.assert_allclose(X[:, 7:].std(axis=0), 1, atol=1e-12)
 
 
+def test_encode_matrix_matches_per_row_reference(small_inputs, small_training):
+    admin, _survey, table, _linked = small_inputs
+    schema = FeatureSchema.from_json(small_training[0].to_json())
+    records = admin[:500]
+    expected = [
+        [float(getattr(r, c.source) == c.level) if c.kind == "onehot"
+         else float(is_common_name(r.given_name, table)) if c.kind == "binary"
+         else (getattr(r, c.source) - c.mean) / c.sd
+         for c in schema.columns]
+        for r in records
+    ]
+    np.testing.assert_array_equal(encode_matrix(records, schema, table), expected)
+
+
 def test_encode_unknown_level_falls_back_to_reference():
     records = varied_records()
     schema = build_schema(records[:2], TABLE)  # only bachelor/master observed
     before = schema.unknown_level_count
     # records[2] carries two unseen levels: student_worker and bachelor_and_master
-    x = encode(records[2], schema, TABLE)
+    x = encode_matrix([records[2]], schema, TABLE)[0]
     for group in ("course_level", "employment"):
         assert all(x[i] == 0.0 for i in schema.group_indices(group))
     assert schema.unknown_level_count == before + 2
@@ -92,8 +105,8 @@ def test_schema_json_round_trip():
     again = FeatureSchema.from_json(schema.to_json())
     assert again.names == schema.names
     assert again.name_rule == schema.name_rule
-    x0 = encode(varied_records()[0], schema, TABLE)
-    x1 = encode(varied_records()[0], again, TABLE)
+    x0 = encode_matrix([varied_records()[0]], schema, TABLE)[0]
+    x1 = encode_matrix([varied_records()[0]], again, TABLE)[0]
     np.testing.assert_array_equal(x0, x1)
 
 

@@ -1,5 +1,8 @@
 """Artifact writers: formatting, atomicity, round trips, byte stability."""
 
+import os
+import stat
+
 import numpy as np
 
 from hiddenpop.domain import BackgroundKind
@@ -8,6 +11,7 @@ from hiddenpop.expand import ExpandedRecord, tabulate_population
 from hiddenpop.models.io import load_model, save_model
 from hiddenpop.models import fit_logistic, fit_forest
 from hiddenpop.report import (
+    atomic_open,
     read_expanded_csv,
     write_expanded_csv,
     write_metrics_csv,
@@ -57,6 +61,19 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     report = evaluate(np.array([0.9]), np.array([1]))
     write_metrics_csv(tmp_path / "m.csv", {"m": report})
     assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+def test_atomic_write_gets_plain_open_mode(tmp_path):
+    old = os.umask(0o027)
+    try:
+        with atomic_open(tmp_path / "atomic.txt") as f:
+            f.write("x")
+        with open(tmp_path / "plain.txt", "w") as f:
+            f.write("x")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "atomic.txt").stat().st_mode) == 0o640
+    assert stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == 0o640
 
 
 def test_expanded_register_round_trip(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hiddenpop.errors import InfeasibleConfig
+from hiddenpop.features import feature_layout
 from hiddenpop.ingest import is_common_name
 from hiddenpop.synth import (
     SIGNAL_COLUMNS,
@@ -129,6 +130,9 @@ def test_generating_design_matches_signal_columns(small_inputs):
     cfg = small_config()
     X = generating_design(admin[:50], table, cfg)
     assert X.shape == (50, len(SIGNAL_COLUMNS))
+    # the generating model uses every column of the feature layout, in order
+    full = feature_layout({"years_enrolled": (0.0, 1.0), "ects_earned": (0.0, 1.0)})
+    assert SIGNAL_COLUMNS == [c.name for c in full]
     # dummies are 0/1 and numerics are finite
     assert set(np.unique(X[:, :7])) <= {0.0, 1.0}
     assert np.all(np.isfinite(X))
