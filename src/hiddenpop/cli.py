@@ -29,7 +29,7 @@ from .expand import (
     tabulate_population,
 )
 from .features import assemble_training_set, build_schema, correlation_report
-from .ingest import build_name_table, link, parse_admin, parse_survey
+from .ingest import atomic_open, build_name_table, link, parse_admin, parse_survey, reading
 from .models import (
     fit_forest,
     fit_logistic,
@@ -42,7 +42,6 @@ from .models import (
     save_model,
 )
 from .report import (
-    atomic_open,
     read_expanded_csv,
     write_bias_csv,
     write_correlation_csv,
@@ -118,12 +117,19 @@ def _input_files(data_dir: Path):
     return [data_dir / n for n in names if (data_dir / n).exists()]
 
 
-def cmd_synth(args) -> int:
+def _synth_config(args) -> SynthConfig:
+    """SynthConfig defaults, overridden by --config's JSON and then --seed."""
     config = SynthConfig()
     if args.config:
-        config = SynthConfig.from_json(Path(args.config).read_text())
+        with reading(args.config, TypeError):
+            config = SynthConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     if args.seed is not None:
         config.seed = args.seed
+    return config
+
+
+def cmd_synth(args) -> int:
+    config = _synth_config(args)
     if args.n_register:
         config.n_register = args.n_register
     out = Path(args.out)
@@ -155,8 +161,7 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _train_stage(inputs, out, *, model_kind, seed, ratio, k, threshold,
-                 n_trees, jobs):
+def _train_stage(inputs, out, *, model_kind, seed, ratio, k, threshold, n_trees):
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     _admin, _survey, table, linked = inputs
@@ -197,7 +202,7 @@ def _train_stage(inputs, out, *, model_kind, seed, ratio, k, threshold,
             outputs.append(cv_path)
 
     if model_kind in ("forest", "both"):
-        fm = fit_forest(train, n_trees=n_trees, seed=seed, n_jobs=jobs)
+        fm = fit_forest(train, n_trees=n_trees, seed=seed)
         models["forest"] = fm
         scores = predict_forest(fm, val.X)
         reports["forest"] = evaluate(scores, val.y, threshold)
@@ -223,8 +228,7 @@ def cmd_train(args) -> int:
     data_dir = _resolve_data_dir(args)
     outputs, reports, _, _ = _train_stage(
         _load_inputs(data_dir), args.out, model_kind=args.model, seed=args.seed,
-        ratio=args.ratio, k=args.k, threshold=args.threshold,
-        n_trees=args.trees, jobs=args.jobs,
+        ratio=args.ratio, k=args.k, threshold=args.threshold, n_trees=args.trees,
     )
     config = {k: v for k, v in vars(args).items() if k != "func"}
     write_manifest(Path(args.out), "train", config,
@@ -240,13 +244,20 @@ def _check_schema_digest(model_path, schema):
     """The train stage leaves schema.json beside the model; if present it must match."""
     sidecar = Path(model_path).parent / "schema.json"
     if sidecar.exists():
-        if sidecar.read_text() != schema.to_json():
+        with reading(sidecar):
+            text = sidecar.read_text(encoding="utf-8")
+        if text != schema.to_json():
             raise SchemaMismatch(
                 f"schema in {sidecar} does not match the model's embedded schema"
             )
 
 
 def cmd_evaluate(args) -> int:
+    """Score a saved model on every linked bp=cit=1 row.
+
+    Those rows include the ones the model was trained on, so the figures are
+    not a held-out estimate; train's validation split gives that.
+    """
     data_dir = _resolve_data_dir(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -263,7 +274,8 @@ def cmd_evaluate(args) -> int:
     write_manifest(out, "evaluate", {"model_file": str(args.model_file)},
                    args.seed, _input_files(data_dir) + [Path(args.model_file)],
                    [metrics_csv, out / "metrics.md"])
-    print(f"{name}: accuracy={report.accuracy:.3f} on {len(data.y)} labeled rows")
+    print(f"{name}: accuracy={report.accuracy:.3f} on all {len(data.y)} linked rows, "
+          "training rows included")
     return 0
 
 
@@ -334,11 +346,7 @@ def cmd_pipeline(args) -> int:
     if args.data_dir or os.environ.get(DATA_DIR_ENV):
         data_dir = _resolve_data_dir(args)
     else:
-        config = SynthConfig()
-        if args.config:
-            config = SynthConfig.from_json(Path(args.config).read_text())
-        if args.seed is not None:
-            config.seed = args.seed
+        config = _synth_config(args)
         seed = config.seed
         data_dir = out / "data"
         bundle = generate(config, data_dir)
@@ -350,8 +358,7 @@ def cmd_pipeline(args) -> int:
     train_out = out / "train"
     outputs, reports, models, schema = _train_stage(
         inputs, train_out, model_kind=args.model, seed=seed,
-        ratio=args.ratio, k=args.k, threshold=args.threshold,
-        n_trees=args.trees, jobs=args.jobs,
+        ratio=args.ratio, k=args.k, threshold=args.threshold, n_trees=args.trees,
     )
     all_outputs += outputs
 
@@ -376,8 +383,27 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+def _checked(convert, allowed, expected):
+    """An argparse type: convert the text, then reject values outside `allowed`."""
+
+    def parse(text):
+        value = convert(text)
+        if not allowed(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {expected}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_trees = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_ratio = _checked(float, lambda v: 0 < v < 1, "a fraction strictly between 0 and 1")
+_folds = _checked(int, lambda v: v == 0 or v >= 2, "0 (no CV) or an integer >= 2")
+
+
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="RNG seed (default: SynthConfig seed when generating, else 0)")
     p.add_argument("--data-dir", default=None,
                    help=f"input directory (or ${DATA_DIR_ENV})")
@@ -406,11 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit and validate the classifiers")
     _add_common(p)
     p.add_argument("--model", choices=["logistic", "forest", "both"], default="both")
-    p.add_argument("--ratio", type=float, default=0.75)
-    p.add_argument("--k", type=int, default=10, help="CV folds (0 disables)")
+    p.add_argument("--ratio", type=_ratio, default=0.75)
+    p.add_argument("--k", type=_folds, default=10, help="CV folds (0 disables)")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--trees", type=int, default=500)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--trees", type=_trees, default=500)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a saved model on labeled data")
@@ -436,11 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--config", default=None, help="SynthConfig JSON file")
     p.add_argument("--model", choices=["logistic", "forest", "both"], default="both")
-    p.add_argument("--ratio", type=float, default=0.75)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--ratio", type=_ratio, default=0.75)
+    p.add_argument("--k", type=_folds, default=10)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--trees", type=int, default=500)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--trees", type=_trees, default=500)
     p.add_argument("--variables", nargs="+", default=DEFAULT_BIAS_VARIABLES)
     p.add_argument("--alert-threshold", type=float, default=5.0)
     p.set_defaults(func=cmd_pipeline)

@@ -1,85 +1,24 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline.
+
+The CLI exits with code 3 on a DataError and with code 4 on any other
+HiddenPopError.
+"""
 
 
 class HiddenPopError(Exception):
-    """Base class for all pipeline errors."""
+    """A pipeline invariant broke (CLI exit code 4)."""
 
 
 class DataError(HiddenPopError):
-    """Bad input data (CLI exit code 3)."""
+    """The input is wrong (CLI exit code 3).
+
+    The message starts with the offending file, or file:line, when there is one.
+    """
 
 
 class ExcludedCombination(DataError):
     """Legally impossible (bp, cit, pa) combination; signals corrupted input."""
 
 
-class MissingColumn(DataError):
-    pass
-
-
-class DuplicateLinkKey(DataError):
-    pass
-
-
-class RejectThresholdExceeded(DataError):
-    pass
-
-
-class ValidationError(DataError):
-    pass
-
-
-class NameFileMalformed(DataError):
-    pass
-
-
-class EmptyClass(DataError):
-    pass
-
-
-class SingularSystem(HiddenPopError):
-    pass
-
-
-class DimensionMismatch(HiddenPopError):
-    pass
-
-
 class SchemaMismatch(DataError):
-    pass
-
-
-class LengthMismatch(HiddenPopError):
-    pass
-
-
-class EmptyInput(HiddenPopError):
-    pass
-
-
-class OneClassOnly(DataError):
-    pass
-
-
-class TooSmall(DataError):
-    pass
-
-
-class TooFewRows(DataError):
-    pass
-
-
-class EmptyClassInFold(DataError):
-    pass
-
-
-class CoverageGap(HiddenPopError):
-    """A register record ended up without a membership assignment; pipeline bug."""
-
-
-class LevelMismatch(DataError):
-    pass
-
-
-class InfeasibleConfig(DataError):
-    pass
+    """A saved model does not fit its feature schema or the schema beside it."""

@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptyClassInFold,
-    EmptyInput,
-    LengthMismatch,
-    OneClassOnly,
-    TooFewRows,
-    TooSmall,
-)
+from .errors import DataError, HiddenPopError
 from .features import LabeledDataset
 
 log = logging.getLogger(__name__)
@@ -70,7 +63,7 @@ def confusion_at(scores, labels, threshold: float = 0.5) -> ConfusionMatrix:
 def metrics_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
     total = cm.total
     if total == 0:
-        raise EmptyInput("empty confusion matrix")
+        raise HiddenPopError("empty confusion matrix")
     accuracy = (cm.tp + cm.tn) / total
     precision = cm.tp / (cm.tp + cm.fp) if (cm.tp + cm.fp) > 0 else None
     tpr = cm.tp / (cm.tp + cm.fn) if (cm.tp + cm.fn) > 0 else None
@@ -97,9 +90,9 @@ def evaluate(scores, labels, threshold: float = 0.5) -> MetricsReport:
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if len(scores) != len(labels):
-        raise LengthMismatch(f"{len(scores)} scores vs {len(labels)} labels")
+        raise HiddenPopError(f"{len(scores)} scores vs {len(labels)} labels")
     if len(scores) == 0:
-        raise EmptyInput("no predictions to evaluate")
+        raise HiddenPopError("no predictions to evaluate")
     return metrics_from_confusion(confusion_at(scores, labels, threshold))
 
 
@@ -119,11 +112,11 @@ def roc(scores, labels) -> RocCurve:
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if len(scores) != len(labels):
-        raise LengthMismatch(f"{len(scores)} scores vs {len(labels)} labels")
+        raise HiddenPopError(f"{len(scores)} scores vs {len(labels)} labels")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
-        raise OneClassOnly("ROC needs both classes")
+        raise DataError("ROC needs both classes")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     y = labels[order]
@@ -164,14 +157,16 @@ def split_train_validate(data: LabeledDataset, ratio: float = 0.75, seed: int = 
     """Stratified split; |train| = round(ratio*n) (banker's rounding), disjoint+exhaustive."""
     n = len(data.y)
     if n < 8:
-        raise TooSmall(f"need at least 8 rows, got {n}")
+        raise DataError(f"need at least 8 rows, got {n}")
     classes = np.unique(data.y)
     if len(classes) < 2:
-        raise TooSmall("both classes must be present")
+        raise DataError("both classes must be present")
     n_train = round(ratio * n)
     rng = np.random.default_rng(seed)
     class_idx = [np.nonzero(data.y == c)[0] for c in classes]
     take = _stratified_allocation([len(ix) for ix in class_idx], n_train, ratio)
+    if min(take) == 0:
+        raise DataError(f"ratio {ratio} leaves a class out of the {n_train} training rows")
     train_idx, val_idx = [], []
     for ix, t in zip(class_idx, take):
         shuffled = rng.permutation(ix)
@@ -212,7 +207,7 @@ def kfold_cv(data: LabeledDataset, trainer, k: int = 10, seed: int = 0,
     """k stratified fits; trainer(train_data) must return a scores(X) callable."""
     n = len(data.y)
     if n < k:
-        raise TooFewRows(f"n={n} < k={k}")
+        raise DataError(f"n={n} < k={k}")
     folds = stratified_folds(data.y, k, seed)
     reports = []
     for f, test_idx in enumerate(folds):
@@ -220,7 +215,7 @@ def kfold_cv(data: LabeledDataset, trainer, k: int = 10, seed: int = 0,
         train = _subset(data, train_idx)
         test = _subset(data, test_idx)
         if len(np.unique(train.y)) < 2:
-            raise EmptyClassInFold(f"fold {f}: training part lost a class")
+            raise DataError(f"fold {f}: training part lost a class")
         score_fn = trainer(train)
         reports.append(evaluate(score_fn(test.X), test.y, threshold))
     mean, sd, undefined = {}, {}, {}

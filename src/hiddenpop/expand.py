@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BackgroundKind, KIND_LABELS, compute_delta_type
-from .errors import CoverageGap, LevelMismatch, SchemaMismatch
+from .errors import DataError, HiddenPopError, SchemaMismatch
 from .features import FeatureSchema, encode_matrix
 from .ingest import AdminRecord, LinkedDataset, NameFrequencyTable
 from .models import ForestModel, LogisticModel, predict_forest, predict_logistic
@@ -114,7 +114,7 @@ def expand_dataset(
             bg = compute_delta_type(1, 1, pa_hat)
             out.append(ExpandedRecord(rec, bg.delta, bg.kind, "predicted", score))
         else:
-            raise CoverageGap(
+            raise HiddenPopError(
                 f"record {rec.link_key!r} has (bp,cit)=(1,1) but neither a "
                 "linked nor an imputed pa"
             )
@@ -196,18 +196,18 @@ def bias_report(
     only, no correction is attempted.
     """
     if not expanded_members or not survey_members:
-        raise LevelMismatch("both population and sample must be nonempty")
+        raise DataError("both population and sample must be nonempty")
     out = {}
     flagged = []
     for var in variables:
         if var not in SHARED_VARIABLES:
-            raise LevelMismatch(f"unknown shared variable {var!r}")
+            raise DataError(f"unknown shared variable {var!r}")
         extractor = SHARED_VARIABLES[var]
         pop = _shares([e.record for e in expanded_members], extractor)
         sample = _shares(survey_members, extractor)
         stray = set(sample) - set(pop)
         if stray:
-            raise LevelMismatch(f"{var}: sample levels {sorted(stray)} absent from population")
+            raise DataError(f"{var}: sample levels {sorted(stray)} absent from population")
         table = {}
         for lvl in sorted(pop):
             p = pop[lvl]

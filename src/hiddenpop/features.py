@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyClass
+from .errors import DataError
 from .ingest import AdminRecord, LinkedDataset, NameFrequencyTable, is_common_name
 
 log = logging.getLogger(__name__)
@@ -88,11 +88,26 @@ class FeatureSchema:
 
     @classmethod
     def from_json(cls, text: str) -> "FeatureSchema":
+        """Parse to_json's output; ValueError for a column or rule it cannot encode by."""
         payload = json.loads(text)
+        layout = {c.name: c for c in feature_layout({s: (0.0, 1.0) for s in _NUMERICS})}
+        columns = [Column(**c) for c in payload["columns"]]
+        for c in columns:
+            known = layout.get(c.name)
+            if known is None or (c.kind, c.group, c.source, c.level) != (
+                    known.kind, known.group, known.source, known.level):
+                raise ValueError(f"feature column {c.name!r} is not in the layout")
+            c.mean, c.sd = float(c.mean), float(c.sd)
+        name_rule = payload.get("name_rule", {"min_count": 5, "top_k": None})
+        top_k = name_rule["top_k"]
+        if (set(name_rule) != {"min_count", "top_k"}
+                or not isinstance(name_rule["min_count"], int)
+                or not (top_k is None or isinstance(top_k, int) and top_k >= 1)):
+            raise ValueError(f"bad name rule {name_rule!r}")
         return cls(
-            columns=[Column(**c) for c in payload["columns"]],
+            columns=columns,
             dropped=payload.get("dropped", []),
-            name_rule=payload.get("name_rule", {"min_count": 5, "top_k": None}),
+            name_rule=name_rule,
             version=payload["version"],
         )
 
@@ -234,10 +249,10 @@ def assemble_training_set(
     pairs = [(a, s) for a, s in sorted(linked.matched, key=lambda pair: pair[0].link_key)
              if a.bp == 1 and a.cit == 1]
     if not pairs:
-        raise EmptyClass("no linked rows with bp=cit=1")
+        raise DataError("no linked rows with bp=cit=1")
     y = np.array([int(s.pa_observed == 0) for _, s in pairs], dtype=int)
     if y.min() == y.max():
-        raise EmptyClass(f"training labels are all {y[0]}")
+        raise DataError(f"training labels are all {y[0]}")
     records = [a for a, _ in pairs]
     X = encode_matrix(records, schema, name_table)
     log.info("training set: %d rows, %.1f%% positive (pa=0)", len(y), 100 * y.mean())

@@ -3,25 +3,23 @@
 All files are UTF-8 CSV with a header row (delimiter configurable).  Rows
 that fail standardization are routed to a reject file with a reason code
 rather than aborting the whole load; an error is raised only when the reject
-fraction exceeds a configurable threshold.  See docs/formats.md for the
-column schemas.
+fraction exceeds a configurable threshold.  A file that cannot be read, lacks
+a column or holds a row with too few fields raises DataError naming the file
+and line.  See docs/formats.md for the column schemas.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import logging
+import os
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (
-    DuplicateLinkKey,
-    MissingColumn,
-    NameFileMalformed,
-    RejectThresholdExceeded,
-    ValidationError,
-)
+from .errors import DataError
 
 log = logging.getLogger(__name__)
 
@@ -46,6 +44,9 @@ ADMIN_COLUMNS = [
 SURVEY_COLUMNS = ["link_key", "eligible", "pa_observed"]
 
 ITALY = "IT"
+
+# counts are encoded as floats; below this they convert exactly
+_MAX_COUNT = 2**53
 
 # raw -> canonical category spellings seen in administrative exports
 _EMPLOYMENT_ALIASES = {
@@ -186,10 +187,10 @@ class NameFrequencyTable:
 def _standardize_admin_row(row: dict) -> AdminRecord:
     years = int(row["years_enrolled"])
     ects = int(row["ects_earned"])
-    if years < 1:
-        raise ValueError(f"years_enrolled must be >= 1, got {years}")
-    if ects < 0:
-        raise ValueError(f"ects_earned must be >= 0, got {ects}")
+    if not 1 <= years < _MAX_COUNT:
+        raise ValueError(f"years_enrolled must be in [1, 2**53), got {years}")
+    if not 0 <= ects < _MAX_COUNT:
+        raise ValueError(f"ects_earned must be in [0, 2**53), got {ects}")
     return AdminRecord(
         link_key=row["link_key"].strip(),
         given_name=row["given_name"].strip(),
@@ -205,16 +206,57 @@ def _standardize_admin_row(row: dict) -> AdminRecord:
     )
 
 
-def _open_reader(path, delimiter):
-    handle = open(path, newline="", encoding="utf-8")
-    return handle, csv.DictReader(handle, delimiter=delimiter)
+@contextmanager
+def reading(path, *content_errors):
+    """Re-raise a failure to open, decode or parse path as DataError naming it.
+
+    content_errors are further exception types that, raised inside the block,
+    also mean the file is not what it should be (a missing key, a wrong type).
+    """
+    try:
+        yield
+    except (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError,
+            *content_errors) as exc:
+        raise DataError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _check_columns(reader, required, path):
-    header = reader.fieldnames or []
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise MissingColumn(f"{path}: missing column(s) {missing}")
+def read_csv(path, required, *, delimiter: str = ","):
+    """Yield (line number, row dict) for every data row of a UTF-8 CSV file.
+
+    Raises DataError naming the file when it cannot be read, when its header
+    lacks a required column, and, with the line, when a row has fewer fields
+    than the header.
+    """
+    with reading(path), open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle, delimiter=delimiter)
+        header = reader.fieldnames or []
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing column(s) {missing}")
+        for raw in reader:
+            if None in raw.values():
+                raise DataError(f"{path}:{reader.line_num}: fewer fields than the header")
+            yield reader.line_num, raw
+
+
+@contextmanager
+def atomic_open(path):
+    """Write to a temp file beside path, then rename it over path.
+
+    The temp file is created with mode 0666 less the umask, as open() would
+    create it (mkstemp would leave 0600).
+    """
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", newline="", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def parse_admin(
@@ -228,8 +270,8 @@ def parse_admin(
     """Load and standardize the register; bad rows go to the reject file.
 
     schema_config maps canonical column names to the names used in the file.
-    Raises RejectThresholdExceeded when more than max_reject_fraction of the
-    rows fail standardization.
+    Raises DataError when more than max_reject_fraction of the rows fail
+    standardization, when a link_key repeats, or when the file is unreadable.
     """
     path = Path(path)
     colmap = {c: c for c in ADMIN_COLUMNS}
@@ -238,29 +280,26 @@ def parse_admin(
     records = []
     rejects = []  # (line_number, reason, raw row)
     seen = {}
-    handle, reader = _open_reader(path, delimiter)
-    with handle:
-        _check_columns(reader, colmap.values(), path)
-        for lineno, raw in enumerate(reader, start=2):
-            row = {canon: raw[col] for canon, col in colmap.items()}
-            try:
-                rec = _standardize_admin_row(row)
-            except (ValueError, KeyError) as exc:
-                rejects.append((lineno, str(exc), raw))
-                continue
-            if rec.link_key in seen:
-                raise DuplicateLinkKey(
-                    f"{path}: link_key {rec.link_key!r} on lines "
-                    f"{seen[rec.link_key]} and {lineno}"
-                )
-            seen[rec.link_key] = lineno
-            records.append(rec)
+    for lineno, raw in read_csv(path, colmap.values(), delimiter=delimiter):
+        row = {canon: raw[col] for canon, col in colmap.items()}
+        try:
+            rec = _standardize_admin_row(row)
+        except (ValueError, KeyError) as exc:
+            rejects.append((lineno, str(exc), raw))
+            continue
+        if rec.link_key in seen:
+            raise DataError(
+                f"{path}:{lineno}: link_key {rec.link_key!r} already on line "
+                f"{seen[rec.link_key]}"
+            )
+        seen[rec.link_key] = lineno
+        records.append(rec)
     total = len(records) + len(rejects)
     if rejects:
         _write_rejects(reject_path or path.with_suffix(".rejects.csv"), rejects)
         log.warning("%s: %d of %d rows rejected", path, len(rejects), total)
     if total and len(rejects) / total > max_reject_fraction:
-        raise RejectThresholdExceeded(
+        raise DataError(
             f"{path}: {len(rejects)}/{total} rows rejected "
             f"(limit {max_reject_fraction:.0%})"
         )
@@ -268,7 +307,7 @@ def parse_admin(
 
 
 def _write_rejects(path, rejects):
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(["line", "reason", "raw"])
         for lineno, reason, raw in rejects:
@@ -289,35 +328,30 @@ def parse_survey(*paths, delimiter: str = ",") -> list[SurveyRecord]:
     records = []
     seen = {}
     for path in paths:
-        path = Path(path)
-        handle, reader = _open_reader(path, delimiter)
-        with handle:
-            if reader.fieldnames is None:
-                log.warning("%s: empty survey file", path)
-                continue
-            _check_columns(reader, SURVEY_COLUMNS, path)
-            for lineno, raw in enumerate(reader, start=2):
-                key = raw["link_key"].strip()
+        for lineno, raw in read_csv(path, SURVEY_COLUMNS, delimiter=delimiter):
+            where = f"{path}:{lineno}"
+            try:
                 eligible = _parse_bool(raw["eligible"])
                 pa = int(raw["pa_observed"])
-                if pa not in (0, 1):
-                    raise ValidationError(f"{path}:{lineno}: pa_observed must be 0/1")
-                if not eligible and pa != 1:
-                    raise ValidationError(
-                        f"{path}:{lineno}: screened-out row with pa_observed={pa}; "
-                        "screening implies both parents Italian"
-                    )
-                if key in seen:
-                    raise DuplicateLinkKey(
-                        f"link_key {key!r} appears in {seen[key]} and {path}:{lineno}"
-                    )
-                seen[key] = f"{path}:{lineno}"
-                extras = tuple(
-                    (k, v) for k, v in raw.items() if k not in SURVEY_COLUMNS
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from exc
+            if pa not in (0, 1):
+                raise DataError(f"{where}: pa_observed must be 0/1")
+            if not eligible and pa != 1:
+                raise DataError(
+                    f"{where}: screened-out row with pa_observed={pa}; "
+                    "screening implies both parents Italian"
                 )
-                records.append(
-                    SurveyRecord(link_key=key, eligible=eligible, pa_observed=pa, extras=extras)
-                )
+            key = raw["link_key"].strip()
+            if key in seen:
+                raise DataError(f"{where}: link_key {key!r} already in {seen[key]}")
+            seen[key] = where
+            extras = tuple(
+                (k, v) for k, v in raw.items() if k not in SURVEY_COLUMNS
+            )
+            records.append(
+                SurveyRecord(link_key=key, eligible=eligible, pa_observed=pa, extras=extras)
+            )
     if not records:
         log.warning("no survey records parsed from %s", [str(p) for p in paths])
     return records
@@ -347,20 +381,15 @@ def link(admin: list[AdminRecord], survey: list[SurveyRecord]) -> LinkedDataset:
 def build_name_table(path, *, delimiter: str = ",") -> NameFrequencyTable:
     """Load the external given-name reference (columns: name,count)."""
     counts = {}
-    path = Path(path)
-    handle, reader = _open_reader(path, delimiter)
-    with handle:
-        if reader.fieldnames is None or not {"name", "count"} <= set(reader.fieldnames):
-            raise NameFileMalformed(f"{path}: expected header 'name,count'")
-        for lineno, raw in enumerate(reader, start=2):
-            try:
-                count = int(raw["count"])
-            except (TypeError, ValueError):
-                raise NameFileMalformed(f"{path}:{lineno}: bad count {raw.get('count')!r}")
-            if count < 1:
-                raise NameFileMalformed(f"{path}:{lineno}: count must be >= 1")
-            key = normalize_name(raw["name"])
-            counts[key] = counts.get(key, 0) + count
+    for lineno, raw in read_csv(path, ["name", "count"], delimiter=delimiter):
+        try:
+            count = int(raw["count"])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad count {raw['count']!r}") from None
+        if count < 1:
+            raise DataError(f"{path}:{lineno}: count must be >= 1")
+        key = normalize_name(raw["name"])
+        counts[key] = counts.get(key, 0) + count
     return NameFrequencyTable(counts)
 
 
@@ -394,7 +423,7 @@ def is_common_name(
 
 def write_admin_csv(path, records: list[AdminRecord], *, delimiter: str = ","):
     """Write records in the canonical column order (round-trips via parse_admin)."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         writer = csv.writer(f, delimiter=delimiter)
         writer.writerow(ADMIN_COLUMNS)
         for rec in records:
@@ -405,7 +434,7 @@ def write_survey_csv(path, records: list[SurveyRecord], *, delimiter: str = ",")
     extra_cols = []
     if records and records[0].extras:
         extra_cols = [k for k, _ in records[0].extras]
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         writer = csv.writer(f, delimiter=delimiter)
         writer.writerow(SURVEY_COLUMNS + extra_cols)
         for rec in records:
@@ -417,7 +446,7 @@ def write_survey_csv(path, records: list[SurveyRecord], *, delimiter: str = ",")
 
 
 def write_name_table(path, table: NameFrequencyTable, *, delimiter: str = ","):
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         writer = csv.writer(f, delimiter=delimiter)
         writer.writerow(["name", "count"])
         for name in sorted(table.counts):

@@ -7,20 +7,18 @@ reference R implementation: 500 trees, mtry = ceil(sqrt(p)), min_leaf 1,
 unbounded depth.
 
 Reproducibility contract: tree t draws from an RNG stream keyed by
-(seed, t), so the fitted forest is bit-identical regardless of how many
-worker threads train it.
+(seed, t), so the same data and seed give a bit-identical forest.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from ..errors import HiddenPopError
 
 log = logging.getLogger(__name__)
 
@@ -162,7 +160,6 @@ def fit_forest(
     min_leaf: int = 1,
     max_depth: int | None = None,
     seed: int = 0,
-    n_jobs: int = 1,
 ) -> ForestModel:
     """Bagged Gini trees with per-node feature subsampling and OOB error."""
     X = np.asarray(data.X, dtype=float)
@@ -174,24 +171,15 @@ def fit_forest(
         mtry = math.ceil(math.sqrt(p))
     mtry = min(mtry, p)
 
-    def build(t):
+    trees = []
+    votes = np.zeros((n, 2), dtype=np.int64)  # OOB votes per class
+    for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         boot = rng.integers(0, n, size=n)
         tree = _grow_tree(X, y, boot, rng, mtry, min_leaf, max_depth)
+        trees.append(tree)
         oob_mask = np.ones(n, dtype=bool)
         oob_mask[boot] = False
-        return tree, boot, oob_mask
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            built = list(pool.map(build, range(n_trees)))
-    else:
-        built = [build(t) for t in range(n_trees)]
-
-    trees = []
-    votes = np.zeros((n, 2), dtype=np.int64)  # OOB votes per class
-    for tree, _boot, oob_mask in built:
-        trees.append(tree)
         if oob_mask.any():
             pred = tree.predict_class(X[oob_mask])
             rows = np.nonzero(oob_mask)[0]
@@ -220,7 +208,7 @@ def predict_forest(model: ForestModel, fv) -> float | np.ndarray:
     single = fv.ndim == 1
     X = fv[None, :] if single else fv
     if X.shape[1] != model.n_features:
-        raise DimensionMismatch(
+        raise HiddenPopError(
             f"expected width {model.n_features}, got {X.shape[1]}"
         )
     votes = np.zeros(len(X))

@@ -8,6 +8,7 @@ import numpy as np
 
 from ..errors import SchemaMismatch
 from ..features import FeatureSchema
+from ..ingest import atomic_open, reading
 from .forest import DecisionTree, ForestModel
 from .logistic import LogisticModel
 
@@ -70,42 +71,44 @@ def save_model(path, model, schema: FeatureSchema):
             "oob_error": model.oob_error,
             "trees": [_tree_to_dict(t) for t in model.trees],
         }
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         json.dump(payload, f, sort_keys=True)
 
 
 def load_model(path):
-    """Returns (model, schema)."""
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise SchemaMismatch(
-            f"{path}: unsupported model format {payload.get('format_version')!r}"
-        )
-    schema = FeatureSchema.from_json(json.dumps(payload["schema"]))
-    m = payload["model"]
-    if payload["model_type"] == "logistic":
-        model = LogisticModel(
-            intercept=m["intercept"],
-            weights=np.array(m["weights"], dtype=float),
-            ridge_lambda=m["ridge_lambda"],
-            converged=m["converged"],
-            iterations=m["iterations"],
-            max_abs_gradient=m["max_abs_gradient"],
-        )
-    elif payload["model_type"] == "forest":
-        model = ForestModel(
-            trees=[_tree_from_dict(t) for t in m["trees"]],
-            n_trees=m["n_trees"],
-            mtry=m["mtry"],
-            min_leaf=m["min_leaf"],
-            max_depth=m["max_depth"],
-            seed=m["seed"],
-            n_features=m["n_features"],
-            oob_error=m["oob_error"],
-        )
-    else:
-        raise SchemaMismatch(f"{path}: unknown model_type {payload['model_type']!r}")
+    """Returns (model, schema); a file that is not a saved model raises DataError."""
+    with reading(path, KeyError, TypeError, ValueError):
+        with open(path, encoding="utf-8") as f:
+            payload = json.load(f)
+        version = payload.get("format_version") if isinstance(payload, dict) else None
+        if version != FORMAT_VERSION:
+            raise SchemaMismatch(f"{path}: unsupported model format {version!r}")
+        schema = FeatureSchema.from_json(json.dumps(payload["schema"]))
+        m = payload["model"]
+        if payload["model_type"] == "logistic":
+            model = LogisticModel(
+                intercept=float(m["intercept"]),
+                weights=np.array(m["weights"], dtype=float),
+                ridge_lambda=m["ridge_lambda"],
+                converged=m["converged"],
+                iterations=m["iterations"],
+                max_abs_gradient=m["max_abs_gradient"],
+            )
+            if model.weights.ndim != 1:
+                raise ValueError("weights must be a list of numbers")
+        elif payload["model_type"] == "forest":
+            model = ForestModel(
+                trees=[_tree_from_dict(t) for t in m["trees"]],
+                n_trees=int(m["n_trees"]),
+                mtry=m["mtry"],
+                min_leaf=m["min_leaf"],
+                max_depth=m["max_depth"],
+                seed=m["seed"],
+                n_features=int(m["n_features"]),
+                oob_error=m["oob_error"],
+            )
+        else:
+            raise SchemaMismatch(f"{path}: unknown model_type {payload['model_type']!r}")
     if schema.width != model.width:
         raise SchemaMismatch(f"{path}: schema width does not match model width")
     return model, schema

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatch, SingularSystem
+from ..errors import HiddenPopError
 
 log = logging.getLogger(__name__)
 
@@ -66,7 +66,7 @@ def fit_logistic(
     """Newton/IRLS until every penalized score-gradient component is < tol.
 
     A singular Newton system triggers an automatic restart with the ridge
-    escalated x10, up to 1e-2; past that SingularSystem is raised.  Hitting
+    escalated x10, up to 1e-2; past that HiddenPopError is raised.  Hitting
     max_iter returns the model with converged=False rather than raising.
     """
     X = np.asarray(data.X, dtype=float)
@@ -85,7 +85,7 @@ def fit_logistic(
             break
         except np.linalg.LinAlgError:
             if lam * 10 > _LAMBDA_CEILING:
-                raise SingularSystem(
+                raise HiddenPopError(
                     f"Newton system singular even at ridge {lam:g}"
                 ) from None
             lam *= 10
@@ -142,7 +142,7 @@ def predict_logistic(model: LogisticModel, fv) -> float | np.ndarray:
     fv = np.asarray(fv, dtype=float)
     width = model.weights.shape[0]
     if fv.shape[-1] != width:
-        raise DimensionMismatch(f"expected width {width}, got {fv.shape[-1]}")
+        raise HiddenPopError(f"expected width {width}, got {fv.shape[-1]}")
     eta = model.intercept + fv @ model.weights
     prob = _sigmoid(np.atleast_1d(eta))
     prob = np.clip(prob, _CLAMP, 1.0 - _CLAMP)

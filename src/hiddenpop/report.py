@@ -8,34 +8,14 @@ Undefined metrics are written as the literal string "undefined".
 from __future__ import annotations
 
 import csv
-import os
-from contextlib import contextmanager
 from pathlib import Path
 
+from .domain import BackgroundKind, MigrantBackground, compute_delta_type
+from .errors import DataError
 from .eval import CvResult, MetricsReport, RocCurve, METRIC_NAMES
 from .expand import BiasReport, DistributionTable, ExpandedRecord
-from .ingest import ADMIN_COLUMNS
+from .ingest import ADMIN_COLUMNS, AdminRecord, atomic_open, read_csv
 from .models import ImportanceReport
-
-
-@contextmanager
-def atomic_open(path):
-    """Write to a temp file beside path, then rename it over path.
-
-    The temp file is created with mode 0666 less the umask, as open() would
-    create it (mkstemp would leave 0600).
-    """
-    path = Path(path)
-    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _fmt(value, digits=6):
@@ -143,11 +123,14 @@ def write_bias_csv(path, report: BiasReport, *, plot_data_dir=None):
                     writer.writerow([level, _fmt(pop, 2), _fmt(sample, 2)])
 
 
+_EXPANDED_COLUMNS = ADMIN_COLUMNS + ["delta", "kind", "provenance", "predicted_score"]
+
+
 def write_expanded_csv(path, expanded: list[ExpandedRecord]):
     """Original register columns plus delta, kind, provenance, predicted_score."""
     with atomic_open(path) as f:
         writer = csv.writer(f)
-        writer.writerow(ADMIN_COLUMNS + ["delta", "kind", "provenance", "predicted_score"])
+        writer.writerow(_EXPANDED_COLUMNS)
         for e in expanded:
             writer.writerow(
                 [getattr(e.record, c) for c in ADMIN_COLUMNS]
@@ -156,25 +139,39 @@ def write_expanded_csv(path, expanded: list[ExpandedRecord]):
             )
 
 
-def read_expanded_csv(path) -> list[ExpandedRecord]:
-    from .domain import BackgroundKind
-    from .ingest import AdminRecord
+_INT_FIELDS = {"enrollment_year", "years_enrolled", "ects_earned"}
 
-    int_fields = {"enrollment_year", "years_enrolled", "ects_earned"}
+
+def _expanded_row(row: dict) -> ExpandedRecord:
+    """One written row back as a record; ValueError unless the domain allows it."""
+    record = AdminRecord(**{
+        c: int(row[c]) if c in _INT_FIELDS else row[c] for c in ADMIN_COLUMNS
+    })
+    bg = MigrantBackground(int(row["delta"]), BackgroundKind(int(row["kind"])))
+    provenance = row["provenance"]
+    if (record.bp, record.cit) == (1, 1):
+        allowed = provenance != "exact" and bg in (
+            compute_delta_type(1, 1, 0), compute_delta_type(1, 1, 1))
+    else:
+        allowed = provenance == "exact" and bg == compute_delta_type(record.bp, record.cit, 0)
+    if not allowed:
+        raise ValueError(
+            f"delta={bg.delta} kind={int(bg.kind)} provenance={provenance!r} is not "
+            f"allowed for bp={record.bp} cit={record.cit}"
+        )
+    score = row["predicted_score"]
+    return ExpandedRecord(record=record, delta=bg.delta, kind=bg.kind, provenance=provenance,
+                          predicted_score=float(score) if score else None)
+
+
+def read_expanded_csv(path) -> list[ExpandedRecord]:
+    """Read write_expanded_csv's output; a row the domain forbids raises DataError."""
     out = []
-    with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            record = AdminRecord(**{
-                c: int(row[c]) if c in int_fields else row[c] for c in ADMIN_COLUMNS
-            })
-            score = row["predicted_score"]
-            out.append(ExpandedRecord(
-                record=record,
-                delta=int(row["delta"]),
-                kind=BackgroundKind(int(row["kind"])),
-                provenance=row["provenance"],
-                predicted_score=float(score) if score else None,
-            ))
+    for lineno, row in read_csv(path, _EXPANDED_COLUMNS):
+        try:
+            out.append(_expanded_row(row))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

@@ -17,12 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleConfig
+from .errors import DataError
 from .features import NAME_FLAG, FeatureSchema, encode_columns, encode_matrix, feature_layout
 from .ingest import (
     AdminRecord,
     NameFrequencyTable,
     SurveyRecord,
+    atomic_open,
+    read_csv,
     write_admin_csv,
     write_name_table,
     write_survey_csv,
@@ -113,7 +115,7 @@ class SynthConfig:
 
     def validate(self):
         if self.n_register < 100:
-            raise InfeasibleConfig("n_register must be >= 100")
+            raise DataError("n_register must be >= 100")
         for name, shares in [
             ("kind_shares", list(self.kind_shares)),
             ("department_shares", list(self.department_shares.values())),
@@ -121,7 +123,10 @@ class SynthConfig:
             ("employment_shares", list(self.employment_shares.values())),
         ]:
             if abs(sum(shares) - 100.0) > 0.01:
-                raise InfeasibleConfig(f"{name} must sum to 100, got {sum(shares)}")
+                raise DataError(f"{name} must sum to 100, got {sum(shares)}")
+
+
+TRUTH_COLUMNS = ["link_key", "pa", "kind", "responded"]
 
 
 @dataclass
@@ -168,7 +173,7 @@ def _calibrate_intercept(eta_slope: np.ndarray, target: float) -> float:
 
 def _weighted_sample(rng, pool: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     if size > len(pool):
-        raise InfeasibleConfig(
+        raise DataError(
             f"cannot sample {size} from a pool of {len(pool)}"
         )
     p = weights / weights.sum()
@@ -301,8 +306,8 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     write_survey_csv(bundle.survey_path, survey_rows)
     write_survey_csv(bundle.screened_out_path, screened_rows)
     write_name_table(bundle.name_table_path, table)
-    with open(bundle.truth_path, "w", encoding="utf-8") as f:
-        f.write("link_key,pa,kind,responded\n")
+    with atomic_open(bundle.truth_path) as f:
+        f.write(",".join(TRUTH_COLUMNS) + "\n")
         for i in range(n):
             f.write(f"{admin[i].link_key},{pa[i]},{kind[i]},{int(responded[i])}\n")
     meta = {
@@ -320,7 +325,7 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
             "screened_out": len(screened_rows),
         },
     }
-    with open(bundle.meta_path, "w", encoding="utf-8") as f:
+    with atomic_open(bundle.meta_path) as f:
         json.dump(meta, f, indent=2, sort_keys=True)
     return bundle
 
@@ -335,12 +340,12 @@ def generating_design(
 
 
 def load_truth(path) -> dict:
-    """truth.csv -> link_key: {pa, kind, responded}."""
+    """truth.csv -> link_key: {pa, kind, responded}; a bad file raises DataError."""
     out = {}
-    with open(path, encoding="utf-8") as f:
-        header = f.readline()
-        assert header.strip() == "link_key,pa,kind,responded"
-        for line in f:
-            key, pa, kind, responded = line.strip().split(",")
-            out[key] = {"pa": int(pa), "kind": int(kind), "responded": bool(int(responded))}
+    for lineno, row in read_csv(path, TRUTH_COLUMNS):
+        try:
+            out[row["link_key"]] = {"pa": int(row["pa"]), "kind": int(row["kind"]),
+                                    "responded": bool(int(row["responded"]))}
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return out

@@ -1,0 +1,193 @@
+"""Bad input exits 3 with a one-line message naming the file, never a traceback."""
+
+import itertools
+import json
+import shutil
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hiddenpop.cli import main
+from hiddenpop.synth import SynthConfig, generate
+
+INPUTS = ["admin.csv", "survey.csv", "screened_out.csv", "names.csv"]
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    """A 600-row bundle and a logistic model trained on it."""
+    root = tmp_path_factory.mktemp("bad_input")
+    cfg = SynthConfig(n_register=600, n_survey_native=20, n_survey_migrant=20,
+                      n_screened_out=40)
+    generate(cfg, root / "data")
+    assert main(["train", "--data-dir", str(root / "data"), "--out", str(root / "train"),
+                 "--model", "logistic", "--k", "0"]) == 0
+    return root
+
+
+def _case_dir(bundle, case):
+    """A fresh copy of the inputs and the model, for one corruption."""
+    case.mkdir()
+    for name in INPUTS:
+        shutil.copy(bundle / "data" / name, case / name)
+    shutil.copy(bundle / "train" / "model_logistic.json", case / "model_logistic.json")
+    return case
+
+
+def _set_field(path, lineno, field, value):
+    lines = path.read_text().split("\n")
+    cells = lines[lineno - 1].split(",")
+    cells[field] = value
+    lines[lineno - 1] = ",".join(cells)
+    path.write_text("\n".join(lines))
+
+
+def _ingest(d):
+    return ["ingest", "--data-dir", str(d), "--out", str(d / "out")]
+
+
+def _impute(d, model):
+    return ["impute", "--data-dir", str(d), "--out", str(d / "out"),
+            "--model-file", str(model)]
+
+
+def missing_names(d):
+    (d / "names.csv").unlink()
+    return _ingest(d), f"{d / 'names.csv'}: FileNotFoundError"
+
+
+def missing_admin(d):
+    (d / "admin.csv").unlink()
+    return _ingest(d), f"{d / 'admin.csv'}: FileNotFoundError"
+
+
+def eligible_maybe(d):
+    _set_field(d / "survey.csv", 3, 1, "maybe")
+    return _ingest(d), f"{d / 'survey.csv'}:3: unrecognized boolean 'maybe'"
+
+
+def pa_observed_x(d):
+    _set_field(d / "survey.csv", 4, 2, "x")
+    return _ingest(d), f"{d / 'survey.csv'}:4: invalid literal for int()"
+
+
+def truncated_model(d):
+    model = d / "model_logistic.json"
+    model.write_bytes(model.read_bytes()[:500])
+    return _impute(d, model), f"{model}: JSONDecodeError"
+
+
+def model_without_weights(d):
+    model = d / "model_logistic.json"
+    payload = json.loads(model.read_text())
+    del payload["model"]["weights"]
+    model.write_text(json.dumps(payload))
+    return _impute(d, model), f"{model}: KeyError: 'weights'"
+
+
+def missing_model_file(d):
+    model = d / "nope.json"
+    return _impute(d, model), f"{model}: FileNotFoundError"
+
+
+def misspelt_config_key(d):
+    config = d / "config.json"
+    config.write_text(json.dumps({"n_registr": 600}))
+    return (["synth", "--config", str(config), "--out", str(d / "out")],
+            f"{config}: TypeError: SynthConfig.__init__() got an unexpected keyword "
+            "argument 'n_registr'")
+
+
+def config_not_json(d):
+    config = d / "config.json"
+    config.write_text("n_register = 600\n")
+    return (["pipeline", "--config", str(config), "--out", str(d / "out")],
+            f"{config}: JSONDecodeError")
+
+
+def expanded_without_register_columns(d):
+    expanded = d / "expanded.csv"
+    expanded.write_text("delta,kind,provenance,predicted_score\n1,4,exact,\n")
+    return (["report", "--data-dir", str(d), "--out", str(d / "out"),
+             "--expanded", str(expanded)],
+            f"{expanded}: missing column(s) ['link_key'")
+
+
+def names_not_utf8(d):
+    names = d / "names.csv"
+    names.write_bytes(names.read_bytes() + "niccolò,7\n".encode("latin-1"))
+    return _ingest(d), f"{names}: UnicodeDecodeError"
+
+
+@pytest.mark.parametrize("corrupt", [
+    missing_names, missing_admin, eligible_maybe, pa_observed_x, truncated_model,
+    model_without_weights, missing_model_file, misspelt_config_key, config_not_json,
+    expanded_without_register_columns, names_not_utf8,
+])
+def test_bad_input_exits_3_naming_the_file(bundle, tmp_path, capsys, corrupt):
+    argv, fragment = corrupt(_case_dir(bundle, tmp_path / "case"))
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err
+
+
+_counter = itertools.count()
+_FILES = ["admin.csv", "survey.csv", "names.csv", "model_logistic.json"]
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=8), st.lists(st.integers(), max_size=3))
+
+
+def _leaves(node, path=()):
+    """Paths to every scalar in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in items for p in _leaves(child, path + (key,))]
+
+
+def _replace_cell(blob, name, data):
+    if name.endswith(".json"):
+        payload = json.loads(blob)
+        *parents, last = data.draw(st.sampled_from(_leaves(payload)))
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[last] = data.draw(_JSON_VALUES)
+        return json.dumps(payload).encode()
+    lines = blob.split(b"\n")
+    row = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[row].split(b",")
+    cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(st.text(max_size=12)).encode()
+    lines[row] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_corrupted_input_exits_0_or_3(bundle, data):
+    case = _case_dir(bundle, bundle / f"fuzz{next(_counter)}")
+    name = data.draw(st.sampled_from(_FILES))
+    path = case / name
+    blob = path.read_bytes()
+    how = data.draw(st.sampled_from(["truncate", "flip", "cell"]))
+    if how == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    elif how == "flip":
+        i = data.draw(st.integers(0, len(blob) - 1))
+        blob = blob[:i] + bytes([data.draw(st.integers(0, 255))]) + blob[i + 1:]
+    else:
+        blob = _replace_cell(blob, name, data)
+    path.write_bytes(blob)
+    command = "impute" if name.endswith(".json") else data.draw(
+        st.sampled_from(["ingest", "impute"]))
+    argv = [command, "--data-dir", str(case), "--out", str(case / "out")]
+    if command == "impute":
+        argv += ["--model-file", str(case / "model_logistic.json")]
+    assert main(argv) in (0, 3)

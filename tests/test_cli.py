@@ -18,7 +18,7 @@ def cli_run(tmp_path_factory):
     train = root / "train"
     assert main([
         "train", "--data-dir", str(data), "--out", str(train),
-        "--trees", "30", "--k", "5", "--jobs", "2", "--seed", "0",
+        "--trees", "30", "--k", "5", "--seed", "0",
     ]) == 0
     return root, data, train
 
@@ -104,6 +104,17 @@ def test_env_var_data_dir(cli_run, tmp_path, monkeypatch):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main([])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("subcommand", ["train", "pipeline"])
+@pytest.mark.parametrize("flag, value", [
+    ("--trees", "0"), ("--trees", "-3"), ("--ratio", "1.5"), ("--ratio", "0"),
+    ("--k", "1"), ("--k", "-1"), ("--seed", "-1"),
+])
+def test_out_of_range_option_is_usage_error(tmp_path, subcommand, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--out", str(tmp_path / "o"), flag, value])
     assert exc.value.code == 2
 
 

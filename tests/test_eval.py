@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hiddenpop.errors import OneClassOnly, TooFewRows, TooSmall
+from hiddenpop.errors import DataError
 from hiddenpop.eval import (
     ConfusionMatrix,
     confusion_at,
@@ -52,7 +52,7 @@ def test_roc_edge_cases():
     assert roc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]).auc == 1.0
     assert roc([0.3, 0.3, 0.3, 0.3], [1, 0, 1, 0]).auc == 0.5
     assert roc([0.1, 0.2, 0.8], [1, 1, 0]).auc == 0.0
-    with pytest.raises(OneClassOnly):
+    with pytest.raises(DataError, match="ROC needs both classes"):
         roc([0.1, 0.2], [1, 1])
 
 
@@ -109,7 +109,7 @@ def test_split_is_seeded():
 
 
 def test_split_too_small():
-    with pytest.raises(TooSmall):
+    with pytest.raises(DataError, match="need at least 8 rows"):
         split_train_validate(make_data(3, 4))
 
 
@@ -135,5 +135,5 @@ def test_kfold_cv_runs_and_aggregates():
 
 
 def test_kfold_cv_too_few_rows():
-    with pytest.raises(TooFewRows):
+    with pytest.raises(DataError, match="n=8 < k=10"):
         kfold_cv(make_data(4, 4), logistic_trainer(), k=10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hiddenpop.domain import BackgroundKind
-from hiddenpop.errors import CoverageGap, LevelMismatch, SchemaMismatch
+from hiddenpop.errors import DataError, HiddenPopError, SchemaMismatch
 from hiddenpop.expand import (
     ExpandedRecord,
     bias_report,
@@ -85,7 +85,7 @@ def test_expand_precedence_and_order():
 def test_expand_coverage_gap():
     admin = [make_admin("S1")]
     linked = LinkedDataset(matched=[], unmatched_admin=admin, unmatched_survey=[])
-    with pytest.raises(CoverageGap):
+    with pytest.raises(HiddenPopError, match="neither a linked nor an imputed pa"):
         expand_dataset(admin, linked, {})
 
 
@@ -143,11 +143,11 @@ def test_bias_report_rejects_stray_sample_levels():
     pop = [ExpandedRecord(make_admin("P1", department="science"),
                           1, BackgroundKind.SECOND_GEN_ITALIAN, "exact")]
     sample = [make_admin("Q1", department="astrology")]
-    with pytest.raises(LevelMismatch):
+    with pytest.raises(DataError, match=r"department: sample levels \['astrology'\]"):
         bias_report(pop, sample, variables=["department"])
 
 
 def test_bias_report_unknown_variable():
     pop = [ExpandedRecord(make_admin("P1"), 1, BackgroundKind.SECOND_GEN_ITALIAN, "exact")]
-    with pytest.raises(LevelMismatch):
+    with pytest.raises(DataError, match="unknown shared variable 'shoe_size'"):
         bias_report(pop, [make_admin("Q1")], variables=["shoe_size"])

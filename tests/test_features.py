@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hiddenpop.errors import EmptyClass
+from hiddenpop.errors import DataError
 from hiddenpop.features import (
     assemble_training_set,
     build_schema,
@@ -133,7 +133,7 @@ def test_assemble_training_set_requires_both_classes():
     pairs = [(r, SurveyRecord(r.link_key, True, 0)) for r in records]
     linked = LinkedDataset(matched=pairs, unmatched_admin=[], unmatched_survey=[])
     schema = build_schema(records, TABLE)
-    with pytest.raises(EmptyClass):
+    with pytest.raises(DataError, match="training labels are all 1"):
         assemble_training_set(linked, schema, TABLE)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hiddenpop.errors import DimensionMismatch
+from hiddenpop.errors import HiddenPopError
 from hiddenpop.features import LabeledDataset
 from hiddenpop.models import fit_forest, permutation_importance, predict_forest
 
@@ -26,14 +26,14 @@ def trees_equal(a, b):
     )
 
 
-def test_fit_is_deterministic_across_thread_counts():
+def test_fit_is_deterministic():
     data = learnable_data()
-    serial = fit_forest(data, n_trees=40, seed=7, n_jobs=1)
-    threaded = fit_forest(data, n_trees=40, seed=7, n_jobs=4)
-    assert all(trees_equal(a, b) for a, b in zip(serial.trees, threaded.trees))
-    assert serial.oob_error == threaded.oob_error
+    first = fit_forest(data, n_trees=40, seed=7)
+    again = fit_forest(data, n_trees=40, seed=7)
+    assert all(trees_equal(a, b) for a, b in zip(first.trees, again.trees))
+    assert first.oob_error == again.oob_error
     np.testing.assert_array_equal(
-        predict_forest(serial, data.X), predict_forest(threaded, data.X)
+        predict_forest(first, data.X), predict_forest(again, data.X)
     )
 
 
@@ -78,7 +78,7 @@ def test_single_row_prediction_matches_matrix():
 
 def test_predict_dimension_mismatch():
     model = fit_forest(learnable_data(), n_trees=5, seed=0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(HiddenPopError, match="expected width 4, got 7"):
         predict_forest(model, np.zeros((3, 7)))
 
 

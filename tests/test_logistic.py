@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hiddenpop.errors import DimensionMismatch
+from hiddenpop.errors import HiddenPopError
 from hiddenpop.features import LabeledDataset
 from hiddenpop.models import fit_logistic, predict_logistic
 from hiddenpop.models.logistic import penalized_gradient, penalized_loglik
@@ -81,7 +81,7 @@ def test_predict_shapes_and_clamp():
 def test_predict_dimension_mismatch():
     data = synth_logistic(50, np.array([1.0, 1.0]), 0.0, seed=5)
     model = fit_logistic(data)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(HiddenPopError, match="expected width 2, got 3"):
         predict_logistic(model, np.zeros(3))
 
 

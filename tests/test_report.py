@@ -4,8 +4,11 @@ import os
 import stat
 
 import numpy as np
+import pytest
 
+import hiddenpop.models.io
 from hiddenpop.domain import BackgroundKind
+from hiddenpop.errors import DataError
 from hiddenpop.eval import evaluate, roc
 from hiddenpop.expand import ExpandedRecord, tabulate_population
 from hiddenpop.models.io import load_model, save_model
@@ -93,6 +96,41 @@ def test_expanded_register_round_trip(tmp_path):
     assert abs(again[2].predicted_score - 0.734211) < 1e-9
     table = tabulate_population(again)
     assert table.n_members == 2
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("1,0,linked", "delta=1 kind=0"),
+    ("0,1,linked", "inconsistent delta=0"),
+    ("1,1,exact", "provenance='exact' is not allowed for bp=1 cit=1"),
+    ("1,2,predicted", "kind=2 provenance='predicted' is not allowed"),
+])
+def test_expanded_register_rejects_rows_the_domain_forbids(tmp_path, row, reason):
+    path = tmp_path / "expanded.csv"
+    write_expanded_csv(path, [
+        ExpandedRecord(make_admin("S1"), 0, BackgroundKind.NO_BACKGROUND, "linked"),
+        ExpandedRecord(make_admin("S2"), 1, BackgroundKind.SECOND_GEN_ITALIAN, "linked"),
+    ])
+    text = path.read_text().replace("1,1,linked", row)
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"expanded.csv:3: .*{reason}"):
+        read_expanded_csv(path)
+
+
+def test_failed_model_save_leaves_old_file(tmp_path, small_training, monkeypatch):
+    schema, data = small_training
+    path = tmp_path / "model.json"
+    save_model(path, fit_logistic(data), schema)
+    before = path.read_bytes()
+
+    def dump_then_fail(payload, f, **kwargs):
+        f.write('{"format_version": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(hiddenpop.models.io.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(path, fit_logistic(data), schema)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_model_io_round_trip(tmp_path, small_training):

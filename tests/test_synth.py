@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hiddenpop.errors import InfeasibleConfig
+from hiddenpop.errors import DataError
 from hiddenpop.features import feature_layout
 from hiddenpop.ingest import is_common_name
 from hiddenpop.synth import (
@@ -44,18 +44,18 @@ def test_config_json_round_trip():
 def test_validation_rejects_bad_shares():
     cfg = SynthConfig()
     cfg.kind_shares = (50.0, 10.0, 10.0, 10.0, 10.0)
-    with pytest.raises(InfeasibleConfig):
+    with pytest.raises(DataError, match="kind_shares must sum to 100"):
         cfg.validate()
     cfg = SynthConfig()
     cfg.n_register = 10
-    with pytest.raises(InfeasibleConfig):
+    with pytest.raises(DataError, match="n_register must be >= 100"):
         cfg.validate()
 
 
 def test_oversized_survey_is_infeasible(tmp_path):
     cfg = small_config()
     cfg.n_survey_migrant = 10_000
-    with pytest.raises(InfeasibleConfig):
+    with pytest.raises(DataError, match="cannot sample 10000 from a pool of"):
         generate(cfg, tmp_path / "x", seed=0)
 
 
