@@ -402,12 +402,20 @@ _ratio = _checked(float, lambda v: 0 < v < 1, "a fraction strictly between 0 and
 _folds = _checked(int, lambda v: v == 0 or v >= 2, "0 (no CV) or an integer >= 2")
 
 
+def _makeable_dir(path) -> bool:
+    """Whether path is a directory, or can become one: its nearest existing ancestor is."""
+    return next(p for p in [Path(path), *Path(path).parents] if p.exists()).is_dir()
+
+
+_out = _checked(str, _makeable_dir, "a directory or a path where one can be made")
+
+
 def _add_common(p):
     p.add_argument("--seed", type=_seed, default=None,
                    help="RNG seed (default: SynthConfig seed when generating, else 0)")
     p.add_argument("--data-dir", default=None,
                    help=f"input directory (or ${DATA_DIR_ENV})")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_out, required=True, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,8 +6,18 @@ Hyperparameter defaults mirror the classic classification settings of the
 reference R implementation: 500 trees, mtry = ceil(sqrt(p)), min_leaf 1,
 unbounded depth.
 
-Reproducibility contract: tree t draws from an RNG stream keyed by
-(seed, t), so the same data and seed give a bit-identical forest.
+Reproducibility contract: tree t draws from its own RNG stream keyed by
+(seed, t): first its bootstrap, then one mtry draw per searched node, taken
+in the tree's own depth-first order (left child before right).  fit_forest
+grows all trees in lockstep, searching the next node of every unfinished
+tree in one vectorized pass, but no tree's stream or node order depends on
+another tree, so the same data and seed give a bit-identical forest, the
+same as growing the trees one after another.
+
+Memory: the bootstrap row ids of all trees are held at once, n_trees x n
+int32 (about 1 MB at 500 trees x 536 rows), each node owning a range of its
+tree's row; the split search works through the nodes in chunks of at most
+_SEARCH_CHUNK rows x mtry candidates.
 """
 
 from __future__ import annotations
@@ -23,11 +33,16 @@ from ..errors import HiddenPopError
 log = logging.getLogger(__name__)
 
 _NO_FEATURE = -1
+_SEARCH_CHUNK = 1 << 11  # node rows per vectorized split search
 
 
 @dataclass
 class DecisionTree:
-    """Flat array representation: node i is a leaf iff feature[i] == -1."""
+    """Flat array representation: node i is a leaf iff feature[i] == -1.
+
+    An internal node's children come after it (left[i], right[i] > i), so
+    every walk from the root ends at a leaf; load_model checks this.
+    """
 
     feature: np.ndarray      # int, split feature or -1
     threshold: np.ndarray    # float, split threshold
@@ -66,90 +81,193 @@ class ForestModel:
         return self.n_features
 
 
-def _gini_best_split(X, y, idx, features, min_leaf):
-    """Best (cost, feature, threshold) over the candidate features at a node.
+def _split_nodes(X, y, rows, sizes, cands, min_leaf):
+    """Best split of each node over its candidates, and its rows per child.
 
-    Ties in cost keep the first candidate encountered, which makes the search
-    deterministic given the feature sampling order.
+    Node k holds rows[sum(sizes[:k]) : sum(sizes[:k+1])] and draws the
+    features cands[k].  Segment g = k * mtry + s lays out node k's values of
+    its s-th candidate; one stable sort orders every segment by value, a
+    segmented cumulative sum counts the positives left of each cut, and each
+    node keeps its first minimum-cost cut in (candidate, position) order, as a
+    per-candidate search with strict `<` would.  A node without a valid cut
+    gets feature -1 and cost inf.
+
+    Returns cost, feature and threshold per node; the rows ordered by child,
+    node k's child 2k (value <= threshold) before its child 2k + 1, each in
+    the node's row order; and the (2k, 2) class counts of the children.
     """
-    n = len(idx)
-    labels = y[idx]
-    best = (np.inf, _NO_FEATURE, 0.0)
-    for f in features:
-        values = X[idx, f]
-        order = np.argsort(values, kind="stable")
-        v_sorted = values[order]
-        pos = np.cumsum(labels[order])          # positives in the left block
-        total_pos = pos[-1]
-        # valid cut after position i (1-based sizes), only between distinct values
-        sizes_l = np.arange(1, n)
-        cut = v_sorted[:-1] < v_sorted[1:]
-        cut &= (sizes_l >= min_leaf) & (n - sizes_l >= min_leaf)
-        if not cut.any():
-            continue
-        pl = pos[:-1]
-        nl = sizes_l - pl
-        pr = total_pos - pl
-        nr = (n - sizes_l) - pr
-        gini_l = 1.0 - (pl * pl + nl * nl) / (sizes_l * sizes_l)
-        gini_r = 1.0 - (pr * pr + nr * nr) / ((n - sizes_l) * (n - sizes_l))
-        cost = (sizes_l * gini_l + (n - sizes_l) * gini_r) / n
-        cost = np.where(cut, cost, np.inf)
-        j = int(np.argmin(cost))
-        if cost[j] < best[0]:
-            best = (float(cost[j]), int(f), float((v_sorted[j] + v_sorted[j + 1]) / 2.0))
-    return best
+    k, mtry = cands.shape
+    seg_size = np.repeat(sizes, mtry)
+    seg_end = np.cumsum(seg_size)
+    seg_start = seg_end - seg_size
+    seg = np.repeat(np.arange(k * mtry), seg_size)
+    local = np.arange(len(seg)) - seg_start[seg]
+    node_start = np.cumsum(sizes) - sizes
+    r = rows[node_start[seg // mtry] + local]
+    values = X[r, cands.ravel()[seg]]
+    order = np.lexsort((values, seg))
+    v = values[order]
+    labels = y[r[order]]
+    pos = np.cumsum(labels)                  # positives up to here, then per segment
+    pos -= (pos[seg_start] - labels[seg_start])[seg]
+    cut = np.zeros(len(seg), dtype=bool)     # cut after this position of its segment
+    cut[:-1] = v[:-1] < v[1:]
+    cut[seg_end - 1] = False
+    sizes_l = local + 1
+    n = seg_size[seg]
+    cut &= (sizes_l >= min_leaf) & (n - sizes_l >= min_leaf)
+    c = np.flatnonzero(cut)
+
+    sizes_l, n = sizes_l[c], n[c]
+    pl = pos[c]
+    nl = sizes_l - pl
+    pr = pos[seg_end - 1][seg[c]] - pl
+    nr = (n - sizes_l) - pr
+    gini_l = 1.0 - (pl * pl + nl * nl) / (sizes_l * sizes_l)
+    gini_r = 1.0 - (pr * pr + nr * nr) / ((n - sizes_l) * (n - sizes_l))
+    cost = (sizes_l * gini_l + (n - sizes_l) * gini_r) / n
+
+    node = seg[c] // mtry
+    best_cost = np.full(k, np.inf)
+    np.minimum.at(best_cost, node, cost)
+    hits = np.flatnonzero(cost == best_cost[node])
+    split, first = np.unique(node[hits], return_index=True)
+    e = c[hits[first]]
+    feature = np.full(k, _NO_FEATURE, dtype=np.intp)
+    feature[split] = cands[split, seg[e] % mtry]
+    threshold = np.zeros(k)
+    threshold[split] = (v[e] + v[e + 1]) / 2.0
+
+    node = np.repeat(np.arange(k), sizes)
+    child = 2 * node + ~(X[rows, feature[node]] <= threshold[node])
+    child_n = np.bincount(child, minlength=2 * k)
+    child_n1 = np.bincount(child[y[rows] == 1], minlength=2 * k)
+    return (best_cost, feature, threshold, rows[np.argsort(child, kind="stable")],
+            np.column_stack([child_n - child_n1, child_n1]))
 
 
-def _grow_tree(X, y, idx, rng, mtry, min_leaf, max_depth):
-    p = X.shape[1]
-    feature, threshold, left, right, counts = [], [], [], [], []
+def _split_in_place(X, y, rows, starts, sizes, cands, min_leaf):
+    """Search nodes in chunks of whole nodes, up to _SEARCH_CHUNK rows each.
 
-    def new_node(node_idx):
-        feature.append(_NO_FEATURE)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        labels = y[node_idx]
-        counts.append([int(np.sum(labels == 0)), int(np.sum(labels == 1))])
-        return len(feature) - 1
+    Node k owns rows[starts[k] : starts[k] + sizes[k]]; its range is
+    reordered in place so that its left child's rows come first.  Returns
+    what _split_nodes does, less the rows: cost, feature and threshold per
+    node, and the class counts of node k's left child in row 2k, of its
+    right child in row 2k + 1.
+    """
+    ends = np.cumsum(sizes)
+    parts = []
+    lo = 0
+    while lo < len(sizes):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - sizes[lo] + _SEARCH_CHUNK, "right")))
+        m = sizes[lo:hi]
+        at = np.repeat(starts[lo:hi] - (np.cumsum(m) - m), m) + np.arange(m.sum())
+        cost, feature, threshold, rows[at], counts = _split_nodes(
+            X, y, rows[at], m, cands[lo:hi], min_leaf)
+        parts.append((cost, feature, threshold, counts))
+        lo = hi
+    return tuple(map(np.concatenate, zip(*parts)))
 
-    root = new_node(idx)
-    # depth-first, left before right, so the RNG consumption order is fixed
-    stack = [(root, idx, 0)]
-    while stack:
-        node, node_idx, depth = stack.pop()
-        labels = y[node_idx]
-        if (
-            len(node_idx) < 2 * min_leaf
-            or labels.min() == labels.max()
-            or (max_depth is not None and depth >= max_depth)
-        ):
-            continue
-        cand = rng.choice(p, size=mtry, replace=False)
-        parent_gini = 1.0 - ((np.mean(labels)) ** 2 + (1 - np.mean(labels)) ** 2)
-        cost, f, thr = _gini_best_split(X, y, node_idx, cand, min_leaf)
-        if f == _NO_FEATURE or cost >= parent_gini - 1e-15:
-            continue
-        mask = X[node_idx, f] <= thr
-        left_idx = node_idx[mask]
-        right_idx = node_idx[~mask]
-        feature[node] = f
-        threshold[node] = thr
-        l_id = new_node(left_idx)
-        r_id = new_node(right_idx)
-        left[node] = l_id
-        right[node] = r_id
-        # push right first so the left branch is processed (and draws RNG) first
-        stack.append((r_id, right_idx, depth + 1))
-        stack.append((l_id, left_idx, depth + 1))
-    return DecisionTree(
-        feature=np.array(feature, dtype=np.intp),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=np.intp),
-        right=np.array(right, dtype=np.intp),
-        counts=np.array(counts, dtype=np.int64),
-    )
+
+def _grow_trees(X, y, seed, n_trees, mtry, min_leaf, max_depth):
+    """Grow n_trees trees in lockstep; returns (n_nodes, roots, records, oob).
+
+    Tree t draws its bootstrap and then its candidates from the stream keyed
+    by (seed, t).  Its bootstrap rows fill rows[t], and each node owns a
+    range of that row, partitioned in place when the node splits.  Each step
+    pops the next node to be searched from every unfinished tree's
+    depth-first stack, draws its candidates, and searches all of them at
+    once.  Node ids count up per tree in creation order (right child = left
+    child + 1).  Returned: each tree's node count and root class counts, one
+    record per step of its splits (see _assemble_trees), and the (n_trees, n)
+    out-of-bag mask.
+    """
+    n, p = X.shape
+    rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
+    rows = np.array([rng.integers(0, n, size=n) for rng in rngs], dtype=np.int32)
+    oob = np.ones((n_trees, n), dtype=bool)
+    oob[np.arange(n_trees)[:, None], rows] = False
+    roots = np.column_stack([n - y[rows].sum(axis=1), y[rows].sum(axis=1)])
+    # node, row range, depth, class counts
+    stacks = [[(0, 0, n, 0, *root)] for root in roots.tolist()]
+    n_nodes = np.ones(n_trees, dtype=np.intp)
+    records = []
+    growing = range(n_trees)
+    while growing:
+        batch = []
+        for t in growing:
+            stack = stacks[t]
+            while stack:
+                node, lo, hi, depth, n0, n1 = stack.pop()
+                if not (
+                    hi - lo < 2 * min_leaf
+                    or n0 == 0
+                    or n1 == 0
+                    or (max_depth is not None and depth >= max_depth)
+                ):
+                    cand = rngs[t].choice(p, size=mtry, replace=False)
+                    batch.append((t, node, lo, hi, depth, n1, cand))
+                    break
+        if not batch:
+            break
+        tree, node, lo, hi, _, _, cands = map(np.array, zip(*batch))
+        cost, feature, threshold, child_counts = _split_in_place(
+            X, y, rows.reshape(-1), tree * n + lo, hi - lo, cands, min_leaf)
+        counts = child_counts.tolist()
+        split, lefts = [], []
+        for i, (t, _, lo, hi, depth, n1, _) in enumerate(batch):
+            if feature[i] == _NO_FEATURE:
+                continue
+            mean = np.float64(n1) / (hi - lo)
+            parent_gini = 1.0 - (mean ** 2 + (1 - mean) ** 2)
+            if cost[i] >= parent_gini - 1e-15:
+                continue
+            left = int(n_nodes[t])
+            n_nodes[t] += 2
+            split.append(i)
+            lefts.append(left)
+            mid = lo + sum(counts[2 * i])
+            # push right first so the left branch is processed (and draws RNG) first
+            stacks[t].append((left + 1, mid, hi, depth + 1, *counts[2 * i + 1]))
+            stacks[t].append((left, lo, mid, depth + 1, *counts[2 * i]))
+        growing = tree.tolist()
+        split = np.array(split, dtype=np.intp)
+        records.append((
+            np.column_stack([tree[split], node[split], feature[split], lefts,
+                             child_counts.reshape(-1, 4)[split]]).astype(np.int32),
+            threshold[split],
+        ))
+    return n_nodes, roots, records, oob
+
+
+def _assemble_trees(n_nodes, roots, records):
+    """The DecisionTrees, from _grow_trees' records, emptying the list.
+
+    Each record is one step's splits: an int32 array with columns tree, node,
+    feature, left child, left child's class counts, right child's class
+    counts, and the thresholds.  Called once _grow_trees has returned, so the
+    growth buffers are freed before the node arrays are allocated.
+    """
+    offset = np.cumsum(n_nodes) - n_nodes
+    feature = np.full(n_nodes.sum(), _NO_FEATURE, dtype=np.intp)
+    threshold = np.zeros(len(feature))
+    left = np.full(len(feature), -1, dtype=np.intp)
+    counts = np.empty((len(feature), 2), dtype=np.int64)
+    counts[offset] = roots
+    while records:
+        splits, thr = records.pop()
+        t, node, f, lft = splits[:, :4].T
+        feature[offset[t] + node] = f
+        threshold[offset[t] + node] = thr
+        left[offset[t] + node] = lft
+        counts[offset[t] + lft] = splits[:, 4:6]
+        counts[offset[t] + lft + 1] = splits[:, 6:]
+    right = np.where(left < 0, -1, left + 1)
+    return [
+        DecisionTree(feature=feature[o:o + m], threshold=threshold[o:o + m],
+                     left=left[o:o + m], right=right[o:o + m], counts=counts[o:o + m])
+        for o, m in zip(offset, n_nodes)
+    ]
 
 
 def fit_forest(
@@ -171,19 +289,16 @@ def fit_forest(
         mtry = math.ceil(math.sqrt(p))
     mtry = min(mtry, p)
 
-    trees = []
+    n_nodes, roots, records, oob = _grow_trees(X, y, seed, n_trees, mtry, min_leaf, max_depth)
+    trees = _assemble_trees(n_nodes, roots, records)
+
+    # OOB votes: each tree scores the distinct training rows once
+    distinct, inverse = _distinct_rows(X)
     votes = np.zeros((n, 2), dtype=np.int64)  # OOB votes per class
-    for t in range(n_trees):
-        rng = np.random.default_rng([seed, t])
-        boot = rng.integers(0, n, size=n)
-        tree = _grow_tree(X, y, boot, rng, mtry, min_leaf, max_depth)
-        trees.append(tree)
-        oob_mask = np.ones(n, dtype=bool)
-        oob_mask[boot] = False
-        if oob_mask.any():
-            pred = tree.predict_class(X[oob_mask])
-            rows = np.nonzero(oob_mask)[0]
-            np.add.at(votes, (rows, pred), 1)
+    for tree, out_of_bag in zip(trees, oob):
+        pred = tree.predict_class(distinct)[inverse]
+        votes[:, 1] += out_of_bag & (pred == 1)
+        votes[:, 0] += out_of_bag & (pred == 0)
 
     voted = votes.sum(axis=1) > 0
     oob_pred = (votes[:, 1] > votes[:, 0]).astype(int)
@@ -202,8 +317,29 @@ def fit_forest(
     )
 
 
+def _distinct_rows(X):
+    """(distinct rows, inverse) with X == distinct[inverse] under `==`.
+
+    A lexsort brings equal rows together; unlike np.unique(axis=0) it copies
+    no more than one column at a time.
+    """
+    order = np.lexsort(X.T)
+    new = np.zeros(len(X), dtype=bool)
+    new[:1] = True
+    for column in X.T:
+        sorted_column = column[order]
+        new[1:] |= sorted_column[1:] != sorted_column[:-1]
+    inverse = np.empty(len(X), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return X[order[new]], inverse
+
+
 def predict_forest(model: ForestModel, fv) -> float | np.ndarray:
-    """Fraction of trees voting positive; accepts a vector or a matrix."""
+    """Fraction of trees voting positive; accepts a vector or a matrix.
+
+    Each distinct row is scored once: register covariates repeat, and rows
+    that compare equal take every split alike.
+    """
     fv = np.asarray(fv, dtype=float)
     single = fv.ndim == 1
     X = fv[None, :] if single else fv
@@ -211,10 +347,11 @@ def predict_forest(model: ForestModel, fv) -> float | np.ndarray:
         raise HiddenPopError(
             f"expected width {model.n_features}, got {X.shape[1]}"
         )
-    votes = np.zeros(len(X))
+    distinct, inverse = _distinct_rows(X)
+    votes = np.zeros(len(distinct))
     for tree in model.trees:
-        votes += tree.predict_class(X)
-    frac = votes / model.n_trees
+        votes += tree.predict_class(distinct)
+    frac = votes[inverse] / model.n_trees
     return float(frac[0]) if single else frac
 
 
@@ -241,7 +378,9 @@ def permutation_importance(
 
     groups is a list of (name, [column indices]); one-hot dummies of the same
     categorical should be passed as a single group so the whole predictor is
-    scrambled jointly.  Default: every column is its own group.
+    scrambled jointly.  Default: every column is its own group.  A permuted
+    copy equal to the data drops exactly 0.0; the others are stacked and
+    scored in one predict_forest call.
     """
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=int)
@@ -249,19 +388,28 @@ def permutation_importance(
         groups = [(f"x{j}", [j]) for j in range(X.shape[1])]
     baseline = float(np.mean((predict_forest(model, X) > threshold).astype(int) == y))
     rng = np.random.default_rng(seed)
-    mda = {}
+    copies = np.empty((len(groups) * n_repeats, *X.shape))
+    n_copies = 0
+    scored = {}  # group -> per repeat, the index of its copy, or None: a drop of 0.0
     for name, cols in groups:
-        drops = []
+        scored[name] = []
         for _ in range(n_repeats):
             perm = rng.permutation(len(X))
-            Xp = X.copy()
+            Xp = copies[n_copies]
+            Xp[:] = X
             Xp[:, cols] = X[np.ix_(perm, cols)]
             if np.array_equal(Xp, X):
-                drops.append(0.0)
-                continue
-            acc = float(np.mean((predict_forest(model, Xp) > threshold).astype(int) == y))
-            drops.append(baseline - acc)
-        mda[name] = float(np.mean(drops))
+                scored[name].append(None)
+            else:
+                scored[name].append(n_copies)
+                n_copies += 1
+    scores = predict_forest(model, copies[:n_copies].reshape(-1, X.shape[1]))
+    accuracy = [float(np.mean((s > threshold).astype(int) == y))
+                for s in scores.reshape(n_copies, len(X))]
+    mda = {
+        name: float(np.mean([0.0 if i is None else baseline - accuracy[i] for i in copy]))
+        for name, copy in scored.items()
+    }
     ranking = sorted(mda, key=lambda k: mda[k], reverse=True)
     return ImportanceReport(
         mda=mda, ranking=ranking, baseline_accuracy=baseline, n_repeats=n_repeats

@@ -35,14 +35,27 @@ def _tree_to_dict(tree: DecisionTree) -> dict:
     }
 
 
-def _tree_from_dict(d: dict) -> DecisionTree:
-    return DecisionTree(
+def _tree_from_dict(d: dict, n_features: int) -> DecisionTree:
+    """A saved tree, checked so that every walk from the root ends at a leaf."""
+    tree = DecisionTree(
         feature=np.array(d["feature"], dtype=np.intp),
         threshold=np.array(d["threshold"], dtype=float),
         left=np.array(d["left"], dtype=np.intp),
         right=np.array(d["right"], dtype=np.intp),
         counts=np.array(d["counts"], dtype=np.int64),
     )
+    n = tree.feature.size
+    if n < 1 or any(a.shape != (n,) for a in (tree.feature, tree.threshold, tree.left, tree.right)):
+        raise ValueError("feature, threshold, left and right must be lists of one equal length >= 1")
+    if tree.counts.shape != (n, 2) or (tree.counts < 0).any():
+        raise ValueError("counts must hold one pair of non-negative counts per node")
+    inner = np.flatnonzero(tree.feature != -1)  # a leaf has feature -1
+    if ((tree.feature[inner] < 0) | (tree.feature[inner] >= n_features)).any():
+        raise ValueError(f"a split feature is outside 0..{n_features - 1}")
+    for child in (tree.left[inner], tree.right[inner]):
+        if ((child <= inner) | (child >= n)).any():
+            raise ValueError("a child index does not point forward inside its tree")
+    return tree
 
 
 def save_model(path, model, schema: FeatureSchema):
@@ -77,7 +90,7 @@ def save_model(path, model, schema: FeatureSchema):
 
 def load_model(path):
     """Returns (model, schema); a file that is not a saved model raises DataError."""
-    with reading(path, KeyError, TypeError, ValueError):
+    with reading(path, KeyError, TypeError, ValueError, OverflowError):
         with open(path, encoding="utf-8") as f:
             payload = json.load(f)
         version = payload.get("format_version") if isinstance(payload, dict) else None
@@ -97,16 +110,20 @@ def load_model(path):
             if model.weights.ndim != 1:
                 raise ValueError("weights must be a list of numbers")
         elif payload["model_type"] == "forest":
+            n_features = int(m["n_features"])
             model = ForestModel(
-                trees=[_tree_from_dict(t) for t in m["trees"]],
+                trees=[_tree_from_dict(t, n_features) for t in m["trees"]],
                 n_trees=int(m["n_trees"]),
                 mtry=m["mtry"],
                 min_leaf=m["min_leaf"],
                 max_depth=m["max_depth"],
                 seed=m["seed"],
-                n_features=int(m["n_features"]),
+                n_features=n_features,
                 oob_error=m["oob_error"],
             )
+            if not 1 <= model.n_trees == len(model.trees):
+                raise ValueError(f"n_trees is {model.n_trees} but the file holds "
+                                 f"{len(model.trees)} trees")
         else:
             raise SchemaMismatch(f"{path}: unknown model_type {payload['model_type']!r}")
     if schema.width != model.width:

@@ -108,7 +108,15 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthConfig":
+        """A config from a JSON object; a value unlike its field's default raises TypeError."""
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise TypeError("the config must be a JSON object")
+        defaults = asdict(cls())
+        for key, value in payload.items():
+            if key in defaults and not _conforms(value, defaults[key]):
+                raise TypeError(f"{key}: expected a value like the default "
+                                f"{defaults[key]!r}, got {value!r}")
         cfg = cls(**payload)
         cfg.kind_shares = tuple(cfg.kind_shares)
         return cfg
@@ -116,6 +124,8 @@ class SynthConfig:
     def validate(self):
         if self.n_register < 100:
             raise DataError("n_register must be >= 100")
+        if len(self.kind_shares) != 5:
+            raise DataError("kind_shares must hold 5 shares, one per kind 0..4")
         for name, shares in [
             ("kind_shares", list(self.kind_shares)),
             ("department_shares", list(self.department_shares.values())),
@@ -124,6 +134,24 @@ class SynthConfig:
         ]:
             if abs(sum(shares) - 100.0) > 0.01:
                 raise DataError(f"{name} must sum to 100, got {sum(shares)}")
+
+
+def _conforms(value, default) -> bool:
+    """Whether a JSON value has the type of a SynthConfig default.
+
+    An int passes for a float; a list passes for a tuple; the items of a list
+    and the values of a dict must match the default's first item or value.
+    """
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_conforms(v, default[0]) for v in value)
+    if isinstance(default, dict):
+        first = next(iter(default.values()))
+        return isinstance(value, dict) and all(_conforms(v, first) for v in value.values())
+    return isinstance(value, type(default))
 
 
 TRUTH_COLUMNS = ["link_key", "pa", "kind", "responded"]

@@ -9,20 +9,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hiddenpop.cli import main
+from hiddenpop.errors import DataError
+from hiddenpop.models import load_model
 from hiddenpop.synth import SynthConfig, generate
 
 INPUTS = ["admin.csv", "survey.csv", "screened_out.csv", "names.csv"]
+MODELS = ["model_logistic.json", "model_forest.json"]
 
 
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
-    """A 600-row bundle and a logistic model trained on it."""
+    """A 600-row bundle, and a logistic and a 5-tree forest model trained on it."""
     root = tmp_path_factory.mktemp("bad_input")
     cfg = SynthConfig(n_register=600, n_survey_native=20, n_survey_migrant=20,
                       n_screened_out=40)
     generate(cfg, root / "data")
-    assert main(["train", "--data-dir", str(root / "data"), "--out", str(root / "train"),
-                 "--model", "logistic", "--k", "0"]) == 0
+    for model, extra in [("logistic", []), ("forest", ["--trees", "5"])]:
+        assert main(["train", "--data-dir", str(root / "data"), "--out",
+                     str(root / f"train_{model}"), "--model", model, "--k", "0", *extra]) == 0
     return root
 
 
@@ -31,7 +35,8 @@ def _case_dir(bundle, case):
     case.mkdir()
     for name in INPUTS:
         shutil.copy(bundle / "data" / name, case / name)
-    shutil.copy(bundle / "train" / "model_logistic.json", case / "model_logistic.json")
+    for kind in ("logistic", "forest"):
+        shutil.copy(bundle / f"train_{kind}" / f"model_{kind}.json", case)
     return case
 
 
@@ -99,6 +104,13 @@ def misspelt_config_key(d):
             "argument 'n_registr'")
 
 
+def config_value_wrong_type(d):
+    config = d / "config.json"
+    config.write_text(json.dumps({"n_register": "600"}))
+    return (["synth", "--config", str(config), "--out", str(d / "out")],
+            f"{config}: TypeError: n_register: expected a value like the default")
+
+
 def config_not_json(d):
     config = d / "config.json"
     config.write_text("n_register = 600\n")
@@ -122,8 +134,8 @@ def names_not_utf8(d):
 
 @pytest.mark.parametrize("corrupt", [
     missing_names, missing_admin, eligible_maybe, pa_observed_x, truncated_model,
-    model_without_weights, missing_model_file, misspelt_config_key, config_not_json,
-    expanded_without_register_columns, names_not_utf8,
+    model_without_weights, missing_model_file, misspelt_config_key, config_value_wrong_type,
+    config_not_json, expanded_without_register_columns, names_not_utf8,
 ])
 def test_bad_input_exits_3_naming_the_file(bundle, tmp_path, capsys, corrupt):
     argv, fragment = corrupt(_case_dir(bundle, tmp_path / "case"))
@@ -134,8 +146,48 @@ def test_bad_input_exits_3_naming_the_file(bundle, tmp_path, capsys, corrupt):
     assert fragment in err
 
 
+def _cycle_at_root(m):
+    m["trees"][0]["left"][0] = 0
+
+
+def _feature_out_of_range(m):
+    m["trees"][0]["feature"][0] = 99
+
+
+def _truncated_counts(m):
+    m["trees"][1]["counts"] = m["trees"][1]["counts"][:-1]
+
+
+def _trees_missing(m):
+    m["trees"] = m["trees"][:2]
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    pytest.param(_cycle_at_root, "a child index does not point forward", id="cycle_at_root"),
+    pytest.param(_feature_out_of_range, "a split feature is outside 0..",
+                 id="feature_out_of_range"),
+    pytest.param(_truncated_counts, "counts must hold one pair of non-negative counts",
+                 id="truncated_counts"),
+    pytest.param(_trees_missing, "n_trees is 5 but the file holds 2 trees", id="trees_missing"),
+])
+def test_malformed_forest_exits_3_naming_the_file(bundle, tmp_path, capsys, edit, fragment):
+    case = _case_dir(bundle, tmp_path / "case")
+    model = case / "model_forest.json"
+    payload = json.loads(model.read_text())
+    edit(payload["model"])
+    model.write_text(json.dumps(payload))
+    # checked on load, before any tree is walked: a cycle would never end
+    with pytest.raises(DataError, match=fragment):
+        load_model(model)
+    capsys.readouterr()
+    assert main(_impute(case, model)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: DataError: {model}: ValueError: ") and err.count("\n") == 1
+    assert fragment in err
+
+
 _counter = itertools.count()
-_FILES = ["admin.csv", "survey.csv", "names.csv", "model_logistic.json"]
+_FILES = ["admin.csv", "survey.csv", "names.csv", *MODELS]
 _JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                          st.text(max_size=8), st.lists(st.integers(), max_size=3))
 
@@ -168,7 +220,7 @@ def _replace_cell(blob, name, data):
     return b"\n".join(lines)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_corrupted_input_exits_0_or_3(bundle, data):
@@ -185,9 +237,10 @@ def test_corrupted_input_exits_0_or_3(bundle, data):
     else:
         blob = _replace_cell(blob, name, data)
     path.write_bytes(blob)
-    command = "impute" if name.endswith(".json") else data.draw(
+    command = "impute" if name in MODELS else data.draw(
         st.sampled_from(["ingest", "impute"]))
     argv = [command, "--data-dir", str(case), "--out", str(case / "out")]
     if command == "impute":
-        argv += ["--model-file", str(case / "model_logistic.json")]
+        model = name if name in MODELS else data.draw(st.sampled_from(MODELS))
+        argv += ["--model-file", str(case / model)]
     assert main(argv) in (0, 3)

@@ -118,6 +118,20 @@ def test_out_of_range_option_is_usage_error(tmp_path, subcommand, flag, value):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth"], ["ingest"], ["train"], ["evaluate", "--model-file", "m.json"],
+    ["impute", "--model-file", "m.json"], ["report", "--expanded", "e.csv"], ["pipeline"],
+], ids=lambda argv: argv[0])
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, argv):
+    plain = tmp_path / "plainfile"
+    plain.write_text("not a directory\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--data-dir", str(tmp_path), "--out", str(plain)])
+    assert exc.value.code == 2
+    assert "argument --out" in capsys.readouterr().err
+    assert plain.read_text() == "not a directory\n"
+
+
 def test_pipeline_with_config_override(tmp_path):
     cfg = small_config()
     cfg_path = tmp_path / "config.json"

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import forest_reference as reference
 from hiddenpop.errors import HiddenPopError
 from hiddenpop.features import LabeledDataset
 from hiddenpop.models import fit_forest, permutation_importance, predict_forest
+from hiddenpop.models.forest import _SEARCH_CHUNK
 
 
 def learnable_data(n=300, seed=0):
@@ -114,3 +116,86 @@ def test_single_class_rejected():
                           row_ids=[str(i) for i in range(10)])
     with pytest.raises(ValueError):
         fit_forest(data, n_trees=3)
+
+
+def tied_data(n=160, seed=0):
+    """Repeated values and rows, a 3-valued column and a constant column."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.normal(size=n).round(1),
+        rng.integers(0, 3, size=n),
+        np.zeros(n),
+        rng.integers(0, 2, size=n),
+        rng.normal(size=n),
+    ]).astype(float)
+    X[n // 2:, :2] = X[:n - n // 2, :2]            # duplicated rows in the first columns
+    y = ((X[:, 0] + X[:, 1] - 1 + rng.normal(scale=0.8, size=n)) > 0).astype(int)
+    return LabeledDataset(X=X, y=y, row_ids=[str(i) for i in range(n)])
+
+
+def assert_same_forest(got, want):
+    """Bit for bit: every node array, the OOB votes and the OOB error."""
+    assert len(got.trees) == len(want.trees)
+    for a, b in zip(got.trees, want.trees):
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            x, w = getattr(a, name), getattr(b, name)
+            assert x.dtype == w.dtype and x.shape == w.shape and x.tobytes() == w.tobytes(), name
+    np.testing.assert_array_equal(got.oob_votes, want.oob_votes)
+    assert got.oob_error == want.oob_error
+    assert got.mtry == want.mtry
+
+
+CONFIGS = {
+    "defaults": {}, "min_leaf_10": {"min_leaf": 10}, "max_depth_3": {"max_depth": 3},
+    "mtry_4": {"mtry": 4}, "mtry_1_min_leaf_3": {"mtry": 1, "min_leaf": 3},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+def test_lockstep_fit_matches_sequential_reference(seed, config):
+    data = tied_data(seed=seed)
+    got = fit_forest(data, n_trees=12, seed=seed, **config)
+    assert_same_forest(got, reference.fit_forest(data, n_trees=12, seed=seed, **config))
+
+
+def test_single_tree_matches_sequential_reference():
+    data = tied_data(seed=7)
+    assert_same_forest(fit_forest(data, n_trees=1, seed=7),
+                       reference.fit_forest(data, n_trees=1, seed=7))
+
+
+def test_lockstep_fit_matches_sequential_reference_on_register_rows(small_training):
+    _schema, data = small_training
+    assert_same_forest(fit_forest(data, n_trees=20, seed=3),
+                       reference.fit_forest(data, n_trees=20, seed=3))
+
+
+def test_lockstep_fit_matches_sequential_reference_with_nodes_over_a_search_chunk():
+    data = tied_data(n=5000, seed=4)
+    assert len(data.X) > _SEARCH_CHUNK  # the root alone fills more than one chunk
+    assert_same_forest(fit_forest(data, n_trees=3, seed=4, min_leaf=5),
+                       reference.fit_forest(data, n_trees=3, seed=4, min_leaf=5))
+
+
+def test_duplicated_rows_score_as_if_alone():
+    data = tied_data(seed=1)
+    model = fit_forest(data, n_trees=30, seed=2)
+    X = np.vstack([data.X, data.X[::-1], data.X[5:6]])
+    scores = predict_forest(model, X)
+    np.testing.assert_array_equal(scores, [predict_forest(model, row) for row in X])
+    np.testing.assert_array_equal(scores, reference.predict_forest(model, X))
+
+
+@pytest.mark.parametrize("n_repeats", [3, 10])
+@pytest.mark.parametrize("groups", [
+    None, [("x0", [0]), ("x1_x3", [1, 3]), ("constant", [2]), ("x4", [4])], [("constant", [2])],
+], ids=["per_column", "grouped", "constant_only"])
+def test_permutation_importance_matches_per_copy_reference(groups, n_repeats):
+    data = tied_data(n=120, seed=5)
+    model = fit_forest(data, n_trees=25, seed=0)
+    got = permutation_importance(model, data, seed=9, n_repeats=n_repeats, groups=groups)
+    mda, ranking, baseline = reference.permutation_importance(
+        model, data, seed=9, n_repeats=n_repeats, groups=groups)
+    assert (got.mda, got.ranking, got.baseline_accuracy) == (mda, ranking, baseline)
+    assert got.mda["x2" if groups is None else "constant"] == 0.0

@@ -50,6 +50,10 @@ def test_validation_rejects_bad_shares():
     cfg.n_register = 10
     with pytest.raises(DataError, match="n_register must be >= 100"):
         cfg.validate()
+    cfg = SynthConfig()
+    cfg.kind_shares = (84.91, 7.77, 0.36, 6.96)
+    with pytest.raises(DataError, match="kind_shares must hold 5 shares"):
+        cfg.validate()
 
 
 def test_oversized_survey_is_infeasible(tmp_path):
