@@ -123,6 +123,10 @@ def _synth_config(args) -> SynthConfig:
     if args.config:
         with reading(args.config, TypeError):
             config = SynthConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+            try:
+                config.validate()
+            except DataError as exc:
+                raise DataError(f"{args.config}: {exc}") from exc
     if args.seed is not None:
         config.seed = args.seed
     return config
@@ -151,12 +155,12 @@ def cmd_ingest(args) -> int:
         f.write("quantity,count\n")
         f.write(f"admin_records,{len(admin)}\n")
         f.write(f"survey_records,{len(survey)}\n")
-        f.write(f"matched,{len(linked.matched)}\n")
-        f.write(f"unmatched_admin,{len(linked.unmatched_admin)}\n")
+        f.write(f"matched,{len(linked.rows)}\n")
+        f.write(f"unmatched_admin,{len(admin) - len(linked.rows)}\n")
         f.write(f"unmatched_survey,{len(linked.unmatched_survey)}\n")
         f.write(f"name_table_entries,{table.total_names}\n")
     write_manifest(out, "ingest", {}, args.seed, _input_files(data_dir), [summary_path])
-    print(f"linkage: {len(linked.matched)} matched, "
+    print(f"linkage: {len(linked.rows)} matched, "
           f"{len(linked.unmatched_survey)} survey rows unmatched")
     return 0
 
@@ -164,11 +168,11 @@ def cmd_ingest(args) -> int:
 def _train_stage(inputs, out, *, model_kind, seed, ratio, k, threshold, n_trees):
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    _admin, _survey, table, linked = inputs
-    train_records = [a for a, _ in linked.matched if a.bp == 1 and a.cit == 1]
-    if not train_records:
+    admin, _survey, table, linked = inputs
+    train_rows = linked.rows[linked.native()]
+    if not len(train_rows):
         raise DataError("no linked records with bp=cit=1 to train on")
-    schema = build_schema(train_records, table)
+    schema = build_schema(admin.take(train_rows), table)
     data = assemble_training_set(linked, schema, table)
     train, val = split_train_validate(data, ratio=ratio, seed=seed)
     outputs = []
@@ -284,9 +288,8 @@ def _impute_stage(inputs, out, model_file, threshold):
     out.mkdir(parents=True, exist_ok=True)
     model, schema = load_model(model_file)
     admin, _survey, table, linked = inputs
-    linked_keys = {a.link_key for a, _ in linked.matched}
     imputations = impute_pa(model, schema, admin, table,
-                            linked_keys=linked_keys, threshold=threshold)
+                            linked_rows=linked.rows, threshold=threshold)
     expanded = expand_dataset(admin, linked, imputations)
     outputs = []
     exp_path = out / "expanded_register.csv"
@@ -313,9 +316,10 @@ def cmd_impute(args) -> int:
 def _report_stage(out, expanded, linked, variables, alert_threshold):
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    members = [e for e in expanded if e.delta == 1]
-    sample = [a for a, s in linked.matched if s.eligible]
-    if not sample:
+    members = expanded.register.take(np.flatnonzero(expanded.delta == 1))
+    eligible = np.array([s.eligible for s in linked.survey], dtype=bool)
+    sample = linked.register.take(linked.rows[eligible])
+    if not len(sample):
         raise DataError("no eligible linked survey respondents for the bias report")
     br = bias_report(members, sample, variables, alert_threshold=alert_threshold)
     bias_path = out / "bias_report.csv"

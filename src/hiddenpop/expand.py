@@ -13,33 +13,70 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .domain import BackgroundKind, KIND_LABELS, compute_delta_type
-from .errors import DataError, HiddenPopError, SchemaMismatch
+from .domain import (
+    UNOBSERVED,
+    BackgroundKind,
+    KIND_LABELS,
+    MembershipIndicators,
+    resolve_membership,
+)
+from .errors import DataError, ExcludedCombination, HiddenPopError, SchemaMismatch
 from .features import FeatureSchema, encode_matrix
-from .ingest import AdminRecord, LinkedDataset, NameFrequencyTable
+from .ingest import LinkedDataset, NameFrequencyTable, Register
 from .models import ForestModel, LogisticModel, predict_forest, predict_logistic
 
 log = logging.getLogger(__name__)
 
 PROVENANCES = ("exact", "linked", "predicted")
+_EXACT, _LINKED, _PREDICTED = range(3)
+PA_UNOBSERVED = 2  # the pa index of MEMBERSHIP that stands for an unobserved pa
 
 
-@dataclass(frozen=True)
-class ExpandedRecord:
-    record: AdminRecord
-    delta: int
-    kind: BackgroundKind
-    provenance: str
-    predicted_score: float | None = None
+def _membership_table() -> np.ndarray:
+    """(delta, kind) by [bp, cit, pa] with pa 0, 1 or unobserved; -1 where pa stays open."""
+    table = np.full((2, 2, 3, 2), -1, dtype=np.int8)
+    for bp, cit, pa in product((0, 1), (0, 1), (0, 1, UNOBSERVED)):
+        try:
+            status = resolve_membership(MembershipIndicators(bp, cit, pa))
+        except ExcludedCombination:
+            continue
+        if not status.needs_pa:
+            bg = status.background
+            table[bp, cit, PA_UNOBSERVED if pa is UNOBSERVED else pa] = bg.delta, bg.kind
+    return table
 
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"bad provenance {self.provenance!r}")
-        if self.provenance == "predicted" and self.predicted_score is None:
-            raise ValueError("predicted record without a score")
+
+MEMBERSHIP = _membership_table()
+
+
+@dataclass
+class Imputations:
+    """The imputed pa of the unlinked (bp,cit)=(1,1) register rows."""
+
+    rows: np.ndarray    # register rows
+    pa: np.ndarray      # 0 where the score exceeds the threshold, else 1
+    scores: np.ndarray  # the model's P(pa=0) under the case-control training mix
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+@dataclass
+class Expanded:
+    """The register in link_key order, each row with its membership and provenance."""
+
+    register: Register
+    delta: np.ndarray
+    kind: np.ndarray
+    provenance: np.ndarray  # index into PROVENANCES
+    score: np.ndarray       # the imputation score of "predicted" rows, NaN elsewhere
+
+    def __len__(self) -> int:
+        return len(self.register)
 
 
 def predict_scores(model, X: np.ndarray) -> np.ndarray:
@@ -53,13 +90,13 @@ def predict_scores(model, X: np.ndarray) -> np.ndarray:
 def impute_pa(
     model,
     schema: FeatureSchema,
-    admin: list[AdminRecord],
+    admin: Register,
     name_table: NameFrequencyTable,
     *,
-    linked_keys=frozenset(),
+    linked_rows=(),
     threshold: float = 0.5,
-) -> dict:
-    """Score every unlinked (bp,cit)=(1,1) record; returns link_key -> (pa_hat, score).
+) -> Imputations:
+    """Score every (bp,cit)=(1,1) register row outside linked_rows.
 
     The score is the model's P(pa=0) under the case-control training mix, not
     a population probability; pa_hat = 0 when the score exceeds the threshold
@@ -70,55 +107,49 @@ def impute_pa(
         raise SchemaMismatch(
             f"model width {model.width} does not match schema width {schema.width}"
         )
-    targets = [
-        r for r in admin
-        if r.bp == 1 and r.cit == 1 and r.link_key not in linked_keys
-    ]
-    if not targets:
-        return {}
-    scores = predict_scores(model, encode_matrix(targets, schema, name_table))
-    out = {}
-    for rec, score in zip(targets, scores):
-        pa_hat = 0 if score > threshold else 1
-        out[rec.link_key] = (pa_hat, float(score))
-    log.info(
-        "imputed pa for %d records (%.1f%% predicted pa=0)",
-        len(out), 100 * np.mean([v[0] == 0 for v in out.values()]),
-    )
-    return out
+    target = (admin.bp == 1) & (admin.cit == 1)
+    target[np.asarray(linked_rows, dtype=np.intp)] = False
+    rows = np.flatnonzero(target)
+    if not len(rows):
+        return Imputations(rows, np.empty(0, dtype=np.int8), np.empty(0))
+    scores = predict_scores(model, encode_matrix(admin.take(rows), schema, name_table))
+    pa = np.where(scores > threshold, 0, 1).astype(np.int8)
+    log.info("imputed pa for %d records (%.1f%% predicted pa=0)",
+             len(rows), 100 * np.mean(pa == 0))
+    return Imputations(rows, pa, scores)
 
 
 def expand_dataset(
-    admin: list[AdminRecord],
+    admin: Register,
     linked: LinkedDataset,
-    imputations: dict,
-) -> list[ExpandedRecord]:
-    """One expanded record per register row, ordered by link_key.
+    imputations: Imputations,
+) -> Expanded:
+    """Every register row with its membership, ordered by link_key.
 
     Precedence: register indicators settle everything outside (1,1); inside
-    (1,1) a survey-observed pa beats an imputed one.
+    (1,1) a survey-observed pa beats an imputed one.  Raises HiddenPopError
+    for a (1,1) row with neither.
     """
-    survey_pa = {s.link_key: s.pa_observed for _, s in linked.matched}
-    out = []
-    for rec in sorted(admin, key=lambda r: r.link_key):
-        if (rec.bp, rec.cit) != (1, 1):
-            # outside (1,1) the Jus Sanguinis exclusions make pa=0 the only
-            # completion that matters (see domain.resolve_membership)
-            bg = compute_delta_type(rec.bp, rec.cit, 0)
-            out.append(ExpandedRecord(rec, bg.delta, bg.kind, "exact"))
-        elif rec.link_key in survey_pa:
-            bg = compute_delta_type(1, 1, survey_pa[rec.link_key])
-            out.append(ExpandedRecord(rec, bg.delta, bg.kind, "linked"))
-        elif rec.link_key in imputations:
-            pa_hat, score = imputations[rec.link_key]
-            bg = compute_delta_type(1, 1, pa_hat)
-            out.append(ExpandedRecord(rec, bg.delta, bg.kind, "predicted", score))
-        else:
-            raise HiddenPopError(
-                f"record {rec.link_key!r} has (bp,cit)=(1,1) but neither a "
-                "linked nor an imputed pa"
-            )
-    return out
+    bp, cit = admin.bp, admin.cit
+    inside = (bp == 1) & (cit == 1)
+    pa = np.full(len(admin), PA_UNOBSERVED, dtype=np.int8)
+    provenance = np.full(len(admin), _PREDICTED, dtype=np.int8)
+    score = np.full(len(admin), np.nan)
+    pa[imputations.rows] = imputations.pa
+    score[imputations.rows] = imputations.scores
+    pa[linked.rows] = [s.pa_observed for s in linked.survey]
+    provenance[linked.rows] = _LINKED
+    pa[~inside] = PA_UNOBSERVED
+    provenance[~inside] = _EXACT
+    score[provenance != _PREDICTED] = np.nan
+    order = np.argsort(admin.link_key, kind="stable")
+    delta, kind = MEMBERSHIP[bp[order], cit[order], pa[order]].T
+    if (kind < 0).any():
+        key = admin.link_key[order[np.argmax(kind < 0)]]
+        raise HiddenPopError(
+            f"record {key!r} has (bp,cit)=(1,1) but neither a linked nor an imputed pa"
+        )
+    return Expanded(admin.take(order), delta, kind, provenance[order], score[order])
 
 
 @dataclass
@@ -130,12 +161,10 @@ class DistributionTable:
     n_members: int
 
 
-def tabulate_population(expanded: list[ExpandedRecord]) -> DistributionTable:
+def tabulate_population(expanded: Expanded) -> DistributionTable:
     n_total = len(expanded)
-    counts = {k: 0 for k in BackgroundKind}
-    for e in expanded:
-        counts[e.kind] += 1
-    n_members = sum(counts[k] for k in BackgroundKind if k != BackgroundKind.NO_BACKGROUND)
+    counts = np.bincount(expanded.kind, minlength=len(BackgroundKind)).tolist()
+    n_members = n_total - counts[BackgroundKind.NO_BACKGROUND]
     rows = []
     for kind in BackgroundKind:
         count = counts[kind]
@@ -154,14 +183,15 @@ def tabulate_population(expanded: list[ExpandedRecord]) -> DistributionTable:
     return DistributionTable(rows=rows, n_total=n_total, n_members=n_members)
 
 
-# marginals the two sources share, by level extractor
+# marginals the two sources share: a register column, or an indicator and the
+# names of its levels 0 and 1
 SHARED_VARIABLES = {
-    "gender": lambda r: r.gender,
-    "department": lambda r: r.department,
-    "course_level": lambda r: r.course_level,
-    "employment": lambda r: r.employment,
-    "birth_place": lambda r: "italy" if r.bp == 1 else "foreign",
-    "citizenship": lambda r: "italian" if r.cit == 1 else "foreign",
+    "gender": "gender",
+    "department": "department",
+    "course_level": "course_level",
+    "employment": "employment",
+    "birth_place": ("bp", ["foreign", "italy"]),
+    "citizenship": ("cit", ["foreign", "italian"]),
 }
 
 
@@ -174,18 +204,20 @@ class BiasReport:
     alert_threshold: float
 
 
-def _shares(records, extractor) -> dict:
-    levels = {}
-    for r in records:
-        lvl = extractor(r)
-        levels[lvl] = levels.get(lvl, 0) + 1
-    total = sum(levels.values())
-    return {lvl: 100.0 * c / total for lvl, c in levels.items()}
+def _shares(register: Register, variable: str) -> dict:
+    """Level -> percentage of the register's rows, for the levels present."""
+    source = SHARED_VARIABLES[variable]
+    if isinstance(source, tuple):
+        codes, levels = getattr(register, source[0]), source[1]
+    else:
+        codes, levels = register.codes[source], register.levels[source]
+    counts = np.bincount(codes, minlength=len(levels)).tolist()
+    return {lvl: 100.0 * c / len(codes) for lvl, c in zip(levels, counts) if c}
 
 
 def bias_report(
-    expanded_members: list[ExpandedRecord],
-    survey_members: list[AdminRecord],
+    population: Register,
+    sample: Register,
     variables: list[str],
     *,
     alert_threshold: float = 5.0,
@@ -195,23 +227,22 @@ def bias_report(
     gap = sample share - population share, in percentage points; descriptive
     only, no correction is attempted.
     """
-    if not expanded_members or not survey_members:
+    if not len(population) or not len(sample):
         raise DataError("both population and sample must be nonempty")
     out = {}
     flagged = []
     for var in variables:
         if var not in SHARED_VARIABLES:
             raise DataError(f"unknown shared variable {var!r}")
-        extractor = SHARED_VARIABLES[var]
-        pop = _shares([e.record for e in expanded_members], extractor)
-        sample = _shares(survey_members, extractor)
-        stray = set(sample) - set(pop)
+        pop = _shares(population, var)
+        sample_shares = _shares(sample, var)
+        stray = set(sample_shares) - set(pop)
         if stray:
             raise DataError(f"{var}: sample levels {sorted(stray)} absent from population")
         table = {}
         for lvl in sorted(pop):
             p = pop[lvl]
-            s = sample.get(lvl, 0.0)
+            s = sample_shares.get(lvl, 0.0)
             gap = s - p
             table[lvl] = (p, s, gap)
             if abs(gap) >= alert_threshold:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .ingest import AdminRecord, LinkedDataset, NameFrequencyTable, is_common_name
+from .ingest import LinkedDataset, NameFrequencyTable, Register, is_common_name
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +33,9 @@ _CATEGORICALS = [
     ("course_level", "bachelor", ["master", "bachelor_and_master"]),
 ]
 NAME_FLAG = "common_italian_name"
+# a name is common with count >= min_count; top_k is a retired rule, kept as
+# null so that schema.json and model files keep their bytes
+NAME_RULE = {"min_count": 5, "top_k": None}
 _NUMERICS = ["years_enrolled", "ects_earned"]
 
 
@@ -53,7 +56,7 @@ class FeatureSchema:
 
     columns: list
     dropped: list = field(default_factory=list)
-    name_rule: dict = field(default_factory=lambda: {"min_count": 5, "top_k": None})
+    name_rule: dict = field(default_factory=lambda: dict(NAME_RULE))
     version: int = SCHEMA_VERSION
     unknown_level_count: int = 0
 
@@ -98,11 +101,10 @@ class FeatureSchema:
                     known.kind, known.group, known.source, known.level):
                 raise ValueError(f"feature column {c.name!r} is not in the layout")
             c.mean, c.sd = float(c.mean), float(c.sd)
-        name_rule = payload.get("name_rule", {"min_count": 5, "top_k": None})
-        top_k = name_rule["top_k"]
+        name_rule = payload.get("name_rule", dict(NAME_RULE))
         if (set(name_rule) != {"min_count", "top_k"}
                 or not isinstance(name_rule["min_count"], int)
-                or not (top_k is None or isinstance(top_k, int) and top_k >= 1)):
+                or name_rule["top_k"] is not None):
             raise ValueError(f"bad name rule {name_rule!r}")
         return cls(
             columns=columns,
@@ -144,40 +146,31 @@ def feature_layout(moments: dict) -> list[Column]:
     return columns
 
 
-def _source_values(records, name_table, name_rule) -> dict:
-    """Column group -> array of its source values over the records.
+def _source_values(register: Register, name_table, name_rule) -> dict:
+    """Column group -> array of its source values over the register's rows.
 
-    The name flag is computed once per distinct given name.
+    The name flag is computed once per distinct given name present.
     """
-    names = [r.given_name for r in records]
-    common = {
-        nm: is_common_name(nm, name_table, min_count=name_rule["min_count"],
-                           top_k=name_rule["top_k"])
-        for nm in set(names)
-    }
-    values = {source: np.array([getattr(r, source) for r in records])
-              for source, _, _ in _CATEGORICALS}
-    values[NAME_FLAG] = np.array([common[nm] for nm in names])
+    names, codes = register.levels["given_name"], register.codes["given_name"]
+    common = np.zeros(len(names), dtype=bool)
+    for i in np.flatnonzero(np.bincount(codes, minlength=len(names))):
+        common[i] = is_common_name(names[i], name_table, min_count=name_rule["min_count"])
+    values = {source: register.column(source) for source, _, _ in _CATEGORICALS}
+    values[NAME_FLAG] = common[codes]
     for source in _NUMERICS:
-        values[source] = np.array([getattr(r, source) for r in records], dtype=float)
+        values[source] = np.array(register.levels[source], dtype=float)[register.codes[source]]
     return values
 
 
-def build_schema(
-    records: list[AdminRecord],
-    name_table: NameFrequencyTable,
-    *,
-    name_rule: dict | None = None,
-) -> FeatureSchema:
+def build_schema(register: Register, name_table: NameFrequencyTable) -> FeatureSchema:
     """Derive the column layout and z-scoring stats from the training rows.
 
     Degenerate features (single observed level, zero-variance numeric) are
     dropped with a warning and recorded in schema.dropped.
     """
-    if not records:
+    if not len(register):
         raise ValueError("cannot build a schema from zero records")
-    name_rule = dict(name_rule or {"min_count": 5, "top_k": None})
-    values = _source_values(records, name_table, name_rule)
+    values = _source_values(register, name_table, NAME_RULE)
     observed = {group: set(v.tolist()) for group, v in values.items()}
     dropped = [group for group in values if len(observed[group]) < 2]
     for group in dropped:
@@ -189,7 +182,7 @@ def build_schema(
         c for c in feature_layout(moments)
         if c.group not in dropped and (c.kind != "onehot" or c.level in observed[c.group])
     ]
-    return FeatureSchema(columns=columns, dropped=dropped, name_rule=name_rule)
+    return FeatureSchema(columns=columns, dropped=dropped)
 
 
 def encode_columns(values: dict, schema: FeatureSchema) -> np.ndarray:
@@ -226,14 +219,14 @@ def encode_columns(values: dict, schema: FeatureSchema) -> np.ndarray:
 
 
 def encode_matrix(
-    records: list[AdminRecord],
+    register: Register,
     schema: FeatureSchema,
     name_table: NameFrequencyTable,
 ) -> np.ndarray:
-    """Encode standardized records into the schema's column order, one row each."""
-    if not records:
+    """Encode the register's rows into the schema's column order, one row each."""
+    if not len(register):
         return np.empty((0, schema.width))
-    return encode_columns(_source_values(records, name_table, schema.name_rule), schema)
+    return encode_columns(_source_values(register, name_table, schema.name_rule), schema)
 
 
 def assemble_training_set(
@@ -244,19 +237,21 @@ def assemble_training_set(
     """Training rows: linked students with bp=cit=1, labeled 1 iff pa_observed=0.
 
     Only in the (bp,cit)=(1,1) stratum does pa carry information; everywhere
-    else membership is already determined by the register.
+    else membership is already determined by the register.  Rows are in
+    link_key order.
     """
-    pairs = [(a, s) for a, s in sorted(linked.matched, key=lambda pair: pair[0].link_key)
-             if a.bp == 1 and a.cit == 1]
-    if not pairs:
+    native = linked.native()
+    if not len(native):
         raise DataError("no linked rows with bp=cit=1")
-    y = np.array([int(s.pa_observed == 0) for _, s in pairs], dtype=int)
+    rows = linked.rows[native]
+    order = np.argsort(linked.register.link_key[rows], kind="stable")
+    y = np.array([int(linked.survey[i].pa_observed == 0) for i in native[order]], dtype=int)
     if y.min() == y.max():
         raise DataError(f"training labels are all {y[0]}")
-    records = [a for a, _ in pairs]
-    X = encode_matrix(records, schema, name_table)
+    register = linked.register.take(rows[order])
+    X = encode_matrix(register, schema, name_table)
     log.info("training set: %d rows, %.1f%% positive (pa=0)", len(y), 100 * y.mean())
-    return LabeledDataset(X=X, y=y, row_ids=[a.link_key for a in records])
+    return LabeledDataset(X=X, y=y, row_ids=register.link_key.tolist())
 
 
 def correlation_report(data: LabeledDataset, schema: FeatureSchema) -> dict:

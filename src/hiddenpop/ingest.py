@@ -1,11 +1,14 @@
 """Register / survey parsing, standardization, exact linkage, name table.
 
-All files are UTF-8 CSV with a header row (delimiter configurable).  Rows
-that fail standardization are routed to a reject file with a reason code
-rather than aborting the whole load; an error is raised only when the reject
-fraction exceeds a configurable threshold.  A file that cannot be read, lacks
-a column or holds a row with too few fields raises DataError naming the file
-and line.  See docs/formats.md for the column schemas.
+All files are UTF-8 CSV with a comma-separated header row.  The register is
+held as one columnar `Register`: every column but `link_key` is dictionary
+encoded, so each distinct raw value is standardized once.  Register rows that
+fail standardization are routed to a reject file with a reason code rather
+than aborting the whole load; an error is raised only when more than 5% of
+the rows are rejected.  A file that cannot be read, lacks a column or holds a
+row with too few fields raises DataError naming the file and line (the
+physical line on which the row ends).  See docs/formats.md for the column
+schemas.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ import os
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError
 
@@ -127,31 +133,132 @@ def standardize_gender(raw: str) -> str:
     raise ValueError(f"unrecognized gender {raw!r}")
 
 
-@dataclass(frozen=True)
-class AdminRecord:
-    """One standardized register row."""
+def _count(name: str, low: int):
+    """Standardizer of a count column: an int in [low, 2**53)."""
 
-    link_key: str
-    given_name: str
-    gender: str
-    birth_country: str
-    citizenship_country: str
-    course_level: str
-    department: str
-    enrollment_year: int
-    years_enrolled: int
-    ects_earned: int
-    employment: str
+    def standardize(raw: str) -> int:
+        value = int(raw)
+        if not low <= value < _MAX_COUNT:
+            raise ValueError(f"{name} must be in [{low}, 2**53), got {value}")
+        return value
+
+    return standardize
+
+
+# column -> standardizer of one raw value; ValueError rejects the row
+_STANDARDIZERS = {
+    "given_name": str.strip,
+    "gender": standardize_gender,
+    "birth_country": standardize_country,
+    "citizenship_country": standardize_country,
+    "course_level": standardize_course_level,
+    "department": _slug,
+    "enrollment_year": int,
+    "years_enrolled": _count("years_enrolled", 1),
+    "ects_earned": _count("ects_earned", 0),
+    "employment": standardize_employment,
+}
+
+MAX_REJECT_FRACTION = 0.05
+# rows read, coded and written per block; a block's row lists are freed before
+# the garbage collector's youngest generation (700 objects) fills up
+BLOCK_ROWS = 512
+
+
+class Coder(dict):
+    """Raw value -> code of its standardized level; -1 when standardizing raises.
+
+    Each distinct raw value is standardized once; levels holds the distinct
+    standardized values in order of first appearance.
+    """
+
+    def __init__(self, standardize=None):
+        super().__init__()
+        self.standardize = standardize
+        self.levels = []
+        self._code_of = {}
+
+    def __missing__(self, raw):
+        try:
+            level = raw if self.standardize is None else self.standardize(raw)
+        except ValueError:
+            code = -1
+        else:
+            code = self._code_of.setdefault(level, len(self.levels))
+            if code == len(self.levels):
+                self.levels.append(level)
+        self[raw] = code
+        return code
+
+    def code(self, values) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, values), np.int32, len(values))
+
+
+@dataclass
+class Register:
+    """The standardized register, one array per column.
+
+    link_key is an object array of strings.  Every other column is an int32
+    array of codes into levels[column], the column's distinct values.
+    """
+
+    link_key: np.ndarray
+    codes: dict
+    levels: dict
+
+    def __len__(self) -> int:
+        return len(self.link_key)
+
+    @classmethod
+    def from_columns(cls, columns: dict) -> "Register":
+        """A register from one sequence of standardized values per admin column."""
+        coders = {c: Coder() for c in ADMIN_COLUMNS[1:]}
+        codes = {c: coder.code(np.asarray(columns[c], dtype=object))
+                 for c, coder in coders.items()}
+        return cls(np.asarray(columns["link_key"], dtype=object), codes,
+                   {c: coder.levels for c, coder in coders.items()})
+
+    @classmethod
+    def from_records(cls, records) -> "Register":
+        """A register from objects with one attribute per admin column."""
+        return cls.from_columns({c: [getattr(r, c) for r in records] for c in ADMIN_COLUMNS})
+
+    @classmethod
+    def concat(cls, parts, levels) -> "Register":
+        """The rows of parts, which share these level lists, one after another."""
+        return cls(np.concatenate([np.empty(0, dtype=object)] + [p.link_key for p in parts]),
+                   {c: np.concatenate([np.empty(0, dtype=np.int32)] + [p.codes[c] for p in parts])
+                    for c in levels}, levels)
+
+    def take(self, rows) -> "Register":
+        """The given rows, in the given order; the level lists are shared."""
+        return Register(self.link_key[rows], {c: a[rows] for c, a in self.codes.items()},
+                        self.levels)
+
+    def column(self, name) -> np.ndarray:
+        """Decoded values of a coded column."""
+        return np.asarray(self.levels[name])[self.codes[name]]
+
+    def _is_italy(self, name) -> np.ndarray:
+        return np.array([lvl == ITALY for lvl in self.levels[name]], dtype=np.int8)[
+            self.codes[name]]
 
     @property
-    def bp(self) -> int:
-        """Born in Italy."""
-        return int(self.birth_country == ITALY)
+    def bp(self) -> np.ndarray:
+        """Born in Italy, 0/1 per row."""
+        return self._is_italy("birth_country")
 
     @property
-    def cit(self) -> int:
-        """Italian citizenship."""
-        return int(self.citizenship_country == ITALY)
+    def cit(self) -> np.ndarray:
+        """Italian citizenship, 0/1 per row."""
+        return self._is_italy("citizenship_country")
+
+    def cell_blocks(self):
+        """Yield BLOCK_ROWS rows at a time as one sequence of CSV cells per admin column."""
+        text = {c: np.array([str(v) for v in lv], dtype=object) for c, lv in self.levels.items()}
+        for start in range(0, len(self), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            yield [self.link_key[rows]] + [text[c][self.codes[c][rows]] for c in ADMIN_COLUMNS[1:]]
 
 
 @dataclass(frozen=True)
@@ -165,14 +272,21 @@ class SurveyRecord:
     link_key: str
     eligible: bool
     pa_observed: int
-    extras: tuple = ()
 
 
 @dataclass
 class LinkedDataset:
-    matched: list  # (AdminRecord, SurveyRecord) pairs
-    unmatched_admin: list
+    """The survey records that name a register row, and the rows they name."""
+
+    register: Register
+    rows: np.ndarray  # register row of each matched survey record
+    survey: list      # the matched SurveyRecords, in survey order
     unmatched_survey: list
+
+    def native(self) -> np.ndarray:
+        """Positions, in rows and survey, of the matched students with bp = cit = 1."""
+        matched = self.register.take(self.rows)
+        return np.flatnonzero((matched.bp == 1) & (matched.cit == 1))
 
 
 @dataclass
@@ -182,28 +296,6 @@ class NameFrequencyTable:
 
     def __post_init__(self):
         self.total_names = len(self.counts)
-
-
-def _standardize_admin_row(row: dict) -> AdminRecord:
-    years = int(row["years_enrolled"])
-    ects = int(row["ects_earned"])
-    if not 1 <= years < _MAX_COUNT:
-        raise ValueError(f"years_enrolled must be in [1, 2**53), got {years}")
-    if not 0 <= ects < _MAX_COUNT:
-        raise ValueError(f"ects_earned must be in [0, 2**53), got {ects}")
-    return AdminRecord(
-        link_key=row["link_key"].strip(),
-        given_name=row["given_name"].strip(),
-        gender=standardize_gender(row["gender"]),
-        birth_country=standardize_country(row["birth_country"]),
-        citizenship_country=standardize_country(row["citizenship_country"]),
-        course_level=standardize_course_level(row["course_level"]),
-        department=_slug(row["department"]),
-        enrollment_year=int(row["enrollment_year"]),
-        years_enrolled=years,
-        ects_earned=ects,
-        employment=standardize_employment(row["employment"]),
-    )
 
 
 @contextmanager
@@ -220,23 +312,48 @@ def reading(path, *content_errors):
         raise DataError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def read_csv(path, required, *, delimiter: str = ","):
-    """Yield (line number, row dict) for every data row of a UTF-8 CSV file.
+def read_blocks(path, required):
+    """Yield (header, line numbers, rows) for the data rows of a UTF-8 CSV file.
 
-    Raises DataError naming the file when it cannot be read, when its header
-    lacks a required column, and, with the line, when a row has fewer fields
-    than the header.
+    Rows come BLOCK_ROWS at a time; blank lines are skipped, a row may be
+    longer than the header, and a row's line number is that of its last
+    physical line.  Raises DataError naming the file when it cannot be read
+    or its header lacks a required column, and, with the line, at a row with
+    fewer fields than the header; every row before a failure is yielded first.
     """
     with reading(path), open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise DataError(f"{path}: missing column(s) {missing}")
-        for raw in reader:
-            if None in raw.values():
-                raise DataError(f"{path}:{reader.line_num}: fewer fields than the header")
-            yield reader.line_num, raw
+        while True:
+            lines, rows, failure, consumed = [], [], None, 0
+            try:
+                for consumed, row in enumerate(islice(reader, BLOCK_ROWS), start=1):
+                    if not row:
+                        continue
+                    if len(row) < len(header):
+                        failure = DataError(
+                            f"{path}:{reader.line_num}: fewer fields than the header")
+                        break
+                    lines.append(reader.line_num)
+                    rows.append(row)
+            except (OSError, UnicodeDecodeError, csv.Error) as exc:
+                failure = exc
+            if rows:
+                yield header, lines, rows
+            if failure is not None:
+                raise failure
+            if consumed < BLOCK_ROWS:
+                return
+
+
+def read_csv(path, required):
+    """Yield (line number, row dict) for every data row, with read_blocks' checks."""
+    for header, lines, rows in read_blocks(path, required):
+        for lineno, row in zip(lines, rows):
+            yield lineno, dict(zip(header, row))
 
 
 @contextmanager
@@ -259,59 +376,77 @@ def atomic_open(path):
         raise
 
 
-def parse_admin(
-    path,
-    schema_config: dict | None = None,
-    *,
-    delimiter: str = ",",
-    reject_path=None,
-    max_reject_fraction: float = 0.05,
-) -> list[AdminRecord]:
-    """Load and standardize the register; bad rows go to the reject file.
+def _reject_reason(row: dict) -> str:
+    """Why a register row fails standardization: its first failing check."""
+    try:
+        int(row["years_enrolled"]), int(row["ects_earned"])  # both parse before any range check
+        for name in ("years_enrolled", "ects_earned", "gender", "course_level",
+                     "enrollment_year", "employment"):
+            _STANDARDIZERS[name](row[name])
+    except ValueError as exc:
+        return str(exc)
 
-    schema_config maps canonical column names to the names used in the file.
-    Raises DataError when more than max_reject_fraction of the rows fail
+
+def parse_admin(path) -> Register:
+    """Load and standardize the register; bad rows go to <path>.rejects.csv.
+
+    Raises DataError when more than MAX_REJECT_FRACTION of the rows fail
     standardization, when a link_key repeats, or when the file is unreadable.
     """
     path = Path(path)
-    colmap = {c: c for c in ADMIN_COLUMNS}
-    if schema_config:
-        colmap.update(schema_config)
-    records = []
-    rejects = []  # (line_number, reason, raw row)
-    seen = {}
-    for lineno, raw in read_csv(path, colmap.values(), delimiter=delimiter):
-        row = {canon: raw[col] for canon, col in colmap.items()}
-        try:
-            rec = _standardize_admin_row(row)
-        except (ValueError, KeyError) as exc:
-            rejects.append((lineno, str(exc), raw))
-            continue
-        if rec.link_key in seen:
-            raise DataError(
-                f"{path}:{lineno}: link_key {rec.link_key!r} already on line "
-                f"{seen[rec.link_key]}"
-            )
-        seen[rec.link_key] = lineno
-        records.append(rec)
-    total = len(records) + len(rejects)
+    coders = {c: Coder(standardize) for c, standardize in _STANDARDIZERS.items()}
+    levels = {c: coder.levels for c, coder in coders.items()}
+    parts, lines = [], []
+    rejects = []  # (line number, reason, raw row)
+
+    def check_keys():
+        keys = np.concatenate([np.empty(0, dtype=object)] + [p.link_key for p in parts])
+        if len(set(keys.tolist())) == len(keys):
+            return
+        seen = {}
+        for key, lineno in zip(keys.tolist(), np.concatenate(lines).tolist()):
+            if key in seen:
+                raise DataError(f"{path}:{lineno}: link_key {key!r} already on line {seen[key]}")
+            seen[key] = lineno
+
+    try:
+        for header, block_lines, rows in read_blocks(path, ADMIN_COLUMNS):
+            columns = dict(zip(header, zip(*rows)))  # a repeated name reads its last column
+            part = Register(np.array(list(map(str.strip, columns["link_key"])), dtype=object),
+                            {c: coder.code(columns[c]) for c, coder in coders.items()}, levels)
+            bad = np.any([a < 0 for a in part.codes.values()], axis=0)
+            for i in np.flatnonzero(bad):
+                row = dict(zip(header, rows[i]))
+                reason = _reject_reason(row)
+                if len(rows[i]) > len(header):  # csv.DictReader's restkey, as before
+                    row[None] = rows[i][len(header):]
+                rejects.append((block_lines[i], reason,
+                                ";".join(f"{k}={v}" for k, v in row.items())))
+            good = np.flatnonzero(~bad)
+            parts.append(part.take(good))
+            lines.append(np.array(block_lines)[good])
+    except DataError:
+        check_keys()  # a repeated key before the failure is reported first
+        raise
+    check_keys()
+    register = Register.concat(parts, levels)
+    total = len(register) + len(rejects)
     if rejects:
-        _write_rejects(reject_path or path.with_suffix(".rejects.csv"), rejects)
+        _write_rejects(path.with_suffix(".rejects.csv"), rejects)
         log.warning("%s: %d of %d rows rejected", path, len(rejects), total)
-    if total and len(rejects) / total > max_reject_fraction:
+    if total and len(rejects) / total > MAX_REJECT_FRACTION:
         raise DataError(
             f"{path}: {len(rejects)}/{total} rows rejected "
-            f"(limit {max_reject_fraction:.0%})"
+            f"(limit {MAX_REJECT_FRACTION:.0%})"
         )
-    return records
+    return register
 
 
 def _write_rejects(path, rejects):
     with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(["line", "reason", "raw"])
-        for lineno, reason, raw in rejects:
-            writer.writerow([lineno, reason, ";".join(f"{k}={v}" for k, v in raw.items())])
+        writer.writerows(rejects)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -323,12 +458,12 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"unrecognized boolean {raw!r}")
 
 
-def parse_survey(*paths, delimiter: str = ",") -> list[SurveyRecord]:
+def parse_survey(*paths) -> list[SurveyRecord]:
     """Load one or more survey extracts (respondents, screened-out) and concatenate."""
     records = []
     seen = {}
     for path in paths:
-        for lineno, raw in read_csv(path, SURVEY_COLUMNS, delimiter=delimiter):
+        for lineno, raw in read_csv(path, SURVEY_COLUMNS):
             where = f"{path}:{lineno}"
             try:
                 eligible = _parse_bool(raw["eligible"])
@@ -346,42 +481,30 @@ def parse_survey(*paths, delimiter: str = ",") -> list[SurveyRecord]:
             if key in seen:
                 raise DataError(f"{where}: link_key {key!r} already in {seen[key]}")
             seen[key] = where
-            extras = tuple(
-                (k, v) for k, v in raw.items() if k not in SURVEY_COLUMNS
-            )
-            records.append(
-                SurveyRecord(link_key=key, eligible=eligible, pa_observed=pa, extras=extras)
-            )
+            records.append(SurveyRecord(link_key=key, eligible=eligible, pa_observed=pa))
     if not records:
         log.warning("no survey records parsed from %s", [str(p) for p in paths])
     return records
 
 
-def link(admin: list[AdminRecord], survey: list[SurveyRecord]) -> LinkedDataset:
+def link(admin: Register, survey: list[SurveyRecord]) -> LinkedDataset:
     """Exact equality join on link_key; unmatched rows are reported, not errors."""
-    by_key = {rec.link_key: rec for rec in admin}
-    matched = []
-    unmatched_survey = []
-    survey_keys = set()
-    for srec in survey:
-        survey_keys.add(srec.link_key)
-        arec = by_key.get(srec.link_key)
-        if arec is None:
-            unmatched_survey.append(srec)
-        else:
-            matched.append((arec, srec))
-    unmatched_admin = [rec for rec in admin if rec.link_key not in survey_keys]
+    wanted = {s.link_key for s in survey}
+    row_of = {key: i for i, key in enumerate(admin.link_key.tolist()) if key in wanted}
+    matched = [s for s in survey if s.link_key in row_of]
+    unmatched_survey = [s for s in survey if s.link_key not in row_of]
+    rows = np.array([row_of[s.link_key] for s in matched], dtype=np.intp)
     log.info(
         "linkage: %d matched, %d survey-only, %d register-only",
-        len(matched), len(unmatched_survey), len(unmatched_admin),
+        len(matched), len(unmatched_survey), len(admin) - len(matched),
     )
-    return LinkedDataset(matched, unmatched_admin, unmatched_survey)
+    return LinkedDataset(admin, rows, matched, unmatched_survey)
 
 
-def build_name_table(path, *, delimiter: str = ",") -> NameFrequencyTable:
+def build_name_table(path) -> NameFrequencyTable:
     """Load the external given-name reference (columns: name,count)."""
     counts = {}
-    for lineno, raw in read_csv(path, ["name", "count"], delimiter=delimiter):
+    for lineno, raw in read_csv(path, ["name", "count"]):
         try:
             count = int(raw["count"])
         except ValueError:
@@ -393,61 +516,38 @@ def build_name_table(path, *, delimiter: str = ",") -> NameFrequencyTable:
     return NameFrequencyTable(counts)
 
 
-def is_common_name(
-    name: str,
-    table: NameFrequencyTable,
-    *,
-    min_count: int = 5,
-    top_k: int | None = None,
-) -> bool:
-    """Whether a given name counts as a common Italian name.
+def is_common_name(name: str, table: NameFrequencyTable, *, min_count: int = 5) -> bool:
+    """Whether a given name is in the reference table with count >= min_count.
 
-    Default rule: present in the reference table with count >= min_count.
-    With top_k set, the name must instead rank within the top_k most frequent
-    entries.  The reference data never defines "common", so both knobs are
-    exposed.
+    The reference data never defines "common", so min_count is exposed.
     """
     key = normalize_name(name)
     if not key:
         log.warning("empty given name treated as not common")
         return False
-    count = table.counts.get(key)
-    if count is None:
-        return False
-    if top_k is not None:
-        ranked = sorted(table.counts.values(), reverse=True)
-        cutoff = ranked[top_k - 1] if top_k <= len(ranked) else 0
-        return count >= cutoff
-    return count >= min_count
+    return table.counts.get(key, 0) >= min_count
 
 
-def write_admin_csv(path, records: list[AdminRecord], *, delimiter: str = ","):
-    """Write records in the canonical column order (round-trips via parse_admin)."""
+def write_admin_csv(path, register: Register):
+    """Write the register in the canonical column order (round-trips via parse_admin)."""
     with atomic_open(path) as f:
-        writer = csv.writer(f, delimiter=delimiter)
+        writer = csv.writer(f)
         writer.writerow(ADMIN_COLUMNS)
-        for rec in records:
-            writer.writerow([getattr(rec, c) for c in ADMIN_COLUMNS])
+        for cells in register.cell_blocks():
+            writer.writerows(zip(*cells))
 
 
-def write_survey_csv(path, records: list[SurveyRecord], *, delimiter: str = ","):
-    extra_cols = []
-    if records and records[0].extras:
-        extra_cols = [k for k, _ in records[0].extras]
+def write_survey_csv(path, records: list[SurveyRecord]):
     with atomic_open(path) as f:
-        writer = csv.writer(f, delimiter=delimiter)
-        writer.writerow(SURVEY_COLUMNS + extra_cols)
+        writer = csv.writer(f)
+        writer.writerow(SURVEY_COLUMNS)
         for rec in records:
-            extras = dict(rec.extras)
-            writer.writerow(
-                [rec.link_key, int(rec.eligible), rec.pa_observed]
-                + [extras.get(c, "") for c in extra_cols]
-            )
+            writer.writerow([rec.link_key, int(rec.eligible), rec.pa_observed])
 
 
-def write_name_table(path, table: NameFrequencyTable, *, delimiter: str = ","):
+def write_name_table(path, table: NameFrequencyTable):
     with atomic_open(path) as f:
-        writer = csv.writer(f, delimiter=delimiter)
+        writer = csv.writer(f)
         writer.writerow(["name", "count"])
         for name in sorted(table.counts):
             writer.writerow([name, table.counts[name]])

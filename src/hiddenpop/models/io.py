@@ -85,7 +85,8 @@ def save_model(path, model, schema: FeatureSchema):
             "trees": [_tree_to_dict(t) for t in model.trees],
         }
     with atomic_open(path) as f:
-        json.dump(payload, f, sort_keys=True)
+        # json.dumps runs the C encoder; json.dump would stream through the Python one
+        f.write(json.dumps(payload, sort_keys=True))
 
 
 def load_model(path):

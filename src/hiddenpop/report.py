@@ -10,11 +10,15 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .domain import BackgroundKind, MigrantBackground, compute_delta_type
+import numpy as np
+
+from .domain import BackgroundKind, MigrantBackground
 from .errors import DataError
 from .eval import CvResult, MetricsReport, RocCurve, METRIC_NAMES
-from .expand import BiasReport, DistributionTable, ExpandedRecord
-from .ingest import ADMIN_COLUMNS, AdminRecord, atomic_open, read_csv
+from .expand import (
+    MEMBERSHIP, PA_UNOBSERVED, PROVENANCES, BiasReport, DistributionTable, Expanded,
+)
+from .ingest import ADMIN_COLUMNS, BLOCK_ROWS, ITALY, Coder, Register, atomic_open, read_blocks
 from .models import ImportanceReport
 
 
@@ -124,55 +128,95 @@ def write_bias_csv(path, report: BiasReport, *, plot_data_dir=None):
 
 
 _EXPANDED_COLUMNS = ADMIN_COLUMNS + ["delta", "kind", "provenance", "predicted_score"]
+_DIGITS = np.array([str(d) for d in range(10)], dtype=object)
 
 
-def write_expanded_csv(path, expanded: list[ExpandedRecord]):
+def write_expanded_csv(path, expanded: Expanded):
     """Original register columns plus delta, kind, provenance, predicted_score."""
+    provenance_text = np.array(PROVENANCES, dtype=object)
+    predicted = PROVENANCES.index("predicted")
     with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(_EXPANDED_COLUMNS)
-        for e in expanded:
-            writer.writerow(
-                [getattr(e.record, c) for c in ADMIN_COLUMNS]
-                + [e.delta, int(e.kind), e.provenance,
-                   "" if e.predicted_score is None else _fmt(e.predicted_score)]
-            )
+        for start, cells in zip(range(0, len(expanded), BLOCK_ROWS),
+                                expanded.register.cell_blocks()):
+            rows = slice(start, start + BLOCK_ROWS)
+            provenance = expanded.provenance[rows]
+            scores = [_fmt(s) if p == predicted else ""
+                      for s, p in zip(expanded.score[rows].tolist(), provenance.tolist())]
+            writer.writerows(zip(*cells, _DIGITS[expanded.delta[rows]],
+                                 _DIGITS[expanded.kind[rows]], provenance_text[provenance],
+                                 scores))
 
 
-_INT_FIELDS = {"enrollment_year", "years_enrolled", "ects_earned"}
+_INT_FIELDS = ("enrollment_year", "years_enrolled", "ects_earned")
 
 
-def _expanded_row(row: dict) -> ExpandedRecord:
-    """One written row back as a record; ValueError unless the domain allows it."""
-    record = AdminRecord(**{
-        c: int(row[c]) if c in _INT_FIELDS else row[c] for c in ADMIN_COLUMNS
-    })
-    bg = MigrantBackground(int(row["delta"]), BackgroundKind(int(row["kind"])))
-    provenance = row["provenance"]
-    if (record.bp, record.cit) == (1, 1):
-        allowed = provenance != "exact" and bg in (
-            compute_delta_type(1, 1, 0), compute_delta_type(1, 1, 1))
-    else:
-        allowed = provenance == "exact" and bg == compute_delta_type(record.bp, record.cit, 0)
-    if not allowed:
+def _membership(bp, cit, delta, kind, provenance, score) -> tuple:
+    """(delta, kind, provenance index) of one written row; ValueError unless allowed."""
+    bg = MigrantBackground(int(delta), BackgroundKind(int(kind)))
+    found = [bg.delta, int(bg.kind)]
+    inside = (bp, cit) == (1, 1)  # pa observed or imputed; outside, the register decides
+    if (provenance == "exact") == inside or found not in MEMBERSHIP[
+            bp, cit, [0, 1] if inside else [PA_UNOBSERVED]].tolist():
         raise ValueError(
             f"delta={bg.delta} kind={int(bg.kind)} provenance={provenance!r} is not "
-            f"allowed for bp={record.bp} cit={record.cit}"
+            f"allowed for bp={bp} cit={cit}"
         )
-    score = row["predicted_score"]
-    return ExpandedRecord(record=record, delta=bg.delta, kind=bg.kind, provenance=provenance,
-                          predicted_score=float(score) if score else None)
+    if score:
+        float(score)
+    if provenance not in PROVENANCES:
+        raise ValueError(f"bad provenance {provenance!r}")
+    if provenance == "predicted" and not score:
+        raise ValueError("predicted record without a score")
+    return (*found, PROVENANCES.index(provenance))
 
 
-def read_expanded_csv(path) -> list[ExpandedRecord]:
-    """Read write_expanded_csv's output; a row the domain forbids raises DataError."""
-    out = []
-    for lineno, row in read_csv(path, _EXPANDED_COLUMNS):
+def _row_error(row: dict) -> str | None:
+    """Why a written row cannot be read back: its first failing check."""
+    try:
+        for c in _INT_FIELDS:
+            int(row[c])
+        _membership(int(row["birth_country"] == ITALY), int(row["citizenship_country"] == ITALY),
+                    row["delta"], row["kind"], row["provenance"], row["predicted_score"])
+    except ValueError as exc:
+        return str(exc)
+
+
+def read_expanded_csv(path) -> Expanded:
+    """Read write_expanded_csv's output; a row the domain forbids raises DataError.
+
+    Each distinct (bp, cit, delta, kind, provenance, score present) is checked
+    once; the first bad row is named by its line.
+    """
+    coders = {c: Coder(int if c in _INT_FIELDS else None) for c in ADMIN_COLUMNS[1:]}
+    levels = {c: coder.levels for c, coder in coders.items()}
+    membership = Coder(lambda key: _membership(*key))
+    parts, found, scores = [], [np.empty(0, dtype=np.int32)], [np.empty(0)]
+    for header, lines, rows in read_blocks(path, _EXPANDED_COLUMNS):
+        columns = dict(zip(header, zip(*rows)))
+        part = Register(np.array(columns["link_key"], dtype=object),
+                        {c: coder.code(columns[c]) for c, coder in coders.items()}, levels)
+        combos = membership.code(list(zip(
+            part.bp.tolist(), part.cit.tolist(), columns["delta"], columns["kind"],
+            columns["provenance"], ["0" if s else "" for s in columns["predicted_score"]])))
         try:
-            out.append(_expanded_row(row))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return out
+            score = np.array([float(s) if s else np.nan for s in columns["predicted_score"]])
+            bad = np.any([a < 0 for a in [combos, *part.codes.values()]])
+        except ValueError:
+            bad = True
+        if bad:
+            for lineno, row in zip(lines, rows):
+                message = _row_error(dict(zip(header, row)))
+                if message is not None:
+                    raise DataError(f"{path}:{lineno}: {message}")
+        parts.append(part)
+        found.append(combos)
+        scores.append(score)
+    delta, kind, provenance = np.array(membership.levels, dtype=np.int8).reshape(-1, 3)[
+        np.concatenate(found)].T
+    return Expanded(Register.concat(parts, levels), delta, kind, provenance,
+                    np.concatenate(scores))
 
 
 def write_correlation_csv(path, corr: dict):

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import DataError
 from .features import NAME_FLAG, FeatureSchema, encode_columns, encode_matrix, feature_layout
 from .ingest import (
-    AdminRecord,
     NameFrequencyTable,
+    Register,
     SurveyRecord,
     atomic_open,
     read_csv,
@@ -270,21 +270,14 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     names[common] = rng.choice(common_pool, size=int(common.sum()))
     names[~common] = rng.choice(rare_pool, size=int((~common).sum()))
 
-    admin = []
-    for i in range(n):
-        admin.append(AdminRecord(
-            link_key=f"S{i:06d}",
-            given_name=str(names[i]),
-            gender=str(gender[i]),
-            birth_country="IT" if bp[i] else "XX",
-            citizenship_country="IT" if cit[i] else "XX",
-            course_level=str(course[i]),
-            department=str(department[i]),
-            enrollment_year=2022 - int(years[i]),
-            years_enrolled=int(years[i]),
-            ects_earned=int(ects[i]),
-            employment=str(employment[i]),
-        ))
+    keys = [f"S{i:06d}" for i in range(n)]
+    admin = Register.from_columns({
+        "link_key": keys, "given_name": names, "gender": gender,
+        "birth_country": np.where(bp == 1, "IT", "XX"),
+        "citizenship_country": np.where(cit == 1, "IT", "XX"),
+        "course_level": course, "department": department, "enrollment_year": 2022 - years,
+        "years_enrolled": years, "ects_earned": ects, "employment": employment,
+    })
 
     # opt-in selection with known level offsets; exact counts per stratum
     offsets = np.zeros(n)
@@ -303,17 +296,12 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     screened = _weighted_sample(
         rng, idx[kind == 0], weights[kind == 0], config.n_screened_out)
 
+    eligible = np.sort(np.concatenate([respondents_native, respondents_migrant]))
+    screened = np.sort(screened)
     responded = np.zeros(n, dtype=bool)
-    survey_rows = []
-    for i in sorted(np.concatenate([respondents_native, respondents_migrant])):
-        responded[i] = True
-        survey_rows.append(SurveyRecord(
-            link_key=admin[i].link_key, eligible=True, pa_observed=int(pa[i])))
-    screened_rows = []
-    for i in sorted(screened):
-        responded[i] = True
-        screened_rows.append(SurveyRecord(
-            link_key=admin[i].link_key, eligible=False, pa_observed=1))
+    responded[eligible] = responded[screened] = True
+    survey_rows = [SurveyRecord(keys[i], eligible=True, pa_observed=int(pa[i])) for i in eligible]
+    screened_rows = [SurveyRecord(keys[i], eligible=False, pa_observed=1) for i in screened]
 
     name_counts = {}
     for j, nm in enumerate(_COMMON_NAMES):
@@ -336,8 +324,8 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     write_name_table(bundle.name_table_path, table)
     with atomic_open(bundle.truth_path) as f:
         f.write(",".join(TRUTH_COLUMNS) + "\n")
-        for i in range(n):
-            f.write(f"{admin[i].link_key},{pa[i]},{kind[i]},{int(responded[i])}\n")
+        f.writelines(f"{k},{p},{t},{r}\n" for k, p, t, r in zip(
+            keys, pa.tolist(), kind.tolist(), responded.astype(int).tolist()))
     meta = {
         "seed": seed,
         "config": json.loads(config.to_json()),
@@ -359,11 +347,11 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
 
 
 def generating_design(
-    records: list[AdminRecord],
+    records: Register,
     table: NameFrequencyTable,
     config: SynthConfig,
 ) -> np.ndarray:
-    """Re-encode admin records exactly as the generating model saw them."""
+    """Re-encode register rows exactly as the generating model saw them."""
     return encode_matrix(records, _generating_schema(config), table)
 
 

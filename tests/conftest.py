@@ -32,7 +32,6 @@ def small_inputs(small_bundle):
 @pytest.fixture(scope="session")
 def small_training(small_inputs):
     admin, _survey, table, linked = small_inputs
-    native = [a for a, _ in linked.matched if a.bp == 1 and a.cit == 1]
-    schema = build_schema(native, table)
+    schema = build_schema(admin.take(linked.rows[linked.native()]), table)
     data = assemble_training_set(linked, schema, table)
     return schema, data

@@ -28,14 +28,14 @@ from hiddenpop.eval import (
     split_train_validate,
 )
 from hiddenpop.expand import (
-    ExpandedRecord,
+    Expanded,
     bias_report,
     expand_dataset,
     impute_pa,
     tabulate_population,
 )
 from hiddenpop.features import assemble_training_set, build_schema
-from hiddenpop.ingest import build_name_table, link, parse_admin, parse_survey
+from hiddenpop.ingest import Register, build_name_table, link, parse_admin, parse_survey
 from hiddenpop.models import (
     fit_logistic,
     fit_forest,
@@ -63,8 +63,8 @@ class EndToEnd:
                               self.bundle.screened_out_path)
         self.table = build_name_table(self.bundle.name_table_path)
         self.linked = link(self.admin, survey)
-        native = [a for a, _ in self.linked.matched if a.bp == 1 and a.cit == 1]
-        self.schema = build_schema(native, self.table)
+        self.schema = build_schema(
+            self.admin.take(self.linked.rows[self.linked.native()]), self.table)
         self.data = assemble_training_set(self.linked, self.schema, self.table)
         self.train, self.val = split_train_validate(self.data, 0.75, seed=self.seed)
         self.logistic = fit_logistic(self.train)
@@ -76,11 +76,10 @@ class EndToEnd:
         self.cv = kfold_cv(self.data, logistic_trainer(), k=10, seed=self.seed)
         self.elapsed = time.perf_counter() - t0
         self.truth = load_truth(self.bundle.truth_path)
-        self.linked_keys = {a.link_key for a, _ in self.linked.matched}
 
     def expanded_at(self, threshold):
         imputations = impute_pa(self.logistic, self.schema, self.admin,
-                                self.table, linked_keys=self.linked_keys,
+                                self.table, linked_rows=self.linked.rows,
                                 threshold=threshold)
         return expand_dataset(self.admin, self.linked, imputations)
 
@@ -224,12 +223,11 @@ def test_criterion_05_parameter_recovery(tmp_path):
     admin = parse_admin(bundle.admin_path)
     table = build_name_table(bundle.name_table_path)
     truth = load_truth(bundle.truth_path)
-    native = [a for a in admin if a.bp == 1 and a.cit == 1]
+    native = admin.take(np.flatnonzero((admin.bp == 1) & (admin.cit == 1)))
     X = generating_design(native, table, cfg)
-    y = np.array([1 - truth[a.link_key]["pa"] for a in native])
+    y = np.array([1 - truth[key]["pa"] for key in native.link_key])
     from hiddenpop.features import LabeledDataset
-    model = fit_logistic(LabeledDataset(X=X, y=y,
-                                        row_ids=[a.link_key for a in native]))
+    model = fit_logistic(LabeledDataset(X=X, y=y, row_ids=native.link_key.tolist()))
     elapsed = time.perf_counter() - t0
     meta = json.loads(bundle.meta_path.read_text())
     true_beta = np.array(meta["true_model"]["coefficients"])
@@ -265,7 +263,7 @@ def test_criterion_06_paper_shaped_end_to_end(e2e):
 def test_criterion_07_expansion_correctness(e2e):
     expanded = e2e.expanded_at(0.5)
     assert len(expanded) == e2e.config.n_register
-    assert {e.record.link_key for e in expanded} == set(e2e.truth)
+    assert set(expanded.register.link_key) == set(e2e.truth)
 
     dist = tabulate_population(expanded)
     true_kinds = np.array([t["kind"] for t in e2e.truth.values()])
@@ -278,8 +276,7 @@ def test_criterion_07_expansion_correctness(e2e):
         worst = max(worst, abs(row["pct_of_members"] - true_share))
     assert worst < 3.0
 
-    sizes = [sum(1 for e in e2e.expanded_at(t) if e.delta == 1)
-             for t in (0.3, 0.5, 0.7)]
+    sizes = [int(np.sum(e2e.expanded_at(t).delta == 1)) for t in (0.3, 0.5, 0.7)]
     assert sizes[0] >= sizes[1] >= sizes[2]
     print(f"\nPASS criterion 7: 100% coverage of {len(expanded)} records; "
           f"worst member-share error {worst:.2f} pp (<3); member estimate "
@@ -290,16 +287,18 @@ def test_criterion_08_table5_fixture():
     counts = {0: 30_891, 1: 2_828, 2: 132, 3: 662, 4: 1_869}
     spec = {0: ("IT", "IT", 0), 1: ("IT", "IT", 1), 2: ("IT", "XX", 1),
             3: ("XX", "IT", 1), 4: ("XX", "XX", 1)}
-    records = []
+    records, deltas, kinds = [], [], []
     i = 0
     for kind, n in counts.items():
         bpc, citc, delta = spec[kind]
         for _ in range(n):
-            records.append(ExpandedRecord(
-                make_admin(f"S{i}", birth_country=bpc, citizenship_country=citc),
-                delta, BackgroundKind(kind), "exact"))
+            records.append(make_admin(f"S{i}", birth_country=bpc, citizenship_country=citc))
+            deltas.append(delta)
+            kinds.append(BackgroundKind(kind))
             i += 1
-    table = tabulate_population(records)
+    table = tabulate_population(Expanded(Register.from_records(records), np.array(deltas),
+                                         np.array(kinds), np.zeros(i, dtype=int),
+                                         np.full(i, np.nan)))
     expected = [84.91, 7.77, 0.36, 1.82, 5.14]
     worst = max(abs(row["pct_of_all"] - expected[row["kind"]])
                 for row in table.rows)
@@ -310,8 +309,9 @@ def test_criterion_08_table5_fixture():
 
 def test_criterion_09_bias_report(e2e):
     expanded = e2e.expanded_at(0.5)
-    members = [e for e in expanded if e.delta == 1]
-    sample = [a for a, s in e2e.linked.matched if s.eligible]
+    members = expanded.register.take(np.flatnonzero(expanded.delta == 1))
+    eligible = [s.eligible for s in e2e.linked.survey]
+    sample = e2e.admin.take(e2e.linked.rows[eligible])
     br = bias_report(members, sample, variables=["gender", "department"])
     _pop, _samp, gender_gap = br.variables["gender"]["M"]
     assert -15.0 <= gender_gap <= -9.0  # -12 +- 3 pp

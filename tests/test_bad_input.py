@@ -111,6 +111,13 @@ def config_value_wrong_type(d):
             f"{config}: TypeError: n_register: expected a value like the default")
 
 
+def config_shares_not_100(d):
+    config = d / "config.json"
+    config.write_text(json.dumps({"kind_shares": [84.91, 7.77, 0.36, 1.82, 4.14]}))
+    return (["synth", "--config", str(config), "--out", str(d / "out")],
+            f"error: DataError: {config}: kind_shares must sum to 100, got ")
+
+
 def config_not_json(d):
     config = d / "config.json"
     config.write_text("n_register = 600\n")
@@ -135,7 +142,7 @@ def names_not_utf8(d):
 @pytest.mark.parametrize("corrupt", [
     missing_names, missing_admin, eligible_maybe, pa_observed_x, truncated_model,
     model_without_weights, missing_model_file, misspelt_config_key, config_value_wrong_type,
-    config_not_json, expanded_without_register_columns, names_not_utf8,
+    config_shares_not_100, config_not_json, expanded_without_register_columns, names_not_utf8,
 ])
 def test_bad_input_exits_3_naming_the_file(bundle, tmp_path, capsys, corrupt):
     argv, fragment = corrupt(_case_dir(bundle, tmp_path / "case"))

@@ -6,16 +6,19 @@ import pytest
 from hiddenpop.domain import BackgroundKind
 from hiddenpop.errors import DataError, HiddenPopError, SchemaMismatch
 from hiddenpop.expand import (
-    ExpandedRecord,
+    PROVENANCES,
+    Expanded,
+    Imputations,
     bias_report,
     expand_dataset,
     impute_pa,
     tabulate_population,
 )
 from hiddenpop.features import build_schema
-from hiddenpop.ingest import LinkedDataset, NameFrequencyTable, SurveyRecord
+from hiddenpop.ingest import NameFrequencyTable, Register, SurveyRecord, link
 from hiddenpop.models import fit_logistic
 from hiddenpop.features import LabeledDataset
+from hiddenpop.report import read_expanded_csv, write_expanded_csv
 
 from test_ingest import make_admin
 
@@ -23,33 +26,35 @@ TABLE = NameFrequencyTable({"maria": 100, "giuseppe": 80, "tecla": 2})
 
 
 def fitted_model_and_schema():
-    records = [
+    records = Register.from_records([
         make_admin("T1", given_name="maria", gender="F", years_enrolled=1),
         make_admin("T2", given_name="tecla", gender="M", years_enrolled=4),
         make_admin("T3", given_name="giuseppe", gender="F", years_enrolled=2),
         make_admin("T4", given_name="tecla", gender="M", years_enrolled=5),
-    ]
+    ])
     schema = build_schema(records, TABLE)
     from hiddenpop.features import encode_matrix
     X = encode_matrix(records, schema, TABLE)
     y = np.array([0, 1, 0, 1])
-    data = LabeledDataset(X=X, y=y, row_ids=[r.link_key for r in records])
+    data = LabeledDataset(X=X, y=y, row_ids=records.link_key.tolist())
     return fit_logistic(data), schema
 
 
 def test_impute_targets_only_unlinked_native_records():
     model, schema = fitted_model_and_schema()
-    admin = [
+    admin = Register.from_records([
         make_admin("S1", given_name="maria"),
         make_admin("S2", given_name="tecla", gender="M", years_enrolled=5),
         make_admin("S3", birth_country="XX"),          # outside (1,1)
         make_admin("S4", given_name="maria"),          # linked
-    ]
-    out = impute_pa(model, schema, admin, TABLE, linked_keys={"S4"})
-    assert set(out) == {"S1", "S2"}
-    pa_hat, score = out["S2"]
+    ])
+    out = impute_pa(model, schema, admin, TABLE, linked_rows=[3])
+    assert len(out) == 2
+    by_key = {admin.link_key[r]: (pa, s) for r, pa, s in zip(out.rows, out.pa, out.scores)}
+    assert set(by_key) == {"S1", "S2"}
+    pa_hat, score = by_key["S2"]
     assert score > 0.5 and pa_hat == 0
-    pa_hat, score = out["S1"]
+    pa_hat, score = by_key["S1"]
     assert score <= 0.5 and pa_hat == 1
 
 
@@ -57,44 +62,49 @@ def test_impute_schema_mismatch():
     model, schema = fitted_model_and_schema()
     model.weights = model.weights[:-1]
     with pytest.raises(SchemaMismatch):
-        impute_pa(model, schema, [make_admin("S1")], TABLE)
+        impute_pa(model, schema, Register.from_records([make_admin("S1")]), TABLE)
 
 
 def test_expand_precedence_and_order():
-    admin = [
+    admin = Register.from_records([
         make_admin("S3", birth_country="XX", citizenship_country="XX"),
         make_admin("S2", given_name="tecla"),
         make_admin("S1", given_name="maria"),
-    ]
-    linked = LinkedDataset(
-        matched=[(admin[2], SurveyRecord("S1", True, 0))],
-        unmatched_admin=admin[:2], unmatched_survey=[],
-    )
-    expanded = expand_dataset(admin, linked, {"S2": (1, 0.2)})
-    assert [e.record.link_key for e in expanded] == ["S1", "S2", "S3"]
-    by_key = {e.record.link_key: e for e in expanded}
-    assert by_key["S1"].provenance == "linked"
-    assert by_key["S1"].kind == BackgroundKind.SECOND_GEN_ITALIAN
-    assert by_key["S2"].provenance == "predicted"
-    assert by_key["S2"].kind == BackgroundKind.NO_BACKGROUND
-    assert by_key["S2"].predicted_score == 0.2
-    assert by_key["S3"].provenance == "exact"
-    assert by_key["S3"].kind == BackgroundKind.FOREIGN
+    ])
+    linked = link(admin, [SurveyRecord("S1", True, 0)])
+    expanded = expand_dataset(admin, linked, Imputations(np.array([1]), np.array([1]),
+                                                         np.array([0.2])))
+    assert expanded.register.link_key.tolist() == ["S1", "S2", "S3"]
+    by_key = {k: i for i, k in enumerate(expanded.register.link_key)}
+    provenance = [PROVENANCES[p] for p in expanded.provenance]
+    assert provenance[by_key["S1"]] == "linked"
+    assert expanded.kind[by_key["S1"]] == BackgroundKind.SECOND_GEN_ITALIAN
+    assert provenance[by_key["S2"]] == "predicted"
+    assert expanded.kind[by_key["S2"]] == BackgroundKind.NO_BACKGROUND
+    assert expanded.score[by_key["S2"]] == 0.2
+    assert provenance[by_key["S3"]] == "exact"
+    assert expanded.kind[by_key["S3"]] == BackgroundKind.FOREIGN
 
 
 def test_expand_coverage_gap():
-    admin = [make_admin("S1")]
-    linked = LinkedDataset(matched=[], unmatched_admin=admin, unmatched_survey=[])
+    admin = Register.from_records([make_admin("S1")])
+    none = Imputations(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
     with pytest.raises(HiddenPopError, match="neither a linked nor an imputed pa"):
-        expand_dataset(admin, linked, {})
+        expand_dataset(admin, link(admin, []), none)
 
 
-def test_expanded_record_validation():
-    rec = make_admin("S1")
-    with pytest.raises(ValueError):
-        ExpandedRecord(rec, 0, BackgroundKind.NO_BACKGROUND, "guessed")
-    with pytest.raises(ValueError):
-        ExpandedRecord(rec, 0, BackgroundKind.NO_BACKGROUND, "predicted")
+def test_expanded_record_validation(tmp_path):
+    # an expanded row exists only with a known provenance, and a score if predicted
+    path = tmp_path / "expanded.csv"
+    write_expanded_csv(path, Expanded(Register.from_records([make_admin("S1")]),
+                                      np.array([0]), np.array([0]), np.array([1]),
+                                      np.array([np.nan])))
+    text = path.read_text()
+    for provenance, reason in [("guessed", "bad provenance 'guessed'"),
+                               ("predicted", "predicted record without a score")]:
+        path.write_text(text.replace("linked,", f"{provenance},"))
+        with pytest.raises(DataError, match=f"expanded.csv:2: {reason}"):
+            read_expanded_csv(path)
 
 
 def paper_fixture_records():
@@ -103,17 +113,17 @@ def paper_fixture_records():
         0: ("IT", "IT", 0), 1: ("IT", "IT", 1), 2: ("IT", "XX", 1),
         3: ("XX", "IT", 1), 4: ("XX", "XX", 1),
     }
-    out = []
+    records, deltas, kinds = [], [], []
     i = 0
     for kind, n in counts.items():
         bpc, citc, delta = spec[kind]
         for _ in range(n):
-            out.append(ExpandedRecord(
-                make_admin(f"S{i}", birth_country=bpc, citizenship_country=citc),
-                delta, BackgroundKind(kind), "exact",
-            ))
+            records.append(make_admin(f"S{i}", birth_country=bpc, citizenship_country=citc))
+            deltas.append(delta)
+            kinds.append(kind)
             i += 1
-    return out
+    return Expanded(Register.from_records(records), np.array(deltas), np.array(kinds),
+                    np.zeros(i, dtype=int), np.full(i, np.nan))
 
 
 def test_tabulation_on_paper_counts():
@@ -129,10 +139,10 @@ def test_tabulation_on_paper_counts():
 
 
 def test_bias_report_gaps_and_flags():
-    pop = [ExpandedRecord(make_admin(f"P{i}", gender="F" if i < 60 else "M"),
-                          1, BackgroundKind.SECOND_GEN_ITALIAN, "exact")
-           for i in range(100)]
-    sample = [make_admin(f"Q{i}", gender="F" if i < 9 else "M") for i in range(10)]
+    pop = Register.from_records([make_admin(f"P{i}", gender="F" if i < 60 else "M")
+                                 for i in range(100)])
+    sample = Register.from_records([make_admin(f"Q{i}", gender="F" if i < 9 else "M")
+                                    for i in range(10)])
     report = bias_report(pop, sample, variables=["gender"])
     pop_share, sample_share, gap = report.variables["gender"]["M"]
     assert (pop_share, sample_share, gap) == (40.0, 10.0, -30.0)
@@ -140,14 +150,13 @@ def test_bias_report_gaps_and_flags():
 
 
 def test_bias_report_rejects_stray_sample_levels():
-    pop = [ExpandedRecord(make_admin("P1", department="science"),
-                          1, BackgroundKind.SECOND_GEN_ITALIAN, "exact")]
-    sample = [make_admin("Q1", department="astrology")]
+    pop = Register.from_records([make_admin("P1", department="science")])
+    sample = Register.from_records([make_admin("Q1", department="astrology")])
     with pytest.raises(DataError, match=r"department: sample levels \['astrology'\]"):
         bias_report(pop, sample, variables=["department"])
 
 
 def test_bias_report_unknown_variable():
-    pop = [ExpandedRecord(make_admin("P1"), 1, BackgroundKind.SECOND_GEN_ITALIAN, "exact")]
+    pop = Register.from_records([make_admin("P1")])
     with pytest.raises(DataError, match="unknown shared variable 'shoe_size'"):
-        bias_report(pop, [make_admin("Q1")], variables=["shoe_size"])
+        bias_report(pop, Register.from_records([make_admin("Q1")]), variables=["shoe_size"])

@@ -1,5 +1,7 @@
 """Encoding schema, one-hot/z-score encoding and training-set assembly."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,16 @@ from hiddenpop.features import (
     encode_matrix,
     FeatureSchema,
 )
-from hiddenpop.ingest import LinkedDataset, NameFrequencyTable, SurveyRecord, is_common_name
+from hiddenpop.ingest import NameFrequencyTable, Register, SurveyRecord, is_common_name, link
 
+from register_reference import register_rows
 from test_ingest import make_admin
 
 TABLE = NameFrequencyTable({"maria": 100, "giuseppe": 80, "tecla": 2})
 
 
 def varied_records():
-    return [
+    return Register.from_records([
         make_admin("S1", gender="F", employment="student", course_level="bachelor",
                    given_name="maria", years_enrolled=1, ects_earned=10),
         make_admin("S2", gender="M", employment="worker_student", course_level="master",
@@ -29,7 +32,7 @@ def varied_records():
                    years_enrolled=5, ects_earned=90),
         make_admin("S4", gender="M", employment="not_available", course_level="bachelor",
                    given_name="amira", years_enrolled=2, ects_earned=30),
-    ]
+    ])
 
 
 def test_schema_layout_and_width():
@@ -52,8 +55,8 @@ def test_schema_layout_and_width():
 
 
 def test_schema_drops_degenerate_features():
-    records = [make_admin(f"S{i}", given_name="maria", years_enrolled=2)
-               for i in range(3)]
+    records = Register.from_records([make_admin(f"S{i}", given_name="maria", years_enrolled=2)
+                                     for i in range(3)])
     schema = build_schema(records, TABLE)
     # every categorical single-valued, name flag constant, years constant
     assert "gender" in schema.dropped
@@ -78,7 +81,7 @@ def test_encode_values():
 def test_encode_matrix_matches_per_row_reference(small_inputs, small_training):
     admin, _survey, table, _linked = small_inputs
     schema = FeatureSchema.from_json(small_training[0].to_json())
-    records = admin[:500]
+    records = register_rows(admin)[:500]
     expected = [
         [float(getattr(r, c.source) == c.level) if c.kind == "onehot"
          else float(is_common_name(r.given_name, table)) if c.kind == "binary"
@@ -86,15 +89,16 @@ def test_encode_matrix_matches_per_row_reference(small_inputs, small_training):
          for c in schema.columns]
         for r in records
     ]
-    np.testing.assert_array_equal(encode_matrix(records, schema, table), expected)
+    np.testing.assert_array_equal(encode_matrix(admin.take(np.arange(500)), schema, table),
+                                  expected)
 
 
 def test_encode_unknown_level_falls_back_to_reference():
     records = varied_records()
-    schema = build_schema(records[:2], TABLE)  # only bachelor/master observed
+    schema = build_schema(records.take([0, 1]), TABLE)  # only bachelor/master observed
     before = schema.unknown_level_count
     # records[2] carries two unseen levels: student_worker and bachelor_and_master
-    x = encode_matrix([records[2]], schema, TABLE)[0]
+    x = encode_matrix(records.take([2]), schema, TABLE)[0]
     for group in ("course_level", "employment"):
         assert all(x[i] == 0.0 for i in schema.group_indices(group))
     assert schema.unknown_level_count == before + 2
@@ -105,33 +109,32 @@ def test_schema_json_round_trip():
     again = FeatureSchema.from_json(schema.to_json())
     assert again.names == schema.names
     assert again.name_rule == schema.name_rule
-    x0 = encode_matrix([varied_records()[0]], schema, TABLE)[0]
-    x1 = encode_matrix([varied_records()[0]], again, TABLE)[0]
+    x0 = encode_matrix(varied_records().take([0]), schema, TABLE)[0]
+    x1 = encode_matrix(varied_records().take([0]), again, TABLE)[0]
     np.testing.assert_array_equal(x0, x1)
 
 
 def test_assemble_training_set_filters_and_labels():
-    records = varied_records()
+    records = register_rows(varied_records())
     # S4 is outside the (1,1) stratum and must be skipped
     records[3] = make_admin("S4", gender="M", birth_country="XX",
                             employment="not_available", given_name="amira")
-    pairs = [
-        (records[0], SurveyRecord("S1", True, 1)),
-        (records[1], SurveyRecord("S2", True, 0)),
-        (records[2], SurveyRecord("S3", False, 1)),
-        (records[3], SurveyRecord("S4", True, 0)),
-    ]
-    linked = LinkedDataset(matched=pairs, unmatched_admin=[], unmatched_survey=[])
-    schema = build_schema(records[:3], TABLE)
+    records = Register.from_records(records)
+    linked = link(records, [
+        SurveyRecord("S1", True, 1),
+        SurveyRecord("S2", True, 0),
+        SurveyRecord("S3", False, 1),
+        SurveyRecord("S4", True, 0),
+    ])
+    schema = build_schema(records.take([0, 1, 2]), TABLE)
     data = assemble_training_set(linked, schema, TABLE)
     assert data.row_ids == ["S1", "S2", "S3"]
     np.testing.assert_array_equal(data.y, [0, 1, 0])  # positive class is pa=0
 
 
 def test_assemble_training_set_requires_both_classes():
-    records = varied_records()[:2]
-    pairs = [(r, SurveyRecord(r.link_key, True, 0)) for r in records]
-    linked = LinkedDataset(matched=pairs, unmatched_admin=[], unmatched_survey=[])
+    records = varied_records().take([0, 1])
+    linked = link(records, [SurveyRecord(k, True, 0) for k in records.link_key])
     schema = build_schema(records, TABLE)
     with pytest.raises(DataError, match="training labels are all 1"):
         assemble_training_set(linked, schema, TABLE)
@@ -151,3 +154,10 @@ def test_small_training_set_has_exact_class_split(small_training):
     assert len(data.y) == 714
     assert int(data.y.sum()) == 312          # eligible natives, pa=0
     assert int((data.y == 0).sum()) == 402   # screened-out, pa=1
+
+
+def test_schema_accepts_only_a_null_top_k():
+    payload = json.loads(build_schema(varied_records(), TABLE).to_json())
+    payload["name_rule"]["top_k"] = 2
+    with pytest.raises(ValueError, match="bad name rule"):
+        FeatureSchema.from_json(json.dumps(payload))

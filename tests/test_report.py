@@ -10,7 +10,9 @@ import hiddenpop.models.io
 from hiddenpop.domain import BackgroundKind
 from hiddenpop.errors import DataError
 from hiddenpop.eval import evaluate, roc
-from hiddenpop.expand import ExpandedRecord, tabulate_population
+from hiddenpop.expand import PROVENANCES, Expanded, tabulate_population
+from hiddenpop.ingest import Register
+from hiddenpop.expand import expand_dataset, impute_pa
 from hiddenpop.models.io import load_model, save_model
 from hiddenpop.models import fit_logistic, fit_forest
 from hiddenpop.report import (
@@ -22,7 +24,15 @@ from hiddenpop.report import (
     write_roc_csv,
 )
 
+from register_reference import register_rows
 from test_ingest import make_admin
+
+
+def expanded_of(records, deltas, kinds, provenances, scores):
+    """An Expanded from per-row facts, as expand_dataset would hold them."""
+    return Expanded(Register.from_records(records), np.array(deltas), np.array(kinds),
+                    np.array([PROVENANCES.index(p) for p in provenances]),
+                    np.array([np.nan if s is None else s for s in scores]))
 
 
 def test_metrics_csv_undefined_literal(tmp_path):
@@ -80,22 +90,40 @@ def test_atomic_write_gets_plain_open_mode(tmp_path):
 
 
 def test_expanded_register_round_trip(tmp_path):
-    expanded = [
-        ExpandedRecord(make_admin("S1"), 0, BackgroundKind.NO_BACKGROUND, "linked"),
-        ExpandedRecord(make_admin("S2", birth_country="XX", citizenship_country="XX"),
-                       1, BackgroundKind.FOREIGN, "exact"),
-        ExpandedRecord(make_admin("S3"), 1, BackgroundKind.SECOND_GEN_ITALIAN,
-                       "predicted", predicted_score=0.734211),
-    ]
+    expanded = expanded_of(
+        [make_admin("S1"), make_admin("S2", birth_country="XX", citizenship_country="XX"),
+         make_admin("S3")],
+        [0, 1, 1],
+        [BackgroundKind.NO_BACKGROUND, BackgroundKind.FOREIGN,
+         BackgroundKind.SECOND_GEN_ITALIAN],
+        ["linked", "exact", "predicted"], [None, None, 0.734211])
     path = tmp_path / "expanded.csv"
     write_expanded_csv(path, expanded)
     again = read_expanded_csv(path)
-    assert [e.record for e in again] == [e.record for e in expanded]
-    assert [e.kind for e in again] == [e.kind for e in expanded]
-    assert [e.provenance for e in again] == [e.provenance for e in expanded]
-    assert abs(again[2].predicted_score - 0.734211) < 1e-9
+    assert register_rows(again.register) == register_rows(expanded.register)
+    assert again.kind.tolist() == expanded.kind.tolist()
+    assert again.provenance.tolist() == expanded.provenance.tolist()
+    assert abs(again.score[2] - 0.734211) < 1e-9
     table = tabulate_population(again)
     assert table.n_members == 2
+
+
+def test_expanded_register_round_trip_on_a_register(tmp_path, small_inputs, small_training):
+    admin, _survey, table, linked = small_inputs
+    schema, data = small_training
+    imputations = impute_pa(fit_logistic(data), schema, admin, table, linked_rows=linked.rows)
+    expanded = expand_dataset(admin, linked, imputations)
+    path = tmp_path / "expanded.csv"
+    write_expanded_csv(path, expanded)
+    again = read_expanded_csv(path)
+    assert register_rows(again.register) == register_rows(expanded.register)
+    for column in ("delta", "kind", "provenance"):
+        assert getattr(again, column).tolist() == getattr(expanded, column).tolist()
+    predicted = expanded.provenance == PROVENANCES.index("predicted")
+    assert np.isnan(again.score[~predicted]).all()
+    np.testing.assert_allclose(again.score[predicted], expanded.score[predicted], atol=5e-7)
+    write_expanded_csv(tmp_path / "again.csv", again)
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("row, reason", [
@@ -106,13 +134,28 @@ def test_expanded_register_round_trip(tmp_path):
 ])
 def test_expanded_register_rejects_rows_the_domain_forbids(tmp_path, row, reason):
     path = tmp_path / "expanded.csv"
-    write_expanded_csv(path, [
-        ExpandedRecord(make_admin("S1"), 0, BackgroundKind.NO_BACKGROUND, "linked"),
-        ExpandedRecord(make_admin("S2"), 1, BackgroundKind.SECOND_GEN_ITALIAN, "linked"),
-    ])
+    write_expanded_csv(path, expanded_of(
+        [make_admin("S1"), make_admin("S2")], [0, 1],
+        [BackgroundKind.NO_BACKGROUND, BackgroundKind.SECOND_GEN_ITALIAN],
+        ["linked", "linked"], [None, None]))
     text = path.read_text().replace("1,1,linked", row)
     path.write_text(text)
     with pytest.raises(DataError, match=f"expanded.csv:3: .*{reason}"):
+        read_expanded_csv(path)
+
+
+def test_expanded_register_names_the_first_unreadable_line(tmp_path):
+    path = tmp_path / "expanded.csv"
+    write_expanded_csv(path, expanded_of(
+        [make_admin("S1"), make_admin("S2", ects_earned=7), make_admin("S3")], [0, 1, 1],
+        [BackgroundKind.NO_BACKGROUND] + [BackgroundKind.SECOND_GEN_ITALIAN] * 2,
+        ["linked", "predicted", "predicted"], [None, 0.9, 0.8]))
+    text = path.read_text()
+    path.write_text(text.replace("0.800000", "high"))
+    with pytest.raises(DataError, match="expanded.csv:4: could not convert string to float"):
+        read_expanded_csv(path)
+    path.write_text(text.replace("0.800000", "high").replace(",7,", ",seven,"))
+    with pytest.raises(DataError, match="expanded.csv:3: invalid literal for int"):
         read_expanded_csv(path)
 
 
@@ -122,11 +165,15 @@ def test_failed_model_save_leaves_old_file(tmp_path, small_training, monkeypatch
     save_model(path, fit_logistic(data), schema)
     before = path.read_bytes()
 
-    def dump_then_fail(payload, f, **kwargs):
-        f.write('{"format_version": ')
+    dumps = hiddenpop.models.io.json.dumps
+
+    def dumps_then_fail(payload, **kwargs):
+        # fail on the model payload, inside the write, after the schema is encoded
+        if "format_version" not in payload:
+            return dumps(payload, **kwargs)
         raise OSError("disk full")
 
-    monkeypatch.setattr(hiddenpop.models.io.json, "dump", dump_then_fail)
+    monkeypatch.setattr(hiddenpop.models.io.json, "dumps", dumps_then_fail)
     with pytest.raises(OSError, match="disk full"):
         save_model(path, fit_logistic(data), schema)
     assert path.read_bytes() == before

@@ -68,9 +68,9 @@ def test_truth_consistency(small_bundle, small_inputs):
     truth = load_truth(small_bundle.truth_path)
     assert len(truth) == len(admin)
     kind_to_bpcit = {0: (1, 1), 1: (1, 1), 2: (1, 0), 3: (0, 1), 4: (0, 0)}
-    for rec in admin:
-        t = truth[rec.link_key]
-        assert (rec.bp, rec.cit) == kind_to_bpcit[t["kind"]]
+    for key, bp, cit in zip(admin.link_key, admin.bp, admin.cit):
+        t = truth[key]
+        assert (bp, cit) == kind_to_bpcit[t["kind"]]
         if t["kind"] == 0:
             assert t["pa"] == 1
         elif t["kind"] == 1:
@@ -89,19 +89,19 @@ def test_survey_counts_exact(small_inputs):
     screened = [s for s in survey if not s.eligible]
     assert len(screened) == cfg.n_screened_out
     assert len(eligible) == cfg.n_survey_native + cfg.n_survey_migrant
-    by_key = {a.link_key: a for a in admin}
-    native = [s for s in eligible if by_key[s.link_key].bp == 1
-              and by_key[s.link_key].cit == 1]
+    row_of = {key: i for i, key in enumerate(admin.link_key)}
+    native = [s for s in eligible if admin.bp[row_of[s.link_key]] == 1
+              and admin.cit[row_of[s.link_key]] == 1]
     assert len(native) == cfg.n_survey_native
 
 
 def test_marginals_near_config(small_inputs):
     admin, _survey, _table, _linked = small_inputs
     cfg = small_config()
-    male = np.mean([a.gender == "M" for a in admin]) * 100
+    male = np.mean(admin.column("gender") == "M") * 100
     assert abs(male - cfg.male_share) < 2.5
     for level, share in cfg.department_shares.items():
-        observed = np.mean([a.department == level for a in admin]) * 100
+        observed = np.mean(admin.column("department") == level) * 100
         assert abs(observed - share) < 2.5
 
 
@@ -116,8 +116,9 @@ def test_kind_shares_near_config(small_bundle):
 
 def test_name_flag_consistent_with_table(small_inputs):
     admin, _survey, table, _linked = small_inputs
-    natives = [a for a in admin if a.bp == 1 and a.cit == 1]
-    share = np.mean([is_common_name(a.given_name, table) for a in natives]) * 100
+    natives = admin.take(np.flatnonzero((admin.bp == 1) & (admin.cit == 1)))
+    share = np.mean([is_common_name(name, table)
+                     for name in natives.column("given_name")]) * 100
     cfg = small_config()
     assert abs(share - cfg.common_name_share_native) < 2.0
 
@@ -132,7 +133,7 @@ def test_meta_records_true_model(small_bundle):
 def test_generating_design_matches_signal_columns(small_inputs):
     admin, _survey, table, _linked = small_inputs
     cfg = small_config()
-    X = generating_design(admin[:50], table, cfg)
+    X = generating_design(admin.take(np.arange(50)), table, cfg)
     assert X.shape == (50, len(SIGNAL_COLUMNS))
     # the generating model uses every column of the feature layout, in order
     full = feature_layout({"years_enrolled": (0.0, 1.0), "ects_earned": (0.0, 1.0)})
