@@ -137,9 +137,7 @@ def cmd_synth(args) -> int:
     if args.n_register:
         config.n_register = args.n_register
     out = Path(args.out)
-    bundle = generate(config, out)
-    outputs = [bundle.admin_path, bundle.survey_path, bundle.screened_out_path,
-               bundle.name_table_path, bundle.truth_path, bundle.meta_path]
+    outputs = list(vars(generate(config, out)).values())
     write_manifest(out, "synth", json.loads(config.to_json()), config.seed, [], outputs)
     print(f"synthetic bundle written to {out}")
     return 0
@@ -175,9 +173,7 @@ def _train_stage(inputs, out, *, model_kind, seed, ratio, k, threshold, n_trees)
     schema = build_schema(admin.take(train_rows), table)
     data = assemble_training_set(linked, schema, table)
     train, val = split_train_validate(data, ratio=ratio, seed=seed)
-    outputs = []
-    reports = {}
-    models = {}
+    outputs, reports, models = [], {}, {}
 
     schema_path = out / "schema.json"
     with atomic_open(schema_path) as f:
@@ -353,10 +349,7 @@ def cmd_pipeline(args) -> int:
         config = _synth_config(args)
         seed = config.seed
         data_dir = out / "data"
-        bundle = generate(config, data_dir)
-        all_outputs += [bundle.admin_path, bundle.survey_path,
-                        bundle.screened_out_path, bundle.name_table_path,
-                        bundle.truth_path, bundle.meta_path]
+        all_outputs += vars(generate(config, data_dir)).values()
 
     inputs = _load_inputs(data_dir)
     train_out = out / "train"

@@ -72,18 +72,9 @@ def metrics_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
     else:
         f1 = 2 * precision * tpr / (precision + tpr)
     # chance agreement from the marginal products
-    p_e = (
-        (cm.tp + cm.fp) * (cm.tp + cm.fn) + (cm.fn + cm.tn) * (cm.fp + cm.tn)
-    ) / (total * total)
+    p_e = ((cm.tp + cm.fp) * (cm.tp + cm.fn) + (cm.fn + cm.tn) * (cm.fp + cm.tn)) / total**2
     kappa = (accuracy - p_e) / (1.0 - p_e) if p_e < 1.0 else None
-    return MetricsReport(
-        accuracy=accuracy,
-        precision=precision,
-        true_positive_rate=tpr,
-        f1=f1,
-        kappa=kappa,
-        confusion=cm,
-    )
+    return MetricsReport(accuracy, precision, tpr, f1, kappa, cm)
 
 
 def evaluate(scores, labels, threshold: float = 0.5) -> MetricsReport:
@@ -135,20 +126,15 @@ def roc(scores, labels) -> RocCurve:
 
 def _subset(data: LabeledDataset, idx) -> LabeledDataset:
     idx = np.asarray(idx, dtype=int)
-    return LabeledDataset(
-        X=data.X[idx], y=data.y[idx], row_ids=[data.row_ids[i] for i in idx]
-    )
+    return LabeledDataset(X=data.X[idx], y=data.y[idx], row_ids=[data.row_ids[i] for i in idx])
 
 
 def _stratified_allocation(class_sizes, n_take, ratio):
     """Per-class train counts: floor of ratio*n_c, largest remainder to reach n_take."""
     ideal = [ratio * n_c for n_c in class_sizes]
     take = [int(np.floor(v)) for v in ideal]
-    remainders = sorted(
-        range(len(class_sizes)), key=lambda c: ideal[c] - take[c], reverse=True
-    )
-    short = n_take - sum(take)
-    for c in remainders[:short]:
+    remainders = sorted(range(len(class_sizes)), key=lambda c: ideal[c] - take[c], reverse=True)
+    for c in remainders[:n_take - sum(take)]:
         take[c] += 1
     return take
 
@@ -227,7 +213,4 @@ def kfold_cv(data: LabeledDataset, trainer, k: int = 10, seed: int = 0,
         sd[name] = float(np.std(defined, ddof=0)) if defined else None
     if any(undefined.values()):
         log.warning("CV aggregation skipped undefined metrics: %s", undefined)
-    return CvResult(
-        fold_reports=reports, mean=mean, sd=sd,
-        undefined_counts=undefined, seed=seed, folds=folds,
-    )
+    return CvResult(reports, mean, sd, undefined, seed=seed, folds=folds)

@@ -87,15 +87,8 @@ def predict_scores(model, X: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def impute_pa(
-    model,
-    schema: FeatureSchema,
-    admin: Register,
-    name_table: NameFrequencyTable,
-    *,
-    linked_rows=(),
-    threshold: float = 0.5,
-) -> Imputations:
+def impute_pa(model, schema: FeatureSchema, admin: Register, name_table: NameFrequencyTable,
+              *, linked_rows=(), threshold: float = 0.5) -> Imputations:
     """Score every (bp,cit)=(1,1) register row outside linked_rows.
 
     The score is the model's P(pa=0) under the case-control training mix, not
@@ -119,11 +112,7 @@ def impute_pa(
     return Imputations(rows, pa, scores)
 
 
-def expand_dataset(
-    admin: Register,
-    linked: LinkedDataset,
-    imputations: Imputations,
-) -> Expanded:
+def expand_dataset(admin: Register, linked: LinkedDataset, imputations: Imputations) -> Expanded:
     """Every register row with its membership, ordered by link_key.
 
     Precedence: register indicators settle everything outside (1,1); inside
@@ -135,12 +124,9 @@ def expand_dataset(
     pa = np.full(len(admin), PA_UNOBSERVED, dtype=np.int8)
     provenance = np.full(len(admin), _PREDICTED, dtype=np.int8)
     score = np.full(len(admin), np.nan)
-    pa[imputations.rows] = imputations.pa
-    score[imputations.rows] = imputations.scores
-    pa[linked.rows] = [s.pa_observed for s in linked.survey]
-    provenance[linked.rows] = _LINKED
-    pa[~inside] = PA_UNOBSERVED
-    provenance[~inside] = _EXACT
+    pa[imputations.rows], score[imputations.rows] = imputations.pa, imputations.scores
+    pa[linked.rows], provenance[linked.rows] = [s.pa_observed for s in linked.survey], _LINKED
+    pa[~inside], provenance[~inside] = PA_UNOBSERVED, _EXACT
     score[provenance != _PREDICTED] = np.nan
     order = np.argsort(admin.link_key, kind="stable")
     delta, kind = MEMBERSHIP[bp[order], cit[order], pa[order]].T
@@ -167,18 +153,11 @@ def tabulate_population(expanded: Expanded) -> DistributionTable:
     n_members = n_total - counts[BackgroundKind.NO_BACKGROUND]
     rows = []
     for kind in BackgroundKind:
-        count = counts[kind]
+        count, member = counts[kind], kind != BackgroundKind.NO_BACKGROUND
         rows.append({
-            "delta": int(kind != BackgroundKind.NO_BACKGROUND),
-            "kind": int(kind),
-            "label": KIND_LABELS[kind],
-            "count": count,
+            "delta": int(member), "kind": int(kind), "label": KIND_LABELS[kind], "count": count,
             "pct_of_all": 100.0 * count / n_total if n_total else 0.0,
-            "pct_of_members": (
-                100.0 * count / n_members
-                if kind != BackgroundKind.NO_BACKGROUND and n_members
-                else None
-            ),
+            "pct_of_members": 100.0 * count / n_members if member and n_members else None,
         })
     return DistributionTable(rows=rows, n_total=n_total, n_members=n_members)
 
@@ -215,13 +194,8 @@ def _shares(register: Register, variable: str) -> dict:
     return {lvl: 100.0 * c / len(codes) for lvl, c in zip(levels, counts) if c}
 
 
-def bias_report(
-    population: Register,
-    sample: Register,
-    variables: list[str],
-    *,
-    alert_threshold: float = 5.0,
-) -> BiasReport:
+def bias_report(population: Register, sample: Register, variables: list[str], *,
+                alert_threshold: float = 5.0) -> BiasReport:
     """Compare the full member population with the opt-in sample.
 
     gap = sample share - population share, in percentage points; descriptive
@@ -229,8 +203,7 @@ def bias_report(
     """
     if not len(population) or not len(sample):
         raise DataError("both population and sample must be nonempty")
-    out = {}
-    flagged = []
+    out, flagged = {}, []
     for var in variables:
         if var not in SHARED_VARIABLES:
             raise DataError(f"unknown shared variable {var!r}")
@@ -241,8 +214,7 @@ def bias_report(
             raise DataError(f"{var}: sample levels {sorted(stray)} absent from population")
         table = {}
         for lvl in sorted(pop):
-            p = pop[lvl]
-            s = sample_shares.get(lvl, 0.0)
+            p, s = pop[lvl], sample_shares.get(lvl, 0.0)
             gap = s - p
             table[lvl] = (p, s, gap)
             if abs(gap) >= alert_threshold:

@@ -71,11 +71,7 @@ class FeatureSchema:
     @property
     def groups(self) -> list:
         """Distinct column groups in order; unit of grouped permutation."""
-        seen = []
-        for c in self.columns:
-            if c.group not in seen:
-                seen.append(c.group)
-        return seen
+        return list(dict.fromkeys(c.group for c in self.columns))
 
     def group_indices(self, group: str) -> list:
         return [i for i, c in enumerate(self.columns) if c.group == group]
@@ -106,12 +102,7 @@ class FeatureSchema:
                 or not isinstance(name_rule["min_count"], int)
                 or name_rule["top_k"] is not None):
             raise ValueError(f"bad name rule {name_rule!r}")
-        return cls(
-            columns=columns,
-            dropped=payload.get("dropped", []),
-            name_rule=name_rule,
-            version=payload["version"],
-        )
+        return cls(columns, payload.get("dropped", []), name_rule, payload["version"])
 
 
 @dataclass
@@ -218,22 +209,16 @@ def encode_columns(values: dict, schema: FeatureSchema) -> np.ndarray:
     return X
 
 
-def encode_matrix(
-    register: Register,
-    schema: FeatureSchema,
-    name_table: NameFrequencyTable,
-) -> np.ndarray:
+def encode_matrix(register: Register, schema: FeatureSchema,
+                  name_table: NameFrequencyTable) -> np.ndarray:
     """Encode the register's rows into the schema's column order, one row each."""
     if not len(register):
         return np.empty((0, schema.width))
     return encode_columns(_source_values(register, name_table, schema.name_rule), schema)
 
 
-def assemble_training_set(
-    linked: LinkedDataset,
-    schema: FeatureSchema,
-    name_table: NameFrequencyTable,
-) -> LabeledDataset:
+def assemble_training_set(linked: LinkedDataset, schema: FeatureSchema,
+                          name_table: NameFrequencyTable) -> LabeledDataset:
     """Training rows: linked students with bp=cit=1, labeled 1 iff pa_observed=0.
 
     Only in the (bp,cit)=(1,1) stratum does pa carry information; everywhere

@@ -174,20 +174,17 @@ class Coder(dict):
 
     def __init__(self, standardize=None):
         super().__init__()
-        self.standardize = standardize
-        self.levels = []
-        self._code_of = {}
+        self.standardize, self.levels, self._code_of = standardize, [], {}
 
     def __missing__(self, raw):
         try:
             level = raw if self.standardize is None else self.standardize(raw)
         except ValueError:
-            code = -1
-        else:
-            code = self._code_of.setdefault(level, len(self.levels))
-            if code == len(self.levels):
-                self.levels.append(level)
-        self[raw] = code
+            self[raw] = -1
+            return -1
+        self[raw] = code = self._code_of.setdefault(level, len(self.levels))
+        if code == len(self.levels):
+            self.levels.append(level)
         return code
 
     def code(self, values) -> np.ndarray:
@@ -219,11 +216,6 @@ class Register:
                    {c: coder.levels for c, coder in coders.items()})
 
     @classmethod
-    def from_records(cls, records) -> "Register":
-        """A register from objects with one attribute per admin column."""
-        return cls.from_columns({c: [getattr(r, c) for r in records] for c in ADMIN_COLUMNS})
-
-    @classmethod
     def concat(cls, parts, levels) -> "Register":
         """The rows of parts, which share these level lists, one after another."""
         return cls(np.concatenate([np.empty(0, dtype=object)] + [p.link_key for p in parts]),
@@ -243,15 +235,9 @@ class Register:
         return np.array([lvl == ITALY for lvl in self.levels[name]], dtype=np.int8)[
             self.codes[name]]
 
-    @property
-    def bp(self) -> np.ndarray:
-        """Born in Italy, 0/1 per row."""
-        return self._is_italy("birth_country")
-
-    @property
-    def cit(self) -> np.ndarray:
-        """Italian citizenship, 0/1 per row."""
-        return self._is_italy("citizenship_country")
+    bp = property(lambda self: self._is_italy("birth_country"), doc="Born in Italy, 0/1 per row.")
+    cit = property(lambda self: self._is_italy("citizenship_country"),
+                   doc="Italian citizenship, 0/1 per row.")
 
     def cell_blocks(self):
         """Yield BLOCK_ROWS rows at a time as one sequence of CSV cells per admin column."""
@@ -409,7 +395,7 @@ def parse_admin(path) -> Register:
                 raise DataError(f"{path}:{lineno}: link_key {key!r} already on line {seen[key]}")
             seen[key] = lineno
 
-    try:
+    try:  # a repeated key before a read failure is reported first
         for header, block_lines, rows in read_blocks(path, ADMIN_COLUMNS):
             columns = dict(zip(header, zip(*rows)))  # a repeated name reads its last column
             part = Register(np.array(list(map(str.strip, columns["link_key"])), dtype=object),
@@ -425,10 +411,8 @@ def parse_admin(path) -> Register:
             good = np.flatnonzero(~bad)
             parts.append(part.take(good))
             lines.append(np.array(block_lines)[good])
-    except DataError:
-        check_keys()  # a repeated key before the failure is reported first
-        raise
-    check_keys()
+    finally:
+        check_keys()
     register = Register.concat(parts, levels)
     total = len(register) + len(rejects)
     if rejects:

@@ -15,6 +15,13 @@ from .logistic import LogisticModel
 FORMAT_VERSION = 1
 
 _MODEL_TYPES = {LogisticModel: "logistic", ForestModel: "forest"}
+# the saved fields of each model, in the order load_model reads them, besides a forest's trees
+_FIELDS = {
+    LogisticModel: ("intercept", "weights", "ridge_lambda", "converged", "iterations",
+                    "max_abs_gradient"),
+    ForestModel: ("n_trees", "mtry", "min_leaf", "max_depth", "seed", "n_features", "oob_error"),
+}
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
 
 
 def model_type(model) -> str:
@@ -25,25 +32,10 @@ def model_type(model) -> str:
         raise TypeError(f"unsupported model type {type(model).__name__}") from None
 
 
-def _tree_to_dict(tree: DecisionTree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "counts": tree.counts.tolist(),
-    }
-
-
 def _tree_from_dict(d: dict, n_features: int) -> DecisionTree:
     """A saved tree, checked so that every walk from the root ends at a leaf."""
-    tree = DecisionTree(
-        feature=np.array(d["feature"], dtype=np.intp),
-        threshold=np.array(d["threshold"], dtype=float),
-        left=np.array(d["left"], dtype=np.intp),
-        right=np.array(d["right"], dtype=np.intp),
-        counts=np.array(d["counts"], dtype=np.int64),
-    )
+    tree = DecisionTree(*(np.array(d[a], dtype=t) for a, t in zip(
+        _TREE_ARRAYS, (np.intp, float, np.intp, np.intp, np.int64))))
     n = tree.feature.size
     if n < 1 or any(a.shape != (n,) for a in (tree.feature, tree.threshold, tree.left, tree.right)):
         raise ValueError("feature, threshold, left and right must be lists of one equal length >= 1")
@@ -64,26 +56,12 @@ def save_model(path, model, schema: FeatureSchema):
         "schema": json.loads(schema.to_json()),
         "model_type": model_type(model),
     }
+    payload["model"] = {name: getattr(model, name) for name in _FIELDS[type(model)]}
     if isinstance(model, LogisticModel):
-        payload["model"] = {
-            "intercept": model.intercept,
-            "weights": model.weights.tolist(),
-            "ridge_lambda": model.ridge_lambda,
-            "converged": model.converged,
-            "iterations": model.iterations,
-            "max_abs_gradient": model.max_abs_gradient,
-        }
+        payload["model"]["weights"] = model.weights.tolist()
     else:
-        payload["model"] = {
-            "n_trees": model.n_trees,
-            "mtry": model.mtry,
-            "min_leaf": model.min_leaf,
-            "max_depth": model.max_depth,
-            "seed": model.seed,
-            "n_features": model.n_features,
-            "oob_error": model.oob_error,
-            "trees": [_tree_to_dict(t) for t in model.trees],
-        }
+        payload["model"]["trees"] = [{a: getattr(t, a).tolist() for a in _TREE_ARRAYS}
+                                     for t in model.trees]
     with atomic_open(path) as f:
         # json.dumps runs the C encoder; json.dump would stream through the Python one
         f.write(json.dumps(payload, sort_keys=True))
@@ -100,28 +78,16 @@ def load_model(path):
         schema = FeatureSchema.from_json(json.dumps(payload["schema"]))
         m = payload["model"]
         if payload["model_type"] == "logistic":
-            model = LogisticModel(
-                intercept=float(m["intercept"]),
-                weights=np.array(m["weights"], dtype=float),
-                ridge_lambda=m["ridge_lambda"],
-                converged=m["converged"],
-                iterations=m["iterations"],
-                max_abs_gradient=m["max_abs_gradient"],
-            )
+            model = LogisticModel(**{name: m[name] for name in _FIELDS[LogisticModel]})
+            model.intercept = float(model.intercept)
+            model.weights = np.array(model.weights, dtype=float)
             if model.weights.ndim != 1:
                 raise ValueError("weights must be a list of numbers")
         elif payload["model_type"] == "forest":
             n_features = int(m["n_features"])
-            model = ForestModel(
-                trees=[_tree_from_dict(t, n_features) for t in m["trees"]],
-                n_trees=int(m["n_trees"]),
-                mtry=m["mtry"],
-                min_leaf=m["min_leaf"],
-                max_depth=m["max_depth"],
-                seed=m["seed"],
-                n_features=n_features,
-                oob_error=m["oob_error"],
-            )
+            model = ForestModel(trees=[_tree_from_dict(t, n_features) for t in m["trees"]],
+                                **{name: m[name] for name in _FIELDS[ForestModel]})
+            model.n_trees, model.n_features = int(model.n_trees), n_features
             if not 1 <= model.n_trees == len(model.trees):
                 raise ValueError(f"n_trees is {model.n_trees} but the file holds "
                                  f"{len(model.trees)} trees")

@@ -85,25 +85,14 @@ def fit_logistic(
             break
         except np.linalg.LinAlgError:
             if lam * 10 > _LAMBDA_CEILING:
-                raise HiddenPopError(
-                    f"Newton system singular even at ridge {lam:g}"
-                ) from None
+                raise HiddenPopError(f"Newton system singular even at ridge {lam:g}") from None
             lam *= 10
             log.warning("singular IRLS system; escalating ridge to %g", lam)
 
     converged = bool(gmax < tol)
     if not converged:
-        log.warning(
-            "IRLS stopped at max_iter=%d with max|gradient|=%.3e", max_iter, gmax
-        )
-    return LogisticModel(
-        intercept=float(beta[0]),
-        weights=beta[1:].copy(),
-        ridge_lambda=lam,
-        converged=converged,
-        iterations=iters,
-        max_abs_gradient=float(gmax),
-    )
+        log.warning("IRLS stopped at max_iter=%d with max|gradient|=%.3e", max_iter, gmax)
+    return LogisticModel(float(beta[0]), beta[1:].copy(), lam, converged, iters, float(gmax))
 
 
 def _newton(X1, y, lam, tol, max_iter):

@@ -18,7 +18,7 @@ from .eval import CvResult, MetricsReport, RocCurve, METRIC_NAMES
 from .expand import (
     MEMBERSHIP, PA_UNOBSERVED, PROVENANCES, BiasReport, DistributionTable, Expanded,
 )
-from .ingest import ADMIN_COLUMNS, BLOCK_ROWS, ITALY, Coder, Register, atomic_open, read_blocks
+from .ingest import ADMIN_COLUMNS, BLOCK_ROWS, ITALY, Coder, Register, atomic_open, read_csv
 from .models import ImportanceReport
 
 
@@ -152,10 +152,11 @@ def write_expanded_csv(path, expanded: Expanded):
 _INT_FIELDS = ("enrollment_year", "years_enrolled", "ects_earned")
 
 
-def _membership(bp, cit, delta, kind, provenance, score) -> tuple:
-    """(delta, kind, provenance index) of one written row; ValueError unless allowed."""
-    bg = MigrantBackground(int(delta), BackgroundKind(int(kind)))
-    found = [bg.delta, int(bg.kind)]
+def _membership(row: dict) -> tuple:
+    """(delta, kind, provenance index, score) of one written row; ValueError unless allowed."""
+    bp, cit = int(row["birth_country"] == ITALY), int(row["citizenship_country"] == ITALY)
+    bg = MigrantBackground(int(row["delta"]), BackgroundKind(int(row["kind"])))
+    found, provenance, score = [bg.delta, int(bg.kind)], row["provenance"], row["predicted_score"]
     inside = (bp, cit) == (1, 1)  # pa observed or imputed; outside, the register decides
     if (provenance == "exact") == inside or found not in MEMBERSHIP[
             bp, cit, [0, 1] if inside else [PA_UNOBSERVED]].tolist():
@@ -163,60 +164,33 @@ def _membership(bp, cit, delta, kind, provenance, score) -> tuple:
             f"delta={bg.delta} kind={int(bg.kind)} provenance={provenance!r} is not "
             f"allowed for bp={bp} cit={cit}"
         )
-    if score:
-        float(score)
+    value = float(score) if score else np.nan
     if provenance not in PROVENANCES:
         raise ValueError(f"bad provenance {provenance!r}")
     if provenance == "predicted" and not score:
         raise ValueError("predicted record without a score")
-    return (*found, PROVENANCES.index(provenance))
-
-
-def _row_error(row: dict) -> str | None:
-    """Why a written row cannot be read back: its first failing check."""
-    try:
-        for c in _INT_FIELDS:
-            int(row[c])
-        _membership(int(row["birth_country"] == ITALY), int(row["citizenship_country"] == ITALY),
-                    row["delta"], row["kind"], row["provenance"], row["predicted_score"])
-    except ValueError as exc:
-        return str(exc)
+    return (*found, PROVENANCES.index(provenance), value)
 
 
 def read_expanded_csv(path) -> Expanded:
-    """Read write_expanded_csv's output; a row the domain forbids raises DataError.
-
-    Each distinct (bp, cit, delta, kind, provenance, score present) is checked
-    once; the first bad row is named by its line.
-    """
+    """Read write_expanded_csv's output; a row the domain forbids raises DataError."""
     coders = {c: Coder(int if c in _INT_FIELDS else None) for c in ADMIN_COLUMNS[1:]}
-    levels = {c: coder.levels for c, coder in coders.items()}
-    membership = Coder(lambda key: _membership(*key))
-    parts, found, scores = [], [np.empty(0, dtype=np.int32)], [np.empty(0)]
-    for header, lines, rows in read_blocks(path, _EXPANDED_COLUMNS):
-        columns = dict(zip(header, zip(*rows)))
-        part = Register(np.array(columns["link_key"], dtype=object),
-                        {c: coder.code(columns[c]) for c, coder in coders.items()}, levels)
-        combos = membership.code(list(zip(
-            part.bp.tolist(), part.cit.tolist(), columns["delta"], columns["kind"],
-            columns["provenance"], ["0" if s else "" for s in columns["predicted_score"]])))
+    keys, codes, found = [], [], []
+    for lineno, row in read_csv(path, _EXPANDED_COLUMNS):
         try:
-            score = np.array([float(s) if s else np.nan for s in columns["predicted_score"]])
-            bad = np.any([a < 0 for a in [combos, *part.codes.values()]])
-        except ValueError:
-            bad = True
-        if bad:
-            for lineno, row in zip(lines, rows):
-                message = _row_error(dict(zip(header, row)))
-                if message is not None:
-                    raise DataError(f"{path}:{lineno}: {message}")
-        parts.append(part)
-        found.append(combos)
-        scores.append(score)
-    delta, kind, provenance = np.array(membership.levels, dtype=np.int8).reshape(-1, 3)[
-        np.concatenate(found)].T
-    return Expanded(Register.concat(parts, levels), delta, kind, provenance,
-                    np.concatenate(scores))
+            codes.append([coders[c][row[c]] for c in coders])
+            if min(codes[-1]) < 0:  # only an int column codes a value as -1
+                for c in _INT_FIELDS:
+                    int(row[c])
+            found.append(_membership(row))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        keys.append(row["link_key"])
+    codes = np.array(codes, dtype=np.int32).reshape(-1, len(coders)).T
+    delta, kind, provenance, score = np.array(found).reshape(-1, 4).T
+    register = Register(np.array(keys, dtype=object), dict(zip(coders, codes)),
+                        {c: coder.levels for c, coder in coders.items()})
+    return Expanded(register, *(a.astype(np.int8) for a in (delta, kind, provenance)), score)
 
 
 def write_correlation_csv(path, corr: dict):

@@ -201,9 +201,7 @@ def _calibrate_intercept(eta_slope: np.ndarray, target: float) -> float:
 
 def _weighted_sample(rng, pool: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     if size > len(pool):
-        raise DataError(
-            f"cannot sample {size} from a pool of {len(pool)}"
-        )
+        raise DataError(f"cannot sample {size} from a pool of {len(pool)}")
     p = weights / weights.sum()
     return rng.choice(pool, size=size, replace=False, p=p)
 
@@ -229,16 +227,13 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     department = _draw_levels(rng, config.department_shares, n)
     course = _draw_levels(rng, config.course_shares, n)
     employment = _draw_levels(rng, config.employment_shares, n)
-    years = np.minimum(
-        rng.geometric(p=1.0 / config.years_mean, size=n), config.years_max
-    )
+    years = np.minimum(rng.geometric(p=1.0 / config.years_mean, size=n), config.years_max)
     ects = np.clip(
         np.rint(rng.normal(config.ects_mean, config.ects_sd, size=n)),
         0, config.ects_max,
     ).astype(int)
-    p_common = np.where(
-        native, config.common_name_share_native, config.common_name_share_migrant
-    ) / 100.0
+    p_common = np.where(native, config.common_name_share_native,
+                        config.common_name_share_migrant) / 100.0
     common = rng.random(n) < p_common
 
     X = encode_columns({
@@ -256,9 +251,7 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
 
     kind = np.empty(n, dtype=int)
     kind[native] = np.where(pa[native] == 1, 0, 1)
-    kind[group == 1] = 2
-    kind[group == 2] = 3
-    kind[group == 3] = 4
+    kind[~native] = group[~native] + 1  # groups 1..3 are kinds 2..4
 
     bp = np.where(np.isin(kind, [0, 1, 2]), 1, 0)
     cit = np.where(np.isin(kind, [0, 1, 3]), 1, 0)
@@ -303,21 +296,13 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     survey_rows = [SurveyRecord(keys[i], eligible=True, pa_observed=int(pa[i])) for i in eligible]
     screened_rows = [SurveyRecord(keys[i], eligible=False, pa_observed=1) for i in screened]
 
-    name_counts = {}
-    for j, nm in enumerate(_COMMON_NAMES):
-        name_counts[nm] = 120 + 37 * j  # all comfortably above the commonness cutoff
-    for j, nm in enumerate(_RARE_LISTED_NAMES):
-        name_counts[nm] = 1 + (j % 4)   # listed but below the cutoff
-    table = NameFrequencyTable(name_counts)
+    # common names comfortably above the commonness cutoff, rare ones listed below it
+    table = NameFrequencyTable({**{nm: 120 + 37 * j for j, nm in enumerate(_COMMON_NAMES)},
+                                **{nm: 1 + j % 4 for j, nm in enumerate(_RARE_LISTED_NAMES)}})
 
-    bundle = SyntheticBundle(
-        admin_path=out_dir / "admin.csv",
-        survey_path=out_dir / "survey.csv",
-        screened_out_path=out_dir / "screened_out.csv",
-        name_table_path=out_dir / "names.csv",
-        truth_path=out_dir / "truth.csv",
-        meta_path=out_dir / "synth_meta.json",
-    )
+    bundle = SyntheticBundle(*(out_dir / name for name in (
+        "admin.csv", "survey.csv", "screened_out.csv", "names.csv", "truth.csv",
+        "synth_meta.json")))
     write_admin_csv(bundle.admin_path, admin)
     write_survey_csv(bundle.survey_path, survey_rows)
     write_survey_csv(bundle.screened_out_path, screened_rows)
@@ -346,11 +331,8 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     return bundle
 
 
-def generating_design(
-    records: Register,
-    table: NameFrequencyTable,
-    config: SynthConfig,
-) -> np.ndarray:
+def generating_design(records: Register, table: NameFrequencyTable,
+                      config: SynthConfig) -> np.ndarray:
     """Re-encode register rows exactly as the generating model saw them."""
     return encode_matrix(records, _generating_schema(config), table)
 

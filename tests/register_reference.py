@@ -14,6 +14,7 @@ from pathlib import Path
 from hiddenpop.errors import DataError
 from hiddenpop.ingest import (
     ADMIN_COLUMNS,
+    Register,
     _slug,
     atomic_open,
     reading,
@@ -108,6 +109,11 @@ def parse_admin_rows(path, reject_path) -> list[AdminRecord]:
     if total and len(rejects) / total > 0.05:
         raise DataError(f"{path}: {len(rejects)}/{total} rows rejected (limit 5%)")
     return records
+
+
+def register_of(records):
+    """A Register from objects with one attribute per admin column."""
+    return Register.from_columns({c: [getattr(r, c) for r in records] for c in ADMIN_COLUMNS})
 
 
 def register_rows(register) -> list[AdminRecord]:

@@ -35,7 +35,7 @@ from hiddenpop.expand import (
     tabulate_population,
 )
 from hiddenpop.features import assemble_training_set, build_schema
-from hiddenpop.ingest import Register, build_name_table, link, parse_admin, parse_survey
+from hiddenpop.ingest import build_name_table, link, parse_admin, parse_survey
 from hiddenpop.models import (
     fit_logistic,
     fit_forest,
@@ -47,6 +47,7 @@ from hiddenpop.models import (
 from hiddenpop.models.logistic import penalized_gradient, penalized_loglik
 from hiddenpop.synth import SynthConfig, generate, generating_design, load_truth
 
+from register_reference import register_of
 from test_ingest import make_admin
 
 
@@ -296,7 +297,7 @@ def test_criterion_08_table5_fixture():
             deltas.append(delta)
             kinds.append(BackgroundKind(kind))
             i += 1
-    table = tabulate_population(Expanded(Register.from_records(records), np.array(deltas),
+    table = tabulate_population(Expanded(register_of(records), np.array(deltas),
                                          np.array(kinds), np.zeros(i, dtype=int),
                                          np.full(i, np.nan)))
     expected = [84.91, 7.77, 0.36, 1.82, 5.14]

@@ -15,18 +15,19 @@ from hiddenpop.expand import (
     tabulate_population,
 )
 from hiddenpop.features import build_schema
-from hiddenpop.ingest import NameFrequencyTable, Register, SurveyRecord, link
+from hiddenpop.ingest import NameFrequencyTable, SurveyRecord, link
 from hiddenpop.models import fit_logistic
 from hiddenpop.features import LabeledDataset
 from hiddenpop.report import read_expanded_csv, write_expanded_csv
 
+from register_reference import register_of
 from test_ingest import make_admin
 
 TABLE = NameFrequencyTable({"maria": 100, "giuseppe": 80, "tecla": 2})
 
 
 def fitted_model_and_schema():
-    records = Register.from_records([
+    records = register_of([
         make_admin("T1", given_name="maria", gender="F", years_enrolled=1),
         make_admin("T2", given_name="tecla", gender="M", years_enrolled=4),
         make_admin("T3", given_name="giuseppe", gender="F", years_enrolled=2),
@@ -42,7 +43,7 @@ def fitted_model_and_schema():
 
 def test_impute_targets_only_unlinked_native_records():
     model, schema = fitted_model_and_schema()
-    admin = Register.from_records([
+    admin = register_of([
         make_admin("S1", given_name="maria"),
         make_admin("S2", given_name="tecla", gender="M", years_enrolled=5),
         make_admin("S3", birth_country="XX"),          # outside (1,1)
@@ -62,11 +63,11 @@ def test_impute_schema_mismatch():
     model, schema = fitted_model_and_schema()
     model.weights = model.weights[:-1]
     with pytest.raises(SchemaMismatch):
-        impute_pa(model, schema, Register.from_records([make_admin("S1")]), TABLE)
+        impute_pa(model, schema, register_of([make_admin("S1")]), TABLE)
 
 
 def test_expand_precedence_and_order():
-    admin = Register.from_records([
+    admin = register_of([
         make_admin("S3", birth_country="XX", citizenship_country="XX"),
         make_admin("S2", given_name="tecla"),
         make_admin("S1", given_name="maria"),
@@ -87,7 +88,7 @@ def test_expand_precedence_and_order():
 
 
 def test_expand_coverage_gap():
-    admin = Register.from_records([make_admin("S1")])
+    admin = register_of([make_admin("S1")])
     none = Imputations(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
     with pytest.raises(HiddenPopError, match="neither a linked nor an imputed pa"):
         expand_dataset(admin, link(admin, []), none)
@@ -96,7 +97,7 @@ def test_expand_coverage_gap():
 def test_expanded_record_validation(tmp_path):
     # an expanded row exists only with a known provenance, and a score if predicted
     path = tmp_path / "expanded.csv"
-    write_expanded_csv(path, Expanded(Register.from_records([make_admin("S1")]),
+    write_expanded_csv(path, Expanded(register_of([make_admin("S1")]),
                                       np.array([0]), np.array([0]), np.array([1]),
                                       np.array([np.nan])))
     text = path.read_text()
@@ -122,7 +123,7 @@ def paper_fixture_records():
             deltas.append(delta)
             kinds.append(kind)
             i += 1
-    return Expanded(Register.from_records(records), np.array(deltas), np.array(kinds),
+    return Expanded(register_of(records), np.array(deltas), np.array(kinds),
                     np.zeros(i, dtype=int), np.full(i, np.nan))
 
 
@@ -139,9 +140,9 @@ def test_tabulation_on_paper_counts():
 
 
 def test_bias_report_gaps_and_flags():
-    pop = Register.from_records([make_admin(f"P{i}", gender="F" if i < 60 else "M")
+    pop = register_of([make_admin(f"P{i}", gender="F" if i < 60 else "M")
                                  for i in range(100)])
-    sample = Register.from_records([make_admin(f"Q{i}", gender="F" if i < 9 else "M")
+    sample = register_of([make_admin(f"Q{i}", gender="F" if i < 9 else "M")
                                     for i in range(10)])
     report = bias_report(pop, sample, variables=["gender"])
     pop_share, sample_share, gap = report.variables["gender"]["M"]
@@ -150,13 +151,13 @@ def test_bias_report_gaps_and_flags():
 
 
 def test_bias_report_rejects_stray_sample_levels():
-    pop = Register.from_records([make_admin("P1", department="science")])
-    sample = Register.from_records([make_admin("Q1", department="astrology")])
+    pop = register_of([make_admin("P1", department="science")])
+    sample = register_of([make_admin("Q1", department="astrology")])
     with pytest.raises(DataError, match=r"department: sample levels \['astrology'\]"):
         bias_report(pop, sample, variables=["department"])
 
 
 def test_bias_report_unknown_variable():
-    pop = Register.from_records([make_admin("P1")])
+    pop = register_of([make_admin("P1")])
     with pytest.raises(DataError, match="unknown shared variable 'shoe_size'"):
-        bias_report(pop, Register.from_records([make_admin("Q1")]), variables=["shoe_size"])
+        bias_report(pop, register_of([make_admin("Q1")]), variables=["shoe_size"])

@@ -13,16 +13,16 @@ from hiddenpop.features import (
     encode_matrix,
     FeatureSchema,
 )
-from hiddenpop.ingest import NameFrequencyTable, Register, SurveyRecord, is_common_name, link
+from hiddenpop.ingest import NameFrequencyTable, SurveyRecord, is_common_name, link
 
-from register_reference import register_rows
+from register_reference import register_of, register_rows
 from test_ingest import make_admin
 
 TABLE = NameFrequencyTable({"maria": 100, "giuseppe": 80, "tecla": 2})
 
 
 def varied_records():
-    return Register.from_records([
+    return register_of([
         make_admin("S1", gender="F", employment="student", course_level="bachelor",
                    given_name="maria", years_enrolled=1, ects_earned=10),
         make_admin("S2", gender="M", employment="worker_student", course_level="master",
@@ -55,7 +55,7 @@ def test_schema_layout_and_width():
 
 
 def test_schema_drops_degenerate_features():
-    records = Register.from_records([make_admin(f"S{i}", given_name="maria", years_enrolled=2)
+    records = register_of([make_admin(f"S{i}", given_name="maria", years_enrolled=2)
                                      for i in range(3)])
     schema = build_schema(records, TABLE)
     # every categorical single-valued, name flag constant, years constant
@@ -119,7 +119,7 @@ def test_assemble_training_set_filters_and_labels():
     # S4 is outside the (1,1) stratum and must be skipped
     records[3] = make_admin("S4", gender="M", birth_country="XX",
                             employment="not_available", given_name="amira")
-    records = Register.from_records(records)
+    records = register_of(records)
     linked = link(records, [
         SurveyRecord("S1", True, 1),
         SurveyRecord("S2", True, 0),

@@ -7,7 +7,6 @@ import pytest
 from hiddenpop.errors import DataError
 from hiddenpop.ingest import (
     NameFrequencyTable,
-    Register,
     SurveyRecord,
     build_name_table,
     is_common_name,
@@ -23,7 +22,7 @@ from hiddenpop.ingest import (
     write_survey_csv,
 )
 
-from register_reference import AdminRecord, register_rows
+from register_reference import AdminRecord, register_of, register_rows
 
 
 def make_admin(key="S1", **kw):
@@ -57,21 +56,21 @@ def test_standardizers():
 
 
 def test_bp_cit_derived_from_countries():
-    reg = Register.from_records([make_admin(birth_country="FR", citizenship_country="IT")])
+    reg = register_of([make_admin(birth_country="FR", citizenship_country="IT")])
     assert (reg.bp[0], reg.cit[0]) == (0, 1)
 
 
 def test_admin_round_trip(tmp_path):
     records = [make_admin("S1"), make_admin("S2", gender="M", ects_earned=0)]
     path = tmp_path / "admin.csv"
-    write_admin_csv(path, Register.from_records(records))
+    write_admin_csv(path, register_of(records))
     assert register_rows(parse_admin(path)) == records
 
 
 def test_admin_rejects_bad_rows_to_file(tmp_path):
     path = tmp_path / "admin.csv"
     good = [make_admin(f"S{i}") for i in range(40)]
-    write_admin_csv(path, Register.from_records(good))
+    write_admin_csv(path, register_of(good))
     with open(path, "a", newline="") as f:
         csv.writer(f).writerow(
             ["BAD", "x", "F", "IT", "IT", "bachelor", "science", "2020", "0", "10", "student"]
@@ -86,7 +85,7 @@ def test_admin_rejects_bad_rows_to_file(tmp_path):
 
 def test_admin_reject_threshold(tmp_path):
     path = tmp_path / "admin.csv"
-    write_admin_csv(path, Register.from_records([make_admin("S1")]))
+    write_admin_csv(path, register_of([make_admin("S1")]))
     with open(path, "a", newline="") as f:
         csv.writer(f).writerow(
             ["S2", "x", "??", "IT", "IT", "bachelor", "science", "2020", "1", "10", "student"]
@@ -97,7 +96,7 @@ def test_admin_reject_threshold(tmp_path):
 
 def test_admin_duplicate_key_and_missing_column(tmp_path):
     path = tmp_path / "admin.csv"
-    write_admin_csv(path, Register.from_records([make_admin("S1"), make_admin("S1")]))
+    write_admin_csv(path, register_of([make_admin("S1"), make_admin("S1")]))
     with pytest.raises(DataError, match=r"admin.csv:3: link_key 'S1' already on line 2"):
         parse_admin(path)
     bad = tmp_path / "short.csv"
@@ -131,7 +130,7 @@ def test_survey_duplicate_across_files(tmp_path):
 
 
 def test_link_partitions():
-    admin = Register.from_records([make_admin("S1"), make_admin("S2")])
+    admin = register_of([make_admin("S1"), make_admin("S2")])
     survey = [SurveyRecord("S2", True, 0), SurveyRecord("S9", True, 1)]
     linked = link(admin, survey)
     assert [(admin.link_key[r], s.link_key) for r, s in zip(linked.rows, linked.survey)] == [

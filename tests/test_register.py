@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 import hiddenpop.ingest
 from hiddenpop.errors import DataError
-from hiddenpop.ingest import ADMIN_COLUMNS, Register, parse_admin, write_admin_csv
+from hiddenpop.ingest import ADMIN_COLUMNS, parse_admin, write_admin_csv
 
-from register_reference import parse_admin_rows, register_rows
+from register_reference import parse_admin_rows, register_of, register_rows
 from test_ingest import make_admin
 
 # column -> (spellings that standardize, spellings that are rejected)
@@ -129,7 +129,7 @@ def test_reject_reasons_match_the_reference_for_every_pair_of_bad_values(tmp_pat
 
 
 def test_register_take_and_columns():
-    reg = Register.from_records([
+    reg = register_of([
         make_admin("S1", gender="M", birth_country="FR"),
         make_admin("S2", years_enrolled=5),
         make_admin("S3", gender="M", citizenship_country="MA"),
@@ -147,7 +147,7 @@ def test_register_take_and_columns():
 
 def test_register_codes_each_distinct_value_once(tmp_path):
     path = tmp_path / "admin.csv"
-    write_admin_csv(path, Register.from_records(
+    write_admin_csv(path, register_of(
         [make_admin(f"S{i}", gender="MF"[i % 2]) for i in range(1000)]))
     calls = []
     standardize = hiddenpop.ingest.standardize_gender
@@ -166,7 +166,7 @@ def test_register_codes_each_distinct_value_once(tmp_path):
 @pytest.mark.parametrize("block_rows", [1, 2, 512])
 def test_short_row_after_quoted_newline_names_its_last_line(tmp_path, block_rows):
     path = tmp_path / "admin.csv"
-    write_admin_csv(path, Register.from_records(
+    write_admin_csv(path, register_of(
         [make_admin("S1", given_name="ma\nria"), make_admin("S2")]))
     with open(path, "a", newline="") as f:
         f.write("\r\nS3,maria\r\n")

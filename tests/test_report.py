@@ -2,6 +2,7 @@
 
 import os
 import stat
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hiddenpop.domain import BackgroundKind
 from hiddenpop.errors import DataError
 from hiddenpop.eval import evaluate, roc
 from hiddenpop.expand import PROVENANCES, Expanded, tabulate_population
-from hiddenpop.ingest import Register
 from hiddenpop.expand import expand_dataset, impute_pa
 from hiddenpop.models.io import load_model, save_model
 from hiddenpop.models import fit_logistic, fit_forest
@@ -24,13 +24,13 @@ from hiddenpop.report import (
     write_roc_csv,
 )
 
-from register_reference import register_rows
+from register_reference import register_of, register_rows
 from test_ingest import make_admin
 
 
 def expanded_of(records, deltas, kinds, provenances, scores):
     """An Expanded from per-row facts, as expand_dataset would hold them."""
-    return Expanded(Register.from_records(records), np.array(deltas), np.array(kinds),
+    return Expanded(register_of(records), np.array(deltas), np.array(kinds),
                     np.array([PROVENANCES.index(p) for p in provenances]),
                     np.array([np.nan if s is None else s for s in scores]))
 
@@ -164,18 +164,26 @@ def test_failed_model_save_leaves_old_file(tmp_path, small_training, monkeypatch
     path = tmp_path / "model.json"
     save_model(path, fit_logistic(data), schema)
     before = path.read_bytes()
+    real_open = hiddenpop.models.io.atomic_open
+    partial = []
 
-    dumps = hiddenpop.models.io.json.dumps
+    @contextmanager
+    def open_then_fail(target):
+        # the write puts down a prefix of the model, then the disk fills up
+        with real_open(target) as f:
+            class Partial:
+                def write(self, text):
+                    f.write(text[:len('{"format_version": ')])
+                    f.flush()
+                    partial.extend(p.read_text() for p in tmp_path.iterdir() if p != path)
+                    raise OSError("disk full")
 
-    def dumps_then_fail(payload, **kwargs):
-        # fail on the model payload, inside the write, after the schema is encoded
-        if "format_version" not in payload:
-            return dumps(payload, **kwargs)
-        raise OSError("disk full")
+            yield Partial()
 
-    monkeypatch.setattr(hiddenpop.models.io.json, "dumps", dumps_then_fail)
+    monkeypatch.setattr(hiddenpop.models.io, "atomic_open", open_then_fail)
     with pytest.raises(OSError, match="disk full"):
         save_model(path, fit_logistic(data), schema)
+    assert partial == ['{"format_version": ']
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
