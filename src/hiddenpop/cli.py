@@ -1,6 +1,7 @@
 """Command-line pipeline: synth / ingest / train / evaluate / impute / report,
-plus `pipeline` which chains them all.  Every stage writes its artifacts
-atomically and a run manifest with input digests for reproducibility.
+plus `pipeline` which chains them all.  Every invocation writes its artifacts
+atomically, each through its Run, and one run manifest with the digests of
+the files it read and wrote, for reproducibility.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal error.
 """
@@ -14,6 +15,7 @@ import logging
 import os
 import sys
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,7 @@ from .models import (
 from .report import (
     read_expanded_csv,
     write_bias_csv,
+    write_bias_plot,
     write_correlation_csv,
     write_cv_csv,
     write_distribution_csv,
@@ -56,10 +59,7 @@ from .report import (
 )
 from .synth import SynthConfig, generate
 
-log = logging.getLogger(__name__)
-
 DATA_DIR_ENV = "HIDDENPOP_DATA_DIR"
-DEFAULT_BIAS_VARIABLES = ["gender", "department", "birth_place", "citizenship"]
 
 
 def _sha256(path) -> str:
@@ -87,38 +87,58 @@ def write_manifest(out_dir, subcommand, config, seed, inputs, outputs):
     }
     with atomic_open(out_dir / "run_manifest.json") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
-    return out_dir / "run_manifest.json"
 
 
-def _resolve_data_dir(args) -> Path:
-    data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
-    if not data_dir:
-        raise DataError(f"no data directory: pass --data-dir or set {DATA_DIR_ENV}")
-    data_dir = Path(data_dir)
-    if not data_dir.is_dir():
-        raise DataError(f"data directory {data_dir} does not exist")
-    return data_dir
+class Run:
+    """One invocation: its options, out dir and seed, the data it parses (once)
+    and the files it reads and writes, which main() digests into one manifest."""
+
+    def __init__(self, args):
+        self.args = args
+        self.out = Path(args.out)
+        self.seed = 0 if args.seed is None else args.seed  # a synth stage takes its config's
+        self.inputs, self.outputs = [], []
+
+    @cached_property
+    def data_dir(self) -> Path:
+        """--data-dir, else $HIDDENPOP_DATA_DIR; a pipeline that generates its data sets it."""
+        data_dir = self.args.data_dir or os.environ.get(DATA_DIR_ENV)
+        if not data_dir:
+            raise DataError(f"no data directory: pass --data-dir or set {DATA_DIR_ENV}")
+        if not Path(data_dir).is_dir():
+            raise DataError(f"data directory {data_dir} does not exist")
+        return Path(data_dir)
+
+    @cached_property
+    def parsed(self):
+        """(register, survey, name table, linkage) of the data directory."""
+        data_dir = self.data_dir
+        admin = parse_admin(data_dir / "admin.csv")
+        survey_files = [data_dir / "survey.csv"]
+        if (data_dir / "screened_out.csv").exists():
+            survey_files.append(data_dir / "screened_out.csv")
+        survey = parse_survey(*survey_files)
+        table = build_name_table(data_dir / "names.csv")
+        self.inputs += [data_dir / "admin.csv", *survey_files, data_dir / "names.csv"]
+        return admin, survey, table, link(admin, survey)
+
+    def write(self, rel, writer, *values):
+        """Write the artifact out/rel as writer(path, *values) and record it."""
+        path = self.out / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        writer(path, *values)
+        self.outputs.append(path)
 
 
-def _load_inputs(data_dir: Path):
-    admin = parse_admin(data_dir / "admin.csv")
-    survey_files = [data_dir / "survey.csv"]
-    screened = data_dir / "screened_out.csv"
-    if screened.exists():
-        survey_files.append(screened)
-    survey = parse_survey(*survey_files)
-    table = build_name_table(data_dir / "names.csv")
-    linked = link(admin, survey)
-    return admin, survey, table, linked
+def _write_text(path, text):
+    with atomic_open(path) as f:
+        f.write(text)
 
 
-def _input_files(data_dir: Path):
-    names = ["admin.csv", "survey.csv", "screened_out.csv", "names.csv"]
-    return [data_dir / n for n in names if (data_dir / n).exists()]
-
-
-def _synth_config(args) -> SynthConfig:
-    """SynthConfig defaults, overridden by --config's JSON and then --seed."""
+def _synth(run, rel) -> Path:
+    """Generate a bundle in rel from the SynthConfig defaults, overridden by
+    --config's JSON, then --seed and (synth only) --n-register; the run takes its seed."""
+    args = run.args
     config = SynthConfig()
     if args.config:
         with reading(args.config, TypeError):
@@ -129,115 +149,111 @@ def _synth_config(args) -> SynthConfig:
                 raise DataError(f"{args.config}: {exc}") from exc
     if args.seed is not None:
         config.seed = args.seed
-    return config
-
-
-def cmd_synth(args) -> int:
-    config = _synth_config(args)
-    if args.n_register:
+    if getattr(args, "n_register", None) is not None:
         config.n_register = args.n_register
-    out = Path(args.out)
-    outputs = list(vars(generate(config, out)).values())
-    write_manifest(out, "synth", json.loads(config.to_json()), config.seed, [], outputs)
-    print(f"synthetic bundle written to {out}")
-    return 0
+    run.seed = config.seed
+    data_dir = run.out / rel
+    run.outputs += vars(generate(config, data_dir)).values()
+    return data_dir
 
 
-def cmd_ingest(args) -> int:
-    data_dir = _resolve_data_dir(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    admin, survey, table, linked = _load_inputs(data_dir)
-    summary_path = out / "linkage_summary.csv"
-    with atomic_open(summary_path) as f:
-        f.write("quantity,count\n")
-        f.write(f"admin_records,{len(admin)}\n")
-        f.write(f"survey_records,{len(survey)}\n")
-        f.write(f"matched,{len(linked.rows)}\n")
-        f.write(f"unmatched_admin,{len(admin) - len(linked.rows)}\n")
-        f.write(f"unmatched_survey,{len(linked.unmatched_survey)}\n")
-        f.write(f"name_table_entries,{table.total_names}\n")
-    write_manifest(out, "ingest", {}, args.seed, _input_files(data_dir), [summary_path])
-    print(f"linkage: {len(linked.rows)} matched, "
-          f"{len(linked.unmatched_survey)} survey rows unmatched")
-    return 0
-
-
-def _train_stage(inputs, out, *, model_kind, seed, ratio, k, threshold, n_trees):
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    admin, _survey, table, linked = inputs
+def _train(run, rel) -> dict:
+    """Fit the --model classifiers on the linked bp=cit=1 rows; model name -> validation report."""
+    args, seed = run.args, run.seed
+    admin, _survey, table, linked = run.parsed
     train_rows = linked.rows[linked.native()]
     if not len(train_rows):
         raise DataError("no linked records with bp=cit=1 to train on")
     schema = build_schema(admin.take(train_rows), table)
     data = assemble_training_set(linked, schema, table)
-    train, val = split_train_validate(data, ratio=ratio, seed=seed)
-    outputs, reports, models = [], {}, {}
+    train, val = split_train_validate(data, ratio=args.ratio, seed=seed)
+    run.write(rel + "schema.json", _write_text, schema.to_json())
+    run.write(rel + "correlation.csv", write_correlation_csv, correlation_report(data, schema))
+    reports = {}
 
-    schema_path = out / "schema.json"
-    with atomic_open(schema_path) as f:
-        f.write(schema.to_json())
-    outputs.append(schema_path)
-
-    corr_path = out / "correlation.csv"
-    write_correlation_csv(corr_path, correlation_report(data, schema))
-    outputs.append(corr_path)
-
-    if model_kind in ("logistic", "both"):
+    if args.model in ("logistic", "both"):
         lm = fit_logistic(train)
-        models["logistic"] = lm
         scores = predict_logistic(lm, val.X)
-        reports["logistic"] = evaluate(scores, val.y, threshold)
-        path = out / "model_logistic.json"
-        save_model(path, lm, schema)
-        outputs.append(path)
-        roc_path = out / "roc_logistic.csv"
-        write_roc_csv(roc_path, roc(scores, val.y))
-        outputs.append(roc_path)
-        if k:
-            cv = kfold_cv(data, logistic_trainer(), k=k, seed=seed, threshold=threshold)
-            cv_path = out / "cv_logistic.csv"
-            write_cv_csv(cv_path, cv)
-            outputs.append(cv_path)
+        reports["logistic"] = evaluate(scores, val.y, args.threshold)
+        run.write(rel + "model_logistic.json", save_model, lm, schema)
+        run.write(rel + "roc_logistic.csv", write_roc_csv, roc(scores, val.y))
+        if args.k:
+            cv = kfold_cv(data, logistic_trainer(), k=args.k, seed=seed,
+                          threshold=args.threshold)
+            run.write(rel + "cv_logistic.csv", write_cv_csv, cv)
 
-    if model_kind in ("forest", "both"):
-        fm = fit_forest(train, n_trees=n_trees, seed=seed)
-        models["forest"] = fm
+    if args.model in ("forest", "both"):
+        fm = fit_forest(train, n_trees=args.trees, seed=seed)
         scores = predict_forest(fm, val.X)
-        reports["forest"] = evaluate(scores, val.y, threshold)
-        path = out / "model_forest.json"
-        save_model(path, fm, schema)
-        outputs.append(path)
+        reports["forest"] = evaluate(scores, val.y, args.threshold)
+        run.write(rel + "model_forest.json", save_model, fm, schema)
         groups = [(g, schema.group_indices(g)) for g in schema.groups]
         imp = permutation_importance(fm, train, seed=seed, groups=groups,
-                                     threshold=threshold)
-        imp_path = out / "importance_forest.csv"
-        write_importance_csv(imp_path, imp)
-        outputs.append(imp_path)
+                                     threshold=args.threshold)
+        run.write(rel + "importance_forest.csv", write_importance_csv, imp)
 
-    metrics_csv = out / "metrics.csv"
-    write_metrics_csv(metrics_csv, reports)
-    metrics_md = out / "metrics.md"
-    write_metrics_markdown(metrics_md, reports)
-    outputs.extend([metrics_csv, metrics_md])
-    return outputs, reports, models, schema
+    run.write(rel + "metrics.csv", write_metrics_csv, reports)
+    run.write(rel + "metrics.md", write_metrics_markdown, reports)
+    return reports
 
 
-def cmd_train(args) -> int:
-    data_dir = _resolve_data_dir(args)
-    outputs, reports, _, _ = _train_stage(
-        _load_inputs(data_dir), args.out, model_kind=args.model, seed=args.seed,
-        ratio=args.ratio, k=args.k, threshold=args.threshold, n_trees=args.trees,
-    )
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    write_manifest(Path(args.out), "train", config,
-                   args.seed, _input_files(data_dir), outputs)
+def _impute(run, rel, model_file):
+    """Impute pa for the unlinked bp=cit=1 rows and write the expanded register."""
+    admin, _survey, table, linked = run.parsed
+    model, schema = load_model(model_file)
+    imputations = impute_pa(model, schema, admin, table,
+                            linked_rows=linked.rows, threshold=run.args.threshold)
+    expanded = expand_dataset(admin, linked, imputations)
+    run.write(rel + "expanded_register.csv", write_expanded_csv, expanded)
+    dist = tabulate_population(expanded)
+    run.write(rel + "distribution.csv", write_distribution_csv, dist)
+    run.write(rel + "distribution.md", write_distribution_markdown, dist)
+    return expanded, dist
+
+
+def _report(run, rel, expanded):
+    """Compare the estimated members with the eligible linked survey respondents."""
+    linked = run.parsed[3]
+    members = expanded.register.take(np.flatnonzero(expanded.delta == 1))
+    eligible = np.array([s.eligible for s in linked.survey], dtype=bool)
+    sample = linked.register.take(linked.rows[eligible])
+    if not len(sample):
+        raise DataError("no eligible linked survey respondents for the bias report")
+    br = bias_report(members, sample, run.args.variables,
+                     alert_threshold=run.args.alert_threshold)
+    run.write(rel + "bias_report.csv", write_bias_csv, br)
+    for var, table in br.variables.items():
+        run.write(f"{rel}bias_plots/bias_{var}.csv", write_bias_plot, table)
+    return br
+
+
+def cmd_synth(run):
+    _synth(run, "")
+    print(f"synthetic bundle written to {run.out}")
+
+
+def cmd_ingest(run):
+    admin, survey, table, linked = run.parsed
+    counts = {
+        "admin_records": len(admin),
+        "survey_records": len(survey),
+        "matched": len(linked.rows),
+        "unmatched_admin": len(admin) - len(linked.rows),
+        "unmatched_survey": len(linked.unmatched_survey),
+        "name_table_entries": table.total_names,
+    }
+    run.write("linkage_summary.csv", _write_text,
+              "quantity,count\n" + "".join(f"{k},{v}\n" for k, v in counts.items()))
+    print(f"linkage: {len(linked.rows)} matched, "
+          f"{len(linked.unmatched_survey)} survey rows unmatched")
+
+
+def cmd_train(run):
+    reports = _train(run, "")
     for name, r in reports.items():
         print(f"{name}: accuracy={r.accuracy:.3f} "
               f"precision={'-' if r.precision is None else f'{r.precision:.3f}'} "
               f"tpr={'-' if r.true_positive_rate is None else f'{r.true_positive_rate:.3f}'}")
-    return 0
 
 
 def _check_schema_digest(model_path, schema):
@@ -252,132 +268,78 @@ def _check_schema_digest(model_path, schema):
             )
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(run):
     """Score a saved model on every linked bp=cit=1 row.
 
     Those rows include the ones the model was trained on, so the figures are
     not a held-out estimate; train's validation split gives that.
     """
-    data_dir = _resolve_data_dir(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model, schema = load_model(args.model_file)
-    _check_schema_digest(args.model_file, schema)
-    admin, survey, table, linked = _load_inputs(data_dir)
+    model_file = run.args.model_file
+    run.data_dir  # a missing data directory is reported before a bad model
+    model, schema = load_model(model_file)
+    _check_schema_digest(model_file, schema)
+    _admin, _survey, table, linked = run.parsed
+    run.inputs.append(Path(model_file))
     data = assemble_training_set(linked, schema, table)
-    scores = predict_scores(model, data.X)
     name = model_type(model)
-    report = evaluate(scores, data.y, args.threshold)
-    metrics_csv = out / "metrics.csv"
-    write_metrics_csv(metrics_csv, {name: report})
-    write_metrics_markdown(out / "metrics.md", {name: report})
-    write_manifest(out, "evaluate", {"model_file": str(args.model_file)},
-                   args.seed, _input_files(data_dir) + [Path(args.model_file)],
-                   [metrics_csv, out / "metrics.md"])
+    scores = predict_scores(model, data.X)
+    report = evaluate(scores, data.y, run.args.threshold)
+    run.write("metrics.csv", write_metrics_csv, {name: report})
+    run.write("metrics.md", write_metrics_markdown, {name: report})
     print(f"{name}: accuracy={report.accuracy:.3f} on all {len(data.y)} linked rows, "
           "training rows included")
-    return 0
 
 
-def _impute_stage(inputs, out, model_file, threshold):
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    model, schema = load_model(model_file)
-    admin, _survey, table, linked = inputs
-    imputations = impute_pa(model, schema, admin, table,
-                            linked_rows=linked.rows, threshold=threshold)
-    expanded = expand_dataset(admin, linked, imputations)
-    outputs = []
-    exp_path = out / "expanded_register.csv"
-    write_expanded_csv(exp_path, expanded)
-    outputs.append(exp_path)
-    dist = tabulate_population(expanded)
-    write_distribution_csv(out / "distribution.csv", dist)
-    write_distribution_markdown(out / "distribution.md", dist)
-    outputs.extend([out / "distribution.csv", out / "distribution.md"])
-    return outputs, expanded, dist, linked
-
-
-def cmd_impute(args) -> int:
-    data_dir = _resolve_data_dir(args)
-    outputs, expanded, dist, _ = _impute_stage(
-        _load_inputs(data_dir), args.out, args.model_file, args.threshold)
-    write_manifest(Path(args.out), "impute",
-                   {"model_file": str(args.model_file), "threshold": args.threshold},
-                   args.seed, _input_files(data_dir) + [Path(args.model_file)], outputs)
+def cmd_impute(run):
+    _expanded, dist = _impute(run, "", run.args.model_file)
+    run.inputs.append(Path(run.args.model_file))
     print(f"expanded {dist.n_total} records; estimated members: {dist.n_members}")
-    return 0
 
 
-def _report_stage(out, expanded, linked, variables, alert_threshold):
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    members = expanded.register.take(np.flatnonzero(expanded.delta == 1))
-    eligible = np.array([s.eligible for s in linked.survey], dtype=bool)
-    sample = linked.register.take(linked.rows[eligible])
-    if not len(sample):
-        raise DataError("no eligible linked survey respondents for the bias report")
-    br = bias_report(members, sample, variables, alert_threshold=alert_threshold)
-    bias_path = out / "bias_report.csv"
-    write_bias_csv(bias_path, br, plot_data_dir=out / "bias_plots")
-    outputs = [bias_path] + sorted((out / "bias_plots").glob("bias_*.csv"))
-    return outputs, br
+def _check_expanded_inputs(run, expanded_file):
+    """When a run manifest beside --expanded, or one directory up, lists it among its
+    outputs, every data file it read must have the digest of the one read now."""
+    path = Path(expanded_file).resolve()
+    digest = _sha256(path)
+    for out_dir in path.parents[:2]:
+        manifest = out_dir / "run_manifest.json"
+        if not manifest.is_file():
+            continue
+        with reading(manifest, AttributeError, KeyError, TypeError):
+            recorded = json.loads(manifest.read_text(encoding="utf-8"))
+            if recorded["outputs"].get(path.relative_to(out_dir).as_posix()) != digest:
+                continue
+            made_from = {Path(p).name: (p, d) for p, d in recorded["inputs"].items()}
+        for data_file in run.inputs:
+            source, source_digest = made_from.get(data_file.name, (None, None))
+            if source is not None and source_digest != _sha256(data_file):
+                raise DataError(f"{expanded_file} was made from {source} ({manifest}), "
+                                f"which differs from {data_file}")
+        return
 
 
-def cmd_report(args) -> int:
-    data_dir = _resolve_data_dir(args)
-    admin, survey, table, linked = _load_inputs(data_dir)
-    expanded = read_expanded_csv(args.expanded)
-    outputs, br = _report_stage(args.out, expanded, linked,
-                                args.variables, args.alert_threshold)
-    write_manifest(Path(args.out), "report", {"expanded": str(args.expanded)},
-                   args.seed, _input_files(data_dir) + [Path(args.expanded)], outputs)
+def cmd_report(run):
+    run.parsed  # the data is read before --expanded
+    expanded = read_expanded_csv(run.args.expanded)
+    _check_expanded_inputs(run, run.args.expanded)
+    run.inputs.append(Path(run.args.expanded))
+    br = _report(run, "", expanded)
     for var, level, gap in br.flagged:
         print(f"flagged: {var}={level} gap {gap:+.1f} pp")
-    return 0
 
 
-def cmd_pipeline(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    all_outputs = []
-    seed = args.seed if args.seed is not None else 0
-
-    if args.data_dir or os.environ.get(DATA_DIR_ENV):
-        data_dir = _resolve_data_dir(args)
-    else:
-        config = _synth_config(args)
-        seed = config.seed
-        data_dir = out / "data"
-        all_outputs += vars(generate(config, data_dir)).values()
-
-    inputs = _load_inputs(data_dir)
-    train_out = out / "train"
-    outputs, reports, models, schema = _train_stage(
-        inputs, train_out, model_kind=args.model, seed=seed,
-        ratio=args.ratio, k=args.k, threshold=args.threshold, n_trees=args.trees,
-    )
-    all_outputs += outputs
-
-    impute_model = train_out / (
-        "model_logistic.json" if args.model in ("logistic", "both") else "model_forest.json"
-    )
-    outputs, expanded, dist, linked = _impute_stage(
-        inputs, out / "impute", impute_model, args.threshold)
-    all_outputs += outputs
-
-    outputs, br = _report_stage(out / "report", expanded, linked,
-                                args.variables, args.alert_threshold)
-    all_outputs += outputs
-
-    write_manifest(out, "pipeline",
-                   {k: v for k, v in vars(args).items() if k != "func"},
-                   seed, _input_files(data_dir), all_outputs)
+def cmd_pipeline(run):
+    args = run.args
+    if not (args.data_dir or os.environ.get(DATA_DIR_ENV)):
+        run.data_dir = _synth(run, "data/")
+    reports = _train(run, "train/")
+    model = "logistic" if args.model in ("logistic", "both") else "forest"
+    expanded, dist = _impute(run, "impute/", run.out / "train" / f"model_{model}.json")
+    _report(run, "report/", expanded)
     print(f"pipeline complete: {dist.n_total} records, "
-          f"{dist.n_members} estimated members, artifacts in {out}")
+          f"{dist.n_members} estimated members, artifacts in {run.out}")
     for name, r in reports.items():
         print(f"  {name}: accuracy={r.accuracy:.3f}")
-    return 0
 
 
 def _checked(convert, allowed, expected):
@@ -397,6 +359,7 @@ _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _trees = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _ratio = _checked(float, lambda v: 0 < v < 1, "a fraction strictly between 0 and 1")
 _folds = _checked(int, lambda v: v == 0 or v >= 2, "0 (no CV) or an integer >= 2")
+_n_register = _checked(int, lambda v: v >= 100, "an integer >= 100")
 
 
 def _makeable_dir(path) -> bool:
@@ -407,12 +370,36 @@ def _makeable_dir(path) -> bool:
 _out = _checked(str, _makeable_dir, "a directory or a path where one can be made")
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=_seed, default=None,
-                   help="RNG seed (default: SynthConfig seed when generating, else 0)")
-    p.add_argument("--data-dir", default=None,
-                   help=f"input directory (or ${DATA_DIR_ENV})")
-    p.add_argument("--out", type=_out, required=True, help="output directory")
+OPTIONS = {
+    "--seed": dict(type=_seed, default=None,
+                   help="RNG seed (default: SynthConfig seed when generating, else 0)"),
+    "--data-dir": dict(default=None, help=f"input directory (or ${DATA_DIR_ENV})"),
+    "--out": dict(type=_out, required=True, help="output directory"),
+    "--config": dict(default=None, help="SynthConfig JSON file"),
+    "--n-register": dict(type=_n_register, default=None),
+    "--model": dict(choices=["logistic", "forest", "both"], default="both"),
+    "--ratio": dict(type=_ratio, default=0.75),
+    "--k": dict(type=_folds, default=10, help="CV folds (0 disables)"),
+    "--threshold": dict(type=float, default=0.5),
+    "--trees": dict(type=_trees, default=500),
+    "--model-file": dict(required=True),
+    "--expanded": dict(required=True, help="expanded register CSV"),
+    "--variables": dict(nargs="+", default=["gender", "department", "birth_place", "citizenship"]),
+    "--alert-threshold": dict(type=float, default=5.0),
+}
+_TRAIN = ["--model", "--ratio", "--k", "--threshold", "--trees"]
+_BIAS = ["--variables", "--alert-threshold"]
+# subcommand -> (function, help, options besides --seed, --data-dir and --out)
+SUBCOMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic data bundle", ["--config", "--n-register"]),
+    "ingest": (cmd_ingest, "parse, standardize and link the inputs", []),
+    "train": (cmd_train, "fit and validate the classifiers", _TRAIN),
+    "evaluate": (cmd_evaluate, "evaluate a saved model on labeled data",
+                 ["--model-file", "--threshold"]),
+    "impute": (cmd_impute, "impute pa and expand the register", ["--model-file", "--threshold"]),
+    "report": (cmd_report, "sample vs population bias report", ["--expanded", *_BIAS]),
+    "pipeline": (cmd_pipeline, "run every stage end to end", ["--config", *_TRAIN, *_BIAS]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,77 +410,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic data bundle")
-    _add_common(p)
-    p.add_argument("--config", default=None, help="SynthConfig JSON file")
-    p.add_argument("--n-register", type=int, default=None)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("ingest", help="parse, standardize and link the inputs")
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("train", help="fit and validate the classifiers")
-    _add_common(p)
-    p.add_argument("--model", choices=["logistic", "forest", "both"], default="both")
-    p.add_argument("--ratio", type=_ratio, default=0.75)
-    p.add_argument("--k", type=_folds, default=10, help="CV folds (0 disables)")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--trees", type=_trees, default=500)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="evaluate a saved model on labeled data")
-    _add_common(p)
-    p.add_argument("--model-file", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("impute", help="impute pa and expand the register")
-    _add_common(p)
-    p.add_argument("--model-file", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.set_defaults(func=cmd_impute)
-
-    p = sub.add_parser("report", help="sample vs population bias report")
-    _add_common(p)
-    p.add_argument("--expanded", required=True, help="expanded register CSV")
-    p.add_argument("--variables", nargs="+", default=DEFAULT_BIAS_VARIABLES)
-    p.add_argument("--alert-threshold", type=float, default=5.0)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("pipeline", help="run every stage end to end")
-    _add_common(p)
-    p.add_argument("--config", default=None, help="SynthConfig JSON file")
-    p.add_argument("--model", choices=["logistic", "forest", "both"], default="both")
-    p.add_argument("--ratio", type=_ratio, default=0.75)
-    p.add_argument("--k", type=_folds, default=10)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--trees", type=_trees, default=500)
-    p.add_argument("--variables", nargs="+", default=DEFAULT_BIAS_VARIABLES)
-    p.add_argument("--alert-threshold", type=float, default=5.0)
-    p.set_defaults(func=cmd_pipeline)
+    for name, (func, help_text, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in ["--seed", "--data-dir", "--out", *options]:
+            p.add_argument(option, **OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # synth/pipeline fall back to the SynthConfig seed; everything else to 0
-    if args.seed is None and args.subcommand not in ("synth", "pipeline"):
-        args.seed = 0
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    run = Run(args)
     try:
-        return args.func(args)
+        args.func(run)
+        write_manifest(run.out, args.subcommand,
+                       {k: v for k, v in vars(args).items() if k != "func"},
+                       run.seed, run.inputs, run.outputs)
     except DataError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except HiddenPopError as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ Undefined metrics are written as the literal string "undefined".
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
 import numpy as np
 
@@ -105,7 +104,7 @@ def write_distribution_markdown(path, table: DistributionTable):
             )
 
 
-def write_bias_csv(path, report: BiasReport, *, plot_data_dir=None):
+def write_bias_csv(path, report: BiasReport):
     with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(["variable", "level", "population_share",
@@ -116,15 +115,15 @@ def write_bias_csv(path, report: BiasReport, *, plot_data_dir=None):
                     var, level, _fmt(pop, 2), _fmt(sample, 2), _fmt(gap, 2),
                     int(abs(gap) >= report.alert_threshold),
                 ])
-    if plot_data_dir is not None:
-        plot_data_dir = Path(plot_data_dir)
-        plot_data_dir.mkdir(parents=True, exist_ok=True)
-        for var, table in report.variables.items():
-            with atomic_open(plot_data_dir / f"bias_{var}.csv") as f:
-                writer = csv.writer(f)
-                writer.writerow(["level", "population_share", "sample_share"])
-                for level, (pop, sample, _gap) in table.items():
-                    writer.writerow([level, _fmt(pop, 2), _fmt(sample, 2)])
+
+
+def write_bias_plot(path, table: dict):
+    """Plot data of one BiasReport variable: level -> (population, sample, gap)."""
+    with atomic_open(path) as f:
+        writer = csv.writer(f)
+        writer.writerow(["level", "population_share", "sample_share"])
+        for level, (pop, sample, _gap) in table.items():
+            writer.writerow([level, _fmt(pop, 2), _fmt(sample, 2)])
 
 
 _EXPANDED_COLUMNS = ADMIN_COLUMNS + ["delta", "kind", "provenance", "predicted_score"]
@@ -173,10 +172,13 @@ def _membership(row: dict) -> tuple:
 
 
 def read_expanded_csv(path) -> Expanded:
-    """Read write_expanded_csv's output; a row the domain forbids raises DataError."""
+    """Read write_expanded_csv's output; a forbidden row or a repeated key raises DataError."""
     coders = {c: Coder(int if c in _INT_FIELDS else None) for c in ADMIN_COLUMNS[1:]}
-    keys, codes, found = [], [], []
+    lines, codes, found = {}, [], []  # lines: link_key -> line, in file order
     for lineno, row in read_csv(path, _EXPANDED_COLUMNS):
+        key = row["link_key"]
+        if key in lines:
+            raise DataError(f"{path}:{lineno}: link_key {key!r} already on line {lines[key]}")
         try:
             codes.append([coders[c][row[c]] for c in coders])
             if min(codes[-1]) < 0:  # only an int column codes a value as -1
@@ -185,10 +187,10 @@ def read_expanded_csv(path) -> Expanded:
             found.append(_membership(row))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        keys.append(row["link_key"])
+        lines[key] = lineno
     codes = np.array(codes, dtype=np.int32).reshape(-1, len(coders)).T
     delta, kind, provenance, score = np.array(found).reshape(-1, 4).T
-    register = Register(np.array(keys, dtype=object), dict(zip(coders, codes)),
+    register = Register(np.array(list(lines), dtype=object), dict(zip(coders, codes)),
                         {c: coder.levels for c, coder in coders.items()})
     return Expanded(register, *(a.astype(np.int8) for a in (delta, kind, provenance)), score)
 

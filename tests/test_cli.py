@@ -1,11 +1,12 @@
 """CLI subcommands: artifacts, manifests, exit codes, schema digest guard."""
 
 import json
+import shutil
 
 import pytest
 
 import hiddenpop.cli
-from hiddenpop.cli import main
+from hiddenpop.cli import build_parser, main
 from conftest import small_config
 
 
@@ -107,10 +108,15 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("subcommand", ["train", "pipeline"])
-@pytest.mark.parametrize("flag, value", [
-    ("--trees", "0"), ("--trees", "-3"), ("--ratio", "1.5"), ("--ratio", "0"),
-    ("--k", "1"), ("--k", "-1"), ("--seed", "-1"),
+@pytest.mark.parametrize("subcommand, flag, value", [
+    pytest.param(subcommand, flag, value, id=f"{flag}-{value}-{subcommand}")
+    for subcommand in ["train", "pipeline"] for flag, value in [
+        ("--trees", "0"), ("--trees", "-3"), ("--ratio", "1.5"), ("--ratio", "0"),
+        ("--k", "1"), ("--k", "-1"), ("--seed", "-1"),
+    ]
+] + [
+    pytest.param("synth", "--n-register", value, id=f"--n-register-{value}-synth")
+    for value in ["0", "-5", "99"]
 ])
 def test_out_of_range_option_is_usage_error(tmp_path, subcommand, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -158,3 +164,95 @@ def test_pipeline_parses_inputs_once(cli_run, tmp_path, monkeypatch):
     assert main(["pipeline", "--data-dir", str(data), "--out", str(tmp_path / "pipe"),
                  "--model", "logistic", "--k", "0"]) == 0
     assert len(calls) == 1
+
+
+def _impute(data, train, out):
+    assert main(["impute", "--data-dir", str(data), "--out", str(out),
+                 "--model-file", str(train / "model_logistic.json")]) == 0
+    return out / "expanded_register.csv"
+
+
+def _manifest(out):
+    return json.loads((out / "run_manifest.json").read_text())
+
+
+def test_report_manifest_lists_only_what_it_wrote(cli_run, tmp_path):
+    _root, data, train = cli_run
+    expanded = _impute(data, train, tmp_path / "impute")
+    rep = tmp_path / "report"
+    for variables in (["gender", "department", "birth_place", "citizenship"], ["gender"]):
+        assert main(["report", "--data-dir", str(data), "--out", str(rep),
+                     "--expanded", str(expanded), "--variables", *variables]) == 0
+    assert (rep / "bias_plots" / "bias_department.csv").exists()  # left by the first run
+    assert sorted(_manifest(rep)["outputs"]) == ["bias_plots/bias_gender.csv",
+                                                  "bias_report.csv"]
+
+
+def test_manifest_config_records_the_options(cli_run, tmp_path):
+    _root, data, train = cli_run
+    ev = tmp_path / "eval"
+    assert main(["evaluate", "--data-dir", str(data), "--out", str(ev), "--threshold", "0.3",
+                 "--model-file", str(train / "model_logistic.json")]) == 0
+    assert _manifest(ev)["config"]["threshold"] == 0.3
+    rep = tmp_path / "report"
+    assert main(["report", "--data-dir", str(data), "--out", str(rep),
+                 "--expanded", str(_impute(data, train, tmp_path / "impute")),
+                 "--variables", "gender", "department", "--alert-threshold", "2.5"]) == 0
+    config = _manifest(rep)["config"]
+    assert config["variables"] == ["gender", "department"]
+    assert config["alert_threshold"] == 2.5
+
+
+@pytest.mark.parametrize("layout", ["impute", "pipeline"])
+def test_report_checks_expanded_came_from_its_data(cli_run, tmp_path, capsys, layout):
+    _root, data, train = cli_run
+    if layout == "impute":  # the manifest sits beside expanded_register.csv
+        expanded = _impute(data, train, tmp_path / "impute")
+    else:  # one directory above it
+        assert main(["pipeline", "--data-dir", str(data), "--out", str(tmp_path / "pipe"),
+                     "--model", "logistic", "--k", "0"]) == 0
+        expanded = tmp_path / "pipe" / "impute" / "expanded_register.csv"
+    copy = tmp_path / "copy"
+    shutil.copytree(data, copy)
+    assert main(["report", "--data-dir", str(copy), "--out", str(tmp_path / "same"),
+                 "--expanded", str(expanded)]) == 0
+
+    with open(copy / "names.csv", "a", encoding="utf-8") as f:
+        f.write("zebedeo,9\n")
+    capsys.readouterr()
+    assert main(["report", "--data-dir", str(copy), "--out", str(tmp_path / "other"),
+                 "--expanded", str(expanded)]) == 3
+    err = capsys.readouterr().err
+    assert str(data / "names.csv") in err and str(copy / "names.csv") in err
+    assert not (tmp_path / "other" / "bias_report.csv").exists()
+
+
+_COMMON = {"seed": (None, None, False), "data_dir": (None, None, False),
+           "out": (None, None, True)}
+_TRAIN = {"model": ("both", ["logistic", "forest", "both"], False),
+          "ratio": (0.75, None, False), "k": (10, None, False),
+          "threshold": (0.5, None, False), "trees": (500, None, False)}
+_BIAS = {"variables": (["gender", "department", "birth_place", "citizenship"], None, False),
+         "alert_threshold": (5.0, None, False)}
+_MODEL_FILE = {"model_file": (None, None, True), "threshold": (0.5, None, False)}
+
+
+def test_cli_surface():
+    """Each subcommand's option dests, with their defaults, choices and required flags."""
+    expected = {
+        "synth": {"config": (None, None, False), "n_register": (None, None, False)},
+        "ingest": {},
+        "train": _TRAIN,
+        "evaluate": _MODEL_FILE,
+        "impute": _MODEL_FILE,
+        "report": {"expanded": (None, None, True), **_BIAS},
+        "pipeline": {"config": (None, None, False), **_TRAIN, **_BIAS},
+    }
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if a.dest == "subcommand"]
+    assert list(sub.choices) == list(expected)
+    for name, options in expected.items():
+        found = {a.dest: (a.default, a.choices, a.required)
+                 for a in sub.choices[name]._actions if a.dest != "help"}
+        assert found == {**_COMMON, **options}, name
+    assert [a.dest for a in parser._actions] == ["help", "verbose", "subcommand"]

@@ -159,6 +159,18 @@ def test_expanded_register_names_the_first_unreadable_line(tmp_path):
         read_expanded_csv(path)
 
 
+def test_expanded_register_rejects_a_repeated_link_key(tmp_path):
+    path = tmp_path / "expanded.csv"
+    write_expanded_csv(path, expanded_of(
+        [make_admin("S1"), make_admin("S2")], [0, 1],
+        [BackgroundKind.NO_BACKGROUND, BackgroundKind.SECOND_GEN_ITALIAN],
+        ["linked", "linked"], [None, None]))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines + lines[1:2]))
+    with pytest.raises(DataError, match="expanded.csv:4: link_key 'S1' already on line 2"):
+        read_expanded_csv(path)
+
+
 def test_failed_model_save_leaves_old_file(tmp_path, small_training, monkeypatch):
     schema, data = small_training
     path = tmp_path / "model.json"
