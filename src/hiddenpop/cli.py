@@ -360,6 +360,8 @@ _trees = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _ratio = _checked(float, lambda v: 0 < v < 1, "a fraction strictly between 0 and 1")
 _folds = _checked(int, lambda v: v == 0 or v >= 2, "0 (no CV) or an integer >= 2")
 _n_register = _checked(int, lambda v: v >= 100, "an integer >= 100")
+_threshold = _checked(float, lambda v: 0 <= v <= 1, "a number between 0 and 1")
+_gap = _checked(float, lambda v: 0 <= v <= 100, "a gap between 0 and 100 percentage points")
 
 
 def _makeable_dir(path) -> bool:
@@ -380,24 +382,24 @@ OPTIONS = {
     "--model": dict(choices=["logistic", "forest", "both"], default="both"),
     "--ratio": dict(type=_ratio, default=0.75),
     "--k": dict(type=_folds, default=10, help="CV folds (0 disables)"),
-    "--threshold": dict(type=float, default=0.5),
+    "--threshold": dict(type=_threshold, default=0.5),
     "--trees": dict(type=_trees, default=500),
     "--model-file": dict(required=True),
     "--expanded": dict(required=True, help="expanded register CSV"),
     "--variables": dict(nargs="+", default=["gender", "department", "birth_place", "citizenship"]),
-    "--alert-threshold": dict(type=float, default=5.0),
+    "--alert-threshold": dict(type=_gap, default=5.0),
 }
-_TRAIN = ["--model", "--ratio", "--k", "--threshold", "--trees"]
+_TRAIN = ["--data-dir", "--model", "--ratio", "--k", "--threshold", "--trees"]
+_SCORE = ["--data-dir", "--model-file", "--threshold"]
 _BIAS = ["--variables", "--alert-threshold"]
-# subcommand -> (function, help, options besides --seed, --data-dir and --out)
+# subcommand -> (function, help, options besides --seed and --out)
 SUBCOMMANDS = {
     "synth": (cmd_synth, "generate a synthetic data bundle", ["--config", "--n-register"]),
-    "ingest": (cmd_ingest, "parse, standardize and link the inputs", []),
+    "ingest": (cmd_ingest, "parse, standardize and link the inputs", ["--data-dir"]),
     "train": (cmd_train, "fit and validate the classifiers", _TRAIN),
-    "evaluate": (cmd_evaluate, "evaluate a saved model on labeled data",
-                 ["--model-file", "--threshold"]),
-    "impute": (cmd_impute, "impute pa and expand the register", ["--model-file", "--threshold"]),
-    "report": (cmd_report, "sample vs population bias report", ["--expanded", *_BIAS]),
+    "evaluate": (cmd_evaluate, "evaluate a saved model on labeled data", _SCORE),
+    "impute": (cmd_impute, "impute pa and expand the register", _SCORE),
+    "report": (cmd_report, "sample vs population bias report", ["--data-dir", "--expanded", *_BIAS]),
     "pipeline": (cmd_pipeline, "run every stage end to end", ["--config", *_TRAIN, *_BIAS]),
 }
 
@@ -412,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (func, help_text, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for option in ["--seed", "--data-dir", "--out", *options]:
+        for option in ["--seed", "--out", *options]:
             p.add_argument(option, **OPTIONS[option])
         p.set_defaults(func=func)
     return parser

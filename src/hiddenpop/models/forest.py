@@ -8,16 +8,22 @@ unbounded depth.
 
 Reproducibility contract: tree t draws from its own RNG stream keyed by
 (seed, t): first its bootstrap, then one mtry draw per searched node, taken
-in the tree's own depth-first order (left child before right).  fit_forest
-grows all trees in lockstep, searching the next node of every unfinished
-tree in one vectorized pass, but no tree's stream or node order depends on
-another tree, so the same data and seed give a bit-identical forest, the
-same as growing the trees one after another.
+in the tree's own depth-first order (left child before right).  The draws
+come _BLOCK nodes at a time, one Generator.integers call per block, and
+equal successive Generator.choice(p, mtry, replace=False) calls for any
+p <= 10,000 (the feature layout has at most 9 columns); draws past a tree's
+last node are never read.  fit_forest grows all trees in lockstep, searching
+the next node of every unfinished tree in one vectorized pass, but no tree's
+stream or node order depends on another tree, so the same data and seed give
+a bit-identical forest, the same as growing the trees one after another.
 
 Memory: the bootstrap row ids of all trees are held at once, n_trees x n
 int32 (about 1 MB at 500 trees x 536 rows), each node owning a range of its
 tree's row; the split search works through the nodes in chunks of at most
-_SEARCH_CHUNK rows x mtry candidates.
+_SEARCH_CHUNK rows x mtry candidates.  The stacks are n_trees x cap x 5
+int64, cap < 2 (tree depth + 2); the candidates n_trees x _BLOCK x mtry
+int64, drawn as n_trees x _BLOCK x (2 mtry - 1) (each under 1.5 MB at 500
+trees, cap 64, mtry 3).
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ log = logging.getLogger(__name__)
 
 _NO_FEATURE = -1
 _SEARCH_CHUNK = 1 << 11  # node rows per vectorized split search
+_BLOCK = 64  # nodes per candidate draw of one tree
 
 
 @dataclass
@@ -169,74 +176,95 @@ def _split_in_place(X, y, rows, starts, sizes, cands, min_leaf):
     return tuple(map(np.concatenate, zip(*parts)))
 
 
+def _draw_candidates(rngs, p, mtry):
+    """The next _BLOCK nodes' candidates from each generator: (len(rngs), _BLOCK, mtry).
+
+    Generator.choice(p, mtry, replace=False) makes 2 mtry - 1 bounded draws:
+    Floyd's from [0, j] for j = p - mtry .. p - 1, then its shuffle's from
+    [0, i] for i = mtry - 1 .. 1.  One Generator.integers call per generator
+    makes the same draws for a block of nodes.  Floyd's rule keeps draw j
+    unless an earlier column holds it, else takes j; the shuffle swaps
+    column i with the column its draw names.
+    """
+    bounds = np.concatenate([np.arange(p - mtry + 1, p + 1), np.arange(mtry, 1, -1)])
+    block = np.tile(bounds, _BLOCK)
+    draws = np.array([rng.integers(0, block) for rng in rngs]).reshape(-1, len(bounds))
+    cand = np.empty((len(draws), mtry), dtype=np.int64)
+    for j in range(mtry):
+        taken = (cand[:, :j] == draws[:, j, None]).any(axis=1)
+        cand[:, j] = np.where(taken, p - mtry + j, draws[:, j])
+    row = np.arange(len(draws))
+    for i, swap in zip(range(mtry - 1, 0, -1), draws[:, mtry:].T):
+        cand[row, i], cand[row, swap] = cand[row, swap], cand[row, i]
+    return cand.reshape(len(rngs), _BLOCK, mtry)
+
+
+def _gini(n1, size):
+    """Gini impurity of nodes with n1 positives of size rows, rounded as a per-node loop's."""
+    mean = n1 / size  # float_power is C pow per element, as scalar ** is; an array's ** squares
+    return 1.0 - (np.float_power(mean, 2) + np.float_power(1 - mean, 2))
+
+
 def _grow_trees(X, y, seed, n_trees, mtry, min_leaf, max_depth):
     """Grow n_trees trees in lockstep; returns (n_nodes, roots, records, oob).
 
     Tree t draws its bootstrap and then its candidates from the stream keyed
-    by (seed, t).  Its bootstrap rows fill rows[t], and each node owns a
-    range of that row, partitioned in place when the node splits.  Each step
-    pops the next node to be searched from every unfinished tree's
-    depth-first stack, draws its candidates, and searches all of them at
-    once.  Node ids count up per tree in creation order (right child = left
-    child + 1).  Returned: each tree's node count and root class counts, one
-    record per step of its splits (see _assemble_trees), and the (n_trees, n)
-    out-of-bag mask.
+    by (seed, t), _BLOCK nodes' worth at a time.  Its bootstrap rows fill
+    rows[t], and each node owns a range of that row, partitioned in place
+    when the node splits.  Each tree's depth-first stack holds only nodes to
+    be searched: a child that is too small, pure or at max_depth is never
+    pushed.  Each step pops one node from every non-empty stack and searches
+    them all at once.  Node ids count up per tree in creation order (right
+    child = left child + 1).  Returned: each tree's node count and root
+    class counts, one record per step of its splits (see _assemble_trees),
+    and the (n_trees, n) out-of-bag mask.
     """
     n, p = X.shape
     rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
     rows = np.array([rng.integers(0, n, size=n) for rng in rngs], dtype=np.int32)
     oob = np.ones((n_trees, n), dtype=bool)
     oob[np.arange(n_trees)[:, None], rows] = False
-    roots = np.column_stack([n - y[rows].sum(axis=1), y[rows].sum(axis=1)])
-    # node, row range, depth, class counts
-    stacks = [[(0, 0, n, 0, *root)] for root in roots.tolist()]
+    n1 = y[rows].sum(axis=1)
+    roots = np.column_stack([n - n1, n1])
+    depth_limit = np.inf if max_depth is None else max_depth
+
+    def searchable(nodes):
+        size, depth, pos = nodes[:, 2] - nodes[:, 1], nodes[:, 3], nodes[:, 4]
+        return (size >= 2 * min_leaf) & (pos > 0) & (pos < size) & (depth < depth_limit)
+
+    stack = np.zeros((n_trees, 1, 5), dtype=np.int64)  # node, lo, hi, depth, positives
+    stack[:, 0, 2], stack[:, 0, 4] = n, n1
+    top = searchable(stack[:, 0]).astype(np.intp)  # entries on each tree's stack
+    cands = np.empty((n_trees, _BLOCK, mtry), dtype=np.int64)
+    used = np.full(n_trees, _BLOCK)  # candidate rows of the block already taken
     n_nodes = np.ones(n_trees, dtype=np.intp)
     records = []
-    growing = range(n_trees)
-    while growing:
-        batch = []
-        for t in growing:
-            stack = stacks[t]
-            while stack:
-                node, lo, hi, depth, n0, n1 = stack.pop()
-                if not (
-                    hi - lo < 2 * min_leaf
-                    or n0 == 0
-                    or n1 == 0
-                    or (max_depth is not None and depth >= max_depth)
-                ):
-                    cand = rngs[t].choice(p, size=mtry, replace=False)
-                    batch.append((t, node, lo, hi, depth, n1, cand))
-                    break
-        if not batch:
-            break
-        tree, node, lo, hi, _, _, cands = map(np.array, zip(*batch))
+    while (tree := np.flatnonzero(top)).size:
+        top[tree] -= 1
+        node, lo, hi, depth, pos = stack[tree, top[tree]].T
+        refill = tree[used[tree] == _BLOCK]
+        if refill.size:
+            cands[refill] = _draw_candidates([rngs[t] for t in refill], p, mtry)
+            used[refill] = 0
         cost, feature, threshold, child_counts = _split_in_place(
-            X, y, rows.reshape(-1), tree * n + lo, hi - lo, cands, min_leaf)
-        counts = child_counts.tolist()
-        split, lefts = [], []
-        for i, (t, _, lo, hi, depth, n1, _) in enumerate(batch):
-            if feature[i] == _NO_FEATURE:
-                continue
-            mean = np.float64(n1) / (hi - lo)
-            parent_gini = 1.0 - (mean ** 2 + (1 - mean) ** 2)
-            if cost[i] >= parent_gini - 1e-15:
-                continue
-            left = int(n_nodes[t])
-            n_nodes[t] += 2
-            split.append(i)
-            lefts.append(left)
-            mid = lo + sum(counts[2 * i])
-            # push right first so the left branch is processed (and draws RNG) first
-            stacks[t].append((left + 1, mid, hi, depth + 1, *counts[2 * i + 1]))
-            stacks[t].append((left, lo, mid, depth + 1, *counts[2 * i]))
-        growing = tree.tolist()
-        split = np.array(split, dtype=np.intp)
-        records.append((
-            np.column_stack([tree[split], node[split], feature[split], lefts,
-                             child_counts.reshape(-1, 4)[split]]).astype(np.int32),
-            threshold[split],
-        ))
+            X, y, rows.reshape(-1), tree * n + lo, hi - lo, cands[tree, used[tree]], min_leaf)
+        used[tree] += 1
+        split = np.flatnonzero((feature != _NO_FEATURE) & (cost < _gini(pos, hi - lo) - 1e-15))
+        t = tree[split]
+        left = n_nodes[t]
+        n_nodes[t] += 2
+        counts = child_counts.reshape(-1, 4)[split]
+        mid = lo[split] + counts[:, 0] + counts[:, 1]
+        if top.max() + 2 > stack.shape[1]:
+            stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+        # push right first so the left branch is searched (and draws) first
+        for child in (np.column_stack([left + 1, mid, hi[split], depth[split] + 1, counts[:, 3]]),
+                      np.column_stack([left, lo[split], mid, depth[split] + 1, counts[:, 1]])):
+            push = searchable(child)
+            stack[t[push], top[t[push]]] = child[push]
+            top[t[push]] += 1
+        records.append((np.column_stack([t, node[split], feature[split], left, counts]
+                                        ).astype(np.int32), threshold[split]))
     return n_nodes, roots, records, oob
 
 

@@ -199,10 +199,13 @@ def _calibrate_intercept(eta_slope: np.ndarray, target: float) -> float:
     return (lo + hi) / 2.0
 
 
-def _weighted_sample(rng, pool: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+def _weighted_sample(rng, in_pool, weights, config, count_field):
+    """config.<count_field> of the rows in_pool, drawn without replacement by weight."""
+    size, pool = getattr(config, count_field), np.flatnonzero(in_pool)
     if size > len(pool):
-        raise DataError(f"cannot sample {size} from a pool of {len(pool)}")
-    p = weights / weights.sum()
+        raise DataError(f"n_register {config.n_register} is too small for {count_field} "
+                        f"{size}: cannot sample {size} from a pool of {len(pool)}")
+    p = weights[pool] / weights[pool].sum()
     return rng.choice(pool, size=size, replace=False, p=p)
 
 
@@ -281,13 +284,9 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
             offsets += np.where(values == level, off, 0.0)
     weights = np.exp(offsets)
 
-    idx = np.arange(n)
-    respondents_native = _weighted_sample(
-        rng, idx[kind == 1], weights[kind == 1], config.n_survey_native)
-    respondents_migrant = _weighted_sample(
-        rng, idx[kind >= 2], weights[kind >= 2], config.n_survey_migrant)
-    screened = _weighted_sample(
-        rng, idx[kind == 0], weights[kind == 0], config.n_screened_out)
+    respondents_native = _weighted_sample(rng, kind == 1, weights, config, "n_survey_native")
+    respondents_migrant = _weighted_sample(rng, kind >= 2, weights, config, "n_survey_migrant")
+    screened = _weighted_sample(rng, kind == 0, weights, config, "n_screened_out")
 
     eligible = np.sort(np.concatenate([respondents_native, respondents_migrant]))
     screened = np.sort(screened)

@@ -117,11 +117,26 @@ def test_usage_error_exit_code():
 ] + [
     pytest.param("synth", "--n-register", value, id=f"--n-register-{value}-synth")
     for value in ["0", "-5", "99"]
+] + [
+    pytest.param(subcommand, "--threshold", value, id=f"--threshold-{value}-{subcommand}")
+    for subcommand in ["train", "evaluate", "impute", "pipeline"] for value in ["7", "-0.1", "nan"]
+] + [
+    pytest.param(subcommand, "--alert-threshold", value, id=f"--alert-threshold-{value}-{subcommand}")
+    for subcommand in ["report", "pipeline"] for value in ["100.5", "-1"]
 ])
-def test_out_of_range_option_is_usage_error(tmp_path, subcommand, flag, value):
+def test_out_of_range_option_is_usage_error(tmp_path, capsys, subcommand, flag, value):
+    required = {"evaluate": ["--model-file", "m.json"], "impute": ["--model-file", "m.json"],
+                "report": ["--expanded", "e.csv"]}.get(subcommand, [])
     with pytest.raises(SystemExit) as exc:
-        main([subcommand, "--out", str(tmp_path / "o"), flag, value])
+        main([subcommand, "--out", str(tmp_path / "o"), *required, flag, value])
     assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_synth_register_too_small_for_the_survey_names_both(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "o"), "--n-register", "1500"]) == 3
+    err = capsys.readouterr().err
+    assert "n_register 1500 is too small for n_survey_native 312" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -227,8 +242,8 @@ def test_report_checks_expanded_came_from_its_data(cli_run, tmp_path, capsys, la
     assert not (tmp_path / "other" / "bias_report.csv").exists()
 
 
-_COMMON = {"seed": (None, None, False), "data_dir": (None, None, False),
-           "out": (None, None, True)}
+_COMMON = {"seed": (None, None, False), "out": (None, None, True)}
+_DATA_DIR = {"data_dir": (None, None, False)}
 _TRAIN = {"model": ("both", ["logistic", "forest", "both"], False),
           "ratio": (0.75, None, False), "k": (10, None, False),
           "threshold": (0.5, None, False), "trees": (500, None, False)}
@@ -241,12 +256,12 @@ def test_cli_surface():
     """Each subcommand's option dests, with their defaults, choices and required flags."""
     expected = {
         "synth": {"config": (None, None, False), "n_register": (None, None, False)},
-        "ingest": {},
-        "train": _TRAIN,
-        "evaluate": _MODEL_FILE,
-        "impute": _MODEL_FILE,
-        "report": {"expanded": (None, None, True), **_BIAS},
-        "pipeline": {"config": (None, None, False), **_TRAIN, **_BIAS},
+        "ingest": _DATA_DIR,
+        "train": {**_DATA_DIR, **_TRAIN},
+        "evaluate": {**_DATA_DIR, **_MODEL_FILE},
+        "impute": {**_DATA_DIR, **_MODEL_FILE},
+        "report": {**_DATA_DIR, "expanded": (None, None, True), **_BIAS},
+        "pipeline": {**_DATA_DIR, "config": (None, None, False), **_TRAIN, **_BIAS},
     }
     parser = build_parser()
     [sub] = [a for a in parser._actions if a.dest == "subcommand"]

@@ -7,7 +7,7 @@ import forest_reference as reference
 from hiddenpop.errors import HiddenPopError
 from hiddenpop.features import LabeledDataset
 from hiddenpop.models import fit_forest, permutation_importance, predict_forest
-from hiddenpop.models.forest import _SEARCH_CHUNK
+from hiddenpop.models.forest import _BLOCK, _SEARCH_CHUNK, _draw_candidates, _gini
 
 
 def learnable_data(n=300, seed=0):
@@ -176,6 +176,42 @@ def test_lockstep_fit_matches_sequential_reference_with_nodes_over_a_search_chun
     assert len(data.X) > _SEARCH_CHUNK  # the root alone fills more than one chunk
     assert_same_forest(fit_forest(data, n_trees=3, seed=4, min_leaf=5),
                        reference.fit_forest(data, n_trees=3, seed=4, min_leaf=5))
+
+
+def test_lockstep_fit_matches_sequential_reference_across_candidate_blocks():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(600, 3)).round(2)
+    data = LabeledDataset(X=X, y=rng.integers(0, 2, size=600),
+                          row_ids=[str(i) for i in range(600)])
+    got = fit_forest(data, n_trees=3, seed=1)
+    # every tree searches (at least) its splitting nodes, over two blocks' worth
+    assert min(int((tree.feature >= 0).sum()) for tree in got.trees) > 2 * _BLOCK
+    assert_same_forest(got, reference.fit_forest(data, n_trees=3, seed=1))
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_block_draws_equal_successive_choice_calls(p):
+    """Whole blocks give each call's candidates and leave the generator where the calls do."""
+    for mtry in range(1, p + 1):
+        for count in (1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 3):
+            calls, blocks = (np.random.default_rng([p, mtry, count]) for _ in range(2))
+            calls.integers(0, 7, size=7)  # a bootstrap-like draw first, as in a tree
+            blocks.integers(0, 7, size=7)
+            want = [calls.choice(p, size=mtry, replace=False) for _ in range(count)]
+            n_blocks = -(-count // _BLOCK)
+            got = np.concatenate([_draw_candidates([blocks], p, mtry)[0] for _ in range(n_blocks)])
+            np.testing.assert_array_equal(got[:count], want, err_msg=f"mtry={mtry} count={count}")
+            for _ in range(n_blocks * _BLOCK - count):  # the rest of the last block
+                calls.choice(p, size=mtry, replace=False)
+            assert blocks.bit_generator.state == calls.bit_generator.state, (mtry, count)
+
+
+def test_parent_gini_rounds_as_the_per_node_loop():
+    """Every node of up to 400 rows, as the reference's scalar `**` rounds it."""
+    pairs = [(n1, size) for size in range(1, 401) for n1 in range(size + 1)]
+    n1, size = np.array(pairs).T
+    want = [1.0 - (m ** 2 + (1 - m) ** 2) for m in (np.float64(a) / b for a, b in pairs)]
+    assert _gini(n1, size).tobytes() == np.array(want).tobytes()
 
 
 def test_duplicated_rows_score_as_if_alone():
