@@ -201,6 +201,7 @@ def _impute(run, rel, model_file):
     """Impute pa for the unlinked bp=cit=1 rows and write the expanded register."""
     admin, _survey, table, linked = run.parsed
     model, schema = load_model(model_file)
+    _check_schema_digest(model_file, schema)
     imputations = impute_pa(model, schema, admin, table,
                             linked_rows=linked.rows, threshold=run.args.threshold)
     expanded = expand_dataset(admin, linked, imputations)

@@ -17,13 +17,28 @@ the next node of every unfinished tree in one vectorized pass, but no tree's
 stream or node order depends on another tree, so the same data and seed give
 a bit-identical forest, the same as growing the trees one after another.
 
+Scoring contract: a tree's class for a row is the majority class (ties -> 0)
+of the leaf that the walk from the root reaches, going left where
+x[feature] <= threshold, so a NaN on either side goes right.  predict_forest
+and the OOB votes score each distinct row once, with all trees at once, by
+the bitmask exit-leaf scheme of _LeafTables; their votes equal that walk's
+bit for bit, for every tree load_model accepts, with values tied to
+thresholds, infinities and NaN included.
+
 Memory: the bootstrap row ids of all trees are held at once, n_trees x n
 int32 (about 1 MB at 500 trees x 536 rows), each node owning a range of its
 tree's row; the split search works through the nodes in chunks of at most
 _SEARCH_CHUNK rows x mtry candidates.  The stacks are n_trees x cap x 5
 int64, cap < 2 (tree depth + 2); the candidates n_trees x _BLOCK x mtry
 int64, drawn as n_trees x _BLOCK x (2 mtry - 1) (each under 1.5 MB at 500
-trees, cap 64, mtry 3).
+trees, cap 64, mtry 3).  The leaf-mask tables hold, per split feature f,
+(distinct f-thresholds + 1) x trees x W uint64 words, W = ceil(most leaves
+in a tree / 64): 2.6 MB for the default forest at seed 3 (315 thresholds,
+so 324 rows; 500 trees; W = 2).  Trees are taken in groups whose tables fit
+in _TABLE_BYTES (4 MB, or one tree); a forest that fits one group keeps its
+tables, a larger one builds each group's anew per call, so deep trees cost
+time, not memory.
+Rows are scored in chunks of _SCORE_WORDS mask words (1 MB), in two buffers.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,14 +57,20 @@ log = logging.getLogger(__name__)
 _NO_FEATURE = -1
 _SEARCH_CHUNK = 1 << 11  # node rows per vectorized split search
 _BLOCK = 64  # nodes per candidate draw of one tree
+_TABLE_BYTES = 1 << 22  # leaf-mask tables of one group of trees
+_SCORE_WORDS = 1 << 17  # mask words per scoring chunk (rows x trees x W)
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)  # k lowest bits set
 
 
 @dataclass
 class DecisionTree:
     """Flat array representation: node i is a leaf iff feature[i] == -1.
 
-    An internal node's children come after it (left[i], right[i] > i), so
-    every walk from the root ends at a leaf; load_model checks this.
+    An internal node's children come after it (left[i], right[i] > i), and
+    every node but the root is the child of exactly one internal node, so the
+    arrays hold one binary tree; load_model checks this.  A row goes left
+    where x[feature] <= threshold, and a leaf's class is its majority class
+    (ties -> 0).
     """
 
     feature: np.ndarray      # int, split feature or -1
@@ -56,19 +78,6 @@ class DecisionTree:
     left: np.ndarray         # int child index
     right: np.ndarray        # int child index
     counts: np.ndarray       # (n_nodes, 2) class counts of training rows at node
-
-    def predict_class(self, X: np.ndarray) -> np.ndarray:
-        """Majority class per row (ties -> 0); vectorized level-order walk."""
-        node = np.zeros(len(X), dtype=np.intp)
-        active = self.feature[node] != _NO_FEATURE
-        while active.any():
-            idx = np.nonzero(active)[0]
-            nd = node[idx]
-            go_left = X[idx, self.feature[nd]] <= self.threshold[nd]
-            node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-            active = self.feature[node] != _NO_FEATURE
-        leaf_counts = self.counts[node]
-        return (leaf_counts[:, 1] > leaf_counts[:, 0]).astype(int)
 
 
 @dataclass
@@ -86,6 +95,11 @@ class ForestModel:
     @property
     def width(self) -> int:
         return self.n_features
+
+    @cached_property
+    def leaf_tables(self) -> _LeafTables:
+        """The exit-leaf scorer of the trees, built on first use."""
+        return _LeafTables(self.trees)
 
 
 def _split_nodes(X, y, rows, sizes, cands, min_leaf):
@@ -318,31 +332,33 @@ def fit_forest(
     mtry = min(mtry, p)
 
     n_nodes, roots, records, oob = _grow_trees(X, y, seed, n_trees, mtry, min_leaf, max_depth)
-    trees = _assemble_trees(n_nodes, roots, records)
-
-    # OOB votes: each tree scores the distinct training rows once
-    distinct, inverse = _distinct_rows(X)
-    votes = np.zeros((n, 2), dtype=np.int64)  # OOB votes per class
-    for tree, out_of_bag in zip(trees, oob):
-        pred = tree.predict_class(distinct)[inverse]
-        votes[:, 1] += out_of_bag & (pred == 1)
-        votes[:, 0] += out_of_bag & (pred == 0)
-
-    voted = votes.sum(axis=1) > 0
-    oob_pred = (votes[:, 1] > votes[:, 0]).astype(int)
-    oob_error = float(np.mean(oob_pred[voted] != y[voted])) if voted.any() else float("nan")
-    log.info("forest: %d trees, mtry=%d, OOB error %.4f", n_trees, mtry, oob_error)
-    return ForestModel(
-        trees=trees,
+    model = ForestModel(
+        trees=_assemble_trees(n_nodes, roots, records),
         n_trees=n_trees,
         mtry=mtry,
         min_leaf=min_leaf,
         max_depth=max_depth,
         seed=seed,
         n_features=p,
-        oob_error=oob_error,
-        oob_votes=votes,
+        oob_error=float("nan"),
     )
+
+    # OOB votes: the distinct training rows are scored once, by every tree
+    distinct, inverse = _distinct_rows(X)
+    positive = np.empty((len(distinct), n_trees), dtype=bool)
+    for lo, hi, t0, t1, vote in model.leaf_tables.votes(distinct):
+        positive[lo:hi, t0:t1] = vote
+    positive = positive[inverse].T
+    votes = np.column_stack([(oob & ~positive).sum(axis=0), (oob & positive).sum(axis=0)]
+                            ).astype(np.int64)  # OOB votes per class
+
+    voted = votes.sum(axis=1) > 0
+    oob_pred = (votes[:, 1] > votes[:, 0]).astype(int)
+    model.oob_votes = votes
+    if voted.any():
+        model.oob_error = float(np.mean(oob_pred[voted] != y[voted]))
+    log.info("forest: %d trees, mtry=%d, OOB error %.4f", n_trees, mtry, model.oob_error)
+    return model
 
 
 def _distinct_rows(X):
@@ -362,6 +378,151 @@ def _distinct_rows(X):
     return X[order[new]], inverse
 
 
+def _table_bytes(trees):
+    """Bytes of a group's tables: per feature, a row per distinct threshold and one more."""
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    inner = feature != _NO_FEATURE
+    feature, threshold = feature[inner], threshold[inner]
+    rows = sum(np.unique(threshold[feature == f]).size + 1 for f in np.unique(feature))
+    words = -(-max(tree.feature.size + 1 for tree in trees) // 128)  # leaves = (nodes + 1) / 2
+    return rows * len(trees) * words * 8
+
+
+def _tree_groups(trees, t0=0, t1=None):
+    """Runs of consecutive trees, [t0, t1), halved until their tables fit in _TABLE_BYTES.
+
+    A run of one tree is not split further, whatever its tables take.
+    """
+    t1 = len(trees) if t1 is None else t1
+    if t1 - t0 > 1 and _table_bytes(trees[t0:t1]) > _TABLE_BYTES:
+        mid = (t0 + t1) // 2
+        return _tree_groups(trees, t0, mid) + _tree_groups(trees, mid, t1)
+    return [(t0, t1)]
+
+
+def _node_masks(trees):
+    """Each internal node's leaf mask, and each tree's class-1 leaves, as W-word bitsets.
+
+    Returns the internal nodes' feature, threshold, tree and (nodes, W) masks,
+    and the (len(trees), W) words of the trees' class-1 leaves.  Leaves are
+    numbered in order, left to right; bit i of a set is word i // 64, bit
+    i % 64, and a node's mask clears the bits of its left subtree's leaves.
+    """
+    n_nodes = np.array([tree.feature.size for tree in trees])
+    start = np.cumsum(n_nodes) - n_nodes
+    owner = np.repeat(np.arange(len(trees), dtype=np.int32), n_nodes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    left = np.concatenate([tree.left for tree in trees]).astype(np.int32) + start[owner]
+    right = np.concatenate([tree.right for tree in trees]).astype(np.int32) + start[owner]
+    inner = feature != _NO_FEATURE
+
+    levels = []  # the internal nodes of each depth, across trees
+    nodes = start
+    while (nodes := nodes[inner[nodes]]).size:
+        levels.append(nodes)
+        nodes = np.concatenate([left[nodes], right[nodes]])
+    n_leaves = (~inner).astype(np.int32)
+    for nodes in reversed(levels):
+        n_leaves[nodes] = n_leaves[left[nodes]] + n_leaves[right[nodes]]
+    first = np.zeros(len(feature), dtype=np.int32)  # the number of a node's first leaf
+    for nodes in levels:
+        first[left[nodes]] = first[nodes]
+        first[right[nodes]] = first[nodes] + n_leaves[left[nodes]]
+    n_words = -(-int(n_leaves[start].max()) // 64)
+
+    leaf = np.flatnonzero(~inner & np.concatenate(
+        [tree.counts[:, 1] > tree.counts[:, 0] for tree in trees]))
+    positive = np.zeros((len(trees), n_words), dtype=np.uint64)
+    np.bitwise_or.at(positive, (owner[leaf], first[leaf] // 64),
+                     np.uint64(1) << (first[leaf] % 64).astype(np.uint64))
+
+    nodes = np.flatnonzero(inner)
+    lo, hi = first[nodes], first[nodes] + n_leaves[left[nodes]]
+    masks = np.empty((len(nodes), n_words), dtype=np.uint64)
+    for w in range(n_words):
+        below_hi = _LOW_BITS[np.clip(hi - 64 * w, 0, 64)]
+        masks[:, w] = ~(below_hi ^ _LOW_BITS[np.clip(lo - 64 * w, 0, 64)])
+    threshold = np.concatenate([tree.threshold for tree in trees])[nodes]
+    return feature[nodes], threshold, owner[nodes], masks, positive
+
+
+def _group_tables(trees):
+    """The exit-leaf tables of a group of trees; see _LeafTables.
+
+    Returns (features, thresholds, tables, positive): each feature that
+    splits a node once, with its sorted distinct non-NaN thresholds T_f and
+    its (len(T_f) + 1, len(trees), W) uint64 table; and the (len(trees), W)
+    words marking each tree's leaves of class 1.
+    """
+    feature, threshold, owner, masks, positive = _node_masks(trees)
+    features, thresholds, tables = [], [], []
+    for f in np.unique(feature):
+        at = feature == f
+        thr = threshold[at]
+        nan = np.isnan(thr)
+        values = np.unique(thr[~nan])
+        # x <= nan is false for every x: such a node's mask is in every row
+        row = np.where(nan, 0, np.searchsorted(values, thr) + 1)
+        table = np.full((len(values) + 1, len(trees), positive.shape[1]), _LOW_BITS[64])
+        np.bitwise_and.at(table, (row, owner[at]), masks[at])
+        np.bitwise_and.accumulate(table, axis=0, out=table)
+        features.append(f)
+        thresholds.append(values)
+        tables.append(table)
+    return features, thresholds, tables, positive
+
+
+class _LeafTables:
+    """Every tree's class for many rows at once, from per-feature leaf bitmasks.
+
+    The exit-leaf scheme of QuickScorer (Lucchese et al., SIGIR 2015).  Each
+    tree's leaves are numbered in order, left to right, one bit each; the
+    mask of an internal node clears the bits of its left subtree's leaves.
+    A row's exit leaf is the lowest bit left set once the masks of all the
+    nodes where `x <= threshold` is false are ANDed together.  Per feature f,
+    row k of the table holds that AND over the f-nodes whose threshold is
+    among the first k of T_f, so a row's bin k_f = searchsorted(T_f, x_f)
+    picks exactly its false f-nodes: a threshold equal to x_f is not among
+    them, and a NaN x_f (which sorts after every threshold) or a NaN
+    threshold makes every such node false.
+    """
+
+    def __init__(self, trees):
+        self.trees = trees
+        self.groups = _tree_groups(trees)
+        # a forest whose tables fit one group keeps them; otherwise each call rebuilds them
+        self._kept = _group_tables(trees) if len(self.groups) == 1 else None
+
+    def votes(self, X):
+        """Yields (lo, hi, t0, t1, vote): vote[i, j] says tree t0 + j puts row lo + i in class 1."""
+        for t0, t1 in self.groups:
+            features, thresholds, tables, positive = self._kept or _group_tables(self.trees[t0:t1])
+            step = max(1, _SCORE_WORDS // positive.size)
+            exits = np.empty((min(step, len(X)), *positive.shape), dtype=np.uint64)
+            taken = np.empty_like(exits)
+            for lo in range(0, len(X), step):
+                hi = min(lo + step, len(X))
+                exit_masks, table_rows = exits[:hi - lo], taken[:hi - lo]
+                exit_masks.fill(_LOW_BITS[64])
+                for f, values, table in zip(features, thresholds, tables):
+                    np.take(table, np.searchsorted(values, X[lo:hi, f]), axis=0, out=table_rows,
+                            mode="clip")
+                    exit_masks &= table_rows
+                yield lo, hi, t0, t1, _exit_class(exit_masks, positive)
+
+
+def _exit_class(exit_masks, positive):
+    """Whether each (row, tree)'s lowest set bit, its exit leaf, is a class-1 leaf."""
+    vote = np.zeros(exit_masks.shape[:2], dtype=bool)
+    found = np.zeros_like(vote)
+    for w in range(exit_masks.shape[2]):
+        word = exit_masks[:, :, w]
+        vote |= ~found & ((word & (~word + 1) & positive[:, w]) != 0)
+        found |= word != 0
+    return vote
+
+
 def predict_forest(model: ForestModel, fv) -> float | np.ndarray:
     """Fraction of trees voting positive; accepts a vector or a matrix.
 
@@ -377,8 +538,8 @@ def predict_forest(model: ForestModel, fv) -> float | np.ndarray:
         )
     distinct, inverse = _distinct_rows(X)
     votes = np.zeros(len(distinct))
-    for tree in model.trees:
-        votes += tree.predict_class(distinct)
+    for lo, hi, _t0, _t1, vote in model.leaf_tables.votes(distinct):
+        votes[lo:hi] += vote.sum(axis=1)
     frac = votes[inverse] / model.n_trees
     return float(frac[0]) if single else frac
 

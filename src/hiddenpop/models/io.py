@@ -33,7 +33,7 @@ def model_type(model) -> str:
 
 
 def _tree_from_dict(d: dict, n_features: int) -> DecisionTree:
-    """A saved tree, checked so that every walk from the root ends at a leaf."""
+    """A saved tree, checked so that its node arrays hold one binary tree."""
     tree = DecisionTree(*(np.array(d[a], dtype=t) for a, t in zip(
         _TREE_ARRAYS, (np.intp, float, np.intp, np.intp, np.int64))))
     n = tree.feature.size
@@ -47,6 +47,9 @@ def _tree_from_dict(d: dict, n_features: int) -> DecisionTree:
     for child in (tree.left[inner], tree.right[inner]):
         if ((child <= inner) | (child >= n)).any():
             raise ValueError("a child index does not point forward inside its tree")
+    parents = np.bincount(np.concatenate([tree.left[inner], tree.right[inner]]), minlength=n)
+    if (parents[1:] != 1).any():
+        raise ValueError("a node other than the root is not the child of exactly one node")
     return tree
 
 

@@ -1,8 +1,9 @@
 """Sequential reference implementation of the forest, for equality tests.
 
-Grows one tree after another, one node search at a time, scores every row
-with every tree, and scores each permuted copy on its own.  The package's
-lockstep, distinct-row and batched versions must reproduce these bit for bit.
+Grows one tree after another, one node search at a time, walks every row
+through every tree, and scores each permuted copy on its own.  The package's
+lockstep growth, bitmask scoring and batched versions must reproduce these
+bit for bit; nothing here calls the package's scoring code.
 """
 
 import math
@@ -12,6 +13,20 @@ import numpy as np
 from hiddenpop.models.forest import DecisionTree, ForestModel
 
 _NO_FEATURE = -1
+
+
+def predict_class(tree, X):
+    """Majority class per row (ties -> 0); vectorized level-order walk."""
+    node = np.zeros(len(X), dtype=np.intp)
+    active = tree.feature[node] != _NO_FEATURE
+    while active.any():
+        idx = np.nonzero(active)[0]
+        nd = node[idx]
+        go_left = X[idx, tree.feature[nd]] <= tree.threshold[nd]
+        node[idx] = np.where(go_left, tree.left[nd], tree.right[nd])
+        active = tree.feature[node] != _NO_FEATURE
+    leaf_counts = tree.counts[node]
+    return (leaf_counts[:, 1] > leaf_counts[:, 0]).astype(int)
 
 
 def gini_best_split(X, y, idx, features, min_leaf):
@@ -116,7 +131,7 @@ def fit_forest(data, *, n_trees=500, mtry=None, min_leaf=1, max_depth=None, seed
         oob_mask = np.ones(n, dtype=bool)
         oob_mask[boot] = False
         if oob_mask.any():
-            pred = tree.predict_class(X[oob_mask])
+            pred = predict_class(tree, X[oob_mask])
             rows = np.nonzero(oob_mask)[0]
             np.add.at(votes, (rows, pred), 1)
     voted = votes.sum(axis=1) > 0
@@ -131,7 +146,7 @@ def predict_forest(model, X):
     """Fraction of trees voting positive, every row through every tree."""
     votes = np.zeros(len(X))
     for tree in model.trees:
-        votes += tree.predict_class(X)
+        votes += predict_class(tree, X)
     return votes / model.n_trees
 
 

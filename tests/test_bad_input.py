@@ -157,6 +157,11 @@ def _cycle_at_root(m):
     m["trees"][0]["left"][0] = 0
 
 
+def _orphan_below_root(m):
+    tree = m["trees"][0]
+    tree["right"][0] = tree["left"][0]  # both children the same node: the other is orphaned
+
+
 def _feature_out_of_range(m):
     m["trees"][0]["feature"][0] = 99
 
@@ -171,6 +176,8 @@ def _trees_missing(m):
 
 @pytest.mark.parametrize("edit, fragment", [
     pytest.param(_cycle_at_root, "a child index does not point forward", id="cycle_at_root"),
+    pytest.param(_orphan_below_root, "a node other than the root is not the child of exactly one",
+                 id="orphan_below_root"),
     pytest.param(_feature_out_of_range, "a split feature is outside 0..",
                  id="feature_out_of_range"),
     pytest.param(_truncated_counts, "counts must hold one pair of non-negative counts",

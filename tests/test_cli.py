@@ -74,18 +74,36 @@ def test_evaluate_impute_report_chain(cli_run, tmp_path):
     assert (rep / "bias_plots" / "bias_gender.csv").exists()
 
 
-def test_schema_digest_guard(cli_run, tmp_path):
-    _root, data, train = cli_run
+def _tampered_model(train, tmp_path):
+    """A copy of the logistic model beside a schema.json that disagrees with it."""
     tampered = tmp_path / "tampered"
     tampered.mkdir()
     model = tampered / "model_logistic.json"
     model.write_bytes((train / "model_logistic.json").read_bytes())
     sidecar = (train / "schema.json").read_text()
     (tampered / "schema.json").write_text(sidecar.replace("gender=M", "gender=X"))
+    return model
+
+
+def test_schema_digest_guard(cli_run, tmp_path):
+    _root, data, train = cli_run
+    model = _tampered_model(train, tmp_path)
     out = tmp_path / "eval"
     code = main(["evaluate", "--data-dir", str(data), "--out", str(out),
                  "--model-file", str(model)])
     assert code == 3
+
+
+def test_schema_digest_guard_on_impute(cli_run, tmp_path, capsys):
+    _root, data, train = cli_run
+    model = _tampered_model(train, tmp_path)
+    out = tmp_path / "impute"
+    capsys.readouterr()
+    code = main(["impute", "--data-dir", str(data), "--out", str(out),
+                 "--model-file", str(model)])
+    assert code == 3
+    assert "does not match the model's embedded schema" in capsys.readouterr().err
+    assert not (out / "expanded_register.csv").exists()
 
 
 def test_missing_data_dir_is_data_error(tmp_path, monkeypatch):

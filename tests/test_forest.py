@@ -1,13 +1,21 @@
 """Random forest: determinism, OOB, prediction, permutation importance."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import forest_reference as reference
 from hiddenpop.errors import HiddenPopError
 from hiddenpop.features import LabeledDataset
-from hiddenpop.models import fit_forest, permutation_importance, predict_forest
-from hiddenpop.models.forest import _BLOCK, _SEARCH_CHUNK, _draw_candidates, _gini
+from hiddenpop.models import (fit_forest, load_model, permutation_importance, predict_forest,
+                              save_model)
+from hiddenpop.models import forest as forest_module
+from hiddenpop.models.forest import (_BLOCK, _SEARCH_CHUNK, DecisionTree, ForestModel,
+                                     _draw_candidates, _gini)
 
 
 def learnable_data(n=300, seed=0):
@@ -141,7 +149,7 @@ def assert_same_forest(got, want):
             x, w = getattr(a, name), getattr(b, name)
             assert x.dtype == w.dtype and x.shape == w.shape and x.tobytes() == w.tobytes(), name
     np.testing.assert_array_equal(got.oob_votes, want.oob_votes)
-    assert got.oob_error == want.oob_error
+    np.testing.assert_equal(got.oob_error, want.oob_error)  # NaN when no row was out of bag
     assert got.mtry == want.mtry
 
 
@@ -235,3 +243,100 @@ def test_permutation_importance_matches_per_copy_reference(groups, n_repeats):
         model, data, seed=9, n_repeats=n_repeats, groups=groups)
     assert (got.mda, got.ranking, got.baseline_accuracy) == (mda, ranking, baseline)
     assert got.mda["x2" if groups is None else "constant"] == 0.0
+
+
+# values tied to thresholds, both zeros, both infinities and NaN
+_POOL = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 1.0, 2.25, 7.0, np.inf, np.nan])
+
+
+def random_tree(rng, n_leaves, n_features):
+    """A random binary tree, its nodes numbered in a random order with children after parents.
+
+    Split thresholds come from _POOL, NaN and the infinities included.
+    """
+    kids, leaves, n = {}, [0], 1
+    while len(leaves) < n_leaves:
+        node = leaves.pop(int(rng.integers(len(leaves))))
+        kids[node] = (n, n + 1)
+        leaves += [n, n + 1]
+        n += 2
+    order, frontier = [], [0]
+    while frontier:
+        node = frontier.pop(int(rng.integers(len(frontier))))
+        order.append(node)
+        frontier += kids.get(node, ())
+    ids = {node: i for i, node in enumerate(order)}
+    feature = np.full(n, -1, dtype=np.intp)
+    threshold = np.zeros(n)
+    left, right = np.full(n, -1, dtype=np.intp), np.full(n, -1, dtype=np.intp)
+    for node, (lft, rgt) in kids.items():
+        i = ids[node]
+        feature[i], threshold[i] = rng.integers(n_features), rng.choice(_POOL)
+        left[i], right[i] = ids[lft], ids[rgt]
+    counts = rng.integers(0, 3, size=(n, 2)).astype(np.int64)
+    return DecisionTree(feature=feature, threshold=threshold, left=left, right=right,
+                        counts=counts)
+
+
+def scoring_rows(rng, n_rows, n_features):
+    """Rows mostly from _POOL, so that many values equal a threshold, the rest normal."""
+    X = rng.choice(_POOL, size=(n_rows, n_features))
+    return np.where(rng.random(X.shape) < 0.8, X, rng.normal(size=X.shape))
+
+
+def assert_scores_equal_the_walk(model, X):
+    """predict_forest on a matrix, on zero rows and on a single row, against every tree's walk."""
+    got = predict_forest(model, X)
+    assert got.tobytes() == reference.predict_forest(model, X).tobytes()
+    assert predict_forest(model, X[:0]).shape == (0,)
+    if len(X):
+        assert predict_forest(model, X[0]) == reference.predict_forest(model, X[:1])[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.sampled_from([1, 2, 5, 64, 65, 128, 129, 150]), min_size=1, max_size=4),
+       n_rows=st.sampled_from([0, 1, 3, 60]))
+def test_bitmask_scores_of_loaded_trees_equal_the_walk(small_training, seed, sizes, n_rows):
+    """Hand-built trees of 1 to 3 mask words, saved and loaded."""
+    schema, _data = small_training
+    rng = np.random.default_rng(seed)
+    trees = [random_tree(rng, n_leaves, schema.width) for n_leaves in sizes]
+    built = ForestModel(trees=trees, n_trees=len(trees), mtry=1, min_leaf=1, max_depth=None,
+                        seed=0, n_features=schema.width, oob_error=0.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(Path(tmp) / "model.json", built, schema)
+        model, _schema = load_model(Path(tmp) / "model.json")
+    assert_scores_equal_the_walk(model, scoring_rows(rng, n_rows, schema.width))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 150), levels=st.sampled_from([2, 4, 40]),
+       config=st.sampled_from(list(CONFIGS.values())))
+def test_bitmask_oob_votes_and_scores_of_fitted_forests_equal_the_walk(seed, n, levels, config):
+    """Fitted on few distinct values (ties, repeated rows), scored on _POOL rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, 3)) / 2.0
+    y = rng.integers(0, 2, size=n)
+    y[:2] = [0, 1]
+    data = LabeledDataset(X=X, y=y, row_ids=[str(i) for i in range(n)])
+    got = fit_forest(data, n_trees=6, seed=seed, **config)
+    assert_same_forest(got, reference.fit_forest(data, n_trees=6, seed=seed, **config))
+    assert_scores_equal_the_walk(got, np.vstack([X, scoring_rows(rng, 40, 3)]))
+
+
+def test_bitmask_scorer_in_tree_groups_and_row_chunks(monkeypatch):
+    """Tables over the byte budget are built per group of trees; rows go in chunks."""
+    monkeypatch.setattr(forest_module, "_TABLE_BYTES", 2_000)
+    monkeypatch.setattr(forest_module, "_SCORE_WORDS", 50)
+    data = tied_data(n=200, seed=6)
+    got = fit_forest(data, n_trees=9, seed=6)
+    assert len(got.leaf_tables.groups) > 2
+    assert_same_forest(got, reference.fit_forest(data, n_trees=9, seed=6))
+    rng = np.random.default_rng(6)
+    trees = [random_tree(rng, n_leaves, 5) for n_leaves in (1, 70, 140, 3)]
+    model = ForestModel(trees=trees, n_trees=4, mtry=1, min_leaf=1, max_depth=None, seed=0,
+                        n_features=5, oob_error=0.0)
+    assert len(model.leaf_tables.groups) > 2
+    assert_scores_equal_the_walk(got, np.vstack([data.X, scoring_rows(rng, 30, 5)]))
+    assert_scores_equal_the_walk(model, scoring_rows(rng, 90, 5))
