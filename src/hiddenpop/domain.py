@@ -11,16 +11,18 @@ Membership in the migrant-background population (``delta``) and the
 five-level background typology (``kind``) are deterministic functions of the
 triple.  Two combinations, (0,0,1) and (1,0,1), cannot legally occur under
 the Jus Sanguinis citizenship rule and are rejected as corrupted data.
+``MEMBERSHIP`` holds the whole rule, with ``pa`` possibly unobserved.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
 
 from .errors import ExcludedCombination
-
-UNOBSERVED = None
 
 # (bp, cit, pa) -> kind, for the six admissible triples.
 _KIND_TABLE = {
@@ -31,8 +33,6 @@ _KIND_TABLE = {
     (0, 0, 0): 4,
     (0, 1, 1): 0,  # born abroad to Italian parents: not in the target population
 }
-
-_EXCLUDED = {(0, 0, 1), (1, 0, 1)}
 
 
 class BackgroundKind(enum.IntEnum):
@@ -51,27 +51,29 @@ KIND_LABELS = {
     BackgroundKind.FOREIGN: "Foreign",
 }
 
-
-def _check_binary(name, value):
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
+PA_UNOBSERVED = 2  # the pa index of MEMBERSHIP that stands for an unobserved pa
 
 
-def compute_delta(bp: int, cit: int, pa: int) -> int:
-    """Membership flag |bp*cit*pa - 1|, with the (0,1,1) exception mapped to 0.
+def _membership_rule() -> np.ndarray:
+    # delta is |bp*cit*pa - 1| with (0,1,1) mapped to 0, so it is 0 exactly at kind 0
+    table = np.full((2, 2, 3, 2), -1, dtype=np.int8)
+    for (bp, cit, pa), kind in _KIND_TABLE.items():
+        table[bp, cit, pa] = int(kind != BackgroundKind.NO_BACKGROUND), kind
+    # An unobserved pa outside (bp,cit)=(1,1) resolves as pa=0.  This is
+    # derived, not assumed: for (bp,cit)=(0,0) and (1,0) the Jus Sanguinis
+    # exclusions leave pa=0 as the only admissible completion.  For
+    # (bp,cit)=(0,1) the triple (0,1,1) is also admissible (child of Italians
+    # born abroad) but such cases are statistically negligible and outside the
+    # target population by definition, so the foreign-born Italian citizen is
+    # resolved as a migrant-experience case.  Only (1,1) must have pa predicted.
+    table[:, :, PA_UNOBSERVED] = table[:, :, 0]
+    table[1, 1, PA_UNOBSERVED] = -1
+    return table
 
-    Raises ExcludedCombination for the two legally impossible triples.
-    """
-    for name, value in (("bp", bp), ("cit", cit), ("pa", pa)):
-        _check_binary(name, value)
-    if (bp, cit, pa) in _EXCLUDED:
-        raise ExcludedCombination(
-            f"(bp={bp}, cit={cit}, pa={pa}) cannot occur under Jus Sanguinis; "
-            "upstream data is corrupted"
-        )
-    if (bp, cit, pa) == (0, 1, 1):
-        return 0
-    return abs(bp * cit * pa - 1)
+
+MEMBERSHIP = _membership_rule()
+"""(delta, kind) by [bp, cit, pa] with pa 0, 1 or PA_UNOBSERVED; -1 at an
+excluded triple and where pa stays open."""
 
 
 @dataclass(frozen=True)
@@ -87,74 +89,21 @@ class MigrantBackground:
 
 
 def compute_delta_type(bp: int, cit: int, pa: int) -> MigrantBackground:
-    """Full typology for an admissible triple; exclusions as in compute_delta."""
-    delta = compute_delta(bp, cit, pa)
-    kind = BackgroundKind(_KIND_TABLE[(bp, cit, pa)])
-    return MigrantBackground(delta=delta, kind=kind)
+    """Membership flag |bp*cit*pa - 1| (0 at (0,1,1)) and typology of a triple.
 
-
-@dataclass(frozen=True)
-class MembershipIndicators:
-    """The per-student indicator triple; pa may be UNOBSERVED (None).
-
-    bp and cit are always observed in the register.  Construction rejects the
-    excluded combinations when pa is observed.
+    Raises ValueError for an indicator other than 0 or 1, and
+    ExcludedCombination for the two legally impossible triples.
     """
-
-    bp: int
-    cit: int
-    pa: int | None
-
-    def __post_init__(self):
-        _check_binary("bp", self.bp)
-        _check_binary("cit", self.cit)
-        if self.pa is not UNOBSERVED:
-            _check_binary("pa", self.pa)
-            if (self.bp, self.cit, self.pa) in _EXCLUDED:
-                raise ExcludedCombination(
-                    f"(bp={self.bp}, cit={self.cit}, pa={self.pa}) is an "
-                    "excluded combination"
-                )
-
-
-@dataclass(frozen=True)
-class MembershipStatus:
-    """Either a resolved background or a flag that pa must be predicted.
-
-    needs_pa is True only for bp=cit=1 with pa unobserved; background is set
-    otherwise.
-    """
-
-    needs_pa: bool
-    background: MigrantBackground | None = None
-
-    def __post_init__(self):
-        if self.needs_pa == (self.background is not None):
-            raise ValueError("exactly one of needs_pa / background must be set")
-
-
-def resolve_membership(ind: MembershipIndicators) -> MembershipStatus:
-    """Resolve membership, exploiting that pa is redundant outside (bp,cit)=(1,1).
-
-    When pa is unobserved and (bp, cit) != (1, 1), it is substituted with 0.
-    This is derived, not assumed: for (bp,cit)=(0,0) and (1,0) the Jus
-    Sanguinis exclusions leave pa=0 as the only admissible completion.  For
-    (bp,cit)=(0,1) the triple (0,1,1) is also admissible (child of Italians
-    born abroad) but such cases are statistically negligible and outside the
-    target population by definition, so the foreign-born Italian citizen is
-    resolved as a migrant-experience case.
-    """
-    if ind.pa is not UNOBSERVED:
-        return MembershipStatus(
-            needs_pa=False,
-            background=compute_delta_type(ind.bp, ind.cit, ind.pa),
+    for name, value in (("bp", bp), ("cit", cit), ("pa", pa)):
+        if value not in (0, 1):
+            raise ValueError(f"{name} must be 0 or 1, got {value!r}")
+    delta, kind = MEMBERSHIP[int(bp), int(cit), int(pa)].tolist()
+    if kind < 0:
+        raise ExcludedCombination(
+            f"(bp={bp}, cit={cit}, pa={pa}) cannot occur under Jus Sanguinis; "
+            "upstream data is corrupted"
         )
-    if (ind.bp, ind.cit) == (1, 1):
-        return MembershipStatus(needs_pa=True)
-    return MembershipStatus(
-        needs_pa=False,
-        background=compute_delta_type(ind.bp, ind.cit, 0),
-    )
+    return MigrantBackground(delta=delta, kind=BackgroundKind(kind))
 
 
 def admissible_triples():
@@ -163,4 +112,4 @@ def admissible_triples():
 
 
 def excluded_triples():
-    return sorted(_EXCLUDED)
+    return [t for t in product((0, 1), repeat=3) if t not in _KIND_TABLE]

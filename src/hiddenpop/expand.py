@@ -13,18 +13,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .domain import (
-    UNOBSERVED,
-    BackgroundKind,
-    KIND_LABELS,
-    MembershipIndicators,
-    resolve_membership,
-)
-from .errors import DataError, ExcludedCombination, HiddenPopError, SchemaMismatch
+from .domain import KIND_LABELS, MEMBERSHIP, PA_UNOBSERVED, BackgroundKind
+from .errors import DataError, HiddenPopError, SchemaMismatch
 from .features import FeatureSchema, encode_matrix
 from .ingest import LinkedDataset, NameFrequencyTable, Register
 from .models import ForestModel, LogisticModel, predict_forest, predict_logistic
@@ -33,24 +26,6 @@ log = logging.getLogger(__name__)
 
 PROVENANCES = ("exact", "linked", "predicted")
 _EXACT, _LINKED, _PREDICTED = range(3)
-PA_UNOBSERVED = 2  # the pa index of MEMBERSHIP that stands for an unobserved pa
-
-
-def _membership_table() -> np.ndarray:
-    """(delta, kind) by [bp, cit, pa] with pa 0, 1 or unobserved; -1 where pa stays open."""
-    table = np.full((2, 2, 3, 2), -1, dtype=np.int8)
-    for bp, cit, pa in product((0, 1), (0, 1), (0, 1, UNOBSERVED)):
-        try:
-            status = resolve_membership(MembershipIndicators(bp, cit, pa))
-        except ExcludedCombination:
-            continue
-        if not status.needs_pa:
-            bg = status.background
-            table[bp, cit, PA_UNOBSERVED if pa is UNOBSERVED else pa] = bg.delta, bg.kind
-    return table
-
-
-MEMBERSHIP = _membership_table()
 
 
 @dataclass

@@ -25,13 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .domain import MEMBERSHIP
+from .errors import DataError, ExcludedCombination
 
 log = logging.getLogger(__name__)
 
 GENDERS = {"F", "M"}
-COURSE_LEVELS = {"bachelor", "master", "bachelor_and_master"}
-EMPLOYMENTS = {"worker_student", "student_worker", "student", "not_available"}
 
 ADMIN_COLUMNS = [
     "link_key",
@@ -105,8 +104,6 @@ def standardize_employment(raw: str) -> str:
     key = _slug(raw)
     if key in _EMPLOYMENT_ALIASES:
         return _EMPLOYMENT_ALIASES[key]
-    if key in EMPLOYMENTS:
-        return key
     raise ValueError(f"unrecognized employment {raw!r}")
 
 
@@ -472,12 +469,25 @@ def parse_survey(*paths) -> list[SurveyRecord]:
 
 
 def link(admin: Register, survey: list[SurveyRecord]) -> LinkedDataset:
-    """Exact equality join on link_key; unmatched rows are reported, not errors."""
+    """Exact equality join on link_key; unmatched rows are reported, not errors.
+
+    A matched (bp, cit, pa) triple that Jus Sanguinis rules out raises
+    ExcludedCombination.
+    """
     wanted = {s.link_key for s in survey}
     row_of = {key: i for i, key in enumerate(admin.link_key.tolist()) if key in wanted}
     matched = [s for s in survey if s.link_key in row_of]
     unmatched_survey = [s for s in survey if s.link_key not in row_of]
     rows = np.array([row_of[s.link_key] for s in matched], dtype=np.intp)
+    bp, cit = admin.bp[rows], admin.cit[rows]
+    pa = np.array([s.pa_observed for s in matched], dtype=np.intp)
+    excluded = MEMBERSHIP[bp, cit, pa, 1] < 0
+    if excluded.any():
+        i = int(np.argmax(excluded))
+        raise ExcludedCombination(
+            f"link_key {matched[i].link_key!r}: (bp={bp[i]}, cit={cit[i]}, pa={pa[i]}) "
+            "cannot occur under Jus Sanguinis"
+        )
     log.info(
         "linkage: %d matched, %d survey-only, %d register-only",
         len(matched), len(unmatched_survey), len(admin) - len(matched),

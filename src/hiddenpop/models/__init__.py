@@ -10,11 +10,11 @@ from .forest import (
 from .io import load_model, model_type, save_model
 
 
-def logistic_trainer(**config):
+def logistic_trainer():
     """Cross-validation adapter: trainer(data) -> scores(X) callable."""
 
     def train(data):
-        model = fit_logistic(data, **config)
+        model = fit_logistic(data)
         return lambda X: predict_logistic(model, X)
 
     return train

@@ -21,7 +21,9 @@ _FIELDS = {
                     "max_abs_gradient"),
     ForestModel: ("n_trees", "mtry", "min_leaf", "max_depth", "seed", "n_features", "oob_error"),
 }
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
+# each node array and its dtype; only threshold may hold non-integers
+_TREE_ARRAYS = {"feature": np.intp, "threshold": float, "left": np.intp, "right": np.intp,
+                "counts": np.int64}
 
 
 def model_type(model) -> str:
@@ -34,8 +36,14 @@ def model_type(model) -> str:
 
 def _tree_from_dict(d: dict, n_features: int) -> DecisionTree:
     """A saved tree, checked so that its node arrays hold one binary tree."""
-    tree = DecisionTree(*(np.array(d[a], dtype=t) for a, t in zip(
-        _TREE_ARRAYS, (np.intp, float, np.intp, np.intp, np.int64))))
+    arrays = []
+    for name, dtype in _TREE_ARRAYS.items():
+        values = np.array(d[name])  # no dtype: a cast would truncate 6.9 and parse "0.5"
+        kinds = "iuf" if dtype is float else "iu"
+        if values.size and values.dtype.kind not in kinds:
+            raise ValueError(f"{name} must hold {'numbers' if dtype is float else 'integers'}")
+        arrays.append(values.astype(dtype, copy=False))
+    tree = DecisionTree(*arrays)
     n = tree.feature.size
     if n < 1 or any(a.shape != (n,) for a in (tree.feature, tree.threshold, tree.left, tree.right)):
         raise ValueError("feature, threshold, left and right must be lists of one equal length >= 1")

@@ -11,12 +11,10 @@ import csv
 
 import numpy as np
 
-from .domain import BackgroundKind, MigrantBackground
+from .domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind, MigrantBackground
 from .errors import DataError
 from .eval import CvResult, MetricsReport, RocCurve, METRIC_NAMES
-from .expand import (
-    MEMBERSHIP, PA_UNOBSERVED, PROVENANCES, BiasReport, DistributionTable, Expanded,
-)
+from .expand import PROVENANCES, BiasReport, DistributionTable, Expanded
 from .ingest import ADMIN_COLUMNS, BLOCK_ROWS, ITALY, Coder, Register, atomic_open, read_csv
 from .models import ImportanceReport
 

@@ -139,10 +139,24 @@ def names_not_utf8(d):
     return _ingest(d), f"{names}: UnicodeDecodeError"
 
 
+def foreign_born_foreigner_with_italian_parents(d):
+    # an eligible respondent with pa=1 whose register row has bp=0, cit=0: (0,0,1)
+    surveyed = {line.split(",")[0] for name in ("survey.csv", "screened_out.csv")
+                for line in (d / name).read_text().splitlines()}
+    key = next(cells[0] for cells in (line.split(",") for line in
+                                      (d / "admin.csv").read_text().splitlines()[1:])
+               if cells[3] != "IT" and cells[4] != "IT" and cells[0] not in surveyed)
+    with open(d / "survey.csv", "a") as f:
+        f.write(f"{key},1,1\n")
+    return (_ingest(d),
+            f"error: ExcludedCombination: link_key {key!r}: (bp=0, cit=0, pa=1) cannot occur")
+
+
 @pytest.mark.parametrize("corrupt", [
     missing_names, missing_admin, eligible_maybe, pa_observed_x, truncated_model,
     model_without_weights, missing_model_file, misspelt_config_key, config_value_wrong_type,
     config_shares_not_100, config_not_json, expanded_without_register_columns, names_not_utf8,
+    foreign_born_foreigner_with_italian_parents,
 ])
 def test_bad_input_exits_3_naming_the_file(bundle, tmp_path, capsys, corrupt):
     argv, fragment = corrupt(_case_dir(bundle, tmp_path / "case"))
@@ -174,6 +188,18 @@ def _trees_missing(m):
     m["trees"] = m["trees"][:2]
 
 
+def _fractional_feature(m):
+    m["trees"][0]["feature"][0] += 0.9
+
+
+def _fractional_counts(m):
+    m["trees"][0]["counts"][0] = [c + 0.7 for c in m["trees"][0]["counts"][0]]
+
+
+def _string_threshold(m):
+    m["trees"][0]["threshold"][0] = str(m["trees"][0]["threshold"][0])
+
+
 @pytest.mark.parametrize("edit, fragment", [
     pytest.param(_cycle_at_root, "a child index does not point forward", id="cycle_at_root"),
     pytest.param(_orphan_below_root, "a node other than the root is not the child of exactly one",
@@ -183,6 +209,9 @@ def _trees_missing(m):
     pytest.param(_truncated_counts, "counts must hold one pair of non-negative counts",
                  id="truncated_counts"),
     pytest.param(_trees_missing, "n_trees is 5 but the file holds 2 trees", id="trees_missing"),
+    pytest.param(_fractional_feature, "feature must hold integers", id="fractional_feature"),
+    pytest.param(_fractional_counts, "counts must hold integers", id="fractional_counts"),
+    pytest.param(_string_threshold, "threshold must hold numbers", id="string_threshold"),
 ])
 def test_malformed_forest_exits_3_naming_the_file(bundle, tmp_path, capsys, edit, fragment):
     case = _case_dir(bundle, tmp_path / "case")

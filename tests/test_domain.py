@@ -1,18 +1,17 @@
-"""Indicator algebra: delta, typology, exclusions, membership resolution."""
+"""Indicator algebra: the membership table, delta, typology, exclusions."""
 
+import numpy as np
 import pytest
 
 from hiddenpop.domain import (
     BackgroundKind,
     KIND_LABELS,
-    MembershipIndicators,
+    MEMBERSHIP,
+    PA_UNOBSERVED,
     MigrantBackground,
-    UNOBSERVED,
     admissible_triples,
-    compute_delta,
     compute_delta_type,
     excluded_triples,
-    resolve_membership,
 )
 from hiddenpop.errors import ExcludedCombination
 
@@ -26,6 +25,15 @@ EXPECTED = {
 }
 
 
+def test_membership_table_pinned():
+    # [bp][cit][pa = 0, 1, unobserved] -> (delta, kind); -1 where no background follows
+    assert MEMBERSHIP.dtype == np.int8
+    assert MEMBERSHIP.tolist() == [
+        [[[1, 4], [-1, -1], [1, 4]], [[1, 3], [0, 0], [1, 3]]],
+        [[[1, 2], [-1, -1], [1, 2]], [[1, 1], [0, 0], [-1, -1]]],
+    ]
+
+
 def test_table_mapping_exact():
     for triple, (delta, kind) in EXPECTED.items():
         bg = compute_delta_type(*triple)
@@ -37,21 +45,17 @@ def test_delta_matches_absolute_value_formula_outside_exception():
     for bp, cit, pa in EXPECTED:
         if (bp, cit, pa) == (0, 1, 1):
             continue
-        assert compute_delta(bp, cit, pa) == abs(bp * cit * pa - 1)
+        assert compute_delta_type(bp, cit, pa).delta == abs(bp * cit * pa - 1)
 
 
 def test_born_abroad_to_italian_parents_is_not_a_member():
-    assert compute_delta(0, 1, 1) == 0
+    assert compute_delta_type(0, 1, 1).delta == 0
 
 
 def test_excluded_combinations_raise():
     for triple in [(0, 0, 1), (1, 0, 1)]:
-        with pytest.raises(ExcludedCombination):
-            compute_delta(*triple)
-        with pytest.raises(ExcludedCombination):
+        with pytest.raises(ExcludedCombination, match="cannot occur under Jus Sanguinis"):
             compute_delta_type(*triple)
-        with pytest.raises(ExcludedCombination):
-            MembershipIndicators(bp=triple[0], cit=triple[1], pa=triple[2])
 
 
 def test_enumeration_helpers():
@@ -61,10 +65,12 @@ def test_enumeration_helpers():
 
 
 def test_non_binary_inputs_rejected():
-    with pytest.raises(ValueError):
-        compute_delta(2, 0, 0)
-    with pytest.raises(ValueError):
-        MembershipIndicators(bp=1, cit="x", pa=None)
+    with pytest.raises(ValueError, match="bp must be 0 or 1, got 2"):
+        compute_delta_type(2, 0, 0)
+    with pytest.raises(ValueError, match="cit must be 0 or 1, got 'x'"):
+        compute_delta_type(1, "x", 0)
+    with pytest.raises(ValueError, match="pa must be 0 or 1, got None"):
+        compute_delta_type(1, 1, None)
 
 
 def test_background_consistency_enforced():
@@ -75,21 +81,19 @@ def test_background_consistency_enforced():
 
 
 def test_resolve_with_observed_pa_passes_through():
-    for triple, (delta, kind) in EXPECTED.items():
-        status = resolve_membership(MembershipIndicators(*triple))
-        assert not status.needs_pa
-        assert status.background.delta == delta
-        assert int(status.background.kind) == kind
+    for (bp, cit, pa), (delta, kind) in EXPECTED.items():
+        assert MEMBERSHIP[bp, cit, pa].tolist() == [delta, kind]
+    for bp, cit, pa in excluded_triples():
+        assert MEMBERSHIP[bp, cit, pa].tolist() == [-1, -1]
 
 
 def test_resolve_unobserved_pa():
     # only the double-native stratum genuinely needs pa
-    assert resolve_membership(MembershipIndicators(1, 1, UNOBSERVED)).needs_pa
+    assert MEMBERSHIP[1, 1, PA_UNOBSERVED].tolist() == [-1, -1]
     # everywhere else pa=0 is the forced (or adopted) completion
     for (bp, cit), kind in [((1, 0), 2), ((0, 1), 3), ((0, 0), 4)]:
-        status = resolve_membership(MembershipIndicators(bp, cit, UNOBSERVED))
-        assert not status.needs_pa
-        assert int(status.background.kind) == kind
+        assert MEMBERSHIP[bp, cit, PA_UNOBSERVED].tolist() == [1, kind]
+        assert MEMBERSHIP[bp, cit, PA_UNOBSERVED].tolist() == MEMBERSHIP[bp, cit, 0].tolist()
 
 
 def test_labels_cover_all_kinds():
