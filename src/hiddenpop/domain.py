@@ -65,7 +65,8 @@ def _membership_rule() -> np.ndarray:
     # (bp,cit)=(0,1) the triple (0,1,1) is also admissible (child of Italians
     # born abroad) but such cases are statistically negligible and outside the
     # target population by definition, so the foreign-born Italian citizen is
-    # resolved as a migrant-experience case.  Only (1,1) must have pa predicted.
+    # resolved as a migrant-experience case, unless a survey observes pa = 1.
+    # Only (1,1) must have pa predicted.
     table[:, :, PA_UNOBSERVED] = table[:, :, 0]
     table[1, 1, PA_UNOBSERVED] = -1
     return table

@@ -90,9 +90,11 @@ def impute_pa(model, schema: FeatureSchema, admin: Register, name_table: NameFre
 def expand_dataset(admin: Register, linked: LinkedDataset, imputations: Imputations) -> Expanded:
     """Every register row with its membership, ordered by link_key.
 
-    Precedence: register indicators settle everything outside (1,1); inside
-    (1,1) a survey-observed pa beats an imputed one.  Raises HiddenPopError
-    for a (1,1) row with neither.
+    Precedence: a survey-observed pa decides its row wherever the register's
+    bp/cit alone would not: inside (1,1), where it beats an imputed one, and
+    at (0,1) when it is 1, overriding the rule that an unobserved pa there
+    is 0.  The register settles every other row outside (1,1).  Raises
+    HiddenPopError for a (1,1) row with neither pa.
     """
     bp, cit = admin.bp, admin.cit
     inside = (bp == 1) & (cit == 1)
@@ -100,8 +102,11 @@ def expand_dataset(admin: Register, linked: LinkedDataset, imputations: Imputati
     provenance = np.full(len(admin), _PREDICTED, dtype=np.int8)
     score = np.full(len(admin), np.nan)
     pa[imputations.rows], score[imputations.rows] = imputations.pa, imputations.scores
-    pa[linked.rows], provenance[linked.rows] = [s.pa_observed for s in linked.survey], _LINKED
     pa[~inside], provenance[~inside] = PA_UNOBSERVED, _EXACT
+    rows, observed = linked.rows, np.array([s.pa_observed for s in linked.survey], dtype=np.intp)
+    decides = (MEMBERSHIP[bp[rows], cit[rows], observed]
+               != MEMBERSHIP[bp[rows], cit[rows], PA_UNOBSERVED]).any(axis=1)
+    pa[rows[decides]], provenance[rows[decides]] = observed[decides], _LINKED
     score[provenance != _PREDICTED] = np.nan
     order = np.argsort(admin.link_key, kind="stable")
     delta, kind = MEMBERSHIP[bp[order], cit[order], pa[order]].T

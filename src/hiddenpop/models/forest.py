@@ -27,8 +27,12 @@ thresholds, infinities and NaN included.
 
 Memory: the bootstrap row ids of all trees are held at once, n_trees x n
 int32 (about 1 MB at 500 trees x 536 rows), each node owning a range of its
-tree's row; the split search works through the nodes in chunks of at most
-_SEARCH_CHUNK rows x mtry candidates.  The stacks are n_trees x cap x 5
+tree's row, and so are the training values' histogram keys, p x n int64
+(38 KB at 536 x 9).  The split search takes the nodes in chunks whose
+(row, candidate) pairs and histogram bins number at most _SEARCH_CHUNK
+(2^17) together, so a chunk's histogram (two int64 cells per bin) takes at
+most 2 MB and each of its per-pair int64 arrays 1 MB; a node with more
+than _SEARCH_CHUNK is searched alone.  The stacks are n_trees x cap x 5
 int64, cap < 2 (tree depth + 2); the candidates n_trees x _BLOCK x mtry
 int64, drawn as n_trees x _BLOCK x (2 mtry - 1) (each under 1.5 MB at 500
 trees, cap 64, mtry 3).  The leaf-mask tables hold, per split feature f,
@@ -55,7 +59,7 @@ from ..errors import HiddenPopError
 log = logging.getLogger(__name__)
 
 _NO_FEATURE = -1
-_SEARCH_CHUNK = 1 << 11  # node rows per vectorized split search
+_SEARCH_CHUNK = 1 << 17  # (row, candidate) pairs plus histogram bins per vectorized split search
 _BLOCK = 64  # nodes per candidate draw of one tree
 _TABLE_BYTES = 1 << 22  # leaf-mask tables of one group of trees
 _SCORE_WORDS = 1 << 17  # mask words per scoring chunk (rows x trees x W)
@@ -102,89 +106,131 @@ class ForestModel:
         return _LeafTables(self.trees)
 
 
-def _split_nodes(X, y, rows, sizes, cands, min_leaf):
+@dataclass
+class _Bins:
+    """The histogram bins of the training columns, made once per fit.
+
+    Column f's bins are its distinct non-NaN values in increasing order, as
+    np.unique gives them, then one bin for NaN: bin b's value is
+    value[first[f] + b] (NaN for the last), b < width[f].  A value falls in
+    bin searchsorted(values of f, value), so -0.0 and 0.0 share a bin and
+    NaN falls in the last.  A histogram has two cells per bin, negatives
+    then positives: keys[f, i] = 2 * (bin of X[i, f]) + y[i].
+    """
+
+    keys: np.ndarray
+    value: np.ndarray
+    first: np.ndarray
+    width: np.ndarray
+
+    @classmethod
+    def of(cls, X, y):
+        columns = [np.unique(column[~np.isnan(column)]) for column in X.T]
+        keys = np.array([2 * np.searchsorted(values, column) + y
+                         for values, column in zip(columns, X.T)])
+        value = np.concatenate([np.append(values, np.nan) for values in columns])
+        width = np.array([len(values) + 1 for values in columns])
+        return cls(keys, value, np.cumsum(width) - width, width)
+
+
+def _split_nodes(X, y, bins, rows, sizes, cands, min_leaf):
     """Best split of each node over its candidates, and its rows per child.
 
     Node k holds rows[sum(sizes[:k]) : sum(sizes[:k+1])] and draws the
-    features cands[k].  Segment g = k * mtry + s lays out node k's values of
-    its s-th candidate; one stable sort orders every segment by value, a
-    segmented cumulative sum counts the positives left of each cut, and each
-    node keeps its first minimum-cost cut in (candidate, position) order, as a
-    per-candidate search with strict `<` would.  A node without a valid cut
-    gets feature -1 and cost inf.
+    features cands[k].  Segment g = k * mtry + s of the chunk's histogram
+    holds the bins of node k's s-th candidate; one bincount over the
+    segments' bases plus the rows' keys counts every bin's negatives and
+    positives at once, with no sort.  Cumulative sums over the non-empty
+    bins, less what earlier segments hold, give the rows and positives at
+    or below each bin of its segment.  A cut after a non-empty bin is valid
+    if a later non-NaN bin of the segment is non-empty and both sides keep
+    min_leaf rows: NaN rows count on the right of every cut, and no cut
+    falls next to them.  Its threshold is the midpoint of the two non-empty
+    bins' values.  The cost is the Gini formula on int64 counts, the same
+    floats as a per-candidate search over sorted values gives, and each node
+    keeps its first minimum-cost cut in (candidate, bin) order, which is
+    the sorted search's (candidate, position) order, so ties go the same
+    way.  A node without a valid cut gets feature -1 and cost inf.
 
     Returns cost, feature and threshold per node; the rows ordered by child,
-    node k's child 2k (value <= threshold) before its child 2k + 1, each in
-    the node's row order; and the (2k, 2) class counts of the children.
+    node k's child 2k before its child 2k + 1, each in the node's row order;
+    and the (2k, 2) class counts of the children.  Rows go to child 2k where
+    the raw x[feature] <= threshold, not by bin: a midpoint that rounds onto
+    the upper value sends that value left, as the sorted search does.
     """
     k, mtry = cands.shape
-    seg_size = np.repeat(sizes, mtry)
-    seg_end = np.cumsum(seg_size)
-    seg_start = seg_end - seg_size
-    seg = np.repeat(np.arange(k * mtry), seg_size)
-    local = np.arange(len(seg)) - seg_start[seg]
-    node_start = np.cumsum(sizes) - sizes
-    r = rows[node_start[seg // mtry] + local]
-    values = X[r, cands.ravel()[seg]]
-    order = np.lexsort((values, seg))
-    v = values[order]
-    labels = y[r[order]]
-    pos = np.cumsum(labels)                  # positives up to here, then per segment
-    pos -= (pos[seg_start] - labels[seg_start])[seg]
-    cut = np.zeros(len(seg), dtype=bool)     # cut after this position of its segment
-    cut[:-1] = v[:-1] < v[1:]
-    cut[seg_end - 1] = False
-    sizes_l = local + 1
-    n = seg_size[seg]
-    cut &= (sizes_l >= min_leaf) & (n - sizes_l >= min_leaf)
-    c = np.flatnonzero(cut)
+    width = bins.width[cands].ravel()               # bins of segment g
+    base = np.cumsum(width) - width                 # its first bin in the histogram
+    key = np.repeat(cands * bins.keys.shape[1], sizes, axis=0)  # (row, candidate) in keys.flat
+    key += rows[:, None]
+    cell = np.repeat(2 * base.reshape(k, mtry), sizes, axis=0)
+    cell += bins.keys.take(key)
+    hist = np.bincount(cell.ravel(), minlength=2 * (base[-1] + width[-1])).reshape(-1, 2)
+    bin_n = hist[:, 0] + hist[:, 1]
+    n_nan = bin_n[base + width - 1]                 # NaN rows of segment g
+    filled = np.flatnonzero(bin_n)                  # the non-empty bins, in (segment, bin) order
+    seg = np.searchsorted(base, filled, "right") - 1
+    # rows and positives from the chunk's start up to each non-empty bin and each segment's end
+    cum_n = np.cumsum(bin_n[filled])
+    cum_1 = np.cumsum(hist[filled, 1])
+    n = np.repeat(sizes, mtry)
+    end_n = np.cumsum(n)
+    end_1 = cum_1[np.searchsorted(cum_n, end_n)]
+    before_n, before_1 = end_n - n, np.concatenate([[0], end_1[:-1]])
 
-    sizes_l, n = sizes_l[c], n[c]
-    pl = pos[c]
+    sizes_l, sizes_r = cum_n - before_n[seg], end_n[seg] - cum_n
+    c = np.flatnonzero((sizes_r > n_nan[seg]) & (sizes_l >= min_leaf) & (sizes_r >= min_leaf))
+    s = seg[c]
+    sizes_l, n = sizes_l[c], n[s]
+    pl = cum_1[c] - before_1[s]
     nl = sizes_l - pl
-    pr = pos[seg_end - 1][seg[c]] - pl
+    pr = end_1[s] - cum_1[c]
     nr = (n - sizes_l) - pr
     gini_l = 1.0 - (pl * pl + nl * nl) / (sizes_l * sizes_l)
     gini_r = 1.0 - (pr * pr + nr * nr) / ((n - sizes_l) * (n - sizes_l))
     cost = (sizes_l * gini_l + (n - sizes_l) * gini_r) / n
 
-    node = seg[c] // mtry
+    node = s // mtry
     best_cost = np.full(k, np.inf)
     np.minimum.at(best_cost, node, cost)
     hits = np.flatnonzero(cost == best_cost[node])
     split, first = np.unique(node[hits], return_index=True)
     e = c[hits[first]]
+    g = seg[e]
     feature = np.full(k, _NO_FEATURE, dtype=np.intp)
-    feature[split] = cands[split, seg[e] % mtry]
+    feature[split] = cands[split, g % mtry]
+    at = bins.first[feature[split]] - base[g]       # bin b of segment g in bins.value
     threshold = np.zeros(k)
-    threshold[split] = (v[e] + v[e + 1]) / 2.0
+    threshold[split] = (bins.value[at + filled[e]] + bins.value[at + filled[e + 1]]) / 2.0
 
     node = np.repeat(np.arange(k), sizes)
-    child = 2 * node + ~(X[rows, feature[node]] <= threshold[node])
-    child_n = np.bincount(child, minlength=2 * k)
-    child_n1 = np.bincount(child[y[rows] == 1], minlength=2 * k)
-    return (best_cost, feature, threshold, rows[np.argsort(child, kind="stable")],
-            np.column_stack([child_n - child_n1, child_n1]))
+    flat = np.repeat(feature, sizes) + rows * np.intp(X.shape[1])  # (row, feature) in X.flat
+    child = 2 * node + ~(X.take(flat) <= np.repeat(threshold, sizes))
+    counts = np.bincount(2 * child + y[rows], minlength=4 * k).reshape(-1, 2)
+    return best_cost, feature, threshold, rows[np.argsort(child, kind="stable")], counts
 
 
-def _split_in_place(X, y, rows, starts, sizes, cands, min_leaf):
-    """Search nodes in chunks of whole nodes, up to _SEARCH_CHUNK rows each.
+def _split_in_place(X, y, bins, rows, starts, sizes, cands, min_leaf):
+    """Search nodes in chunks of whole nodes, up to _SEARCH_CHUNK entries each.
 
-    Node k owns rows[starts[k] : starts[k] + sizes[k]]; its range is
-    reordered in place so that its left child's rows come first.  Returns
-    what _split_nodes does, less the rows: cost, feature and threshold per
-    node, and the class counts of node k's left child in row 2k, of its
-    right child in row 2k + 1.
+    A node's entries are its (row, candidate) pairs and its histogram bins;
+    a node with more than _SEARCH_CHUNK is searched alone.  Node k owns
+    rows[starts[k] : starts[k] + sizes[k]]; its range is reordered in place
+    so that its left child's rows come first.  Returns what _split_nodes
+    does, less the rows: cost, feature and threshold per node, and the class
+    counts of node k's left child in row 2k, of its right child in row 2k + 1.
     """
-    ends = np.cumsum(sizes)
+    entries = sizes * cands.shape[1] + bins.width[cands].sum(axis=1)
+    ends = np.cumsum(entries)
     parts = []
     lo = 0
     while lo < len(sizes):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - sizes[lo] + _SEARCH_CHUNK, "right")))
+        bound = ends[lo] - entries[lo] + _SEARCH_CHUNK
+        hi = max(lo + 1, int(np.searchsorted(ends, bound, "right")))
         m = sizes[lo:hi]
         at = np.repeat(starts[lo:hi] - (np.cumsum(m) - m), m) + np.arange(m.sum())
         cost, feature, threshold, rows[at], counts = _split_nodes(
-            X, y, rows[at], m, cands[lo:hi], min_leaf)
+            X, y, bins, rows[at], m, cands[lo:hi], min_leaf)
         parts.append((cost, feature, threshold, counts))
         lo = hi
     return tuple(map(np.concatenate, zip(*parts)))
@@ -241,6 +287,7 @@ def _grow_trees(X, y, seed, n_trees, mtry, min_leaf, max_depth):
     n1 = y[rows].sum(axis=1)
     roots = np.column_stack([n - n1, n1])
     depth_limit = np.inf if max_depth is None else max_depth
+    bins = _Bins.of(X, y)
 
     def searchable(nodes):
         size, depth, pos = nodes[:, 2] - nodes[:, 1], nodes[:, 3], nodes[:, 4]
@@ -261,7 +308,7 @@ def _grow_trees(X, y, seed, n_trees, mtry, min_leaf, max_depth):
             cands[refill] = _draw_candidates([rngs[t] for t in refill], p, mtry)
             used[refill] = 0
         cost, feature, threshold, child_counts = _split_in_place(
-            X, y, rows.reshape(-1), tree * n + lo, hi - lo, cands[tree, used[tree]], min_leaf)
+            X, y, bins, rows.reshape(-1), tree * n + lo, hi - lo, cands[tree, used[tree]], min_leaf)
         used[tree] += 1
         split = np.flatnonzero((feature != _NO_FEATURE) & (cost < _gini(pos, hi - lo) - 1e-15))
         t = tree[split]

@@ -154,16 +154,19 @@ def _membership(row: dict) -> tuple:
     bp, cit = int(row["birth_country"] == ITALY), int(row["citizenship_country"] == ITALY)
     bg = MigrantBackground(int(row["delta"]), BackgroundKind(int(row["kind"])))
     found, provenance, score = [bg.delta, int(bg.kind)], row["provenance"], row["predicted_score"]
-    inside = (bp, cit) == (1, 1)  # pa observed or imputed; outside, the register decides
-    if (provenance == "exact") == inside or found not in MEMBERSHIP[
-            bp, cit, [0, 1] if inside else [PA_UNOBSERVED]].tolist():
+    if provenance not in PROVENANCES:
+        raise ValueError(f"bad provenance {provenance!r}")
+    # exact: bp/cit settle the row; linked: an observed pa decides what they do not
+    # (inside (1,1), or pa = 1 at (0,1)); predicted: an imputed pa, inside (1,1) only
+    settled = MEMBERSHIP[bp, cit, PA_UNOBSERVED].tolist()
+    observed = MEMBERSHIP[bp, cit, :2].tolist()
+    if not {"exact": found == settled, "linked": found in observed and found != settled,
+            "predicted": found in observed and (bp, cit) == (1, 1)}[provenance]:
         raise ValueError(
             f"delta={bg.delta} kind={int(bg.kind)} provenance={provenance!r} is not "
             f"allowed for bp={bp} cit={cit}"
         )
     value = float(score) if score else np.nan
-    if provenance not in PROVENANCES:
-        raise ValueError(f"bad provenance {provenance!r}")
     if provenance == "predicted" and not score:
         raise ValueError("predicted record without a score")
     return (*found, PROVENANCES.index(provenance), value)

@@ -1,5 +1,6 @@
 """CLI subcommands: artifacts, manifests, exit codes, schema digest guard."""
 
+import csv
 import json
 import shutil
 
@@ -258,6 +259,32 @@ def test_report_checks_expanded_came_from_its_data(cli_run, tmp_path, capsys, la
     err = capsys.readouterr().err
     assert str(data / "names.csv") in err and str(copy / "names.csv") in err
     assert not (tmp_path / "other" / "bias_report.csv").exists()
+
+
+def test_pipeline_writes_a_linked_pa_1_of_a_foreign_born_citizen(cli_run, tmp_path):
+    """A survey row with pa = 1 for a register row born abroad with Italian
+    citizenship, the admissible triple (0,1,1), is written as kind 0, linked."""
+    _root, data, _train = cli_run
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    def rows(path):
+        return csv.DictReader(path.read_text(encoding="utf-8").splitlines())
+
+    surveyed = {row["link_key"] for name in ("survey.csv", "screened_out.csv")
+                for row in rows(copy / name)}
+    key = next(row["link_key"] for row in rows(copy / "admin.csv")
+               if row["birth_country"] != "IT" and row["citizenship_country"] == "IT"
+               and row["link_key"] not in surveyed)
+    with open(copy / "survey.csv", "a", encoding="utf-8") as f:
+        f.write(f"{key},1,1\n")
+    out = tmp_path / "pipe"
+    assert main(["pipeline", "--data-dir", str(copy), "--out", str(out),
+                 "--model", "logistic", "--k", "0"]) == 0
+    expanded = out / "impute" / "expanded_register.csv"
+    row = next(row for row in rows(expanded) if row["link_key"] == key)
+    assert (row["delta"], row["kind"], row["provenance"]) == ("0", "0", "linked")
+    assert main(["report", "--data-dir", str(copy), "--out", str(tmp_path / "report"),
+                 "--expanded", str(expanded)]) == 0
 
 
 _COMMON = {"seed": (None, None, False), "out": (None, None, True)}

@@ -1,9 +1,14 @@
 """Register expansion, tabulation and the selection-bias report."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hiddenpop.domain import BackgroundKind
+from hiddenpop.domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind
 from hiddenpop.errors import DataError, HiddenPopError, SchemaMismatch
 from hiddenpop.expand import (
     PROVENANCES,
@@ -85,6 +90,61 @@ def test_expand_precedence_and_order():
     assert expanded.score[by_key["S2"]] == 0.2
     assert provenance[by_key["S3"]] == "exact"
     assert expanded.kind[by_key["S3"]] == BackgroundKind.FOREIGN
+
+
+def test_linked_pa_1_decides_a_foreign_born_citizen():
+    """(bp, cit, pa) = (0, 1, 1): a linked pa overrides the rule that an unobserved pa is 0."""
+    admin = register_of([make_admin("S1", birth_country="XX"), make_admin("S2", birth_country="XX"),
+                         make_admin("S3", birth_country="XX")])
+    linked = link(admin, [SurveyRecord("S1", True, 1), SurveyRecord("S2", True, 0)])
+    none = Imputations(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
+    expanded = expand_dataset(admin, linked, none)
+    got = [(int(d), int(k), PROVENANCES[p])
+           for d, k, p in zip(expanded.delta, expanded.kind, expanded.provenance)]
+    # a linked pa that agrees with the rule leaves the row settled by the register
+    assert got == [(0, 0, "linked"), (1, 3, "exact"), (1, 3, "exact")]
+
+
+_ADMISSIBLE = [(bp, cit, pa) for bp in (0, 1) for cit in (0, 1) for pa in (0, 1)
+               if MEMBERSHIP[bp, cit, pa, 1] >= 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_ADMISSIBLE), st.booleans()), min_size=1, max_size=24))
+def test_expanded_rows_follow_the_membership_table_at_their_observed_triple(rows):
+    """Each row is (triple, linked); an unlinked (1,1) row gets its pa imputed.
+
+    The observed triple is the register's bp/cit with the linked or imputed
+    pa, or with pa unobserved.  The written file reads back unchanged.
+    """
+    country = {0: "XX", 1: "IT"}
+    admin = register_of([make_admin(f"S{i:02d}", birth_country=country[bp],
+                                    citizenship_country=country[cit])
+                         for i, ((bp, cit, _pa), _linked) in enumerate(rows)])
+    survey = [SurveyRecord(f"S{i:02d}", True, pa)
+              for i, ((_bp, _cit, pa), linked) in enumerate(rows) if linked]
+    imputed = [i for i, ((bp, cit, _pa), linked) in enumerate(rows)
+               if not linked and (bp, cit) == (1, 1)]
+    expanded = expand_dataset(admin, link(admin, survey), Imputations(
+        np.array(imputed, dtype=np.intp), np.array([rows[i][0][2] for i in imputed]),
+        np.full(len(imputed), 0.25)))
+
+    assert expanded.register.link_key.tolist() == [f"S{i:02d}" for i in range(len(rows))]
+    for ((bp, cit, pa), linked), delta, kind, provenance in zip(
+            rows, expanded.delta, expanded.kind, expanded.provenance):
+        inside = (bp, cit) == (1, 1)
+        observed = pa if linked or inside else PA_UNOBSERVED
+        assert [delta, kind] == MEMBERSHIP[bp, cit, observed].tolist()
+        want = ("linked" if linked and (inside or (bp, cit, pa) == (0, 1, 1))
+                else "predicted" if inside else "exact")
+        assert PROVENANCES[provenance] == want
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "expanded.csv"
+        write_expanded_csv(path, expanded)
+        again = read_expanded_csv(path)
+    for column in ("delta", "kind", "provenance"):
+        assert getattr(again, column).tolist() == getattr(expanded, column).tolist()
 
 
 def test_expand_coverage_gap():

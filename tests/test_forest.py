@@ -14,8 +14,8 @@ from hiddenpop.features import LabeledDataset
 from hiddenpop.models import (fit_forest, load_model, permutation_importance, predict_forest,
                               save_model)
 from hiddenpop.models import forest as forest_module
-from hiddenpop.models.forest import (_BLOCK, _SEARCH_CHUNK, DecisionTree, ForestModel,
-                                     _draw_candidates, _gini)
+from hiddenpop.models.forest import (_BLOCK, DecisionTree, ForestModel, _draw_candidates,
+                                     _gini)
 
 
 def learnable_data(n=300, seed=0):
@@ -179,9 +179,10 @@ def test_lockstep_fit_matches_sequential_reference_on_register_rows(small_traini
                        reference.fit_forest(data, n_trees=20, seed=3))
 
 
-def test_lockstep_fit_matches_sequential_reference_with_nodes_over_a_search_chunk():
+def test_lockstep_fit_matches_sequential_reference_with_nodes_over_a_search_chunk(monkeypatch):
+    monkeypatch.setattr(forest_module, "_SEARCH_CHUNK", 1 << 11)
     data = tied_data(n=5000, seed=4)
-    assert len(data.X) > _SEARCH_CHUNK  # the root alone fills more than one chunk
+    assert len(data.X) > forest_module._SEARCH_CHUNK  # the root alone fills more than one chunk
     assert_same_forest(fit_forest(data, n_trees=3, seed=4, min_leaf=5),
                        reference.fit_forest(data, n_trees=3, seed=4, min_leaf=5))
 
@@ -195,6 +196,98 @@ def test_lockstep_fit_matches_sequential_reference_across_candidate_blocks():
     # every tree searches (at least) its splitting nodes, over two blocks' worth
     assert min(int((tree.feature >= 0).sum()) for tree in got.trees) > 2 * _BLOCK
     assert_same_forest(got, reference.fit_forest(data, n_trees=3, seed=1))
+
+
+# A cut can send every row to one side: the midpoint of -inf and inf is NaN, and that of two
+# adjacent floats can round onto the upper one.  That side is the node again, searched anew,
+# so these fits keep a depth limit: with mtry = p the same cut would repeat without end.
+_EDGE_COLUMNS = {
+    "ties": np.array([0.5, 0.5, 0.5, 1.0, 1.0, 2.25, 2.25, 2.25]),
+    "signed_zeros": np.array([-0.0, 0.0, -0.0, 0.0, 1.0, -1.5, 0.0, -0.0]),
+    "infinities": np.array([-np.inf, np.inf, -np.inf, np.inf, 0.5, -np.inf, np.inf, 7.0]),
+    "nan": np.array([np.nan, 0.5, np.nan, 1.0, np.nan, 2.25, 0.5, np.nan]),
+    "all_nan": np.full(8, np.nan),
+}
+
+
+@pytest.mark.parametrize("mtry", [1, 2, 3])
+@pytest.mark.parametrize("column", _EDGE_COLUMNS, ids=_EDGE_COLUMNS.keys())
+def test_histogram_search_matches_sequential_reference_on_edge_values(column, mtry):
+    rng = np.random.default_rng(len(column) + mtry)
+    n = 120
+    X = np.column_stack([rng.choice(_EDGE_COLUMNS[column], size=n), rng.integers(0, 3, size=n),
+                         rng.choice(_POOL, size=n)])
+    y = (rng.random(n) < np.where(X[:, 1] > 0, 0.7, 0.3)).astype(int)
+    data = LabeledDataset(X=X, y=y, row_ids=[str(i) for i in range(n)])
+    for config in ({"max_depth": 12}, {"max_depth": 4, "min_leaf": 3}):
+        got = fit_forest(data, n_trees=8, seed=mtry, mtry=mtry, **config)
+        assert_same_forest(got, reference.fit_forest(data, n_trees=8, seed=mtry, mtry=mtry,
+                                                     **config))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 60), p=st.integers(1, 4),
+       min_leaf=st.integers(1, 4), max_depth=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_histogram_search_matches_sequential_reference(data, n, p, min_leaf, max_depth, seed):
+    """Columns drawn from a few _POOL values each: ties, both zeros, both infinities, NaN."""
+    palettes = [data.draw(st.lists(st.sampled_from(_POOL.tolist()), min_size=1, max_size=5))
+                for _ in range(p)]
+    X = np.column_stack([data.draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+                         for palette in palettes])
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[:2] = [0, 1]
+    mtry = data.draw(st.sampled_from([1, p, max(1, p - 1)]))
+    dataset = LabeledDataset(X=X, y=y, row_ids=[str(i) for i in range(n)])
+    config = {"n_trees": 4, "seed": seed, "mtry": mtry, "min_leaf": min_leaf,
+              "max_depth": max_depth}
+    assert_same_forest(fit_forest(dataset, **config), reference.fit_forest(dataset, **config))
+
+
+@pytest.mark.parametrize("low", [1.0, float(np.nextafter(1.0, 2.0))],
+                         ids=["midpoint_rounds_down", "midpoint_rounds_up"])
+def test_rows_are_cut_on_raw_values_where_the_midpoint_rounds(low):
+    """Of two adjacent floats, the midpoint may equal either one: x <= threshold decides."""
+    high = float(np.nextafter(low, 2.0))
+    midpoint = (low + high) / 2.0
+    assert midpoint == (high if low > 1.0 else low)
+    X = np.column_stack([np.repeat([low, high], 20), np.tile([0.0, 1.0], 20)])
+    y = np.repeat([0, 1], 20)
+    y[::7] ^= 1
+    data = LabeledDataset(X=X, y=y, row_ids=[str(i) for i in range(40)])
+    got = fit_forest(data, n_trees=5, seed=1, mtry=2, max_depth=6)
+    assert_same_forest(got, reference.fit_forest(data, n_trees=5, seed=1, mtry=2, max_depth=6))
+    tree = got.trees[0]
+    assert (tree.feature[0], tree.threshold[0]) == (0, midpoint)
+    high_rows_left = tree.counts[tree.left[0]].sum() == tree.counts[0].sum()
+    assert high_rows_left == (midpoint == high)  # every row went left, the high ones too
+
+
+def test_nodes_are_chunked_by_histogram_bins(monkeypatch):
+    """A 5,000-value column: nodes whose rows would share a chunk are split by their bins."""
+    monkeypatch.setattr(forest_module, "_SEARCH_CHUNK", 1 << 12)
+    calls, steps = [], []
+    split_nodes, split_in_place = forest_module._split_nodes, forest_module._split_in_place
+
+    def recording_split_nodes(X, y, bins, rows, sizes, cands, min_leaf):
+        calls.append((len(sizes), sizes.sum() * cands.shape[1] + bins.width[cands].sum()))
+        return split_nodes(X, y, bins, rows, sizes, cands, min_leaf)
+
+    def recording_split_in_place(X, y, bins, rows, starts, sizes, cands, min_leaf):
+        before = len(calls)
+        out = split_in_place(X, y, bins, rows, starts, sizes, cands, min_leaf)
+        steps.append((sizes.sum() * cands.shape[1], len(calls) - before))
+        return out
+
+    monkeypatch.setattr(forest_module, "_split_nodes", recording_split_nodes)
+    monkeypatch.setattr(forest_module, "_split_in_place", recording_split_in_place)
+    data = tied_data(n=5000, seed=8)
+    assert len(np.unique(data.X[:, 4])) == 5000
+    got = fit_forest(data, n_trees=2, seed=8, min_leaf=20)
+    assert_same_forest(got, reference.fit_forest(data, n_trees=2, seed=8, min_leaf=20))
+    # every chunk of several nodes fits the bound, and some step's row pairs fit one chunk
+    # but its bins did not
+    assert all(entries <= forest_module._SEARCH_CHUNK for nodes, entries in calls if nodes > 1)
+    assert any(pairs <= forest_module._SEARCH_CHUNK and n_chunks > 1 for pairs, n_chunks in steps)
 
 
 @pytest.mark.parametrize("p", range(1, 13))
