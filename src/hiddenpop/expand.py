@@ -56,9 +56,9 @@ class Expanded:
 
 def predict_scores(model, X: np.ndarray) -> np.ndarray:
     if isinstance(model, LogisticModel):
-        return np.atleast_1d(predict_logistic(model, X))
+        return predict_logistic(model, X)
     if isinstance(model, ForestModel):
-        return np.atleast_1d(predict_forest(model, X))
+        return predict_forest(model, X)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 

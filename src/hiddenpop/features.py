@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, HiddenPopError
 from .ingest import LinkedDataset, NameFrequencyTable, Register, is_common_name
 
 log = logging.getLogger(__name__)
@@ -97,6 +98,9 @@ class FeatureSchema:
                     known.kind, known.group, known.source, known.level):
                 raise ValueError(f"feature column {c.name!r} is not in the layout")
             c.mean, c.sd = float(c.mean), float(c.sd)
+            if not (math.isfinite(c.mean) and math.isfinite(c.sd) and c.sd > 0):
+                raise ValueError(f"feature column {c.name!r} has mean {c.mean} and sd {c.sd}; "
+                                 "both must be finite and sd positive")
         name_rule = payload.get("name_rule", dict(NAME_RULE))
         if (set(name_rule) != {"min_count", "top_k"}
                 or not isinstance(name_rule["min_count"], int)
@@ -116,6 +120,14 @@ class LabeledDataset:
     def __post_init__(self):
         if len(self.X) != len(self.y):
             raise ValueError("X and y length mismatch")
+
+
+def design_matrix(X, width: int) -> np.ndarray:
+    """X as a float (rows, width) matrix, the input of every model's predict."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != width:
+        raise HiddenPopError(f"expected a (rows, {width}) matrix, got shape {X.shape}")
+    return X
 
 
 def feature_layout(moments: dict) -> list[Column]:

@@ -298,13 +298,14 @@ def reading(path, *content_errors):
 def read_blocks(path, required):
     """Yield (header, line numbers, rows) for the data rows of a UTF-8 CSV file.
 
-    Rows come BLOCK_ROWS at a time; blank lines are skipped, a row may be
-    longer than the header, and a row's line number is that of its last
-    physical line.  Raises DataError naming the file when it cannot be read
+    A leading byte-order mark (spreadsheet "CSV UTF-8" exports write one) is
+    skipped.  Rows come BLOCK_ROWS at a time; blank lines are skipped, a row
+    may be longer than the header, and a row's line number is that of its
+    last physical line.  Raises DataError naming the file when it cannot be read
     or its header lacks a required column, and, with the line, at a row with
     fewer fields than the header; every row before a failure is yielded first.
     """
-    with reading(path), open(path, newline="", encoding="utf-8") as handle:
+    with reading(path), open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         missing = [c for c in required if c not in header]

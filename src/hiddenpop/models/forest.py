@@ -1,10 +1,11 @@
 """Random forest for binary classification, built from scratch.
 
-Each tree is CART with Gini-impurity splits, grown on a bootstrap resample,
-with mtry candidate features sampled without replacement at every node.
-Hyperparameter defaults mirror the classic classification settings of the
-reference R implementation: 500 trees, mtry = ceil(sqrt(p)), min_leaf 1,
-unbounded depth.
+Each tree is CART with Gini-impurity splits, grown on a bootstrap resample
+to purity (min_leaf 1, no depth limit), with mtry = ceil(sqrt(p)) candidate
+features sampled without replacement at every node.  These settings are
+fixed; only the number of trees (500 by default) and the seed are chosen.
+R's randomForest takes floor(sqrt(p)) for classification; the two agree at
+the feature layout's p = 9.  The training matrix must be finite.
 
 Reproducibility contract: tree t draws from its own RNG stream keyed by
 (seed, t): first its bootstrap, then one mtry draw per searched node, taken
@@ -32,7 +33,7 @@ tree's row, and so are the training values' histogram keys, p x n int64
 (row, candidate) pairs and histogram bins number at most _SEARCH_CHUNK
 (2^17) together, so a chunk's histogram (two int64 cells per bin) takes at
 most 2 MB and each of its per-pair int64 arrays 1 MB; a node with more
-than _SEARCH_CHUNK is searched alone.  The stacks are n_trees x cap x 5
+than _SEARCH_CHUNK is searched alone.  The stacks are n_trees x cap x 4
 int64, cap < 2 (tree depth + 2); the candidates n_trees x _BLOCK x mtry
 int64, drawn as n_trees x _BLOCK x (2 mtry - 1) (each under 1.5 MB at 500
 trees, cap 64, mtry 3).  The leaf-mask tables hold, per split feature f,
@@ -49,12 +50,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ..errors import HiddenPopError
+from ..features import design_matrix
 
 log = logging.getLogger(__name__)
 
@@ -63,6 +64,7 @@ _SEARCH_CHUNK = 1 << 17  # (row, candidate) pairs plus histogram bins per vector
 _BLOCK = 64  # nodes per candidate draw of one tree
 _TABLE_BYTES = 1 << 22  # leaf-mask tables of one group of trees
 _SCORE_WORDS = 1 << 17  # mask words per scoring chunk (rows x trees x W)
+_REPEATS = 10  # permutations per group in permutation_importance
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)  # k lowest bits set
 
 
@@ -94,7 +96,6 @@ class ForestModel:
     seed: int
     n_features: int
     oob_error: float
-    oob_votes: np.ndarray = field(repr=False, default=None)
 
     @property
     def width(self) -> int:
@@ -110,12 +111,11 @@ class ForestModel:
 class _Bins:
     """The histogram bins of the training columns, made once per fit.
 
-    Column f's bins are its distinct non-NaN values in increasing order, as
-    np.unique gives them, then one bin for NaN: bin b's value is
-    value[first[f] + b] (NaN for the last), b < width[f].  A value falls in
-    bin searchsorted(values of f, value), so -0.0 and 0.0 share a bin and
-    NaN falls in the last.  A histogram has two cells per bin, negatives
-    then positives: keys[f, i] = 2 * (bin of X[i, f]) + y[i].
+    Column f's bins are its distinct values in increasing order, as
+    np.unique gives them: bin b's value is value[first[f] + b], b < width[f].
+    A value falls in bin searchsorted(values of f, value), so -0.0 and 0.0
+    share a bin.  A histogram has two cells per bin, negatives then
+    positives: keys[f, i] = 2 * (bin of X[i, f]) + y[i].
     """
 
     keys: np.ndarray
@@ -125,15 +125,15 @@ class _Bins:
 
     @classmethod
     def of(cls, X, y):
-        columns = [np.unique(column[~np.isnan(column)]) for column in X.T]
+        columns = [np.unique(column) for column in X.T]
         keys = np.array([2 * np.searchsorted(values, column) + y
                          for values, column in zip(columns, X.T)])
-        value = np.concatenate([np.append(values, np.nan) for values in columns])
-        width = np.array([len(values) + 1 for values in columns])
+        value = np.concatenate(columns)
+        width = np.array([len(values) for values in columns])
         return cls(keys, value, np.cumsum(width) - width, width)
 
 
-def _split_nodes(X, y, bins, rows, sizes, cands, min_leaf):
+def _split_nodes(X, y, bins, rows, sizes, cands):
     """Best split of each node over its candidates, and its rows per child.
 
     Node k holds rows[sum(sizes[:k]) : sum(sizes[:k+1])] and draws the
@@ -143,20 +143,21 @@ def _split_nodes(X, y, bins, rows, sizes, cands, min_leaf):
     positives at once, with no sort.  Cumulative sums over the non-empty
     bins, less what earlier segments hold, give the rows and positives at
     or below each bin of its segment.  A cut after a non-empty bin is valid
-    if a later non-NaN bin of the segment is non-empty and both sides keep
-    min_leaf rows: NaN rows count on the right of every cut, and no cut
-    falls next to them.  Its threshold is the midpoint of the two non-empty
-    bins' values.  The cost is the Gini formula on int64 counts, the same
-    floats as a per-candidate search over sorted values gives, and each node
-    keeps its first minimum-cost cut in (candidate, bin) order, which is
-    the sorted search's (candidate, position) order, so ties go the same
-    way.  A node without a valid cut gets feature -1 and cost inf.
+    if rows remain on its right.  Its threshold is the midpoint of that
+    bin's value and the next non-empty bin's, or the lower value where the
+    midpoint is not in [lower, upper): two adjacent floats can round it onto
+    the upper one, and two huge ones overflow it.  So x <= threshold sends
+    exactly the rows of the bins up to the cut left, and neither child is
+    empty.  The cost is the Gini formula on int64 counts, the same floats as
+    a per-candidate search over sorted values gives, and each node keeps its
+    first minimum-cost cut in (candidate, bin) order, which is the sorted
+    search's (candidate, position) order, so ties go the same way.  A node
+    without a valid cut gets feature -1 and cost inf.
 
     Returns cost, feature and threshold per node; the rows ordered by child,
     node k's child 2k before its child 2k + 1, each in the node's row order;
     and the (2k, 2) class counts of the children.  Rows go to child 2k where
-    the raw x[feature] <= threshold, not by bin: a midpoint that rounds onto
-    the upper value sends that value left, as the sorted search does.
+    x[feature] <= threshold.
     """
     k, mtry = cands.shape
     width = bins.width[cands].ravel()               # bins of segment g
@@ -167,7 +168,6 @@ def _split_nodes(X, y, bins, rows, sizes, cands, min_leaf):
     cell += bins.keys.take(key)
     hist = np.bincount(cell.ravel(), minlength=2 * (base[-1] + width[-1])).reshape(-1, 2)
     bin_n = hist[:, 0] + hist[:, 1]
-    n_nan = bin_n[base + width - 1]                 # NaN rows of segment g
     filled = np.flatnonzero(bin_n)                  # the non-empty bins, in (segment, bin) order
     seg = np.searchsorted(base, filled, "right") - 1
     # rows and positives from the chunk's start up to each non-empty bin and each segment's end
@@ -179,7 +179,7 @@ def _split_nodes(X, y, bins, rows, sizes, cands, min_leaf):
     before_n, before_1 = end_n - n, np.concatenate([[0], end_1[:-1]])
 
     sizes_l, sizes_r = cum_n - before_n[seg], end_n[seg] - cum_n
-    c = np.flatnonzero((sizes_r > n_nan[seg]) & (sizes_l >= min_leaf) & (sizes_r >= min_leaf))
+    c = np.flatnonzero(sizes_r > 0)
     s = seg[c]
     sizes_l, n = sizes_l[c], n[s]
     pl = cum_1[c] - before_1[s]
@@ -200,8 +200,11 @@ def _split_nodes(X, y, bins, rows, sizes, cands, min_leaf):
     feature = np.full(k, _NO_FEATURE, dtype=np.intp)
     feature[split] = cands[split, g % mtry]
     at = bins.first[feature[split]] - base[g]       # bin b of segment g in bins.value
+    low, high = bins.value[at + filled[e]], bins.value[at + filled[e + 1]]
+    with np.errstate(over="ignore"):
+        mid = (low + high) / 2.0
     threshold = np.zeros(k)
-    threshold[split] = (bins.value[at + filled[e]] + bins.value[at + filled[e + 1]]) / 2.0
+    threshold[split] = np.where((low <= mid) & (mid < high), mid, low)
 
     node = np.repeat(np.arange(k), sizes)
     flat = np.repeat(feature, sizes) + rows * np.intp(X.shape[1])  # (row, feature) in X.flat
@@ -210,7 +213,7 @@ def _split_nodes(X, y, bins, rows, sizes, cands, min_leaf):
     return best_cost, feature, threshold, rows[np.argsort(child, kind="stable")], counts
 
 
-def _split_in_place(X, y, bins, rows, starts, sizes, cands, min_leaf):
+def _split_in_place(X, y, bins, rows, starts, sizes, cands):
     """Search nodes in chunks of whole nodes, up to _SEARCH_CHUNK entries each.
 
     A node's entries are its (row, candidate) pairs and its histogram bins;
@@ -230,7 +233,7 @@ def _split_in_place(X, y, bins, rows, starts, sizes, cands, min_leaf):
         m = sizes[lo:hi]
         at = np.repeat(starts[lo:hi] - (np.cumsum(m) - m), m) + np.arange(m.sum())
         cost, feature, threshold, rows[at], counts = _split_nodes(
-            X, y, bins, rows[at], m, cands[lo:hi], min_leaf)
+            X, y, bins, rows[at], m, cands[lo:hi])
         parts.append((cost, feature, threshold, counts))
         lo = hi
     return tuple(map(np.concatenate, zip(*parts)))
@@ -265,19 +268,18 @@ def _gini(n1, size):
     return 1.0 - (np.float_power(mean, 2) + np.float_power(1 - mean, 2))
 
 
-def _grow_trees(X, y, seed, n_trees, mtry, min_leaf, max_depth):
+def _grow_trees(X, y, seed, n_trees, mtry):
     """Grow n_trees trees in lockstep; returns (n_nodes, roots, records, oob).
 
     Tree t draws its bootstrap and then its candidates from the stream keyed
     by (seed, t), _BLOCK nodes' worth at a time.  Its bootstrap rows fill
     rows[t], and each node owns a range of that row, partitioned in place
     when the node splits.  Each tree's depth-first stack holds only nodes to
-    be searched: a child that is too small, pure or at max_depth is never
-    pushed.  Each step pops one node from every non-empty stack and searches
-    them all at once.  Node ids count up per tree in creation order (right
-    child = left child + 1).  Returned: each tree's node count and root
-    class counts, one record per step of its splits (see _assemble_trees),
-    and the (n_trees, n) out-of-bag mask.
+    be searched: a pure child is never pushed.  Each step pops one node from
+    every non-empty stack and searches them all at once.  Node ids count up
+    per tree in creation order (right child = left child + 1).  Returned:
+    each tree's node count and root class counts, one record per step of
+    its splits (see _assemble_trees), and the (n_trees, n) out-of-bag mask.
     """
     n, p = X.shape
     rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
@@ -286,15 +288,14 @@ def _grow_trees(X, y, seed, n_trees, mtry, min_leaf, max_depth):
     oob[np.arange(n_trees)[:, None], rows] = False
     n1 = y[rows].sum(axis=1)
     roots = np.column_stack([n - n1, n1])
-    depth_limit = np.inf if max_depth is None else max_depth
     bins = _Bins.of(X, y)
 
     def searchable(nodes):
-        size, depth, pos = nodes[:, 2] - nodes[:, 1], nodes[:, 3], nodes[:, 4]
-        return (size >= 2 * min_leaf) & (pos > 0) & (pos < size) & (depth < depth_limit)
+        pos = nodes[:, 3]
+        return (pos > 0) & (pos < nodes[:, 2] - nodes[:, 1])
 
-    stack = np.zeros((n_trees, 1, 5), dtype=np.int64)  # node, lo, hi, depth, positives
-    stack[:, 0, 2], stack[:, 0, 4] = n, n1
+    stack = np.zeros((n_trees, 1, 4), dtype=np.int64)  # node, lo, hi, positives
+    stack[:, 0, 2], stack[:, 0, 3] = n, n1
     top = searchable(stack[:, 0]).astype(np.intp)  # entries on each tree's stack
     cands = np.empty((n_trees, _BLOCK, mtry), dtype=np.int64)
     used = np.full(n_trees, _BLOCK)  # candidate rows of the block already taken
@@ -302,13 +303,13 @@ def _grow_trees(X, y, seed, n_trees, mtry, min_leaf, max_depth):
     records = []
     while (tree := np.flatnonzero(top)).size:
         top[tree] -= 1
-        node, lo, hi, depth, pos = stack[tree, top[tree]].T
+        node, lo, hi, pos = stack[tree, top[tree]].T
         refill = tree[used[tree] == _BLOCK]
         if refill.size:
             cands[refill] = _draw_candidates([rngs[t] for t in refill], p, mtry)
             used[refill] = 0
         cost, feature, threshold, child_counts = _split_in_place(
-            X, y, bins, rows.reshape(-1), tree * n + lo, hi - lo, cands[tree, used[tree]], min_leaf)
+            X, y, bins, rows.reshape(-1), tree * n + lo, hi - lo, cands[tree, used[tree]])
         used[tree] += 1
         split = np.flatnonzero((feature != _NO_FEATURE) & (cost < _gini(pos, hi - lo) - 1e-15))
         t = tree[split]
@@ -319,8 +320,8 @@ def _grow_trees(X, y, seed, n_trees, mtry, min_leaf, max_depth):
         if top.max() + 2 > stack.shape[1]:
             stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
         # push right first so the left branch is searched (and draws) first
-        for child in (np.column_stack([left + 1, mid, hi[split], depth[split] + 1, counts[:, 3]]),
-                      np.column_stack([left, lo[split], mid, depth[split] + 1, counts[:, 1]])):
+        for child in (np.column_stack([left + 1, mid, hi[split], counts[:, 3]]),
+                      np.column_stack([left, lo[split], mid, counts[:, 1]])):
             push = searchable(child)
             stack[t[push], top[t[push]]] = child[push]
             top[t[push]] += 1
@@ -359,32 +360,24 @@ def _assemble_trees(n_nodes, roots, records):
     ]
 
 
-def fit_forest(
-    data,
-    *,
-    n_trees: int = 500,
-    mtry: int | None = None,
-    min_leaf: int = 1,
-    max_depth: int | None = None,
-    seed: int = 0,
-) -> ForestModel:
+def fit_forest(data, *, n_trees: int = 500, seed: int = 0) -> ForestModel:
     """Bagged Gini trees with per-node feature subsampling and OOB error."""
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=int)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite entries in design matrix")
     if y.min() == y.max():
         raise ValueError("both classes must be present")
     n, p = X.shape
-    if mtry is None:
-        mtry = math.ceil(math.sqrt(p))
-    mtry = min(mtry, p)
+    mtry = math.ceil(math.sqrt(p))
 
-    n_nodes, roots, records, oob = _grow_trees(X, y, seed, n_trees, mtry, min_leaf, max_depth)
+    n_nodes, roots, records, oob = _grow_trees(X, y, seed, n_trees, mtry)
     model = ForestModel(
         trees=_assemble_trees(n_nodes, roots, records),
         n_trees=n_trees,
         mtry=mtry,
-        min_leaf=min_leaf,
-        max_depth=max_depth,
+        min_leaf=1,
+        max_depth=None,
         seed=seed,
         n_features=p,
         oob_error=float("nan"),
@@ -401,7 +394,6 @@ def fit_forest(
 
     voted = votes.sum(axis=1) > 0
     oob_pred = (votes[:, 1] > votes[:, 0]).astype(int)
-    model.oob_votes = votes
     if voted.any():
         model.oob_error = float(np.mean(oob_pred[voted] != y[voted]))
     log.info("forest: %d trees, mtry=%d, OOB error %.4f", n_trees, mtry, model.oob_error)
@@ -570,25 +562,18 @@ def _exit_class(exit_masks, positive):
     return vote
 
 
-def predict_forest(model: ForestModel, fv) -> float | np.ndarray:
-    """Fraction of trees voting positive; accepts a vector or a matrix.
+def predict_forest(model: ForestModel, X) -> np.ndarray:
+    """Fraction of trees voting positive, per row of a (rows, width) matrix.
 
     Each distinct row is scored once: register covariates repeat, and rows
     that compare equal take every split alike.
     """
-    fv = np.asarray(fv, dtype=float)
-    single = fv.ndim == 1
-    X = fv[None, :] if single else fv
-    if X.shape[1] != model.n_features:
-        raise HiddenPopError(
-            f"expected width {model.n_features}, got {X.shape[1]}"
-        )
+    X = design_matrix(X, model.n_features)
     distinct, inverse = _distinct_rows(X)
     votes = np.zeros(len(distinct))
     for lo, hi, _t0, _t1, vote in model.leaf_tables.votes(distinct):
         votes[lo:hi] += vote.sum(axis=1)
-    frac = votes[inverse] / model.n_trees
-    return float(frac[0]) if single else frac
+    return votes[inverse] / model.n_trees
 
 
 @dataclass
@@ -598,7 +583,6 @@ class ImportanceReport:
     mda: dict
     ranking: list
     baseline_accuracy: float
-    n_repeats: int
 
 
 def permutation_importance(
@@ -606,11 +590,10 @@ def permutation_importance(
     data,
     *,
     seed: int = 0,
-    n_repeats: int = 10,
     groups: list | None = None,
     threshold: float = 0.5,
 ) -> ImportanceReport:
-    """MDA_g = mean over repeats of (baseline accuracy - accuracy with group g permuted).
+    """MDA_g = mean over _REPEATS permutations of (baseline accuracy - accuracy with g permuted).
 
     groups is a list of (name, [column indices]); one-hot dummies of the same
     categorical should be passed as a single group so the whole predictor is
@@ -624,12 +607,12 @@ def permutation_importance(
         groups = [(f"x{j}", [j]) for j in range(X.shape[1])]
     baseline = float(np.mean((predict_forest(model, X) > threshold).astype(int) == y))
     rng = np.random.default_rng(seed)
-    copies = np.empty((len(groups) * n_repeats, *X.shape))
+    copies = np.empty((len(groups) * _REPEATS, *X.shape))
     n_copies = 0
     scored = {}  # group -> per repeat, the index of its copy, or None: a drop of 0.0
     for name, cols in groups:
         scored[name] = []
-        for _ in range(n_repeats):
+        for _ in range(_REPEATS):
             perm = rng.permutation(len(X))
             Xp = copies[n_copies]
             Xp[:] = X
@@ -647,6 +630,4 @@ def permutation_importance(
         for name, copy in scored.items()
     }
     ranking = sorted(mda, key=lambda k: mda[k], reverse=True)
-    return ImportanceReport(
-        mda=mda, ranking=ranking, baseline_accuracy=baseline, n_repeats=n_repeats
-    )
+    return ImportanceReport(mda=mda, ranking=ranking, baseline_accuracy=baseline)

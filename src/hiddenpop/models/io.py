@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -14,13 +15,8 @@ from .logistic import LogisticModel
 
 FORMAT_VERSION = 1
 
+# a model's file stores each field of its dataclass under the field's name
 _MODEL_TYPES = {LogisticModel: "logistic", ForestModel: "forest"}
-# the saved fields of each model, in the order load_model reads them, besides a forest's trees
-_FIELDS = {
-    LogisticModel: ("intercept", "weights", "ridge_lambda", "converged", "iterations",
-                    "max_abs_gradient"),
-    ForestModel: ("n_trees", "mtry", "min_leaf", "max_depth", "seed", "n_features", "oob_error"),
-}
 # each node array and its dtype; only threshold may hold non-integers
 _TREE_ARRAYS = {"feature": np.intp, "threshold": float, "left": np.intp, "right": np.intp,
                 "counts": np.int64}
@@ -67,7 +63,7 @@ def save_model(path, model, schema: FeatureSchema):
         "schema": json.loads(schema.to_json()),
         "model_type": model_type(model),
     }
-    payload["model"] = {name: getattr(model, name) for name in _FIELDS[type(model)]}
+    payload["model"] = {f.name: getattr(model, f.name) for f in fields(model)}
     if isinstance(model, LogisticModel):
         payload["model"]["weights"] = model.weights.tolist()
     else:
@@ -87,23 +83,23 @@ def load_model(path):
         if version != FORMAT_VERSION:
             raise SchemaMismatch(f"{path}: unsupported model format {version!r}")
         schema = FeatureSchema.from_json(json.dumps(payload["schema"]))
-        m = payload["model"]
-        if payload["model_type"] == "logistic":
-            model = LogisticModel(**{name: m[name] for name in _FIELDS[LogisticModel]})
+        cls = next((c for c, tag in _MODEL_TYPES.items() if tag == payload["model_type"]), None)
+        if cls is None:
+            raise SchemaMismatch(f"{path}: unknown model_type {payload['model_type']!r}")
+        model = cls(**{f.name: payload["model"][f.name] for f in fields(cls)})
+        if cls is LogisticModel:
             model.intercept = float(model.intercept)
             model.weights = np.array(model.weights, dtype=float)
             if model.weights.ndim != 1:
                 raise ValueError("weights must be a list of numbers")
-        elif payload["model_type"] == "forest":
-            n_features = int(m["n_features"])
-            model = ForestModel(trees=[_tree_from_dict(t, n_features) for t in m["trees"]],
-                                **{name: m[name] for name in _FIELDS[ForestModel]})
-            model.n_trees, model.n_features = int(model.n_trees), n_features
+            if not np.isfinite(model.weights).all() or not np.isfinite(model.intercept):
+                raise ValueError("intercept and weights must be finite")
+        else:
+            model.n_trees, model.n_features = int(model.n_trees), int(model.n_features)
+            model.trees = [_tree_from_dict(t, model.n_features) for t in model.trees]
             if not 1 <= model.n_trees == len(model.trees):
                 raise ValueError(f"n_trees is {model.n_trees} but the file holds "
                                  f"{len(model.trees)} trees")
-        else:
-            raise SchemaMismatch(f"{path}: unknown model_type {payload['model_type']!r}")
     if schema.width != model.width:
         raise SchemaMismatch(f"{path}: schema width does not match model width")
     return model, schema

@@ -13,11 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import HiddenPopError
+from ..features import design_matrix
 
 log = logging.getLogger(__name__)
 
 _CLAMP = 1e-12
+_RIDGE = 1e-6  # the starting ridge penalty on the weights
 _LAMBDA_CEILING = 1e-2
+_TOL = 1e-8  # bound on every penalized score-gradient component at convergence
+_MAX_ITER = 100
 
 
 @dataclass
@@ -56,18 +60,13 @@ def penalized_gradient(beta, X1, y, lam_vec):
     return X1.T @ (y - p) - lam_vec * beta
 
 
-def fit_logistic(
-    data,
-    *,
-    ridge_lambda: float = 1e-6,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> LogisticModel:
-    """Newton/IRLS until every penalized score-gradient component is < tol.
+def fit_logistic(data) -> LogisticModel:
+    """Newton/IRLS until every penalized score-gradient component is < _TOL.
 
-    A singular Newton system triggers an automatic restart with the ridge
-    escalated x10, up to 1e-2; past that HiddenPopError is raised.  Hitting
-    max_iter returns the model with converged=False rather than raising.
+    The ridge starts at _RIDGE.  A singular Newton system triggers an
+    automatic restart with the ridge escalated x10, up to 1e-2; past that
+    HiddenPopError is raised.  Hitting _MAX_ITER returns the model with
+    converged=False rather than raising.
     """
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=float)
@@ -78,10 +77,10 @@ def fit_logistic(
 
     n, p = X.shape
     X1 = np.hstack([np.ones((n, 1)), X])
-    lam = ridge_lambda
+    lam = _RIDGE
     while True:
         try:
-            beta, iters, gmax = _newton(X1, y, lam, tol, max_iter)
+            beta, iters, gmax = _newton(X1, y, lam)
             break
         except np.linalg.LinAlgError:
             if lam * 10 > _LAMBDA_CEILING:
@@ -89,22 +88,22 @@ def fit_logistic(
             lam *= 10
             log.warning("singular IRLS system; escalating ridge to %g", lam)
 
-    converged = bool(gmax < tol)
+    converged = bool(gmax < _TOL)
     if not converged:
-        log.warning("IRLS stopped at max_iter=%d with max|gradient|=%.3e", max_iter, gmax)
+        log.warning("IRLS stopped at max_iter=%d with max|gradient|=%.3e", _MAX_ITER, gmax)
     return LogisticModel(float(beta[0]), beta[1:].copy(), lam, converged, iters, float(gmax))
 
 
-def _newton(X1, y, lam, tol, max_iter):
+def _newton(X1, y, lam):
     p_dim = X1.shape[1]
     lam_vec = np.full(p_dim, lam)
     lam_vec[0] = 0.0  # intercept unpenalized
     beta = np.zeros(p_dim)
     ll = penalized_loglik(beta, X1, y, lam_vec)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         grad = penalized_gradient(beta, X1, y, lam_vec)
         gmax = np.max(np.abs(grad))
-        if gmax < tol:
+        if gmax < _TOL:
             return beta, it - 1, gmax
         prob = _sigmoid(X1 @ beta)
         w = prob * (1.0 - prob)
@@ -123,16 +122,10 @@ def _newton(X1, y, lam, tol, max_iter):
             # no ascent possible; report current gradient honestly
             return beta, it, gmax
     grad = penalized_gradient(beta, X1, y, lam_vec)
-    return beta, max_iter, np.max(np.abs(grad))
+    return beta, _MAX_ITER, np.max(np.abs(grad))
 
 
-def predict_logistic(model: LogisticModel, fv) -> float | np.ndarray:
-    """P(y=1 | fv), clamped to [1e-12, 1-1e-12]; accepts a vector or a matrix."""
-    fv = np.asarray(fv, dtype=float)
-    width = model.weights.shape[0]
-    if fv.shape[-1] != width:
-        raise HiddenPopError(f"expected width {width}, got {fv.shape[-1]}")
-    eta = model.intercept + fv @ model.weights
-    prob = _sigmoid(np.atleast_1d(eta))
-    prob = np.clip(prob, _CLAMP, 1.0 - _CLAMP)
-    return float(prob[0]) if fv.ndim == 1 else prob
+def predict_logistic(model: LogisticModel, X) -> np.ndarray:
+    """P(y=1 | x) per row of a (rows, width) matrix, clamped to [1e-12, 1-1e-12]."""
+    eta = model.intercept + design_matrix(X, model.width) @ model.weights
+    return np.clip(_sigmoid(eta), _CLAMP, 1.0 - _CLAMP)

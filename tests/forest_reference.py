@@ -29,10 +29,12 @@ def predict_class(tree, X):
     return (leaf_counts[:, 1] > leaf_counts[:, 0]).astype(int)
 
 
-def gini_best_split(X, y, idx, features, min_leaf):
+def gini_best_split(X, y, idx, features):
     """Best (cost, feature, threshold) over the candidate features at a node.
 
-    Ties in cost keep the first candidate encountered.
+    Ties in cost keep the first candidate encountered.  The threshold is the
+    midpoint of the two values around the cut, or the lower value where the
+    midpoint rounds onto the upper one or overflows.
     """
     n = len(idx)
     labels = y[idx]
@@ -46,7 +48,6 @@ def gini_best_split(X, y, idx, features, min_leaf):
         # valid cut after position i (1-based sizes), only between distinct values
         sizes_l = np.arange(1, n)
         cut = v_sorted[:-1] < v_sorted[1:]
-        cut &= (sizes_l >= min_leaf) & (n - sizes_l >= min_leaf)
         if not cut.any():
             continue
         pl = pos[:-1]
@@ -59,11 +60,14 @@ def gini_best_split(X, y, idx, features, min_leaf):
         cost = np.where(cut, cost, np.inf)
         j = int(np.argmin(cost))
         if cost[j] < best[0]:
-            best = (float(cost[j]), int(f), float((v_sorted[j] + v_sorted[j + 1]) / 2.0))
+            low, high = v_sorted[j], v_sorted[j + 1]
+            with np.errstate(over="ignore"):
+                mid = (low + high) / 2.0
+            best = (float(cost[j]), int(f), float(mid if low <= mid < high else low))
     return best
 
 
-def grow_tree(X, y, idx, rng, mtry, min_leaf, max_depth):
+def grow_tree(X, y, idx, rng, mtry):
     p = X.shape[1]
     feature, threshold, left, right, counts = [], [], [], [], []
 
@@ -78,19 +82,15 @@ def grow_tree(X, y, idx, rng, mtry, min_leaf, max_depth):
 
     root = new_node(idx)
     # depth-first, left before right, so the RNG consumption order is fixed
-    stack = [(root, idx, 0)]
+    stack = [(root, idx)]
     while stack:
-        node, node_idx, depth = stack.pop()
+        node, node_idx = stack.pop()
         labels = y[node_idx]
-        if (
-            len(node_idx) < 2 * min_leaf
-            or labels.min() == labels.max()
-            or (max_depth is not None and depth >= max_depth)
-        ):
+        if labels.min() == labels.max():
             continue
         cand = rng.choice(p, size=mtry, replace=False)
         parent_gini = 1.0 - ((np.mean(labels)) ** 2 + (1 - np.mean(labels)) ** 2)
-        cost, f, thr = gini_best_split(X, y, node_idx, cand, min_leaf)
+        cost, f, thr = gini_best_split(X, y, node_idx, cand)
         if f == _NO_FEATURE or cost >= parent_gini - 1e-15:
             continue
         mask = X[node_idx, f] <= thr
@@ -103,8 +103,8 @@ def grow_tree(X, y, idx, rng, mtry, min_leaf, max_depth):
         left[node] = l_id
         right[node] = r_id
         # push right first so the left branch is processed (and draws RNG) first
-        stack.append((r_id, right_idx, depth + 1))
-        stack.append((l_id, left_idx, depth + 1))
+        stack.append((r_id, right_idx))
+        stack.append((l_id, left_idx))
     return DecisionTree(
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=float),
@@ -114,19 +114,18 @@ def grow_tree(X, y, idx, rng, mtry, min_leaf, max_depth):
     )
 
 
-def fit_forest(data, *, n_trees=500, mtry=None, min_leaf=1, max_depth=None, seed=0):
+def fit_forest(data, *, n_trees=500, seed=0):
+    """Trees grown to purity with ceil(sqrt(p)) candidates per node, and the OOB error."""
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=int)
     n, p = X.shape
-    if mtry is None:
-        mtry = math.ceil(math.sqrt(p))
-    mtry = min(mtry, p)
+    mtry = math.ceil(math.sqrt(p))
     trees = []
     votes = np.zeros((n, 2), dtype=np.int64)  # OOB votes per class
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         boot = rng.integers(0, n, size=n)
-        tree = grow_tree(X, y, boot, rng, mtry, min_leaf, max_depth)
+        tree = grow_tree(X, y, boot, rng, mtry)
         trees.append(tree)
         oob_mask = np.ones(n, dtype=bool)
         oob_mask[boot] = False
@@ -137,9 +136,8 @@ def fit_forest(data, *, n_trees=500, mtry=None, min_leaf=1, max_depth=None, seed
     voted = votes.sum(axis=1) > 0
     oob_pred = (votes[:, 1] > votes[:, 0]).astype(int)
     oob_error = float(np.mean(oob_pred[voted] != y[voted])) if voted.any() else float("nan")
-    return ForestModel(trees=trees, n_trees=n_trees, mtry=mtry, min_leaf=min_leaf,
-                       max_depth=max_depth, seed=seed, n_features=p,
-                       oob_error=oob_error, oob_votes=votes)
+    return ForestModel(trees=trees, n_trees=n_trees, mtry=mtry, min_leaf=1, max_depth=None,
+                       seed=seed, n_features=p, oob_error=oob_error)
 
 
 def predict_forest(model, X):
@@ -150,9 +148,8 @@ def predict_forest(model, X):
     return votes / model.n_trees
 
 
-def permutation_importance(model, data, *, seed=0, n_repeats=10, groups=None,
-                           threshold=0.5):
-    """(mda, ranking, baseline accuracy), one prediction per permuted copy."""
+def permutation_importance(model, data, *, seed=0, groups=None, threshold=0.5):
+    """(mda, ranking, baseline accuracy), ten permutations per group, one prediction each."""
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=int)
     if groups is None:
@@ -162,7 +159,7 @@ def permutation_importance(model, data, *, seed=0, n_repeats=10, groups=None,
     mda = {}
     for name, cols in groups:
         drops = []
-        for _ in range(n_repeats):
+        for _ in range(10):
             perm = rng.permutation(len(X))
             Xp = X.copy()
             Xp[:, cols] = X[np.ix_(perm, cols)]

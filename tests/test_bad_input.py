@@ -91,6 +91,42 @@ def model_without_weights(d):
     return _impute(d, model), f"{model}: KeyError: 'weights'"
 
 
+def _edit_model(d, name, edit):
+    model = d / name
+    payload = json.loads(model.read_text())
+    edit(payload)
+    model.write_text(json.dumps(payload))  # a non-finite float is written as NaN or Infinity
+    return model
+
+
+def infinite_logistic_weight(d):
+    model = _edit_model(d, "model_logistic.json",
+                        lambda p: p["model"]["weights"].__setitem__(0, float("inf")))
+    return _impute(d, model), f"{model}: ValueError: intercept and weights must be finite"
+
+
+def nan_logistic_intercept(d):
+    model = _edit_model(d, "model_logistic.json",
+                        lambda p: p["model"].__setitem__("intercept", float("nan")))
+    return _impute(d, model), f"{model}: ValueError: intercept and weights must be finite"
+
+
+def _numeric_column(payload):
+    return next(c for c in payload["schema"]["columns"] if c["kind"] == "numeric")
+
+
+def schema_sd_zero(d):
+    model = _edit_model(d, "model_logistic.json",
+                        lambda p: _numeric_column(p).__setitem__("sd", 0))
+    return _impute(d, model), f"{model}: ValueError: feature column 'years_enrolled' has mean"
+
+
+def schema_mean_nan(d):
+    model = _edit_model(d, "model_forest.json",
+                        lambda p: _numeric_column(p).__setitem__("mean", float("nan")))
+    return _impute(d, model), "both must be finite and sd positive"
+
+
 def missing_model_file(d):
     model = d / "nope.json"
     return _impute(d, model), f"{model}: FileNotFoundError"
@@ -154,7 +190,8 @@ def foreign_born_foreigner_with_italian_parents(d):
 
 @pytest.mark.parametrize("corrupt", [
     missing_names, missing_admin, eligible_maybe, pa_observed_x, truncated_model,
-    model_without_weights, missing_model_file, misspelt_config_key, config_value_wrong_type,
+    model_without_weights, infinite_logistic_weight, nan_logistic_intercept, schema_sd_zero,
+    schema_mean_nan, missing_model_file, misspelt_config_key, config_value_wrong_type,
     config_shares_not_100, config_not_json, expanded_without_register_columns, names_not_utf8,
     foreign_born_foreigner_with_italian_parents,
 ])

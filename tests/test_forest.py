@@ -1,6 +1,8 @@
 """Random forest: determinism, OOB, prediction, permutation importance."""
 
+import signal
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -70,25 +72,19 @@ def test_mtry_default_is_ceil_sqrt_p():
     assert model.mtry == 2  # ceil(sqrt(4))
 
 
-def test_min_leaf_respected():
-    data = learnable_data(n=120)
-    model = fit_forest(data, n_trees=20, seed=0, min_leaf=10)
-    for tree in model.trees:
-        leaves = tree.feature == -1
-        assert np.all(tree.counts[leaves].sum(axis=1) >= 10)
-
-
 def test_single_row_prediction_matches_matrix():
     data = learnable_data()
     model = fit_forest(data, n_trees=30, seed=2)
-    one = predict_forest(model, data.X[5])
-    assert isinstance(one, float)
-    assert one == predict_forest(model, data.X[5:6])[0]
+    one = predict_forest(model, data.X[5:6])
+    assert one.shape == (1,)
+    assert one[0] == predict_forest(model, data.X)[5]
+    with pytest.raises(HiddenPopError, match=r"expected a \(rows, 4\) matrix, got shape \(4,\)"):
+        predict_forest(model, data.X[5])
 
 
 def test_predict_dimension_mismatch():
     model = fit_forest(learnable_data(), n_trees=5, seed=0)
-    with pytest.raises(HiddenPopError, match="expected width 4, got 7"):
+    with pytest.raises(HiddenPopError, match=r"expected a \(rows, 4\) matrix, got shape \(3, 7\)"):
         predict_forest(model, np.zeros((3, 7)))
 
 
@@ -126,6 +122,14 @@ def test_single_class_rejected():
         fit_forest(data, n_trees=3)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_training_matrix_rejected(value):
+    data = learnable_data(n=20)
+    data.X[3, 1] = value
+    with pytest.raises(ValueError, match="non-finite entries in design matrix"):
+        fit_forest(data, n_trees=3)
+
+
 def tied_data(n=160, seed=0):
     """Repeated values and rows, a 3-valued column and a constant column."""
     rng = np.random.default_rng(seed)
@@ -142,29 +146,30 @@ def tied_data(n=160, seed=0):
 
 
 def assert_same_forest(got, want):
-    """Bit for bit: every node array, the OOB votes and the OOB error."""
+    """Bit for bit: every node array and the OOB error."""
     assert len(got.trees) == len(want.trees)
     for a, b in zip(got.trees, want.trees):
         for name in ("feature", "threshold", "left", "right", "counts"):
             x, w = getattr(a, name), getattr(b, name)
             assert x.dtype == w.dtype and x.shape == w.shape and x.tobytes() == w.tobytes(), name
-    np.testing.assert_array_equal(got.oob_votes, want.oob_votes)
     np.testing.assert_equal(got.oob_error, want.oob_error)  # NaN when no row was out of bag
     assert got.mtry == want.mtry
 
 
-CONFIGS = {
-    "defaults": {}, "min_leaf_10": {"min_leaf": 10}, "max_depth_3": {"max_depth": 3},
-    "mtry_4": {"mtry": 4}, "mtry_1_min_leaf_3": {"mtry": 1, "min_leaf": 3},
-}
+# p columns: tied_data's 5, or its first p, or those 5 and their reversed copies; named by
+# the mtry = ceil(sqrt(p)) they give, which is every column at p = 1 and 2
+LAYOUTS = {"defaults": 5, "mtry_1": 1, "mtry_2": 2, "mtry_4": 10}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
-def test_lockstep_fit_matches_sequential_reference(seed, config):
+@pytest.mark.parametrize("p", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_lockstep_fit_matches_sequential_reference(seed, p):
     data = tied_data(seed=seed)
-    got = fit_forest(data, n_trees=12, seed=seed, **config)
-    assert_same_forest(got, reference.fit_forest(data, n_trees=12, seed=seed, **config))
+    X = np.column_stack([data.X, data.X[::-1]])[:, :p]
+    data = LabeledDataset(X=X, y=data.y, row_ids=data.row_ids)
+    got = fit_forest(data, n_trees=12, seed=seed)
+    assert got.mtry == {1: 1, 2: 2, 5: 3, 10: 4}[p]
+    assert_same_forest(got, reference.fit_forest(data, n_trees=12, seed=seed))
 
 
 def test_single_tree_matches_sequential_reference():
@@ -183,8 +188,8 @@ def test_lockstep_fit_matches_sequential_reference_with_nodes_over_a_search_chun
     monkeypatch.setattr(forest_module, "_SEARCH_CHUNK", 1 << 11)
     data = tied_data(n=5000, seed=4)
     assert len(data.X) > forest_module._SEARCH_CHUNK  # the root alone fills more than one chunk
-    assert_same_forest(fit_forest(data, n_trees=3, seed=4, min_leaf=5),
-                       reference.fit_forest(data, n_trees=3, seed=4, min_leaf=5))
+    assert_same_forest(fit_forest(data, n_trees=3, seed=4),
+                       reference.fit_forest(data, n_trees=3, seed=4))
 
 
 def test_lockstep_fit_matches_sequential_reference_across_candidate_blocks():
@@ -198,55 +203,66 @@ def test_lockstep_fit_matches_sequential_reference_across_candidate_blocks():
     assert_same_forest(got, reference.fit_forest(data, n_trees=3, seed=1))
 
 
-# A cut can send every row to one side: the midpoint of -inf and inf is NaN, and that of two
-# adjacent floats can round onto the upper one.  That side is the node again, searched anew,
-# so these fits keep a depth limit: with mtry = p the same cut would repeat without end.
+_B = float(np.nextafter(1.0, 2.0))  # the float after 1.0
 _EDGE_COLUMNS = {
     "ties": np.array([0.5, 0.5, 0.5, 1.0, 1.0, 2.25, 2.25, 2.25]),
     "signed_zeros": np.array([-0.0, 0.0, -0.0, 0.0, 1.0, -1.5, 0.0, -0.0]),
-    "infinities": np.array([-np.inf, np.inf, -np.inf, np.inf, 0.5, -np.inf, np.inf, 7.0]),
-    "nan": np.array([np.nan, 0.5, np.nan, 1.0, np.nan, 2.25, 0.5, np.nan]),
-    "all_nan": np.full(8, np.nan),
+    "adjacent_floats": np.array([1.0, _B, np.nextafter(_B, 2.0), _B, 1.0, 1.0, 0.5, _B]),
+    "huge": np.array([-1.5e308, -1e308, 1e308, 1.5e308, -1.5e308, 1.5e308, 0.5, -1e308]),
 }
 
 
-@pytest.mark.parametrize("mtry", [1, 2, 3])
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the block after `seconds`: a cut that repeats never ends."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("column", _EDGE_COLUMNS, ids=_EDGE_COLUMNS.keys())
-def test_histogram_search_matches_sequential_reference_on_edge_values(column, mtry):
-    rng = np.random.default_rng(len(column) + mtry)
+def test_histogram_search_matches_sequential_reference_on_edge_values(column, p):
+    """The edge column, then a 3-valued one, then _TRAINING_POOL values: mtry = p at p <= 2."""
+    rng = np.random.default_rng(len(column) + p)
     n = 120
     X = np.column_stack([rng.choice(_EDGE_COLUMNS[column], size=n), rng.integers(0, 3, size=n),
-                         rng.choice(_POOL, size=n)])
-    y = (rng.random(n) < np.where(X[:, 1] > 0, 0.7, 0.3)).astype(int)
+                         rng.choice(_TRAINING_POOL, size=n)])[:, :p]
+    y = (rng.random(n) < np.where(rng.integers(0, 3, size=n) > 0, 0.7, 0.3)).astype(int)
     data = LabeledDataset(X=X, y=y, row_ids=[str(i) for i in range(n)])
-    for config in ({"max_depth": 12}, {"max_depth": 4, "min_leaf": 3}):
-        got = fit_forest(data, n_trees=8, seed=mtry, mtry=mtry, **config)
-        assert_same_forest(got, reference.fit_forest(data, n_trees=8, seed=mtry, mtry=mtry,
-                                                     **config))
+    with deadline(20):
+        got = fit_forest(data, n_trees=8, seed=p)
+        assert_same_forest(got, reference.fit_forest(data, n_trees=8, seed=p))
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(2, 60), p=st.integers(1, 4),
-       min_leaf=st.integers(1, 4), max_depth=st.integers(1, 12), seed=st.integers(0, 2**16))
-def test_histogram_search_matches_sequential_reference(data, n, p, min_leaf, max_depth, seed):
-    """Columns drawn from a few _POOL values each: ties, both zeros, both infinities, NaN."""
-    palettes = [data.draw(st.lists(st.sampled_from(_POOL.tolist()), min_size=1, max_size=5))
+@given(data=st.data(), n=st.integers(2, 60), p=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_histogram_search_matches_sequential_reference(data, n, p, seed):
+    """Columns drawn from a few _TRAINING_POOL values each: ties, both zeros, adjacent floats,
+    and floats whose midpoint overflows."""
+    palettes = [data.draw(st.lists(st.sampled_from(_TRAINING_POOL.tolist()), min_size=1,
+                                   max_size=5))
                 for _ in range(p)]
     X = np.column_stack([data.draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
                          for palette in palettes])
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     y[:2] = [0, 1]
-    mtry = data.draw(st.sampled_from([1, p, max(1, p - 1)]))
     dataset = LabeledDataset(X=X, y=y, row_ids=[str(i) for i in range(n)])
-    config = {"n_trees": 4, "seed": seed, "mtry": mtry, "min_leaf": min_leaf,
-              "max_depth": max_depth}
-    assert_same_forest(fit_forest(dataset, **config), reference.fit_forest(dataset, **config))
+    with deadline(20):
+        got = fit_forest(dataset, n_trees=4, seed=seed)
+        assert_same_forest(got, reference.fit_forest(dataset, n_trees=4, seed=seed))
 
 
-@pytest.mark.parametrize("low", [1.0, float(np.nextafter(1.0, 2.0))],
-                         ids=["midpoint_rounds_down", "midpoint_rounds_up"])
+@pytest.mark.parametrize("low", [1.0, _B], ids=["midpoint_rounds_down", "midpoint_rounds_up"])
 def test_rows_are_cut_on_raw_values_where_the_midpoint_rounds(low):
-    """Of two adjacent floats, the midpoint may equal either one: x <= threshold decides."""
+    """Of two adjacent floats the midpoint may equal either one; the cut is at the lower."""
     high = float(np.nextafter(low, 2.0))
     midpoint = (low + high) / 2.0
     assert midpoint == (high if low > 1.0 else low)
@@ -254,12 +270,33 @@ def test_rows_are_cut_on_raw_values_where_the_midpoint_rounds(low):
     y = np.repeat([0, 1], 20)
     y[::7] ^= 1
     data = LabeledDataset(X=X, y=y, row_ids=[str(i) for i in range(40)])
-    got = fit_forest(data, n_trees=5, seed=1, mtry=2, max_depth=6)
-    assert_same_forest(got, reference.fit_forest(data, n_trees=5, seed=1, mtry=2, max_depth=6))
+    with deadline(10):
+        got = fit_forest(data, n_trees=5, seed=1)
+        assert_same_forest(got, reference.fit_forest(data, n_trees=5, seed=1))
     tree = got.trees[0]
-    assert (tree.feature[0], tree.threshold[0]) == (0, midpoint)
-    high_rows_left = tree.counts[tree.left[0]].sum() == tree.counts[0].sum()
-    assert high_rows_left == (midpoint == high)  # every row went left, the high ones too
+    assert (tree.feature[0], tree.threshold[0]) == (0, low)
+    boot = np.random.default_rng([1, 0]).integers(0, 40, size=40)  # tree 0's bootstrap
+    assert tree.counts[tree.left[0]].sum() == (X[boot, 0] == low).sum() < 40
+
+
+@pytest.mark.parametrize("low, high", [
+    (_B, float(np.nextafter(_B, 2.0))), (-1.5e308, -1e308), (1e308, 1.5e308),
+], ids=["midpoint_rounds_up", "midpoint_overflows_down", "midpoint_overflows_up"])
+def test_a_cut_whose_midpoint_leaves_its_interval_is_taken_at_the_lower_value(low, high):
+    """Trees grown to purity end: the cut sends the high rows right, not every row left."""
+    with np.errstate(over="ignore"):
+        midpoint = (low + high) / 2.0
+    assert not low <= midpoint < high
+    X = np.repeat([[low], [high]], 10, axis=0)
+    y = np.repeat([0, 1], 10)
+    data = LabeledDataset(X=X, y=y, row_ids=[str(i) for i in range(20)])
+    with deadline(10):
+        got = fit_forest(data, n_trees=5, seed=0)
+        assert_same_forest(got, reference.fit_forest(data, n_trees=5, seed=0))
+    assert all(tree.feature.size <= 3 for tree in got.trees)
+    assert any(tree.feature.size == 3 for tree in got.trees)
+    for tree in got.trees:
+        np.testing.assert_array_equal(tree.threshold[tree.feature == 0], low)
 
 
 def test_nodes_are_chunked_by_histogram_bins(monkeypatch):
@@ -268,13 +305,13 @@ def test_nodes_are_chunked_by_histogram_bins(monkeypatch):
     calls, steps = [], []
     split_nodes, split_in_place = forest_module._split_nodes, forest_module._split_in_place
 
-    def recording_split_nodes(X, y, bins, rows, sizes, cands, min_leaf):
+    def recording_split_nodes(X, y, bins, rows, sizes, cands):
         calls.append((len(sizes), sizes.sum() * cands.shape[1] + bins.width[cands].sum()))
-        return split_nodes(X, y, bins, rows, sizes, cands, min_leaf)
+        return split_nodes(X, y, bins, rows, sizes, cands)
 
-    def recording_split_in_place(X, y, bins, rows, starts, sizes, cands, min_leaf):
+    def recording_split_in_place(X, y, bins, rows, starts, sizes, cands):
         before = len(calls)
-        out = split_in_place(X, y, bins, rows, starts, sizes, cands, min_leaf)
+        out = split_in_place(X, y, bins, rows, starts, sizes, cands)
         steps.append((sizes.sum() * cands.shape[1], len(calls) - before))
         return out
 
@@ -282,8 +319,8 @@ def test_nodes_are_chunked_by_histogram_bins(monkeypatch):
     monkeypatch.setattr(forest_module, "_split_in_place", recording_split_in_place)
     data = tied_data(n=5000, seed=8)
     assert len(np.unique(data.X[:, 4])) == 5000
-    got = fit_forest(data, n_trees=2, seed=8, min_leaf=20)
-    assert_same_forest(got, reference.fit_forest(data, n_trees=2, seed=8, min_leaf=20))
+    got = fit_forest(data, n_trees=2, seed=8)
+    assert_same_forest(got, reference.fit_forest(data, n_trees=2, seed=8))
     # every chunk of several nodes fits the bound, and some step's row pairs fit one chunk
     # but its bins did not
     assert all(entries <= forest_module._SEARCH_CHUNK for nodes, entries in calls if nodes > 1)
@@ -320,26 +357,29 @@ def test_duplicated_rows_score_as_if_alone():
     model = fit_forest(data, n_trees=30, seed=2)
     X = np.vstack([data.X, data.X[::-1], data.X[5:6]])
     scores = predict_forest(model, X)
-    np.testing.assert_array_equal(scores, [predict_forest(model, row) for row in X])
+    np.testing.assert_array_equal(scores, [predict_forest(model, row[None])[0] for row in X])
     np.testing.assert_array_equal(scores, reference.predict_forest(model, X))
 
 
-@pytest.mark.parametrize("n_repeats", [3, 10])
+@pytest.mark.parametrize("seed", [3, 10])
 @pytest.mark.parametrize("groups", [
     None, [("x0", [0]), ("x1_x3", [1, 3]), ("constant", [2]), ("x4", [4])], [("constant", [2])],
 ], ids=["per_column", "grouped", "constant_only"])
-def test_permutation_importance_matches_per_copy_reference(groups, n_repeats):
+def test_permutation_importance_matches_per_copy_reference(groups, seed):
     data = tied_data(n=120, seed=5)
     model = fit_forest(data, n_trees=25, seed=0)
-    got = permutation_importance(model, data, seed=9, n_repeats=n_repeats, groups=groups)
+    got = permutation_importance(model, data, seed=seed, groups=groups)
     mda, ranking, baseline = reference.permutation_importance(
-        model, data, seed=9, n_repeats=n_repeats, groups=groups)
+        model, data, seed=seed, groups=groups)
     assert (got.mda, got.ranking, got.baseline_accuracy) == (mda, ranking, baseline)
     assert got.mda["x2" if groups is None else "constant"] == 0.0
 
 
 # values tied to thresholds, both zeros, both infinities and NaN
 _POOL = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 1.0, 2.25, 7.0, np.inf, np.nan])
+# training values: _POOL's finite ones, adjacent floats, and floats whose midpoint overflows
+_TRAINING_POOL = np.concatenate([_POOL[np.isfinite(_POOL)], _EDGE_COLUMNS["adjacent_floats"][:3],
+                                 [-1.5e308, -1e308, 1e308, 1.5e308]])
 
 
 def random_tree(rng, n_leaves, n_features):
@@ -383,7 +423,8 @@ def assert_scores_equal_the_walk(model, X):
     assert got.tobytes() == reference.predict_forest(model, X).tobytes()
     assert predict_forest(model, X[:0]).shape == (0,)
     if len(X):
-        assert predict_forest(model, X[0]) == reference.predict_forest(model, X[:1])[0]
+        one = predict_forest(model, X[:1])
+        assert one.tobytes() == reference.predict_forest(model, X[:1]).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -404,17 +445,16 @@ def test_bitmask_scores_of_loaded_trees_equal_the_walk(small_training, seed, siz
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 150), levels=st.sampled_from([2, 4, 40]),
-       config=st.sampled_from(list(CONFIGS.values())))
-def test_bitmask_oob_votes_and_scores_of_fitted_forests_equal_the_walk(seed, n, levels, config):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 150), levels=st.sampled_from([2, 4, 40]))
+def test_bitmask_oob_votes_and_scores_of_fitted_forests_equal_the_walk(seed, n, levels):
     """Fitted on few distinct values (ties, repeated rows), scored on _POOL rows."""
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels, size=(n, 3)) / 2.0
     y = rng.integers(0, 2, size=n)
     y[:2] = [0, 1]
     data = LabeledDataset(X=X, y=y, row_ids=[str(i) for i in range(n)])
-    got = fit_forest(data, n_trees=6, seed=seed, **config)
-    assert_same_forest(got, reference.fit_forest(data, n_trees=6, seed=seed, **config))
+    got = fit_forest(data, n_trees=6, seed=seed)
+    assert_same_forest(got, reference.fit_forest(data, n_trees=6, seed=seed))
     assert_scores_equal_the_walk(got, np.vstack([X, scoring_rows(rng, 40, 3)]))
 
 

@@ -1,6 +1,8 @@
 """Parsing, standardization, linkage and the name table."""
 
+import codecs
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +170,18 @@ def test_is_common_name_rules():
     assert not is_common_name("zork", table)          # unlisted
     assert not is_common_name("  ", table)            # empty after normalization
     assert is_common_name("tecla", table, min_count=1)
+
+
+def test_a_byte_order_mark_is_skipped(small_bundle, tmp_path):
+    """Spreadsheets' "CSV UTF-8" export starts with a BOM; each input parses as without it."""
+    def with_bom(path):
+        copy = tmp_path / Path(path).name
+        copy.write_bytes(codecs.BOM_UTF8 + Path(path).read_bytes())
+        return copy
+
+    b = small_bundle
+    assert (register_rows(parse_admin(with_bom(b.admin_path)))
+            == register_rows(parse_admin(b.admin_path)))
+    assert (parse_survey(with_bom(b.survey_path), with_bom(b.screened_out_path))
+            == parse_survey(b.survey_path, b.screened_out_path))
+    assert build_name_table(with_bom(b.name_table_path)) == build_name_table(b.name_table_path)

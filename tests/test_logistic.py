@@ -6,7 +6,7 @@ import pytest
 from hiddenpop.errors import HiddenPopError
 from hiddenpop.features import LabeledDataset
 from hiddenpop.models import fit_logistic, predict_logistic
-from hiddenpop.models.logistic import penalized_gradient, penalized_loglik
+from hiddenpop.models.logistic import _newton, penalized_gradient, penalized_loglik
 
 
 def synth_logistic(n, beta, intercept, seed):
@@ -62,7 +62,8 @@ def test_quasi_separable_data_still_converges():
     X = rng.normal(size=(80, 1))
     y = (X[:, 0] > 0).astype(int)  # perfectly separable
     data = LabeledDataset(X=X, y=y, row_ids=[str(i) for i in range(80)])
-    model = fit_logistic(data, max_iter=200)
+    model = fit_logistic(data)
+    assert model.converged
     scores = predict_logistic(model, X)
     assert np.all((scores > 0.5) == (y == 1))
 
@@ -70,9 +71,11 @@ def test_quasi_separable_data_still_converges():
 def test_predict_shapes_and_clamp():
     data = synth_logistic(100, np.array([3.0]), 0.0, seed=4)
     model = fit_logistic(data)
-    one = predict_logistic(model, np.array([1000.0]))
-    assert isinstance(one, float)
-    assert 1e-12 <= one <= 1 - 1e-12
+    one = predict_logistic(model, np.array([[1000.0]]))
+    assert one.shape == (1,)
+    assert 1e-12 <= one[0] <= 1 - 1e-12
+    with pytest.raises(HiddenPopError, match=r"expected a \(rows, 1\) matrix, got shape \(1,\)"):
+        predict_logistic(model, np.array([1000.0]))
     many = predict_logistic(model, data.X)
     assert many.shape == (100,)
     assert np.all((many > 0) & (many < 1))
@@ -81,8 +84,8 @@ def test_predict_shapes_and_clamp():
 def test_predict_dimension_mismatch():
     data = synth_logistic(50, np.array([1.0, 1.0]), 0.0, seed=5)
     model = fit_logistic(data)
-    with pytest.raises(HiddenPopError, match="expected width 2, got 3"):
-        predict_logistic(model, np.zeros(3))
+    with pytest.raises(HiddenPopError, match=r"expected a \(rows, 2\) matrix, got shape \(1, 3\)"):
+        predict_logistic(model, np.zeros((1, 3)))
 
 
 def test_single_class_rejected():
@@ -96,8 +99,9 @@ def test_intercept_unpenalized():
     # with a huge ridge the weights shrink to ~0 but the intercept still
     # matches the base rate
     data = synth_logistic(2_000, np.array([1.0]), 1.2, seed=6)
-    model = fit_logistic(data, ridge_lambda=1e-2)
+    X1 = np.hstack([np.ones((len(data.y), 1)), data.X])
+    (intercept, weight), _iterations, _gmax = _newton(X1, data.y.astype(float), 1e-2)
     small = fit_logistic(data)
-    assert abs(model.weights[0]) < abs(small.weights[0])
+    assert abs(weight) < abs(small.weights[0])
     base = np.log(data.y.mean() / (1 - data.y.mean()))
-    assert abs(model.intercept) > 0.1 * abs(base)
+    assert abs(intercept) > 0.1 * abs(base)
