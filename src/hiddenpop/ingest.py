@@ -14,9 +14,11 @@ schemas.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import os
+import re
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -235,14 +237,6 @@ class Register:
     bp = property(lambda self: self._is_italy("birth_country"), doc="Born in Italy, 0/1 per row.")
     cit = property(lambda self: self._is_italy("citizenship_country"),
                    doc="Italian citizenship, 0/1 per row.")
-
-    def cell_blocks(self):
-        """Yield BLOCK_ROWS rows at a time as one sequence of CSV cells per admin column."""
-        text = {c: np.array([str(v) for v in lv], dtype=object) for c, lv in self.levels.items()}
-        for start in range(0, len(self), BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            yield [self.link_key[rows]] + [text[c][self.codes[c][rows]] for c in ADMIN_COLUMNS[1:]]
-
 
 @dataclass(frozen=True)
 class SurveyRecord:
@@ -523,13 +517,42 @@ def is_common_name(name: str, table: NameFrequencyTable, *, min_count: int = 5) 
     return table.counts.get(key, 0) >= min_count
 
 
-def write_admin_csv(path, register: Register):
-    """Write the register in the canonical column order (round-trips via parse_admin)."""
+# what csv.writer's default dialect quotes: the delimiter, the quote character, CR and LF
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_cells(values) -> np.ndarray:
+    """Each value as csv.writer writes it as one cell of a row of several."""
+    buffer = io.StringIO()
+    writer, cells = csv.writer(buffer), []
+    for value in values:
+        writer.writerow(("", value))  # a row of one empty cell alone would read '""'
+        cells.append(buffer.getvalue()[1:-2])
+        buffer.seek(0)
+        buffer.truncate()
+    return np.array(cells, dtype=object)
+
+
+def write_admin_csv(path, register: Register, more_columns=(), more_cells=None):
+    """Write the register in the canonical column order (round-trips via parse_admin).
+
+    The bytes are csv.writer's, but each level is quoted once, not once per
+    row.  more_columns follow the register's; more_cells(rows) gives their
+    cells for a slice of rows, as text that needs no quoting.  Rows are
+    written BLOCK_ROWS at a time.
+    """
+    text = {c: _csv_cells(map(str, register.levels[c])) for c in ADMIN_COLUMNS[1:]}
     with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(ADMIN_COLUMNS)
-        for cells in register.cell_blocks():
-            writer.writerows(zip(*cells))
+        csv.writer(f).writerow(ADMIN_COLUMNS + list(more_columns))
+        for start in range(0, len(register), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            keys = register.link_key[rows]
+            if _QUOTED.search("".join(keys)):
+                keys = _csv_cells(keys)
+            cells = [keys] + [text[c][register.codes[c][rows]] for c in ADMIN_COLUMNS[1:]]
+            if more_cells is not None:
+                cells += more_cells(rows)
+            f.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
 
 
 def write_survey_csv(path, records: list[SurveyRecord]):

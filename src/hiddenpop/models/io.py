@@ -2,24 +2,28 @@
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 from dataclasses import fields
 
 import numpy as np
 
-from ..errors import SchemaMismatch
+from ..errors import HiddenPopError, SchemaMismatch
 from ..features import FeatureSchema
 from ..ingest import atomic_open, reading
 from .forest import DecisionTree, ForestModel
 from .logistic import LogisticModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-# a model's file stores each field of its dataclass under the field's name
+# a model's file stores each field of its dataclass under the field's name, except a
+# forest's trees: those are n_nodes plus one string per node field
 _MODEL_TYPES = {LogisticModel: "logistic", ForestModel: "forest"}
-# each node array and its dtype; only threshold may hold non-integers
-_TREE_ARRAYS = {"feature": np.intp, "threshold": float, "left": np.intp, "right": np.intp,
-                "counts": np.int64}
+# each node field of all trees, concatenated, as base64 of these little-endian items;
+# counts is (nodes, 2), row-major
+_NODE_FIELDS = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4",
+                "counts": "<i4"}
 
 
 def model_type(model) -> str:
@@ -30,31 +34,63 @@ def model_type(model) -> str:
         raise TypeError(f"unsupported model type {type(model).__name__}") from None
 
 
-def _tree_from_dict(d: dict, n_features: int) -> DecisionTree:
-    """A saved tree, checked so that its node arrays hold one binary tree."""
-    arrays = []
-    for name, dtype in _TREE_ARRAYS.items():
-        values = np.array(d[name])  # no dtype: a cast would truncate 6.9 and parse "0.5"
-        kinds = "iuf" if dtype is float else "iu"
-        if values.size and values.dtype.kind not in kinds:
-            raise ValueError(f"{name} must hold {'numbers' if dtype is float else 'integers'}")
-        arrays.append(values.astype(dtype, copy=False))
-    tree = DecisionTree(*arrays)
-    n = tree.feature.size
-    if n < 1 or any(a.shape != (n,) for a in (tree.feature, tree.threshold, tree.left, tree.right)):
-        raise ValueError("feature, threshold, left and right must be lists of one equal length >= 1")
-    if tree.counts.shape != (n, 2) or (tree.counts < 0).any():
+def _packed_trees(trees) -> dict:
+    """Each tree's node count, and each node field of all trees as one base64 string."""
+    packed = {"n_nodes": [len(t.feature) for t in trees]}
+    for name, dtype in _NODE_FIELDS.items():
+        values = np.concatenate([getattr(t, name) for t in trees])
+        items = values.astype(dtype)
+        if name != "threshold" and not np.array_equal(items, values):
+            raise HiddenPopError(f"a forest's {name} holds a value outside {dtype}")
+        packed[name] = base64.b64encode(items.tobytes()).decode("ascii")
+    return packed
+
+
+def _decoded(model: dict, name: str) -> np.ndarray:
+    """A node field of all trees, decoded; its string leaves model, so each is freed in turn."""
+    text, dtype = model.pop(name), np.dtype(_NODE_FIELDS[name])
+    if not isinstance(text, str):
+        raise TypeError(f"{name} must be a base64 string")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{name} is not base64: {exc}") from None
+    del text
+    if len(data) % dtype.itemsize:
+        raise ValueError(f"{name} is not a whole number of {dtype.str} items ({len(data)} bytes)")
+    return np.frombuffer(data, dtype).astype(float if dtype.kind == "f" else np.int64)
+
+
+def _unpacked_trees(model: dict, n_trees: int, n_features: int) -> list:
+    """A saved forest's trees, checked in one pass over all nodes to hold one binary tree each."""
+    sizes = np.array(model["n_nodes"])
+    if sizes.ndim != 1 or (sizes.size and sizes.dtype.kind not in "iu"):
+        raise ValueError("n_nodes must be a list of integers")
+    if not 1 <= n_trees == len(sizes):
+        raise ValueError(f"n_trees is {n_trees} but the file holds {len(sizes)} trees")
+    feature, threshold, left, right, counts = (_decoded(model, name) for name in _NODE_FIELDS)
+    n = len(feature)
+    if (sizes < 1).any() or (sizes > n).any() or sizes.sum() != n:
+        raise ValueError(f"n_nodes must be counts >= 1 that sum to the {n} nodes of feature")
+    if len(threshold) != n or len(left) != n or len(right) != n:
+        raise ValueError("feature, threshold, left and right must hold one value per node")
+    if counts.size != 2 * n or (counts < 0).any():
         raise ValueError("counts must hold one pair of non-negative counts per node")
-    inner = np.flatnonzero(tree.feature != -1)  # a leaf has feature -1
-    if ((tree.feature[inner] < 0) | (tree.feature[inner] >= n_features)).any():
+    counts = counts.reshape(n, 2)
+    start = np.cumsum(sizes) - sizes  # each tree's first node; child indices count from it
+    tree = np.repeat(np.arange(len(sizes)), sizes)
+    local = np.arange(n) - start[tree]
+    inner = np.flatnonzero(feature != -1)  # a leaf has feature -1
+    if ((feature[inner] < 0) | (feature[inner] >= n_features)).any():
         raise ValueError(f"a split feature is outside 0..{n_features - 1}")
-    for child in (tree.left[inner], tree.right[inner]):
-        if ((child <= inner) | (child >= n)).any():
+    for child in (left[inner], right[inner]):
+        if ((child <= local[inner]) | (child >= sizes[tree[inner]])).any():
             raise ValueError("a child index does not point forward inside its tree")
-    parents = np.bincount(np.concatenate([tree.left[inner], tree.right[inner]]), minlength=n)
-    if (parents[1:] != 1).any():
+    children = np.concatenate([left[inner], right[inner]]) + np.tile(start[tree[inner]], 2)
+    if (np.bincount(children, minlength=n)[local > 0] != 1).any():
         raise ValueError("a node other than the root is not the child of exactly one node")
-    return tree
+    arrays = (np.split(a, start[1:]) for a in (feature, threshold, left, right, counts))
+    return [DecisionTree(*nodes) for nodes in zip(*arrays)]
 
 
 def save_model(path, model, schema: FeatureSchema):
@@ -63,15 +99,15 @@ def save_model(path, model, schema: FeatureSchema):
         "schema": json.loads(schema.to_json()),
         "model_type": model_type(model),
     }
-    payload["model"] = {f.name: getattr(model, f.name) for f in fields(model)}
+    payload["model"] = {f.name: getattr(model, f.name) for f in fields(model) if f.name != "trees"}
     if isinstance(model, LogisticModel):
         payload["model"]["weights"] = model.weights.tolist()
     else:
-        payload["model"]["trees"] = [{a: getattr(t, a).tolist() for a in _TREE_ARRAYS}
-                                     for t in model.trees]
+        payload["model"].update(_packed_trees(model.trees))
     with atomic_open(path) as f:
-        # json.dumps runs the C encoder; json.dump would stream through the Python one
-        f.write(json.dumps(payload, sort_keys=True))
+        # streamed by the Python encoder, quick on a payload without long lists, so the
+        # whole text is never held beside the node strings
+        json.dump(payload, f, sort_keys=True)
 
 
 def load_model(path):
@@ -86,7 +122,8 @@ def load_model(path):
         cls = next((c for c, tag in _MODEL_TYPES.items() if tag == payload["model_type"]), None)
         if cls is None:
             raise SchemaMismatch(f"{path}: unknown model_type {payload['model_type']!r}")
-        model = cls(**{f.name: payload["model"][f.name] for f in fields(cls)})
+        stored = payload["model"]
+        model = cls(**{f.name: stored[f.name] if f.name != "trees" else [] for f in fields(cls)})
         if cls is LogisticModel:
             model.intercept = float(model.intercept)
             model.weights = np.array(model.weights, dtype=float)
@@ -96,10 +133,7 @@ def load_model(path):
                 raise ValueError("intercept and weights must be finite")
         else:
             model.n_trees, model.n_features = int(model.n_trees), int(model.n_features)
-            model.trees = [_tree_from_dict(t, model.n_features) for t in model.trees]
-            if not 1 <= model.n_trees == len(model.trees):
-                raise ValueError(f"n_trees is {model.n_trees} but the file holds "
-                                 f"{len(model.trees)} trees")
+            model.trees = _unpacked_trees(stored, model.n_trees, model.n_features)
     if schema.width != model.width:
         raise SchemaMismatch(f"{path}: schema width does not match model width")
     return model, schema

@@ -15,7 +15,8 @@ from .domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind, MigrantBackground
 from .errors import DataError
 from .eval import CvResult, MetricsReport, RocCurve, METRIC_NAMES
 from .expand import PROVENANCES, BiasReport, DistributionTable, Expanded
-from .ingest import ADMIN_COLUMNS, BLOCK_ROWS, ITALY, Coder, Register, atomic_open, read_csv
+from .ingest import (ADMIN_COLUMNS, ITALY, Coder, Register, atomic_open, read_csv,
+                     write_admin_csv)
 from .models import ImportanceReport
 
 
@@ -124,7 +125,8 @@ def write_bias_plot(path, table: dict):
             writer.writerow([level, _fmt(pop, 2), _fmt(sample, 2)])
 
 
-_EXPANDED_COLUMNS = ADMIN_COLUMNS + ["delta", "kind", "provenance", "predicted_score"]
+_MEMBERSHIP_COLUMNS = ["delta", "kind", "provenance", "predicted_score"]
+_EXPANDED_COLUMNS = ADMIN_COLUMNS + _MEMBERSHIP_COLUMNS
 _DIGITS = np.array([str(d) for d in range(10)], dtype=object)
 
 
@@ -132,18 +134,15 @@ def write_expanded_csv(path, expanded: Expanded):
     """Original register columns plus delta, kind, provenance, predicted_score."""
     provenance_text = np.array(PROVENANCES, dtype=object)
     predicted = PROVENANCES.index("predicted")
-    with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(_EXPANDED_COLUMNS)
-        for start, cells in zip(range(0, len(expanded), BLOCK_ROWS),
-                                expanded.register.cell_blocks()):
-            rows = slice(start, start + BLOCK_ROWS)
-            provenance = expanded.provenance[rows]
-            scores = [_fmt(s) if p == predicted else ""
-                      for s, p in zip(expanded.score[rows].tolist(), provenance.tolist())]
-            writer.writerows(zip(*cells, _DIGITS[expanded.delta[rows]],
-                                 _DIGITS[expanded.kind[rows]], provenance_text[provenance],
-                                 scores))
+
+    def membership_cells(rows):
+        provenance = expanded.provenance[rows]
+        scores = [_fmt(s) if p == predicted else ""
+                  for s, p in zip(expanded.score[rows].tolist(), provenance.tolist())]
+        return [_DIGITS[expanded.delta[rows]], _DIGITS[expanded.kind[rows]],
+                provenance_text[provenance], scores]
+
+    write_admin_csv(path, expanded.register, _MEMBERSHIP_COLUMNS, membership_cells)
 
 
 _INT_FIELDS = ("enrollment_year", "years_enrolled", "ects_earned")

@@ -1,9 +1,12 @@
 """Bad input exits 3 with a one-line message naming the file, never a traceback."""
 
+import base64
 import itertools
 import json
+import re
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -89,6 +92,22 @@ def model_without_weights(d):
     del payload["model"]["weights"]
     model.write_text(json.dumps(payload))
     return _impute(d, model), f"{model}: KeyError: 'weights'"
+
+
+def version_1_forest(d):
+    """The forest in format 1's layout: per-tree dicts of JSON lists."""
+    model = d / "model_forest.json"
+    payload = json.loads(model.read_text())
+    m = payload["model"]
+    nodes, cuts = _nodes(m), np.cumsum(m.pop("n_nodes"))[:-1]
+    nodes["counts"] = nodes["counts"].reshape(-1, 2)
+    m["trees"] = [{name: a.tolist() for name, a in zip(nodes, tree)}
+                  for tree in zip(*(np.split(a, cuts) for a in nodes.values()))]
+    for name in nodes:
+        del m[name]
+    payload["format_version"] = 1
+    model.write_text(json.dumps(payload))
+    return _impute(d, model), f"error: SchemaMismatch: {model}: unsupported model format 1"
 
 
 def _edit_model(d, name, edit):
@@ -190,10 +209,10 @@ def foreign_born_foreigner_with_italian_parents(d):
 
 @pytest.mark.parametrize("corrupt", [
     missing_names, missing_admin, eligible_maybe, pa_observed_x, truncated_model,
-    model_without_weights, infinite_logistic_weight, nan_logistic_intercept, schema_sd_zero,
-    schema_mean_nan, missing_model_file, misspelt_config_key, config_value_wrong_type,
-    config_shares_not_100, config_not_json, expanded_without_register_columns, names_not_utf8,
-    foreign_born_foreigner_with_italian_parents,
+    model_without_weights, version_1_forest, infinite_logistic_weight, nan_logistic_intercept,
+    schema_sd_zero, schema_mean_nan, missing_model_file, misspelt_config_key,
+    config_value_wrong_type, config_shares_not_100, config_not_json,
+    expanded_without_register_columns, names_not_utf8, foreign_born_foreigner_with_italian_parents,
 ])
 def test_bad_input_exits_3_naming_the_file(bundle, tmp_path, capsys, corrupt):
     argv, fragment = corrupt(_case_dir(bundle, tmp_path / "case"))
@@ -204,51 +223,97 @@ def test_bad_input_exits_3_naming_the_file(bundle, tmp_path, capsys, corrupt):
     assert fragment in err
 
 
-def _cycle_at_root(m):
-    m["trees"][0]["left"][0] = 0
+def test_huge_logistic_weights_exit_4_with_one_line(bundle, tmp_path, capsys):
+    """Finite weights whose linear predictor overflows: an error, not scores of 0 and 1."""
+    model = _edit_model(_case_dir(bundle, tmp_path / "case"), "model_logistic.json",
+                        lambda p: p["model"]["weights"].__setitem__(slice(-2, None),
+                                                                    [1e308, -1e308]))
+    capsys.readouterr()
+    assert main(_impute(tmp_path / "case", model)) == 4  # a RuntimeWarning would raise here
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: HiddenPopError: the logistic model's linear "
+                          "predictor overflows on ") and err.count("\n") == 1, err
 
 
-def _orphan_below_root(m):
-    tree = m["trees"][0]
-    tree["right"][0] = tree["left"][0]  # both children the same node: the other is orphaned
+# the format-2 forest layout: each node field of all trees as base64 of these items
+_NODE_FIELDS = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4",
+                "counts": "<i4"}
 
 
-def _feature_out_of_range(m):
-    m["trees"][0]["feature"][0] = 99
+def _nodes(m):
+    """The decoded node fields of a saved forest's model block; counts stays flat."""
+    return {name: np.frombuffer(base64.b64decode(m[name]), dtype).copy()
+            for name, dtype in _NODE_FIELDS.items()}
 
 
-def _truncated_counts(m):
-    m["trees"][1]["counts"] = m["trees"][1]["counts"][:-1]
+def _edit_nodes(edit):
+    """An edit of the decoded node fields, written back re-encoded."""
+    def apply(m):
+        nodes = _nodes(m)
+        edit(m, nodes)
+        m.update({name: base64.b64encode(a.astype(_NODE_FIELDS[name]).tobytes()).decode("ascii")
+                  for name, a in nodes.items()})
+    return apply
 
 
-def _trees_missing(m):
-    m["trees"] = m["trees"][:2]
+@_edit_nodes
+def _cycle_at_root(m, nodes):
+    nodes["left"][0] = 0
 
 
-def _fractional_feature(m):
-    m["trees"][0]["feature"][0] += 0.9
+@_edit_nodes
+def _orphan_below_root(m, nodes):
+    nodes["right"][0] = nodes["left"][0]  # both children the same node: the other is orphaned
 
 
-def _fractional_counts(m):
-    m["trees"][0]["counts"][0] = [c + 0.7 for c in m["trees"][0]["counts"][0]]
+@_edit_nodes
+def _feature_out_of_range(m, nodes):
+    nodes["feature"][0] = 99
 
 
-def _string_threshold(m):
-    m["trees"][0]["threshold"][0] = str(m["trees"][0]["threshold"][0])
+@_edit_nodes
+def _truncated_counts(m, nodes):
+    last = m["n_nodes"][0] + m["n_nodes"][1] - 1  # the last node of the second tree
+    nodes["counts"] = np.delete(nodes["counts"], [2 * last, 2 * last + 1])
+
+
+@_edit_nodes
+def _trees_missing(m, nodes):
+    m["n_nodes"] = m["n_nodes"][:2]
+    kept = sum(m["n_nodes"])
+    for name in nodes:
+        nodes[name] = nodes[name][:2 * kept if name == "counts" else kept]
+
+
+def _not_base64(m):
+    m["counts"] = m["counts"][:-8] + "0.5,1.5="
+
+
+def _partial_item(m):
+    m["feature"] = base64.b64encode(base64.b64decode(m["feature"]) + b"\0").decode("ascii")
+
+
+def _list_not_string(m):
+    m["threshold"] = _nodes(m)["threshold"].tolist()  # the per-tree lists of format 1
 
 
 @pytest.mark.parametrize("edit, fragment", [
-    pytest.param(_cycle_at_root, "a child index does not point forward", id="cycle_at_root"),
-    pytest.param(_orphan_below_root, "a node other than the root is not the child of exactly one",
+    pytest.param(_cycle_at_root, "ValueError: a child index does not point forward",
+                 id="cycle_at_root"),
+    pytest.param(_orphan_below_root,
+                 "ValueError: a node other than the root is not the child of exactly one",
                  id="orphan_below_root"),
-    pytest.param(_feature_out_of_range, "a split feature is outside 0..",
+    pytest.param(_feature_out_of_range, "ValueError: a split feature is outside 0..",
                  id="feature_out_of_range"),
-    pytest.param(_truncated_counts, "counts must hold one pair of non-negative counts",
+    pytest.param(_truncated_counts, "ValueError: counts must hold one pair of non-negative counts",
                  id="truncated_counts"),
-    pytest.param(_trees_missing, "n_trees is 5 but the file holds 2 trees", id="trees_missing"),
-    pytest.param(_fractional_feature, "feature must hold integers", id="fractional_feature"),
-    pytest.param(_fractional_counts, "counts must hold integers", id="fractional_counts"),
-    pytest.param(_string_threshold, "threshold must hold numbers", id="string_threshold"),
+    pytest.param(_trees_missing, "ValueError: n_trees is 5 but the file holds 2 trees",
+                 id="trees_missing"),
+    pytest.param(_not_base64, "ValueError: counts is not base64", id="not_base64"),
+    pytest.param(_partial_item, "ValueError: feature is not a whole number of <i4 items",
+                 id="partial_item"),
+    pytest.param(_list_not_string, "TypeError: threshold must be a base64 string",
+                 id="list_not_string"),
 ])
 def test_malformed_forest_exits_3_naming_the_file(bundle, tmp_path, capsys, edit, fragment):
     case = _case_dir(bundle, tmp_path / "case")
@@ -257,13 +322,12 @@ def test_malformed_forest_exits_3_naming_the_file(bundle, tmp_path, capsys, edit
     edit(payload["model"])
     model.write_text(json.dumps(payload))
     # checked on load, before any tree is walked: a cycle would never end
-    with pytest.raises(DataError, match=fragment):
+    with pytest.raises(DataError, match=re.escape(fragment)):
         load_model(model)
     capsys.readouterr()
     assert main(_impute(case, model)) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"error: DataError: {model}: ValueError: ") and err.count("\n") == 1
-    assert fragment in err
+    assert err.startswith(f"error: DataError: {model}: {fragment}") and err.count("\n") == 1
 
 
 _counter = itertools.count()
@@ -308,8 +372,16 @@ def test_corrupted_input_exits_0_or_3(bundle, data):
     name = data.draw(st.sampled_from(_FILES))
     path = case / name
     blob = path.read_bytes()
-    how = data.draw(st.sampled_from(["truncate", "flip", "cell"]))
-    if how == "truncate":
+    how = data.draw(st.sampled_from(["truncate", "flip", "cell"]
+                                    + (["node"] if name == "model_forest.json" else [])))
+    if how == "node":  # a byte of one decoded node field, which the JSON leaves hide
+        payload = json.loads(blob)
+        field = data.draw(st.sampled_from(list(_NODE_FIELDS)))
+        raw = bytearray(base64.b64decode(payload["model"][field]))
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        payload["model"][field] = base64.b64encode(bytes(raw)).decode("ascii")
+        blob = json.dumps(payload).encode()
+    elif how == "truncate":
         blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
     elif how == "flip":
         i = data.draw(st.integers(0, len(blob) - 1))

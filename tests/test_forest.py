@@ -444,6 +444,40 @@ def test_bitmask_scores_of_loaded_trees_equal_the_walk(small_training, seed, siz
     assert_scores_equal_the_walk(model, scoring_rows(rng, n_rows, schema.width))
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.sampled_from([1, 2, 5, 64, 150]), min_size=1, max_size=4))
+def test_saved_forest_loads_equal_arrays_and_votes(small_training, seed, sizes):
+    """Random trees, with counts up to 2**31 - 1, saved and loaded: the same bits and votes."""
+    schema, _data = small_training
+    rng = np.random.default_rng(seed)
+    trees = [random_tree(rng, n_leaves, schema.width) for n_leaves in sizes]
+    trees[0].counts[:] = rng.integers(0, 2**31, size=trees[0].counts.shape)
+    built = ForestModel(trees=trees, n_trees=len(trees), mtry=1, min_leaf=1, max_depth=None,
+                        seed=0, n_features=schema.width, oob_error=0.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(Path(tmp) / "model.json", built, schema)
+        model, _schema = load_model(Path(tmp) / "model.json")
+    assert len(model.trees) == len(trees)
+    for got, want in zip(model.trees, trees):
+        for name in ("feature", "left", "right", "counts"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.threshold.tobytes() == want.threshold.tobytes()  # -0.0 and NaN too
+    X = scoring_rows(rng, 60, schema.width)
+    assert predict_forest(model, X).tobytes() == predict_forest(built, X).tobytes()
+
+
+def test_a_count_outside_int32_is_not_saved(small_training, tmp_path):
+    schema, _data = small_training
+    tree = random_tree(np.random.default_rng(0), 3, schema.width)
+    tree.counts[-1, 1] = 2**31
+    model = ForestModel(trees=[tree], n_trees=1, mtry=1, min_leaf=1, max_depth=None, seed=0,
+                        n_features=schema.width, oob_error=0.0)
+    with pytest.raises(HiddenPopError, match="counts holds a value outside <i4"):
+        save_model(tmp_path / "model.json", model, schema)
+    assert list(tmp_path.iterdir()) == []
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 150), levels=st.sampled_from([2, 4, 40]))
 def test_bitmask_oob_votes_and_scores_of_fitted_forests_equal_the_walk(seed, n, levels):

@@ -1,5 +1,7 @@
 """Artifact writers: formatting, atomicity, round trips, byte stability."""
 
+import csv
+import io
 import os
 import stat
 from contextlib import contextmanager
@@ -7,12 +9,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import hiddenpop.ingest
 import hiddenpop.models.io
-from hiddenpop.domain import BackgroundKind
+from hiddenpop.domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind
 from hiddenpop.errors import DataError
 from hiddenpop.eval import evaluate, roc
 from hiddenpop.expand import PROVENANCES, Expanded, tabulate_population
 from hiddenpop.expand import expand_dataset, impute_pa
+from hiddenpop.ingest import ADMIN_COLUMNS, ITALY, Register, write_admin_csv
 from hiddenpop.models.io import load_model, save_model
 from hiddenpop.models import fit_logistic, fit_forest
 from hiddenpop.report import (
@@ -108,6 +112,58 @@ def test_expanded_register_round_trip(tmp_path):
     assert table.n_members == 2
 
 
+# cells csv.writer must quote, and ones it must not
+_INT_COLUMNS = ("enrollment_year", "years_enrolled", "ects_earned")
+_AWKWARD = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", "", "  lead", '"',
+            ","]
+
+
+def _csv_writer_bytes(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
+def test_register_writers_quote_as_csv_writer(tmp_path, monkeypatch):
+    """Both register writers give csv.writer's bytes on levels and keys that need quoting."""
+    monkeypatch.setattr(hiddenpop.ingest, "BLOCK_ROWS", 4)  # blocks with and without quoted keys
+    n = 30
+    keys = [f"K{i}" for i in range(n)]
+    keys[9], keys[13], keys[21], keys[22], keys[23] = 'K"9', "K,13", "K\r\n21", " K22", ""
+    columns = {"link_key": keys}
+    for j, c in enumerate(ADMIN_COLUMNS[1:]):
+        columns[c] = [i - j if c in _INT_COLUMNS else _AWKWARD[(i + j) % len(_AWKWARD)]
+                      for i in range(n)]
+    predicted = [i % 5 == 0 for i in range(n)]
+    for c in ("birth_country", "citizenship_country"):
+        columns[c] = [ITALY if p else v for v, p in zip(columns[c], predicted)]
+    register = Register.from_columns(columns)
+    rows = [[str(columns[c][i]) for c in ADMIN_COLUMNS] for i in range(n)]
+    write_admin_csv(tmp_path / "admin.csv", register)
+    assert (tmp_path / "admin.csv").read_bytes() == _csv_writer_bytes(ADMIN_COLUMNS, rows)
+
+    members = [MEMBERSHIP[1, 1, 0] if p else MEMBERSHIP[0, 0, PA_UNOBSERVED] for p in predicted]
+    expanded = Expanded(register, *np.array(members, dtype=np.int8).T,
+                        np.array([PROVENANCES.index("predicted" if p else "exact")
+                                  for p in predicted], dtype=np.int8),
+                        np.array([i / 40 if p else np.nan for i, p in enumerate(predicted)]))
+    path = tmp_path / "expanded.csv"
+    write_expanded_csv(path, expanded)
+    tails = [[str(d), str(k), PROVENANCES[p], "" if np.isnan(s) else f"{s:.6f}"]
+             for d, k, p, s in zip(expanded.delta, expanded.kind, expanded.provenance,
+                                   expanded.score)]
+    assert path.read_bytes() == _csv_writer_bytes(
+        ADMIN_COLUMNS + ["delta", "kind", "provenance", "predicted_score"],
+        [row + tail for row, tail in zip(rows, tails)])
+    again = read_expanded_csv(path)
+    assert register_rows(again.register) == register_rows(register)
+    for column in ("delta", "kind", "provenance"):
+        assert getattr(again, column).tolist() == getattr(expanded, column).tolist()
+    np.testing.assert_array_equal(again.score, expanded.score)
+
+
 def test_expanded_register_round_trip_on_a_register(tmp_path, small_inputs, small_training):
     admin, _survey, table, linked = small_inputs
     schema, data = small_training
@@ -195,7 +251,7 @@ def test_failed_model_save_leaves_old_file(tmp_path, small_training, monkeypatch
     monkeypatch.setattr(hiddenpop.models.io, "atomic_open", open_then_fail)
     with pytest.raises(OSError, match="disk full"):
         save_model(path, fit_logistic(data), schema)
-    assert partial == ['{"format_version": ']
+    assert partial == ["{"]  # json.dump writes the opening brace first
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
