@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 from datetime import datetime, timezone
 from functools import cached_property
@@ -59,8 +58,6 @@ from .report import (
 )
 from .synth import SynthConfig, generate
 
-DATA_DIR_ENV = "HIDDENPOP_DATA_DIR"
-
 
 def _sha256(path) -> str:
     h = hashlib.sha256()
@@ -101,10 +98,10 @@ class Run:
 
     @cached_property
     def data_dir(self) -> Path:
-        """--data-dir, else $HIDDENPOP_DATA_DIR; a pipeline that generates its data sets it."""
-        data_dir = self.args.data_dir or os.environ.get(DATA_DIR_ENV)
+        """--data-dir; a pipeline that generates its data sets it."""
+        data_dir = self.args.data_dir
         if not data_dir:
-            raise DataError(f"no data directory: pass --data-dir or set {DATA_DIR_ENV}")
+            raise DataError("no data directory: pass --data-dir")
         if not Path(data_dir).is_dir():
             raise DataError(f"data directory {data_dir} does not exist")
         return Path(data_dir)
@@ -202,8 +199,9 @@ def _impute(run, rel, model_file):
     admin, _survey, table, linked = run.parsed
     model, schema = load_model(model_file)
     _check_schema_digest(model_file, schema)
-    imputations = impute_pa(model, schema, admin, table,
-                            linked_rows=linked.rows, threshold=run.args.threshold)
+    with reading(model_file, OverflowError):
+        imputations = impute_pa(model, schema, admin, table,
+                                linked_rows=linked.rows, threshold=run.args.threshold)
     expanded = expand_dataset(admin, linked, imputations)
     run.write(rel + "expanded_register.csv", write_expanded_csv, expanded)
     dist = tabulate_population(expanded)
@@ -283,7 +281,8 @@ def cmd_evaluate(run):
     run.inputs.append(Path(model_file))
     data = assemble_training_set(linked, schema, table)
     name = model_type(model)
-    scores = predict_scores(model, data.X)
+    with reading(model_file, OverflowError):
+        scores = predict_scores(model, data.X)
     report = evaluate(scores, data.y, run.args.threshold)
     run.write("metrics.csv", write_metrics_csv, {name: report})
     run.write("metrics.md", write_metrics_markdown, {name: report})
@@ -331,7 +330,7 @@ def cmd_report(run):
 
 def cmd_pipeline(run):
     args = run.args
-    if not (args.data_dir or os.environ.get(DATA_DIR_ENV)):
+    if not args.data_dir:
         run.data_dir = _synth(run, "data/")
     reports = _train(run, "train/")
     model = "logistic" if args.model in ("logistic", "both") else "forest"
@@ -376,7 +375,7 @@ _out = _checked(str, _makeable_dir, "a directory or a path where one can be made
 OPTIONS = {
     "--seed": dict(type=_seed, default=None,
                    help="RNG seed (default: SynthConfig seed when generating, else 0)"),
-    "--data-dir": dict(default=None, help=f"input directory (or ${DATA_DIR_ENV})"),
+    "--data-dir": dict(default=None, help="input directory"),
     "--out": dict(type=_out, required=True, help="output directory"),
     "--config": dict(default=None, help="SynthConfig JSON file"),
     "--n-register": dict(type=_n_register, default=None),

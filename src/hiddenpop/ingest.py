@@ -354,6 +354,14 @@ def atomic_open(path):
         raise
 
 
+def write_csv(path, header, rows):
+    """Write the header row, then rows, through csv.writer, atomically."""
+    with atomic_open(path) as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _reject_reason(row: dict) -> str:
     """Why a register row fails standardization: its first failing check."""
     try:
@@ -408,7 +416,7 @@ def parse_admin(path) -> Register:
     register = Register.concat(parts, levels)
     total = len(register) + len(rejects)
     if rejects:
-        _write_rejects(path.with_suffix(".rejects.csv"), rejects)
+        write_csv(path.with_suffix(".rejects.csv"), ["line", "reason", "raw"], rejects)
         log.warning("%s: %d of %d rows rejected", path, len(rejects), total)
     if total and len(rejects) / total > MAX_REJECT_FRACTION:
         raise DataError(
@@ -416,13 +424,6 @@ def parse_admin(path) -> Register:
             f"(limit {MAX_REJECT_FRACTION:.0%})"
         )
     return register
-
-
-def _write_rejects(path, rejects):
-    with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["line", "reason", "raw"])
-        writer.writerows(rejects)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -556,16 +557,9 @@ def write_admin_csv(path, register: Register, more_columns=(), more_cells=None):
 
 
 def write_survey_csv(path, records: list[SurveyRecord]):
-    with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(SURVEY_COLUMNS)
-        for rec in records:
-            writer.writerow([rec.link_key, int(rec.eligible), rec.pa_observed])
+    write_csv(path, SURVEY_COLUMNS,
+              ([rec.link_key, int(rec.eligible), rec.pa_observed] for rec in records))
 
 
 def write_name_table(path, table: NameFrequencyTable):
-    with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["name", "count"])
-        for name in sorted(table.counts):
-            writer.writerow([name, table.counts[name]])
+    write_csv(path, ["name", "count"], sorted(table.counts.items()))

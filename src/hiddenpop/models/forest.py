@@ -597,9 +597,9 @@ def permutation_importance(
 
     groups is a list of (name, [column indices]); one-hot dummies of the same
     categorical should be passed as a single group so the whole predictor is
-    scrambled jointly.  Default: every column is its own group.  A permuted
-    copy equal to the data drops exactly 0.0; the others are stacked and
-    scored in one predict_forest call.
+    scrambled jointly.  Default: every column is its own group.  Every permuted
+    copy is stacked and scored in one predict_forest call; a copy equal to the
+    data scores as the data does, so it drops exactly 0.0.
     """
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=int)
@@ -607,27 +607,13 @@ def permutation_importance(
         groups = [(f"x{j}", [j]) for j in range(X.shape[1])]
     baseline = float(np.mean((predict_forest(model, X) > threshold).astype(int) == y))
     rng = np.random.default_rng(seed)
-    copies = np.empty((len(groups) * _REPEATS, *X.shape))
-    n_copies = 0
-    scored = {}  # group -> per repeat, the index of its copy, or None: a drop of 0.0
-    for name, cols in groups:
-        scored[name] = []
-        for _ in range(_REPEATS):
-            perm = rng.permutation(len(X))
-            Xp = copies[n_copies]
-            Xp[:] = X
-            Xp[:, cols] = X[np.ix_(perm, cols)]
-            if np.array_equal(Xp, X):
-                scored[name].append(None)
-            else:
-                scored[name].append(n_copies)
-                n_copies += 1
-    scores = predict_forest(model, copies[:n_copies].reshape(-1, X.shape[1]))
-    accuracy = [float(np.mean((s > threshold).astype(int) == y))
-                for s in scores.reshape(n_copies, len(X))]
-    mda = {
-        name: float(np.mean([0.0 if i is None else baseline - accuracy[i] for i in copy]))
-        for name, copy in scored.items()
-    }
+    copies = np.repeat(X[None], len(groups) * _REPEATS, axis=0)  # group-major, then repeat
+    for i, (_name, cols) in enumerate(groups):
+        for Xp in copies[i * _REPEATS:(i + 1) * _REPEATS]:
+            Xp[:, cols] = X[np.ix_(rng.permutation(len(X)), cols)]
+    scores = predict_forest(model, copies.reshape(-1, X.shape[1])).reshape(len(copies), len(X))
+    drops = baseline - np.mean((scores > threshold) == y, axis=1)
+    mda = {name: float(np.mean(drop))
+           for (name, _cols), drop in zip(groups, drops.reshape(len(groups), _REPEATS))}
     ranking = sorted(mda, key=lambda k: mda[k], reverse=True)
     return ImportanceReport(mda=mda, ranking=ranking, baseline_accuracy=baseline)

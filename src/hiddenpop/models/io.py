@@ -20,6 +20,14 @@ FORMAT_VERSION = 2
 # a model's file stores each field of its dataclass under the field's name, except a
 # forest's trees: those are n_nodes plus one string per node field
 _MODEL_TYPES = {LogisticModel: "logistic", ForestModel: "forest"}
+# the JSON type of each stored value of a model but its trees and weights; a bool
+# is never an integer or a number here
+_INTEGER, _NUMBER = ("an integer", {int}), ("a number", {int, float})
+_HEADER_TYPES = {"n_trees": _INTEGER, "mtry": _INTEGER, "min_leaf": _INTEGER, "seed": _INTEGER,
+                 "n_features": _INTEGER, "iterations": _INTEGER,
+                 "max_depth": ("an integer or null", {int, type(None)}),
+                 "converged": ("true or false", {bool}), "intercept": _NUMBER,
+                 "ridge_lambda": _NUMBER, "max_abs_gradient": _NUMBER, "oob_error": _NUMBER}
 # each node field of all trees, concatenated, as base64 of these little-endian items;
 # counts is (nodes, 2), row-major
 _NODE_FIELDS = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4",
@@ -123,17 +131,21 @@ def load_model(path):
         if cls is None:
             raise SchemaMismatch(f"{path}: unknown model_type {payload['model_type']!r}")
         stored = payload["model"]
-        model = cls(**{f.name: stored[f.name] if f.name != "trees" else [] for f in fields(cls)})
+        header = {f.name: stored[f.name] for f in fields(cls) if f.name not in ("trees", "weights")}
+        for name, value in header.items():
+            expected, types = _HEADER_TYPES[name]
+            if type(value) not in types:
+                raise TypeError(f"{name} must be {expected}, not {value!r}")
         if cls is LogisticModel:
-            model.intercept = float(model.intercept)
-            model.weights = np.array(model.weights, dtype=float)
-            if model.weights.ndim != 1:
-                raise ValueError("weights must be a list of numbers")
+            weights = stored["weights"]
+            if type(weights) is not list or any(type(w) not in _NUMBER[1] for w in weights):
+                raise TypeError("weights must be a list of numbers")
+            model = LogisticModel(weights=np.array(weights, dtype=float), **header)
             if not np.isfinite(model.weights).all() or not np.isfinite(model.intercept):
                 raise ValueError("intercept and weights must be finite")
         else:
-            model.n_trees, model.n_features = int(model.n_trees), int(model.n_features)
-            model.trees = _unpacked_trees(stored, model.n_trees, model.n_features)
+            trees = _unpacked_trees(stored, header["n_trees"], header["n_features"])
+            model = ForestModel(trees=trees, **header)
     if schema.width != model.width:
         raise SchemaMismatch(f"{path}: schema width does not match model width")
     return model, schema

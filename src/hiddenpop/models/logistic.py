@@ -128,13 +128,13 @@ def _newton(X1, y, lam):
 def predict_logistic(model: LogisticModel, X) -> np.ndarray:
     """P(y=1 | x) per row of a (rows, width) matrix, clamped to [1e-12, 1-1e-12].
 
-    Raises HiddenPopError when a row's linear predictor is not finite: finite
+    Raises OverflowError when a row's linear predictor is not finite: finite
     but huge weights would otherwise score every row 0 or 1.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         eta = model.intercept + design_matrix(X, model.width) @ model.weights
     overflows = np.count_nonzero(~np.isfinite(eta))
     if overflows:
-        raise HiddenPopError(f"the logistic model's linear predictor overflows on {overflows} "
+        raise OverflowError(f"the logistic model's linear predictor overflows on {overflows} "
                              "rows: its weights are too large")
     return np.clip(_sigmoid(eta), _CLAMP, 1.0 - _CLAMP)

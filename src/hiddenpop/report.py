@@ -7,8 +7,6 @@ Undefined metrics are written as the literal string "undefined".
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind, MigrantBackground
@@ -16,7 +14,7 @@ from .errors import DataError
 from .eval import CvResult, MetricsReport, RocCurve, METRIC_NAMES
 from .expand import PROVENANCES, BiasReport, DistributionTable, Expanded
 from .ingest import (ADMIN_COLUMNS, ITALY, Coder, Register, atomic_open, read_csv,
-                     write_admin_csv)
+                     write_admin_csv, write_csv)
 from .models import ImportanceReport
 
 
@@ -24,105 +22,80 @@ def _fmt(value, digits=6):
     return "undefined" if value is None else f"{value:.{digits}f}"
 
 
+def _write_markdown_table(path, header, rows, preamble=""):
+    """The preamble, then a markdown table: the header, the |---| rule, one line per row."""
+    with atomic_open(path) as f:
+        f.write(preamble + "| " + " | ".join(header) + " |\n" + "|---" * len(header) + "|\n")
+        for cells in rows:
+            f.write("| " + " | ".join(map(str, cells)) + " |\n")
+
+
 def write_metrics_markdown(path, reports: dict):
     """reports: model name -> MetricsReport; one row per model."""
-    with atomic_open(path) as f:
-        f.write("| Model | Accuracy | Precision | True positive rate | F1 Score | Kappa |\n")
-        f.write("|---|---|---|---|---|---|\n")
-        for name, r in reports.items():
-            f.write(
-                f"| {name} | {_fmt(r.accuracy, 4)} | {_fmt(r.precision, 4)} | "
-                f"{_fmt(r.true_positive_rate, 4)} | {_fmt(r.f1, 4)} | {_fmt(r.kappa, 4)} |\n"
-            )
+    _write_markdown_table(
+        path, ["Model", "Accuracy", "Precision", "True positive rate", "F1 Score", "Kappa"],
+        ([name] + [_fmt(getattr(r, m), 4) for m in METRIC_NAMES] for name, r in reports.items()))
 
 
 def write_metrics_csv(path, reports: dict):
-    with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["model"] + METRIC_NAMES + ["tp", "fp", "fn", "tn"])
-        for name, r in reports.items():
-            cm = r.confusion
-            writer.writerow(
-                [name] + [_fmt(getattr(r, m)) for m in METRIC_NAMES]
-                + [cm.tp, cm.fp, cm.fn, cm.tn]
-            )
+    write_csv(path, ["model"] + METRIC_NAMES + ["tp", "fp", "fn", "tn"],
+              ([name] + [_fmt(getattr(r, m)) for m in METRIC_NAMES]
+               + [r.confusion.tp, r.confusion.fp, r.confusion.fn, r.confusion.tn]
+               for name, r in reports.items()))
 
 
 def write_roc_csv(path, curve: RocCurve):
-    with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["fpr", "tpr", "threshold"])
-        for (fpr, tpr), thr in zip(curve.points, curve.thresholds):
-            writer.writerow([_fmt(fpr), _fmt(tpr), _fmt(float(thr))
-                             if thr not in (float("inf"), float("-inf")) else thr])
-        writer.writerow(["auc", _fmt(curve.auc), ""])
+    rows = [[_fmt(fpr), _fmt(tpr), _fmt(float(thr))
+             if thr not in (float("inf"), float("-inf")) else thr]
+            for (fpr, tpr), thr in zip(curve.points, curve.thresholds)]
+    write_csv(path, ["fpr", "tpr", "threshold"], rows + [["auc", _fmt(curve.auc), ""]])
 
 
 def write_cv_csv(path, result: CvResult):
-    with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["fold"] + METRIC_NAMES)
-        for i, r in enumerate(result.fold_reports):
-            writer.writerow([i] + [_fmt(getattr(r, m)) for m in METRIC_NAMES])
-        writer.writerow(["mean"] + [_fmt(result.mean[m]) for m in METRIC_NAMES])
-        writer.writerow(["sd"] + [_fmt(result.sd[m]) for m in METRIC_NAMES])
-        writer.writerow(["n_undefined"] + [result.undefined_counts[m] for m in METRIC_NAMES])
+    rows = [[i] + [_fmt(getattr(r, m)) for m in METRIC_NAMES]
+            for i, r in enumerate(result.fold_reports)]
+    rows += [["mean"] + [_fmt(result.mean[m]) for m in METRIC_NAMES],
+             ["sd"] + [_fmt(result.sd[m]) for m in METRIC_NAMES],
+             ["n_undefined"] + [result.undefined_counts[m] for m in METRIC_NAMES]]
+    write_csv(path, ["fold"] + METRIC_NAMES, rows)
 
 
 def write_importance_csv(path, report: ImportanceReport):
-    with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["rank", "feature", "mean_decrease_accuracy"])
-        for rank, name in enumerate(report.ranking, start=1):
-            writer.writerow([rank, name, _fmt(report.mda[name])])
-        writer.writerow(["", "baseline_accuracy", _fmt(report.baseline_accuracy)])
+    rows = [[rank, name, _fmt(report.mda[name])]
+            for rank, name in enumerate(report.ranking, start=1)]
+    write_csv(path, ["rank", "feature", "mean_decrease_accuracy"],
+              rows + [["", "baseline_accuracy", _fmt(report.baseline_accuracy)]])
 
 
 def write_distribution_csv(path, table: DistributionTable):
-    with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["delta", "kind", "label", "count", "pct_of_all", "pct_of_members"])
-        for row in table.rows:
-            writer.writerow([
-                row["delta"], row["kind"], row["label"], row["count"],
-                _fmt(row["pct_of_all"], 2), _fmt(row["pct_of_members"], 2),
-            ])
+    write_csv(path, ["delta", "kind", "label", "count", "pct_of_all", "pct_of_members"],
+              ([row["delta"], row["kind"], row["label"], row["count"],
+                _fmt(row["pct_of_all"], 2), _fmt(row["pct_of_members"], 2)]
+               for row in table.rows))
 
 
 def write_distribution_markdown(path, table: DistributionTable):
-    with atomic_open(path) as f:
-        f.write(f"Register records: {table.n_total}; "
-                f"estimated members: {table.n_members}\n\n")
-        f.write("| delta | kind | count | % of all | % of members | background |\n")
-        f.write("|---|---|---|---|---|---|\n")
-        for row in table.rows:
-            f.write(
-                f"| {row['delta']} | {row['kind']} | {row['count']} | "
-                f"{_fmt(row['pct_of_all'], 2)} | {_fmt(row['pct_of_members'], 2)} | "
-                f"{row['label']} |\n"
-            )
+    _write_markdown_table(
+        path, ["delta", "kind", "count", "% of all", "% of members", "background"],
+        ([row["delta"], row["kind"], row["count"], _fmt(row["pct_of_all"], 2),
+          _fmt(row["pct_of_members"], 2), row["label"]] for row in table.rows),
+        preamble=f"Register records: {table.n_total}; "
+                 f"estimated members: {table.n_members}\n\n")
 
 
 def write_bias_csv(path, report: BiasReport):
-    with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["variable", "level", "population_share",
-                         "sample_share", "gap_pp", "flagged"])
-        for var, table in report.variables.items():
-            for level, (pop, sample, gap) in table.items():
-                writer.writerow([
-                    var, level, _fmt(pop, 2), _fmt(sample, 2), _fmt(gap, 2),
-                    int(abs(gap) >= report.alert_threshold),
-                ])
+    write_csv(path, ["variable", "level", "population_share", "sample_share", "gap_pp", "flagged"],
+              ([var, level, _fmt(pop, 2), _fmt(sample, 2), _fmt(gap, 2),
+                int(abs(gap) >= report.alert_threshold)]
+               for var, table in report.variables.items()
+               for level, (pop, sample, gap) in table.items()))
 
 
 def write_bias_plot(path, table: dict):
     """Plot data of one BiasReport variable: level -> (population, sample, gap)."""
-    with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["level", "population_share", "sample_share"])
-        for level, (pop, sample, _gap) in table.items():
-            writer.writerow([level, _fmt(pop, 2), _fmt(sample, 2)])
+    write_csv(path, ["level", "population_share", "sample_share"],
+              ([level, _fmt(pop, 2), _fmt(sample, 2)]
+               for level, (pop, sample, _gap) in table.items()))
 
 
 _MEMBERSHIP_COLUMNS = ["delta", "kind", "provenance", "predicted_score"]
@@ -197,8 +170,5 @@ def read_expanded_csv(path) -> Expanded:
 
 def write_correlation_csv(path, corr: dict):
     names = corr["names"]
-    with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow([""] + names)
-        for name, row in zip(names, corr["matrix"]):
-            writer.writerow([name] + [_fmt(v, 4) for v in row])
+    write_csv(path, [""] + names,
+              ([name] + [_fmt(v, 4) for v in row] for name, row in zip(names, corr["matrix"])))

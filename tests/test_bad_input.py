@@ -223,16 +223,75 @@ def test_bad_input_exits_3_naming_the_file(bundle, tmp_path, capsys, corrupt):
     assert fragment in err
 
 
-def test_huge_logistic_weights_exit_4_with_one_line(bundle, tmp_path, capsys):
-    """Finite weights whose linear predictor overflows: an error, not scores of 0 and 1."""
+def _evaluate(d, model):
+    return ["evaluate", "--data-dir", str(d), "--out", str(d / "out"),
+            "--model-file", str(model)]
+
+
+@pytest.mark.parametrize("command", [_impute, _evaluate], ids=["impute", "evaluate"])
+def test_huge_logistic_weights_exit_3_naming_the_file(bundle, tmp_path, capsys, command):
+    """Finite weights whose linear predictor overflows: a bad model file, not scores of 0 and 1."""
     model = _edit_model(_case_dir(bundle, tmp_path / "case"), "model_logistic.json",
                         lambda p: p["model"]["weights"].__setitem__(slice(-2, None),
                                                                     [1e308, -1e308]))
     capsys.readouterr()
-    assert main(_impute(tmp_path / "case", model)) == 4  # a RuntimeWarning would raise here
+    assert main(command(tmp_path / "case", model)) == 3  # a RuntimeWarning would raise here
     err = capsys.readouterr().err
-    assert err.startswith("internal error: HiddenPopError: the logistic model's linear "
-                          "predictor overflows on ") and err.count("\n") == 1, err
+    assert err.startswith(f"error: DataError: {model}: OverflowError: the logistic model's "
+                          "linear predictor overflows on ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name, field, value, expected", [
+    ("model_forest.json", "n_trees", 5.9, "an integer"),
+    ("model_forest.json", "n_trees", True, "an integer"),
+    ("model_forest.json", "n_features", 9.7, "an integer"),
+    ("model_forest.json", "mtry", "abc", "an integer"),
+    ("model_forest.json", "seed", "x", "an integer"),
+    ("model_forest.json", "min_leaf", None, "an integer"),
+    ("model_forest.json", "max_depth", "deep", "an integer or null"),
+    ("model_forest.json", "oob_error", [1], "a number"),
+    ("model_forest.json", "oob_error", "0.1", "a number"),
+    ("model_logistic.json", "intercept", "1.5", "a number"),
+    ("model_logistic.json", "intercept", False, "a number"),
+    ("model_logistic.json", "ridge_lambda", "x", "a number"),
+    ("model_logistic.json", "converged", "yes", "true or false"),
+    ("model_logistic.json", "converged", 1, "true or false"),
+    ("model_logistic.json", "iterations", 2.5, "an integer"),
+    ("model_logistic.json", "max_abs_gradient", None, "a number"),
+])
+def test_model_value_of_the_wrong_type_exits_3(bundle, tmp_path, capsys, name, field, value,
+                                               expected):
+    """A stored value is checked against its field's JSON type, never cast or kept as given."""
+    case = _case_dir(bundle, tmp_path / "case")
+    model = _edit_model(case, name, lambda p: p["model"].__setitem__(field, value))
+    fragment = f"{model}: TypeError: {field} must be {expected}, not {value!r}"
+    with pytest.raises(DataError, match=re.escape(fragment)):
+        load_model(model)
+    capsys.readouterr()
+    assert main(_impute(case, model)) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: DataError: {fragment}\n"
+
+
+@pytest.mark.parametrize("weights", [lambda w: ["1"] * len(w), lambda w: [True] * len(w),
+                                     lambda w: {"0": w[0]}, lambda w: [w]],
+                         ids=["strings", "bools", "object", "nested"])
+def test_logistic_weights_not_numbers_exit_3(bundle, tmp_path, capsys, weights):
+    case = _case_dir(bundle, tmp_path / "case")
+    model = _edit_model(case, "model_logistic.json",
+                        lambda p: p["model"].__setitem__("weights", weights(p["model"]["weights"])))
+    capsys.readouterr()
+    assert main(_impute(case, model)) == 3
+    assert capsys.readouterr().err == (
+        f"error: DataError: {model}: TypeError: weights must be a list of numbers\n")
+
+
+def test_forest_with_nan_oob_error_loads(bundle, tmp_path):
+    """fit_forest writes NaN when no row is out of bag; the file stays loadable."""
+    model = _edit_model(_case_dir(bundle, tmp_path / "case"), "model_forest.json",
+                        lambda p: p["model"].__setitem__("oob_error", float("nan")))
+    forest, _schema = load_model(model)
+    assert np.isnan(forest.oob_error)
 
 
 # the format-2 forest layout: each node field of all trees as base64 of these items

@@ -114,11 +114,22 @@ def test_missing_data_dir_is_data_error(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "o")]) == 3
 
 
-def test_env_var_data_dir(cli_run, tmp_path, monkeypatch):
+def test_data_dir_environment_variable_is_ignored(cli_run, tmp_path, monkeypatch, capsys):
+    """--data-dir is the one way to name the inputs: a stage without it fails, and a
+    pipeline without it generates its own data, whatever the environment says."""
     _root, data, _train = cli_run
     monkeypatch.setenv("HIDDENPOP_DATA_DIR", str(data))
-    out = tmp_path / "ingest"
-    assert main(["ingest", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["ingest", "--out", str(tmp_path / "ingest")]) == 3
+    assert capsys.readouterr().err == "error: DataError: no data directory: pass --data-dir\n"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_register": 600, "n_survey_native": 20,
+                                  "n_survey_migrant": 20, "n_screened_out": 40}))
+    out = tmp_path / "pipe"
+    assert main(["pipeline", "--out", str(out), "--config", str(config),
+                 "--model", "logistic", "--k", "0"]) == 0
+    inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+    assert inputs and all(path.startswith(str(out / "data")) for path in inputs)
 
 
 def test_usage_error_exit_code():

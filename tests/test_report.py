@@ -13,16 +13,24 @@ import hiddenpop.ingest
 import hiddenpop.models.io
 from hiddenpop.domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind
 from hiddenpop.errors import DataError
-from hiddenpop.eval import evaluate, roc
-from hiddenpop.expand import PROVENANCES, Expanded, tabulate_population
-from hiddenpop.expand import expand_dataset, impute_pa
-from hiddenpop.ingest import ADMIN_COLUMNS, ITALY, Register, write_admin_csv
+from hiddenpop.eval import ConfusionMatrix, CvResult, MetricsReport, RocCurve, evaluate, roc
+from hiddenpop.expand import PROVENANCES, BiasReport, DistributionTable, Expanded
+from hiddenpop.expand import expand_dataset, impute_pa, tabulate_population
+from hiddenpop.ingest import (ADMIN_COLUMNS, ITALY, NameFrequencyTable, Register, SurveyRecord,
+                              parse_admin, write_admin_csv, write_name_table, write_survey_csv)
 from hiddenpop.models.io import load_model, save_model
-from hiddenpop.models import fit_logistic, fit_forest
+from hiddenpop.models import ImportanceReport, fit_logistic, fit_forest
 from hiddenpop.report import (
     atomic_open,
     read_expanded_csv,
+    write_bias_csv,
+    write_bias_plot,
+    write_correlation_csv,
+    write_cv_csv,
+    write_distribution_csv,
+    write_distribution_markdown,
     write_expanded_csv,
+    write_importance_csv,
     write_metrics_csv,
     write_metrics_markdown,
     write_roc_csv,
@@ -63,6 +71,149 @@ def test_roc_csv_ends_with_auc(tmp_path):
     write_roc_csv(path, curve)
     last = path.read_text().strip().splitlines()[-1]
     assert last.startswith("auc,")
+
+
+def _csv_writer_bytes(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
+# every table writer's bytes, pinned: csv.writer over the expected cells, or the expected text
+_UNDEFINED_PRECISION = MetricsReport(accuracy=0.5, precision=None, true_positive_rate=0.0,
+                                     f1=None, kappa=0.0, confusion=ConfusionMatrix(0, 0, 1, 1))
+_FULL = MetricsReport(accuracy=0.75, precision=2 / 3, true_positive_rate=1.0, f1=0.8,
+                      kappa=0.5, confusion=ConfusionMatrix(2, 1, 0, 1))
+_DISTRIBUTION = DistributionTable(rows=[
+    dict(delta=0, kind=0, label="no migrant background", count=3, pct_of_all=75.0,
+         pct_of_members=None),
+    dict(delta=1, kind=4, label="Foreign", count=1, pct_of_all=25.0, pct_of_members=100.0),
+], n_total=4, n_members=1)
+_BIAS = BiasReport(variables={"department": {'a,"b"': (60.0, 50.0, -10.0),
+                                             "science": (40.0, 50.0, 10.0)},
+                              "gender": {"F": (50.0, 52.5, 2.5)}},
+                   flagged=[], alert_threshold=5.0)
+_METRIC_HEADER = ["accuracy", "precision", "true_positive_rate", "f1", "kappa"]
+
+
+def _written(writer, *values, tmp_path):
+    path = tmp_path / "table"
+    writer(path, *values)
+    return path.read_bytes()
+
+
+def test_metrics_csv_bytes(tmp_path):
+    assert _written(write_metrics_csv, {"logistic": _UNDEFINED_PRECISION, "forest": _FULL},
+                    tmp_path=tmp_path) == _csv_writer_bytes(
+        ["model", *_METRIC_HEADER, "tp", "fp", "fn", "tn"],
+        [["logistic", "0.500000", "undefined", "0.000000", "undefined", "0.000000",
+          "0", "0", "1", "1"],
+         ["forest", "0.750000", "0.666667", "1.000000", "0.800000", "0.500000",
+          "2", "1", "0", "1"]])
+
+
+def test_roc_csv_bytes(tmp_path):
+    curve = RocCurve(points=np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]]), auc=0.75,
+                     thresholds=np.array([np.inf, 0.7, -np.inf]))
+    assert _written(write_roc_csv, curve, tmp_path=tmp_path) == _csv_writer_bytes(
+        ["fpr", "tpr", "threshold"],
+        [["0.000000", "0.000000", "inf"], ["0.500000", "1.000000", "0.700000"],
+         ["1.000000", "1.000000", "-inf"], ["auc", "0.750000", ""]])
+
+
+def test_cv_csv_bytes(tmp_path):
+    result = CvResult(
+        fold_reports=[_UNDEFINED_PRECISION, _FULL],
+        mean=dict(accuracy=0.625, precision=2 / 3, true_positive_rate=0.5, f1=0.8, kappa=0.25),
+        sd=dict(accuracy=0.125, precision=None, true_positive_rate=0.5, f1=None, kappa=0.25),
+        undefined_counts=dict(accuracy=0, precision=1, true_positive_rate=0, f1=1, kappa=0))
+    assert _written(write_cv_csv, result, tmp_path=tmp_path) == _csv_writer_bytes(
+        ["fold", *_METRIC_HEADER],
+        [["0", "0.500000", "undefined", "0.000000", "undefined", "0.000000"],
+         ["1", "0.750000", "0.666667", "1.000000", "0.800000", "0.500000"],
+         ["mean", "0.625000", "0.666667", "0.500000", "0.800000", "0.250000"],
+         ["sd", "0.125000", "undefined", "0.500000", "undefined", "0.250000"],
+         ["n_undefined", "0", "1", "0", "1", "0"]])
+
+
+def test_importance_csv_bytes(tmp_path):
+    report = ImportanceReport(mda={"gender": 0.0125, "employment": -0.001},
+                              ranking=["gender", "employment"], baseline_accuracy=0.8)
+    assert _written(write_importance_csv, report, tmp_path=tmp_path) == _csv_writer_bytes(
+        ["rank", "feature", "mean_decrease_accuracy"],
+        [["1", "gender", "0.012500"], ["2", "employment", "-0.001000"],
+         ["", "baseline_accuracy", "0.800000"]])
+
+
+def test_distribution_csv_bytes(tmp_path):
+    assert _written(write_distribution_csv, _DISTRIBUTION, tmp_path=tmp_path) == \
+        _csv_writer_bytes(["delta", "kind", "label", "count", "pct_of_all", "pct_of_members"],
+                          [["0", "0", "no migrant background", "3", "75.00", "undefined"],
+                           ["1", "4", "Foreign", "1", "25.00", "100.00"]])
+
+
+def test_bias_csv_and_plot_bytes(tmp_path):
+    assert _written(write_bias_csv, _BIAS, tmp_path=tmp_path) == _csv_writer_bytes(
+        ["variable", "level", "population_share", "sample_share", "gap_pp", "flagged"],
+        [["department", 'a,"b"', "60.00", "50.00", "-10.00", "1"],
+         ["department", "science", "40.00", "50.00", "10.00", "1"],
+         ["gender", "F", "50.00", "52.50", "2.50", "0"]])
+    assert _written(write_bias_plot, _BIAS.variables["department"], tmp_path=tmp_path) == \
+        _csv_writer_bytes(["level", "population_share", "sample_share"],
+                          [['a,"b"', "60.00", "50.00"], ["science", "40.00", "50.00"]])
+
+
+def test_correlation_csv_bytes(tmp_path):
+    corr = {"names": ["x", "y,z"], "matrix": np.array([[1.0, -0.25], [-0.25, 1.0]])}
+    assert _written(write_correlation_csv, corr, tmp_path=tmp_path) == _csv_writer_bytes(
+        ["", "x", "y,z"], [["x", "1.0000", "-0.2500"], ["y,z", "-0.2500", "1.0000"]])
+
+
+def test_survey_and_name_table_bytes(tmp_path):
+    records = [SurveyRecord("S1", True, 0), SurveyRecord('S"2', False, 1)]
+    assert _written(write_survey_csv, records, tmp_path=tmp_path) == _csv_writer_bytes(
+        ["link_key", "eligible", "pa_observed"], [["S1", "1", "0"], ['S"2', "0", "1"]])
+    table = NameFrequencyTable({"zoe": 3, "anna, maria": 7})
+    assert _written(write_name_table, table, tmp_path=tmp_path) == _csv_writer_bytes(
+        ["name", "count"], [["anna, maria", "7"], ["zoe", "3"]])
+
+
+def test_rejects_csv_bytes(tmp_path):
+    path = tmp_path / "admin.csv"
+    write_admin_csv(path, register_of([make_admin(f"S{i}") for i in range(40)]))
+    with open(path, "a", newline="") as f:
+        f.write('S40,x,"X,""q""",IT,IT,bachelor,science,2020,1,10,student\r\n'
+                "S41,x,F,IT,IT,bachelor,science,2020,0,10,student,extra\r\n")
+    assert len(parse_admin(path)) == 40
+    rest = "birth_country=IT;citizenship_country=IT;course_level=bachelor;department=science"
+    assert path.with_suffix(".rejects.csv").read_bytes() == _csv_writer_bytes(
+        ["line", "reason", "raw"],
+        [["42", "unrecognized gender 'X,\"q\"'",
+          f'link_key=S40;given_name=x;gender=X,"q";{rest};enrollment_year=2020;'
+          "years_enrolled=1;ects_earned=10;employment=student"],
+         ["43", "years_enrolled must be in [1, 2**53), got 0",
+          f"link_key=S41;given_name=x;gender=F;{rest};enrollment_year=2020;"
+          "years_enrolled=0;ects_earned=10;employment=student;None=['extra']"]])
+
+
+def test_markdown_tables_text(tmp_path):
+    path = tmp_path / "metrics.md"
+    write_metrics_markdown(path, {"logistic": _UNDEFINED_PRECISION, "forest": _FULL})
+    assert path.read_bytes() == (
+        b"| Model | Accuracy | Precision | True positive rate | F1 Score | Kappa |\n"
+        b"|---|---|---|---|---|---|\n"
+        b"| logistic | 0.5000 | undefined | 0.0000 | undefined | 0.0000 |\n"
+        b"| forest | 0.7500 | 0.6667 | 1.0000 | 0.8000 | 0.5000 |\n")
+    path = tmp_path / "distribution.md"
+    write_distribution_markdown(path, _DISTRIBUTION)
+    assert path.read_bytes() == (
+        b"Register records: 4; estimated members: 1\n\n"
+        b"| delta | kind | count | % of all | % of members | background |\n"
+        b"|---|---|---|---|---|---|\n"
+        b"| 0 | 0 | 3 | 75.00 | undefined | no migrant background |\n"
+        b"| 1 | 4 | 1 | 25.00 | 100.00 | Foreign |\n")
 
 
 def test_writers_are_byte_stable(tmp_path):
@@ -116,14 +267,6 @@ def test_expanded_register_round_trip(tmp_path):
 _INT_COLUMNS = ("enrollment_year", "years_enrolled", "ects_earned")
 _AWKWARD = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", "", "  lead", '"',
             ","]
-
-
-def _csv_writer_bytes(header, rows):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().encode()
 
 
 def test_register_writers_quote_as_csv_writer(tmp_path, monkeypatch):
