@@ -8,7 +8,7 @@ skipped.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,8 +184,6 @@ class CvResult:
     mean: dict
     sd: dict
     undefined_counts: dict
-    seed: int = 0
-    folds: list = field(default_factory=list)
 
 
 def kfold_cv(data: LabeledDataset, trainer, k: int = 10, seed: int = 0,
@@ -213,4 +211,4 @@ def kfold_cv(data: LabeledDataset, trainer, k: int = 10, seed: int = 0,
         sd[name] = float(np.std(defined, ddof=0)) if defined else None
     if any(undefined.values()):
         log.warning("CV aggregation skipped undefined metrics: %s", undefined)
-    return CvResult(reports, mean, sd, undefined, seed=seed, folds=folds)
+    return CvResult(reports, mean, sd, undefined)

@@ -15,12 +15,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DataError, HiddenPopError
-from .ingest import LinkedDataset, NameFrequencyTable, Register, is_common_name
+from .ingest import (COMMON_NAME_MIN_COUNT, LinkedDataset, NameFrequencyTable, Register,
+                     check_round_trip, is_common_name)
 
 log = logging.getLogger(__name__)
 
@@ -34,9 +35,9 @@ _CATEGORICALS = [
     ("course_level", "bachelor", ["master", "bachelor_and_master"]),
 ]
 NAME_FLAG = "common_italian_name"
-# a name is common with count >= min_count; top_k is a retired rule, kept as
-# null so that schema.json and model files keep their bytes
-NAME_RULE = {"min_count": 5, "top_k": None}
+# the rule is fixed; schema.json and model files record it, with top_k, a
+# retired rule, as null so that they keep their bytes
+NAME_RULE = {"min_count": COMMON_NAME_MIN_COUNT, "top_k": None}
 _NUMERICS = ["years_enrolled", "ects_earned"]
 
 
@@ -57,8 +58,6 @@ class FeatureSchema:
 
     columns: list
     dropped: list = field(default_factory=list)
-    name_rule: dict = field(default_factory=lambda: dict(NAME_RULE))
-    version: int = SCHEMA_VERSION
     unknown_level_count: int = 0
 
     @property
@@ -79,34 +78,28 @@ class FeatureSchema:
 
     def to_json(self) -> str:
         payload = {
-            "version": self.version,
+            "version": SCHEMA_VERSION,
             "columns": [vars(c) for c in self.columns],
             "dropped": self.dropped,
-            "name_rule": self.name_rule,
+            "name_rule": NAME_RULE,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FeatureSchema":
-        """Parse to_json's output; ValueError for a column or rule it cannot encode by."""
+        """Parse to_json's output; ValueError where to_json would not write text back."""
         payload = json.loads(text)
-        layout = {c.name: c for c in feature_layout({s: (0.0, 1.0) for s in _NUMERICS})}
-        columns = [Column(**c) for c in payload["columns"]]
+        stored = {c["name"]: c for c in payload["columns"]}
+        # in layout order: a column out of order or outside the layout fails the round trip
+        columns = [replace(c, mean=float(stored[c.name]["mean"]), sd=float(stored[c.name]["sd"]))
+                   for c in feature_layout({s: (0.0, 1.0) for s in _NUMERICS}) if c.name in stored]
         for c in columns:
-            known = layout.get(c.name)
-            if known is None or (c.kind, c.group, c.source, c.level) != (
-                    known.kind, known.group, known.source, known.level):
-                raise ValueError(f"feature column {c.name!r} is not in the layout")
-            c.mean, c.sd = float(c.mean), float(c.sd)
             if not (math.isfinite(c.mean) and math.isfinite(c.sd) and c.sd > 0):
                 raise ValueError(f"feature column {c.name!r} has mean {c.mean} and sd {c.sd}; "
                                  "both must be finite and sd positive")
-        name_rule = payload.get("name_rule", dict(NAME_RULE))
-        if (set(name_rule) != {"min_count", "top_k"}
-                or not isinstance(name_rule["min_count"], int)
-                or name_rule["top_k"] is not None):
-            raise ValueError(f"bad name rule {name_rule!r}")
-        return cls(columns, payload.get("dropped", []), name_rule, payload["version"])
+        schema = cls(columns, [str(group) for group in payload["dropped"]])
+        check_round_trip(payload, json.loads(schema.to_json()), "schema")
+        return schema
 
 
 @dataclass
@@ -149,7 +142,7 @@ def feature_layout(moments: dict) -> list[Column]:
     return columns
 
 
-def _source_values(register: Register, name_table, name_rule) -> dict:
+def _source_values(register: Register, name_table) -> dict:
     """Column group -> array of its source values over the register's rows.
 
     The name flag is computed once per distinct given name present.
@@ -157,7 +150,7 @@ def _source_values(register: Register, name_table, name_rule) -> dict:
     names, codes = register.levels["given_name"], register.codes["given_name"]
     common = np.zeros(len(names), dtype=bool)
     for i in np.flatnonzero(np.bincount(codes, minlength=len(names))):
-        common[i] = is_common_name(names[i], name_table, min_count=name_rule["min_count"])
+        common[i] = is_common_name(names[i], name_table)
     values = {source: register.column(source) for source, _, _ in _CATEGORICALS}
     values[NAME_FLAG] = common[codes]
     for source in _NUMERICS:
@@ -173,7 +166,7 @@ def build_schema(register: Register, name_table: NameFrequencyTable) -> FeatureS
     """
     if not len(register):
         raise ValueError("cannot build a schema from zero records")
-    values = _source_values(register, name_table, NAME_RULE)
+    values = _source_values(register, name_table)
     observed = {group: set(v.tolist()) for group, v in values.items()}
     dropped = [group for group in values if len(observed[group]) < 2]
     for group in dropped:
@@ -226,7 +219,7 @@ def encode_matrix(register: Register, schema: FeatureSchema,
     """Encode the register's rows into the schema's column order, one row each."""
     if not len(register):
         return np.empty((0, schema.width))
-    return encode_columns(_source_values(register, name_table, schema.name_rule), schema)
+    return encode_columns(_source_values(register, name_table), schema)
 
 
 def assemble_training_set(linked: LinkedDataset, schema: FeatureSchema,

@@ -21,8 +21,8 @@ import os
 import re
 import unicodedata
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
+from itertools import islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,8 @@ from .domain import MEMBERSHIP
 from .errors import DataError, ExcludedCombination
 
 log = logging.getLogger(__name__)
+
+COMMON_NAME_MIN_COUNT = 5  # the reference data never defines "common"; this is fixed
 
 GENDERS = {"F", "M"}
 
@@ -269,10 +271,10 @@ class LinkedDataset:
 @dataclass
 class NameFrequencyTable:
     counts: dict  # normalized name -> count
-    total_names: int = field(init=False)
 
-    def __post_init__(self):
-        self.total_names = len(self.counts)
+    @property
+    def total_names(self) -> int:
+        return len(self.counts)
 
 
 @contextmanager
@@ -287,6 +289,27 @@ def reading(path, *content_errors):
     except (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError,
             *content_errors) as exc:
         raise DataError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def check_round_trip(stored, written, path: str = ""):
+    """Raise ValueError naming the first value where stored, a file's JSON, differs.
+
+    written is what saving the object loaded from stored writes back.  Values
+    compare as JSON text, so true, 1 and 1.0 differ; a key or item only one
+    holds is ... in the other.
+    """
+    texts = ["absent" if v is ... else json.dumps(v, sort_keys=True) for v in (stored, written)]
+    if texts[0] == texts[1]:
+        return
+    if isinstance(stored, dict) and isinstance(written, dict):
+        for key in sorted(stored.keys() | written.keys()):
+            check_round_trip(stored.get(key, ...), written.get(key, ...),
+                             f"{path} {key}".lstrip())
+    elif isinstance(stored, list) and isinstance(written, list):
+        for i, (s, w) in enumerate(zip_longest(stored, written, fillvalue=...)):
+            check_round_trip(s, w, f"{path}[{i}]")
+    else:
+        raise ValueError(f"{path} is {texts[0]} but loads as {texts[1]}")
 
 
 def read_blocks(path, required):
@@ -506,16 +529,13 @@ def build_name_table(path) -> NameFrequencyTable:
     return NameFrequencyTable(counts)
 
 
-def is_common_name(name: str, table: NameFrequencyTable, *, min_count: int = 5) -> bool:
-    """Whether a given name is in the reference table with count >= min_count.
-
-    The reference data never defines "common", so min_count is exposed.
-    """
+def is_common_name(name: str, table: NameFrequencyTable) -> bool:
+    """Whether a given name is in the reference table with count >= COMMON_NAME_MIN_COUNT."""
     key = normalize_name(name)
     if not key:
         log.warning("empty given name treated as not common")
         return False
-    return table.counts.get(key, 0) >= min_count
+    return table.counts.get(key, 0) >= COMMON_NAME_MIN_COUNT
 
 
 # what csv.writer's default dialect quotes: the delimiter, the quote character, CR and LF

@@ -89,10 +89,6 @@ class DecisionTree:
 @dataclass
 class ForestModel:
     trees: list
-    n_trees: int
-    mtry: int
-    min_leaf: int
-    max_depth: int | None
     seed: int
     n_features: int
     oob_error: float
@@ -100,6 +96,15 @@ class ForestModel:
     @property
     def width(self) -> int:
         return self.n_features
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.trees)
+
+    @property
+    def mtry(self) -> int:
+        """Candidate features per node, fixed at ceil(sqrt(p))."""
+        return math.ceil(math.sqrt(self.n_features))
 
     @cached_property
     def leaf_tables(self) -> _LeafTables:
@@ -369,19 +374,10 @@ def fit_forest(data, *, n_trees: int = 500, seed: int = 0) -> ForestModel:
     if y.min() == y.max():
         raise ValueError("both classes must be present")
     n, p = X.shape
-    mtry = math.ceil(math.sqrt(p))
+    model = ForestModel(trees=[], seed=seed, n_features=p, oob_error=float("nan"))
 
-    n_nodes, roots, records, oob = _grow_trees(X, y, seed, n_trees, mtry)
-    model = ForestModel(
-        trees=_assemble_trees(n_nodes, roots, records),
-        n_trees=n_trees,
-        mtry=mtry,
-        min_leaf=1,
-        max_depth=None,
-        seed=seed,
-        n_features=p,
-        oob_error=float("nan"),
-    )
+    n_nodes, roots, records, oob = _grow_trees(X, y, seed, n_trees, model.mtry)
+    model.trees = _assemble_trees(n_nodes, roots, records)
 
     # OOB votes: the distinct training rows are scored once, by every tree
     distinct, inverse = _distinct_rows(X)
@@ -396,7 +392,7 @@ def fit_forest(data, *, n_trees: int = 500, seed: int = 0) -> ForestModel:
     oob_pred = (votes[:, 1] > votes[:, 0]).astype(int)
     if voted.any():
         model.oob_error = float(np.mean(oob_pred[voted] != y[voted]))
-    log.info("forest: %d trees, mtry=%d, OOB error %.4f", n_trees, mtry, model.oob_error)
+    log.info("forest: %d trees, mtry=%d, OOB error %.4f", n_trees, model.mtry, model.oob_error)
     return model
 
 
@@ -426,18 +422,6 @@ def _table_bytes(trees):
     rows = sum(np.unique(threshold[feature == f]).size + 1 for f in np.unique(feature))
     words = -(-max(tree.feature.size + 1 for tree in trees) // 128)  # leaves = (nodes + 1) / 2
     return rows * len(trees) * words * 8
-
-
-def _tree_groups(trees, t0=0, t1=None):
-    """Runs of consecutive trees, [t0, t1), halved until their tables fit in _TABLE_BYTES.
-
-    A run of one tree is not split further, whatever its tables take.
-    """
-    t1 = len(trees) if t1 is None else t1
-    if t1 - t0 > 1 and _table_bytes(trees[t0:t1]) > _TABLE_BYTES:
-        mid = (t0 + t1) // 2
-        return _tree_groups(trees, t0, mid) + _tree_groups(trees, mid, t1)
-    return [(t0, t1)]
 
 
 def _node_masks(trees):
@@ -529,7 +513,11 @@ class _LeafTables:
 
     def __init__(self, trees):
         self.trees = trees
-        self.groups = _tree_groups(trees)
+        # runs [t0, t1) of step trees: a run's tables take no more rows and words per tree
+        # than the whole forest's, so runs of its share of _TABLE_BYTES fit, or of one tree
+        n = len(trees)
+        step = max(1, _TABLE_BYTES * n // max(1, _table_bytes(trees)))
+        self.groups = [(t0, min(t0 + step, n)) for t0 in range(0, n, step)]
         # a forest whose tables fit one group keeps them; otherwise each call rebuilds them
         self._kept = _group_tables(trees) if len(self.groups) == 1 else None
 

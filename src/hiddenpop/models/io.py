@@ -11,23 +11,19 @@ import numpy as np
 
 from ..errors import HiddenPopError, SchemaMismatch
 from ..features import FeatureSchema
-from ..ingest import atomic_open, reading
+from ..ingest import atomic_open, check_round_trip, reading
 from .forest import DecisionTree, ForestModel
-from .logistic import LogisticModel
+from .logistic import FIT_RANGES, LogisticModel
 
 FORMAT_VERSION = 2
 
-# a model's file stores each field of its dataclass under the field's name, except a
-# forest's trees: those are n_nodes plus one string per node field
+# a model's file holds each field of its dataclass but a forest's trees, and its derived
+# and fixed values (see _payload); trees are n_nodes and one string per node field
 _MODEL_TYPES = {LogisticModel: "logistic", ForestModel: "forest"}
-# the JSON type of each stored value of a model but its trees and weights; a bool
-# is never an integer or a number here
-_INTEGER, _NUMBER = ("an integer", {int}), ("a number", {int, float})
-_HEADER_TYPES = {"n_trees": _INTEGER, "mtry": _INTEGER, "min_leaf": _INTEGER, "seed": _INTEGER,
-                 "n_features": _INTEGER, "iterations": _INTEGER,
-                 "max_depth": ("an integer or null", {int, type(None)}),
-                 "converged": ("true or false", {bool}), "intercept": _NUMBER,
-                 "ridge_lambda": _NUMBER, "max_abs_gradient": _NUMBER, "oob_error": _NUMBER}
+# how a model field of each annotated type is read from its JSON value; an array is
+# read flat, so a nested list of weights loads as a list that differs from it
+_CASTS = {"int": int, "float": float,
+          "np.ndarray": lambda value: np.ravel(np.array(value, dtype=float))}
 # each node field of all trees, concatenated, as base64 of these little-endian items;
 # counts is (nodes, 2), row-major
 _NODE_FIELDS = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4",
@@ -42,9 +38,21 @@ def model_type(model) -> str:
         raise TypeError(f"unsupported model type {type(model).__name__}") from None
 
 
+def _payload(model, schema: FeatureSchema) -> dict:
+    """What save_model writes, less a forest's node strings."""
+    saved = {f.name: getattr(model, f.name) for f in fields(model) if f.name != "trees"}
+    if isinstance(model, LogisticModel):
+        saved.update(weights=model.weights.tolist(), converged=model.converged)
+    else:  # min_leaf and max_depth are fixed: every tree grows to purity
+        saved.update(n_trees=model.n_trees, mtry=model.mtry, min_leaf=1, max_depth=None,
+                     n_nodes=[len(t.feature) for t in model.trees])
+    return {"format_version": FORMAT_VERSION, "schema": json.loads(schema.to_json()),
+            "model_type": model_type(model), "model": saved}
+
+
 def _packed_trees(trees) -> dict:
-    """Each tree's node count, and each node field of all trees as one base64 string."""
-    packed = {"n_nodes": [len(t.feature) for t in trees]}
+    """Each node field of all trees as one base64 string."""
+    packed = {}
     for name, dtype in _NODE_FIELDS.items():
         values = np.concatenate([getattr(t, name) for t in trees])
         items = values.astype(dtype)
@@ -69,13 +77,11 @@ def _decoded(model: dict, name: str) -> np.ndarray:
     return np.frombuffer(data, dtype).astype(float if dtype.kind == "f" else np.int64)
 
 
-def _unpacked_trees(model: dict, n_trees: int, n_features: int) -> list:
+def _unpacked_trees(model: dict, n_features: int) -> list:
     """A saved forest's trees, checked in one pass over all nodes to hold one binary tree each."""
     sizes = np.array(model["n_nodes"])
-    if sizes.ndim != 1 or (sizes.size and sizes.dtype.kind not in "iu"):
-        raise ValueError("n_nodes must be a list of integers")
-    if not 1 <= n_trees == len(sizes):
-        raise ValueError(f"n_trees is {n_trees} but the file holds {len(sizes)} trees")
+    if sizes.ndim != 1 or not sizes.size or sizes.dtype.kind not in "iu":
+        raise ValueError("n_nodes must be a non-empty list of integers")
     feature, threshold, left, right, counts = (_decoded(model, name) for name in _NODE_FIELDS)
     n = len(feature)
     if (sizes < 1).any() or (sizes > n).any() or sizes.sum() != n:
@@ -102,15 +108,8 @@ def _unpacked_trees(model: dict, n_trees: int, n_features: int) -> list:
 
 
 def save_model(path, model, schema: FeatureSchema):
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "schema": json.loads(schema.to_json()),
-        "model_type": model_type(model),
-    }
-    payload["model"] = {f.name: getattr(model, f.name) for f in fields(model) if f.name != "trees"}
-    if isinstance(model, LogisticModel):
-        payload["model"]["weights"] = model.weights.tolist()
-    else:
+    payload = _payload(model, schema)
+    if isinstance(model, ForestModel):
         payload["model"].update(_packed_trees(model.trees))
     with atomic_open(path) as f:
         # streamed by the Python encoder, quick on a payload without long lists, so the
@@ -119,7 +118,11 @@ def save_model(path, model, schema: FeatureSchema):
 
 
 def load_model(path):
-    """Returns (model, schema); a file that is not a saved model raises DataError."""
+    """Returns (model, schema); a file that is not a saved model raises DataError.
+
+    Each field is read and cast to its type; the file loads only if save_model
+    would write it back, node strings aside, for the model and schema loaded.
+    """
     with reading(path, KeyError, TypeError, ValueError, OverflowError):
         with open(path, encoding="utf-8") as f:
             payload = json.load(f)
@@ -131,21 +134,23 @@ def load_model(path):
         if cls is None:
             raise SchemaMismatch(f"{path}: unknown model_type {payload['model_type']!r}")
         stored = payload["model"]
-        header = {f.name: stored[f.name] for f in fields(cls) if f.name not in ("trees", "weights")}
-        for name, value in header.items():
-            expected, types = _HEADER_TYPES[name]
-            if type(value) not in types:
-                raise TypeError(f"{name} must be {expected}, not {value!r}")
-        if cls is LogisticModel:
-            weights = stored["weights"]
-            if type(weights) is not list or any(type(w) not in _NUMBER[1] for w in weights):
-                raise TypeError("weights must be a list of numbers")
-            model = LogisticModel(weights=np.array(weights, dtype=float), **header)
-            if not np.isfinite(model.weights).all() or not np.isfinite(model.intercept):
-                raise ValueError("intercept and weights must be finite")
+        loaded = {f.name: (_CASTS[f.type], stored[f.name]) for f in fields(cls)
+                  if f.name != "trees"}
+        for name, (cast, value) in loaded.items():
+            try:
+                loaded[name] = cast(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        if cls is ForestModel:
+            loaded["trees"] = _unpacked_trees(stored, loaded["n_features"])
         else:
-            trees = _unpacked_trees(stored, header["n_trees"], header["n_features"])
-            model = ForestModel(trees=trees, **header)
+            if not np.isfinite(loaded["weights"]).all() or not np.isfinite(loaded["intercept"]):
+                raise ValueError("intercept and weights must be finite")
+            for name, (low, high) in FIT_RANGES.items():
+                if not low <= loaded[name] <= high:
+                    raise ValueError(f"{name} must be in [{low:g}, {high:g}], not {loaded[name]!r}")
+        model = cls(**loaded)
+        check_round_trip(payload, _payload(model, schema))
     if schema.width != model.width:
         raise SchemaMismatch(f"{path}: schema width does not match model width")
     return model, schema

@@ -22,6 +22,9 @@ _RIDGE = 1e-6  # the starting ridge penalty on the weights
 _LAMBDA_CEILING = 1e-2
 _TOL = 1e-8  # bound on every penalized score-gradient component at convergence
 _MAX_ITER = 100
+# the range of each value fit_logistic returns, which a saved model must keep
+FIT_RANGES = {"iterations": (0, _MAX_ITER), "ridge_lambda": (_RIDGE, _LAMBDA_CEILING),
+              "max_abs_gradient": (0, np.inf)}
 
 
 @dataclass
@@ -29,13 +32,17 @@ class LogisticModel:
     intercept: float
     weights: np.ndarray
     ridge_lambda: float
-    converged: bool
     iterations: int
     max_abs_gradient: float
 
     @property
     def width(self) -> int:
         return len(self.weights)
+
+    @property
+    def converged(self) -> bool:
+        """fit_logistic's stopping rule: every gradient component is below _TOL."""
+        return self.max_abs_gradient < _TOL
 
 
 def _sigmoid(eta):
@@ -88,10 +95,10 @@ def fit_logistic(data) -> LogisticModel:
             lam *= 10
             log.warning("singular IRLS system; escalating ridge to %g", lam)
 
-    converged = bool(gmax < _TOL)
-    if not converged:
+    model = LogisticModel(float(beta[0]), beta[1:].copy(), lam, iters, float(gmax))
+    if not model.converged:
         log.warning("IRLS stopped at max_iter=%d with max|gradient|=%.3e", _MAX_ITER, gmax)
-    return LogisticModel(float(beta[0]), beta[1:].copy(), lam, converged, iters, float(gmax))
+    return model
 
 
 def _newton(X1, y, lam):

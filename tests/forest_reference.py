@@ -136,8 +136,7 @@ def fit_forest(data, *, n_trees=500, seed=0):
     voted = votes.sum(axis=1) > 0
     oob_pred = (votes[:, 1] > votes[:, 0]).astype(int)
     oob_error = float(np.mean(oob_pred[voted] != y[voted])) if voted.any() else float("nan")
-    return ForestModel(trees=trees, n_trees=n_trees, mtry=mtry, min_leaf=1, max_depth=None,
-                       seed=seed, n_features=p, oob_error=oob_error)
+    return ForestModel(trees=trees, seed=seed, n_features=p, oob_error=oob_error)
 
 
 def predict_forest(model, X):

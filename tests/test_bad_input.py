@@ -146,6 +146,35 @@ def schema_mean_nan(d):
     return _impute(d, model), "both must be finite and sd positive"
 
 
+def _schema_edit(edit, message):
+    """A forest model whose embedded schema edit(schema) changed."""
+    def corrupt(d):
+        model = _edit_model(d, "model_forest.json", lambda p: edit(p["schema"]))
+        return _impute(d, model), f"{model}: ValueError: schema {message}"
+    return corrupt
+
+
+# the bundle's schema holds the full layout: column 8 is ects_earned, the last
+SCHEMA_EDITS = [
+    pytest.param(_schema_edit(lambda s: s["name_rule"].update(min_count=1000),
+                              "name_rule min_count is 1000 but loads as 5"), id="min_count_1000"),
+    pytest.param(_schema_edit(lambda s: s["name_rule"].update(min_count=True),
+                              "name_rule min_count is true but loads as 5"), id="min_count_true"),
+    pytest.param(_schema_edit(lambda s: s["columns"][8].update(sd=True),
+                              "columns[8] sd is true but loads as 1.0"), id="ects_sd_true"),
+    pytest.param(_schema_edit(lambda s: s["columns"][8].update(mean="31.5"),
+                              'columns[8] mean is "31.5" but loads as 31.5'), id="ects_mean_text"),
+    pytest.param(_schema_edit(lambda s: s.update(version=7), "version is 7 but loads as 1"),
+                 id="version_7"),
+    # scored in file order, swapped columns would feed each weight the other's values
+    pytest.param(_schema_edit(lambda s: s["columns"].insert(0, s["columns"].pop(1)),
+                              'columns[0] group is "employment" but loads as "gender"'),
+                 id="columns_swapped"),
+    pytest.param(_schema_edit(lambda s: s["columns"][8].update(name="ects"),
+                              "columns[8] is {"), id="column_not_in_layout"),
+]
+
+
 def missing_model_file(d):
     model = d / "nope.json"
     return _impute(d, model), f"{model}: FileNotFoundError"
@@ -213,6 +242,7 @@ def foreign_born_foreigner_with_italian_parents(d):
     schema_sd_zero, schema_mean_nan, missing_model_file, misspelt_config_key,
     config_value_wrong_type, config_shares_not_100, config_not_json,
     expanded_without_register_columns, names_not_utf8, foreign_born_foreigner_with_italian_parents,
+    *SCHEMA_EDITS,
 ])
 def test_bad_input_exits_3_naming_the_file(bundle, tmp_path, capsys, corrupt):
     argv, fragment = corrupt(_case_dir(bundle, tmp_path / "case"))
@@ -241,49 +271,84 @@ def test_huge_logistic_weights_exit_3_naming_the_file(bundle, tmp_path, capsys, 
                           "linear predictor overflows on ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("name, field, value, expected", [
-    ("model_forest.json", "n_trees", 5.9, "an integer"),
-    ("model_forest.json", "n_trees", True, "an integer"),
-    ("model_forest.json", "n_features", 9.7, "an integer"),
-    ("model_forest.json", "mtry", "abc", "an integer"),
-    ("model_forest.json", "seed", "x", "an integer"),
-    ("model_forest.json", "min_leaf", None, "an integer"),
-    ("model_forest.json", "max_depth", "deep", "an integer or null"),
-    ("model_forest.json", "oob_error", [1], "a number"),
-    ("model_forest.json", "oob_error", "0.1", "a number"),
-    ("model_logistic.json", "intercept", "1.5", "a number"),
-    ("model_logistic.json", "intercept", False, "a number"),
-    ("model_logistic.json", "ridge_lambda", "x", "a number"),
-    ("model_logistic.json", "converged", "yes", "true or false"),
-    ("model_logistic.json", "converged", 1, "true or false"),
-    ("model_logistic.json", "iterations", 2.5, "an integer"),
-    ("model_logistic.json", "max_abs_gradient", None, "a number"),
+@pytest.mark.parametrize("name, field, value, holds, message", [
+    ("model_forest.json", "n_trees", 5.9, "an integer", "model n_trees is 5.9 but loads as 5"),
+    ("model_forest.json", "n_trees", True, "an integer", "model n_trees is true but loads as 5"),
+    ("model_forest.json", "n_features", 9.7, "an integer",
+     "model n_features is 9.7 but loads as 9"),
+    ("model_forest.json", "mtry", "abc", "an integer", 'model mtry is "abc" but loads as 3'),
+    ("model_forest.json", "seed", "x", "an integer",
+     "seed: invalid literal for int() with base 10: 'x'"),
+    ("model_forest.json", "min_leaf", None, "an integer", "model min_leaf is null but loads as 1"),
+    ("model_forest.json", "max_depth", "deep", "an integer or null",
+     'model max_depth is "deep" but loads as null'),
+    ("model_forest.json", "oob_error", [1], "a number",
+     "oob_error: float() argument must be a string or a real number, not 'list'"),
+    ("model_forest.json", "oob_error", "0.1", "a number",
+     'model oob_error is "0.1" but loads as 0.1'),
+    ("model_logistic.json", "intercept", "1.5", "a number",
+     'model intercept is "1.5" but loads as 1.5'),
+    ("model_logistic.json", "intercept", False, "a number",
+     "model intercept is false but loads as 0.0"),
+    ("model_logistic.json", "ridge_lambda", "x", "a number",
+     "ridge_lambda: could not convert string to float: 'x'"),
+    ("model_logistic.json", "converged", "yes", "true or false",
+     'model converged is "yes" but loads as true'),
+    ("model_logistic.json", "converged", 1, "true or false",
+     "model converged is 1 but loads as true"),
+    ("model_logistic.json", "iterations", 2.5, "an integer",
+     "model iterations is 2.5 but loads as 2"),
+    ("model_logistic.json", "max_abs_gradient", None, "a number",
+     "max_abs_gradient: float() argument must be a string or a real number, not 'NoneType'"),
+    # values of the right JSON type that save_model would not write back
+    ("model_forest.json", "n_trees", 5.0, "an integer", "model n_trees is 5.0 but loads as 5"),
+    ("model_forest.json", "mtry", 99, "ceil(sqrt(p))", "model mtry is 99 but loads as 3"),
+    ("model_forest.json", "min_leaf", 0, "1", "model min_leaf is 0 but loads as 1"),
+    ("model_forest.json", "max_depth", -5, "null", "model max_depth is -5 but loads as null"),
+    ("model_forest.json", "colour", "red", "no such key",
+     'model colour is "red" but loads as absent'),
+    ("model_logistic.json", "converged", False, "max_abs_gradient < 1e-8",
+     "model converged is false but loads as true"),
+    ("model_logistic.json", "intercept", 10**400, "a float",
+     "intercept: int too large to convert to float"),
+    ("model_logistic.json", "iterations", 2**80, "0..100",
+     f"iterations must be in [0, 100], not {2**80}"),
+    ("model_logistic.json", "ridge_lambda", 0.5, "1e-06..0.01",
+     "ridge_lambda must be in [1e-06, 0.01], not 0.5"),
+    ("model_logistic.json", "max_abs_gradient", -1.0, "a number >= 0",
+     "max_abs_gradient must be in [0, inf], not -1.0"),
 ])
 def test_model_value_of_the_wrong_type_exits_3(bundle, tmp_path, capsys, name, field, value,
-                                               expected):
-    """A stored value is checked against its field's JSON type, never cast or kept as given."""
+                                               holds, message):
+    """A stored value loads only if save_model would write it back (holds says what it
+    writes there) after the cast to its field's type and the range check; else exit 3."""
     case = _case_dir(bundle, tmp_path / "case")
     model = _edit_model(case, name, lambda p: p["model"].__setitem__(field, value))
-    fragment = f"{model}: TypeError: {field} must be {expected}, not {value!r}"
+    fragment = f"{model}: ValueError: {message}"
     with pytest.raises(DataError, match=re.escape(fragment)):
         load_model(model)
     capsys.readouterr()
     assert main(_impute(case, model)) == 3
     err = capsys.readouterr().err
-    assert err == f"error: DataError: {fragment}\n"
+    assert err == f"error: DataError: {fragment}\n", f"{field} holds {holds}"
 
 
-@pytest.mark.parametrize("weights", [lambda w: ["1"] * len(w), lambda w: [True] * len(w),
-                                     lambda w: {"0": w[0]}, lambda w: [w]],
-                         ids=["strings", "bools", "object", "nested"])
-def test_logistic_weights_not_numbers_exit_3(bundle, tmp_path, capsys, weights):
+@pytest.mark.parametrize("weights, message", [
+    (lambda w: ["1"] * len(w), 'model weights[0] is "1" but loads as 1.0'),
+    (lambda w: [True] * len(w), "model weights[0] is true but loads as 1.0"),
+    (lambda w: {"0": w[0]}, "weights: float() argument must be a string or a real number, "
+                            "not 'dict'"),
+    (lambda w: [w], "model weights[0] is ["),
+], ids=["strings", "bools", "object", "nested"])
+def test_logistic_weights_not_numbers_exit_3(bundle, tmp_path, capsys, weights, message):
     case = _case_dir(bundle, tmp_path / "case")
     model = _edit_model(case, "model_logistic.json",
                         lambda p: p["model"].__setitem__("weights", weights(p["model"]["weights"])))
     capsys.readouterr()
     assert main(_impute(case, model)) == 3
-    assert capsys.readouterr().err == (
-        f"error: DataError: {model}: TypeError: weights must be a list of numbers\n")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: DataError: {model}: ValueError: {message}"), err
+    assert err.count("\n") == 1
 
 
 def test_forest_with_nan_oob_error_loads(bundle, tmp_path):
@@ -366,7 +431,7 @@ def _list_not_string(m):
                  id="feature_out_of_range"),
     pytest.param(_truncated_counts, "ValueError: counts must hold one pair of non-negative counts",
                  id="truncated_counts"),
-    pytest.param(_trees_missing, "ValueError: n_trees is 5 but the file holds 2 trees",
+    pytest.param(_trees_missing, "ValueError: model n_trees is 5 but loads as 2",
                  id="trees_missing"),
     pytest.param(_not_base64, "ValueError: counts is not base64", id="not_base64"),
     pytest.param(_partial_item, "ValueError: feature is not a whole number of <i4 items",

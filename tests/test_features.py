@@ -107,8 +107,8 @@ def test_encode_unknown_level_falls_back_to_reference():
 def test_schema_json_round_trip():
     schema = build_schema(varied_records(), TABLE)
     again = FeatureSchema.from_json(schema.to_json())
-    assert again.names == schema.names
-    assert again.name_rule == schema.name_rule
+    assert again.to_json() == schema.to_json()
+    assert json.loads(schema.to_json())["name_rule"] == {"min_count": 5, "top_k": None}
     x0 = encode_matrix(varied_records().take([0]), schema, TABLE)[0]
     x1 = encode_matrix(varied_records().take([0]), again, TABLE)[0]
     np.testing.assert_array_equal(x0, x1)
@@ -159,5 +159,5 @@ def test_small_training_set_has_exact_class_split(small_training):
 def test_schema_accepts_only_a_null_top_k():
     payload = json.loads(build_schema(varied_records(), TABLE).to_json())
     payload["name_rule"]["top_k"] = 2
-    with pytest.raises(ValueError, match="bad name rule"):
+    with pytest.raises(ValueError, match="^schema name_rule top_k is 2 but loads as null$"):
         FeatureSchema.from_json(json.dumps(payload))

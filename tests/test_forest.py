@@ -436,8 +436,7 @@ def test_bitmask_scores_of_loaded_trees_equal_the_walk(small_training, seed, siz
     schema, _data = small_training
     rng = np.random.default_rng(seed)
     trees = [random_tree(rng, n_leaves, schema.width) for n_leaves in sizes]
-    built = ForestModel(trees=trees, n_trees=len(trees), mtry=1, min_leaf=1, max_depth=None,
-                        seed=0, n_features=schema.width, oob_error=0.0)
+    built = ForestModel(trees=trees, seed=0, n_features=schema.width, oob_error=0.0)
     with tempfile.TemporaryDirectory() as tmp:
         save_model(Path(tmp) / "model.json", built, schema)
         model, _schema = load_model(Path(tmp) / "model.json")
@@ -453,8 +452,7 @@ def test_saved_forest_loads_equal_arrays_and_votes(small_training, seed, sizes):
     rng = np.random.default_rng(seed)
     trees = [random_tree(rng, n_leaves, schema.width) for n_leaves in sizes]
     trees[0].counts[:] = rng.integers(0, 2**31, size=trees[0].counts.shape)
-    built = ForestModel(trees=trees, n_trees=len(trees), mtry=1, min_leaf=1, max_depth=None,
-                        seed=0, n_features=schema.width, oob_error=0.0)
+    built = ForestModel(trees=trees, seed=0, n_features=schema.width, oob_error=0.0)
     with tempfile.TemporaryDirectory() as tmp:
         save_model(Path(tmp) / "model.json", built, schema)
         model, _schema = load_model(Path(tmp) / "model.json")
@@ -471,8 +469,7 @@ def test_a_count_outside_int32_is_not_saved(small_training, tmp_path):
     schema, _data = small_training
     tree = random_tree(np.random.default_rng(0), 3, schema.width)
     tree.counts[-1, 1] = 2**31
-    model = ForestModel(trees=[tree], n_trees=1, mtry=1, min_leaf=1, max_depth=None, seed=0,
-                        n_features=schema.width, oob_error=0.0)
+    model = ForestModel(trees=[tree], seed=0, n_features=schema.width, oob_error=0.0)
     with pytest.raises(HiddenPopError, match="counts holds a value outside <i4"):
         save_model(tmp_path / "model.json", model, schema)
     assert list(tmp_path.iterdir()) == []
@@ -502,8 +499,7 @@ def test_bitmask_scorer_in_tree_groups_and_row_chunks(monkeypatch):
     assert_same_forest(got, reference.fit_forest(data, n_trees=9, seed=6))
     rng = np.random.default_rng(6)
     trees = [random_tree(rng, n_leaves, 5) for n_leaves in (1, 70, 140, 3)]
-    model = ForestModel(trees=trees, n_trees=4, mtry=1, min_leaf=1, max_depth=None, seed=0,
-                        n_features=5, oob_error=0.0)
+    model = ForestModel(trees=trees, seed=0, n_features=5, oob_error=0.0)
     assert len(model.leaf_tables.groups) > 2
     assert_scores_equal_the_walk(got, np.vstack([data.X, scoring_rows(rng, 30, 5)]))
     assert_scores_equal_the_walk(model, scoring_rows(rng, 90, 5))

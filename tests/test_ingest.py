@@ -8,6 +8,7 @@ import pytest
 
 from hiddenpop.errors import DataError
 from hiddenpop.ingest import (
+    COMMON_NAME_MIN_COUNT,
     NameFrequencyTable,
     SurveyRecord,
     build_name_table,
@@ -164,12 +165,14 @@ def test_name_table_malformed(tmp_path):
 
 
 def test_is_common_name_rules():
-    table = NameFrequencyTable({"maria": 100, "anna": 20, "tecla": 2})
+    table = NameFrequencyTable({"maria": 100, "anna": COMMON_NAME_MIN_COUNT,
+                                "tecla": COMMON_NAME_MIN_COUNT - 1})
+    assert COMMON_NAME_MIN_COUNT == 5
     assert is_common_name("MARIA", table)
-    assert not is_common_name("tecla", table)         # listed but below min_count
+    assert is_common_name("Anna", table)              # exactly the fixed minimum count
+    assert not is_common_name("tecla", table)         # listed but below it
     assert not is_common_name("zork", table)          # unlisted
     assert not is_common_name("  ", table)            # empty after normalization
-    assert is_common_name("tecla", table, min_count=1)
 
 
 def test_a_byte_order_mark_is_skipped(small_bundle, tmp_path):
