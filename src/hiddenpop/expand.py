@@ -159,8 +159,14 @@ class BiasReport:
     """Per-variable, per-level population vs. sample shares and their gaps (pp)."""
 
     variables: dict  # variable -> {level: (population_share, sample_share, gap)}
-    flagged: list    # (variable, level, gap) with |gap| >= alert threshold
     alert_threshold: float
+
+    @property
+    def flagged(self) -> list:
+        """(variable, level, gap) of each level with |gap| >= the alert threshold."""
+        return [(var, level, gap) for var, table in self.variables.items()
+                for level, (_pop, _sample, gap) in table.items()
+                if abs(gap) >= self.alert_threshold]
 
 
 def _shares(register: Register, variable: str) -> dict:
@@ -183,7 +189,7 @@ def bias_report(population: Register, sample: Register, variables: list[str], *,
     """
     if not len(population) or not len(sample):
         raise DataError("both population and sample must be nonempty")
-    out, flagged = {}, []
+    out = {}
     for var in variables:
         if var not in SHARED_VARIABLES:
             raise DataError(f"unknown shared variable {var!r}")
@@ -195,9 +201,6 @@ def bias_report(population: Register, sample: Register, variables: list[str], *,
         table = {}
         for lvl in sorted(pop):
             p, s = pop[lvl], sample_shares.get(lvl, 0.0)
-            gap = s - p
-            table[lvl] = (p, s, gap)
-            if abs(gap) >= alert_threshold:
-                flagged.append((var, lvl, gap))
+            table[lvl] = (p, s, s - p)
         out[var] = table
-    return BiasReport(variables=out, flagged=flagged, alert_threshold=alert_threshold)
+    return BiasReport(variables=out, alert_threshold=alert_threshold)

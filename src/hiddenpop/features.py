@@ -58,7 +58,6 @@ class FeatureSchema:
 
     columns: list
     dropped: list = field(default_factory=list)
-    unknown_level_count: int = 0
 
     @property
     def width(self) -> int:
@@ -187,8 +186,7 @@ def encode_columns(values: dict, schema: FeatureSchema) -> np.ndarray:
     values maps each column group to an array over the rows: the raw level of
     a categorical, the boolean name flag, or the numeric value.  Category
     levels unseen at schema build fall back to the reference level (all-zero
-    dummies) and add, per row, one count for each of that source's dummies to
-    schema.unknown_level_count.
+    dummies), with a warning naming the level and its row count.
     """
     n = len(next(iter(values.values())))
     X = np.empty((n, schema.width))
@@ -201,7 +199,6 @@ def encode_columns(values: dict, schema: FeatureSchema) -> np.ndarray:
         known = {reference[source], *encoded}
         for value, count in zip(*np.unique(values[source], return_counts=True)):
             if value not in known:
-                schema.unknown_level_count += int(count) * len(encoded)
                 log.warning("unknown %s level %r mapped to reference (%d rows)",
                             source, str(value), count)
     for i, c in enumerate(schema.columns):

@@ -167,22 +167,25 @@ BLOCK_ROWS = 512
 
 
 class Coder(dict):
-    """Raw value -> code of its standardized level; -1 when standardizing raises.
+    """Raw value -> code of its standardized level; negative when standardizing raises.
 
-    Each distinct raw value is standardized once; levels holds the distinct
-    standardized values in order of first appearance.
+    Each distinct raw value is standardized once; levels holds the given levels,
+    then the other standardized values in order of first appearance, and errors
+    the message of each failure, code -1 - i for errors[i].
     """
 
-    def __init__(self, standardize=None):
+    def __init__(self, standardize=None, levels=()):
         super().__init__()
-        self.standardize, self.levels, self._code_of = standardize, [], {}
+        self.standardize, self.levels, self.errors = standardize, list(levels), []
+        self._code_of = {level: code for code, level in enumerate(self.levels)}
 
     def __missing__(self, raw):
         try:
             level = raw if self.standardize is None else self.standardize(raw)
-        except ValueError:
-            self[raw] = -1
-            return -1
+        except ValueError as exc:
+            self.errors.append(str(exc))
+            self[raw] = code = -len(self.errors)
+            return code
         self[raw] = code = self._code_of.setdefault(level, len(self.levels))
         if code == len(self.levels):
             self.levels.append(level)
@@ -357,6 +360,39 @@ def read_csv(path, required):
             yield lineno, dict(zip(header, row))
 
 
+def read_register(path, coders, *, strip=True, keep=None, check=None):
+    """The rows of a CSV file: link_key, stripped if strip, and each coders column, coded.
+
+    keep(header, lines, rows, part) picks the rows of each block to keep (all by
+    default); check(register, coders) gives (position, reason) of the first row
+    it forbids, or None.  The first line that repeats a kept link_key, or else
+    that check forbids, raises DataError naming it, ahead of a later read failure.
+    """
+    levels = {c: coder.levels for c, coder in coders.items()}
+    parts, lines = [], []
+    try:
+        for header, block_lines, rows in read_blocks(path, ["link_key", *coders]):
+            columns = dict(zip(header, zip(*rows)))  # a repeated name reads its last column
+            keys = map(str.strip, columns["link_key"]) if strip else columns["link_key"]
+            part = Register(np.array(list(keys), dtype=object),
+                            {c: coder.code(columns[c]) for c, coder in coders.items()}, levels)
+            kept = slice(None) if keep is None else keep(header, block_lines, rows, part)
+            parts.append(part.take(kept))
+            lines.append(np.array(block_lines)[kept])
+    finally:
+        register = Register.concat(parts, levels)
+        line = np.concatenate([np.empty(0, dtype=int)] + lines)
+        keys, first = register.link_key.tolist(), {}
+        faults = [check(register, coders)] if check else []
+        if len(set(keys)) < len(keys):  # a repeat goes first on its line
+            i = next(i for i, key in enumerate(keys) if first.setdefault(key, i) != i)
+            faults.insert(0, (i, f"link_key {keys[i]!r} already on line {line[first[keys[i]]]}"))
+        fault = min(filter(None, faults), key=lambda fault: fault[0], default=None)
+        if fault:
+            raise DataError(f"{path}:{line[fault[0]]}: {fault[1]}")
+    return register
+
+
 @contextmanager
 def atomic_open(path):
     """Write to a temp file beside path, then rename it over path.
@@ -403,40 +439,19 @@ def parse_admin(path) -> Register:
     standardization, when a link_key repeats, or when the file is unreadable.
     """
     path = Path(path)
-    coders = {c: Coder(standardize) for c, standardize in _STANDARDIZERS.items()}
-    levels = {c: coder.levels for c, coder in coders.items()}
-    parts, lines = [], []
     rejects = []  # (line number, reason, raw row)
 
-    def check_keys():
-        keys = np.concatenate([np.empty(0, dtype=object)] + [p.link_key for p in parts])
-        if len(set(keys.tolist())) == len(keys):
-            return
-        seen = {}
-        for key, lineno in zip(keys.tolist(), np.concatenate(lines).tolist()):
-            if key in seen:
-                raise DataError(f"{path}:{lineno}: link_key {key!r} already on line {seen[key]}")
-            seen[key] = lineno
+    def keep(header, lines, rows, part):
+        bad = np.any([a < 0 for a in part.codes.values()], axis=0)
+        for i in np.flatnonzero(bad):
+            row = dict(zip(header, rows[i]))
+            reason = _reject_reason(row)
+            if len(rows[i]) > len(header):  # csv.DictReader's restkey, as before
+                row[None] = rows[i][len(header):]
+            rejects.append((lines[i], reason, ";".join(f"{k}={v}" for k, v in row.items())))
+        return np.flatnonzero(~bad)
 
-    try:  # a repeated key before a read failure is reported first
-        for header, block_lines, rows in read_blocks(path, ADMIN_COLUMNS):
-            columns = dict(zip(header, zip(*rows)))  # a repeated name reads its last column
-            part = Register(np.array(list(map(str.strip, columns["link_key"])), dtype=object),
-                            {c: coder.code(columns[c]) for c, coder in coders.items()}, levels)
-            bad = np.any([a < 0 for a in part.codes.values()], axis=0)
-            for i in np.flatnonzero(bad):
-                row = dict(zip(header, rows[i]))
-                reason = _reject_reason(row)
-                if len(rows[i]) > len(header):  # csv.DictReader's restkey, as before
-                    row[None] = rows[i][len(header):]
-                rejects.append((block_lines[i], reason,
-                                ";".join(f"{k}={v}" for k, v in row.items())))
-            good = np.flatnonzero(~bad)
-            parts.append(part.take(good))
-            lines.append(np.array(block_lines)[good])
-    finally:
-        check_keys()
-    register = Register.concat(parts, levels)
+    register = read_register(path, {c: Coder(s) for c, s in _STANDARDIZERS.items()}, keep=keep)
     total = len(register) + len(rejects)
     if rejects:
         write_csv(path.with_suffix(".rejects.csv"), ["line", "reason", "raw"], rejects)

@@ -142,6 +142,8 @@ def load_model(path):
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{name}: {exc}") from None
         if cls is ForestModel:
+            if loaded["n_features"] < 1:  # before mtry, its square root, is read
+                raise ValueError(f"n_features must be >= 1, not {loaded['n_features']}")
             loaded["trees"] = _unpacked_trees(stored, loaded["n_features"])
         else:
             if not np.isfinite(loaded["weights"]).all() or not np.isfinite(loaded["intercept"]):

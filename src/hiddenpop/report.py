@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind, MigrantBackground
-from .errors import DataError
+from .domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind
 from .eval import CvResult, MetricsReport, RocCurve, METRIC_NAMES
 from .expand import PROVENANCES, BiasReport, DistributionTable, Expanded
-from .ingest import (ADMIN_COLUMNS, ITALY, Coder, Register, atomic_open, read_csv,
-                     write_admin_csv, write_csv)
+from .ingest import (ADMIN_COLUMNS, Coder, atomic_open, read_register, write_admin_csv,
+                     write_csv)
 from .models import ImportanceReport
 
 
@@ -84,9 +83,10 @@ def write_distribution_markdown(path, table: DistributionTable):
 
 
 def write_bias_csv(path, report: BiasReport):
+    flagged = {(var, level) for var, level, _gap in report.flagged}
     write_csv(path, ["variable", "level", "population_share", "sample_share", "gap_pp", "flagged"],
               ([var, level, _fmt(pop, 2), _fmt(sample, 2), _fmt(gap, 2),
-                int(abs(gap) >= report.alert_threshold)]
+                int((var, level) in flagged)]
                for var, table in report.variables.items()
                for level, (pop, sample, gap) in table.items()))
 
@@ -99,7 +99,6 @@ def write_bias_plot(path, table: dict):
 
 
 _MEMBERSHIP_COLUMNS = ["delta", "kind", "provenance", "predicted_score"]
-_EXPANDED_COLUMNS = ADMIN_COLUMNS + _MEMBERSHIP_COLUMNS
 _DIGITS = np.array([str(d) for d in range(10)], dtype=object)
 
 
@@ -118,54 +117,67 @@ def write_expanded_csv(path, expanded: Expanded):
     write_admin_csv(path, expanded.register, _MEMBERSHIP_COLUMNS, membership_cells)
 
 
-_INT_FIELDS = ("enrollment_year", "years_enrolled", "ects_earned")
+def _allowed() -> np.ndarray:
+    """[bp, cit, provenance, kind] -> whether write_expanded_csv writes such a row: exact
+    where bp/cit settle it; linked where an observed pa decides what they do not (inside
+    (1,1), or pa = 1 at (0,1)); predicted for an imputed pa, inside (1,1) only."""
+    allowed = np.zeros((2, 2, len(PROVENANCES), len(BackgroundKind)), dtype=bool)
+    for bp, cit, pa in np.argwhere(MEMBERSHIP[..., 1] >= 0):
+        kind, settled = MEMBERSHIP[bp, cit, [pa, PA_UNOBSERVED], 1]
+        observed = pa != PA_UNOBSERVED
+        allowed[bp, cit, :, kind] |= [not observed, observed and kind != settled,
+                                      observed and bp == cit == 1]
+    return allowed
 
 
-def _membership(row: dict) -> tuple:
-    """(delta, kind, provenance index, score) of one written row; ValueError unless allowed."""
-    bp, cit = int(row["birth_country"] == ITALY), int(row["citizenship_country"] == ITALY)
-    bg = MigrantBackground(int(row["delta"]), BackgroundKind(int(row["kind"])))
-    found, provenance, score = [bg.delta, int(bg.kind)], row["provenance"], row["predicted_score"]
-    if provenance not in PROVENANCES:
-        raise ValueError(f"bad provenance {provenance!r}")
-    # exact: bp/cit settle the row; linked: an observed pa decides what they do not
-    # (inside (1,1), or pa = 1 at (0,1)); predicted: an imputed pa, inside (1,1) only
-    settled = MEMBERSHIP[bp, cit, PA_UNOBSERVED].tolist()
-    observed = MEMBERSHIP[bp, cit, :2].tolist()
-    if not {"exact": found == settled, "linked": found in observed and found != settled,
-            "predicted": found in observed and (bp, cit) == (1, 1)}[provenance]:
-        raise ValueError(
-            f"delta={bg.delta} kind={int(bg.kind)} provenance={provenance!r} is not "
-            f"allowed for bp={bp} cit={cit}"
-        )
-    value = float(score) if score else np.nan
-    if provenance == "predicted" and not score:
-        raise ValueError("predicted record without a score")
-    return (*found, PROVENANCES.index(provenance), value)
+_ALLOWED = _allowed()
+
+
+def _first_fault(register, coders):
+    """(position, reason) of the first row that write_expanded_csv could not write, or None.
+
+    A row's reason is its first fault below; a column name stands for the error
+    of its cell there, which did not parse (only the int columns and the score can fail).
+    """
+    codes, levels, bp, cit = register.codes, register.levels, register.bp, register.cit
+    delta, kind, provenance, score = (codes[c] for c in _MEMBERSHIP_COLUMNS)
+    faults = [*((codes[c] < 0, c) for c in codes if c != "predicted_score"),
+              (kind >= len(BackgroundKind), "{kind} is not a valid BackgroundKind"),
+              ((delta == 0) != (kind == 0), "inconsistent delta={delta} kind={kind}"),
+              (provenance >= len(PROVENANCES), "bad provenance {provenance!r}"),
+              (~_ALLOWED[bp, cit, np.minimum(provenance, len(PROVENANCES) - 1),
+                         np.clip(kind, 0, len(BackgroundKind) - 1)] | (delta != (kind != 0)),
+               "delta={delta} kind={kind} provenance={provenance!r} is not allowed for "
+               "bp={bp} cit={cit}"),
+              (score < 0, "predicted_score"),
+              ((provenance == PROVENANCES.index("predicted")) & (score == 0),
+               "predicted record without a score")]
+    bad = np.array([mask for mask, _ in faults])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        cells = {c: levels[c][a[i]] if a[i] >= 0 else coders[c].errors[-1 - a[i]]
+                 for c, a in codes.items()}
+        reason = faults[int(np.argmax(bad[:, i]))][1]
+        return i, cells.get(reason) or reason.format(bp=bp[i], cit=cit[i], **cells)
 
 
 def read_expanded_csv(path) -> Expanded:
-    """Read write_expanded_csv's output; a forbidden row or a repeated key raises DataError."""
-    coders = {c: Coder(int if c in _INT_FIELDS else None) for c in ADMIN_COLUMNS[1:]}
-    lines, codes, found = {}, [], []  # lines: link_key -> line, in file order
-    for lineno, row in read_csv(path, _EXPANDED_COLUMNS):
-        key = row["link_key"]
-        if key in lines:
-            raise DataError(f"{path}:{lineno}: link_key {key!r} already on line {lines[key]}")
-        try:
-            codes.append([coders[c][row[c]] for c in coders])
-            if min(codes[-1]) < 0:  # only an int column codes a value as -1
-                for c in _INT_FIELDS:
-                    int(row[c])
-            found.append(_membership(row))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        lines[key] = lineno
-    codes = np.array(codes, dtype=np.int32).reshape(-1, len(coders)).T
-    delta, kind, provenance, score = np.array(found).reshape(-1, 4).T
-    register = Register(np.array(list(lines), dtype=object), dict(zip(coders, codes)),
-                        {c: coder.levels for c, coder in coders.items()})
-    return Expanded(register, *(a.astype(np.int8) for a in (delta, kind, provenance)), score)
+    """Read write_expanded_csv's output.  The first line that repeats a link_key, or that
+    write_expanded_csv could not have written, raises DataError naming it."""
+    ints = ("enrollment_year", "years_enrolled", "ects_earned")
+    coders = {c: Coder(int if c in ints else None) for c in ADMIN_COLUMNS[1:]}
+    # valid membership values come first: a valid delta or kind codes as its value, a
+    # provenance as its index in PROVENANCES, and an empty score (read as None) as 0
+    coders.update(delta=Coder(int, (0, 1)), kind=Coder(int, range(len(BackgroundKind))),
+                  provenance=Coder(None, PROVENANCES),
+                  predicted_score=Coder(lambda cell: float(cell) if cell else None, [None]))
+    register = read_register(path, coders, strip=False, check=_first_fault)
+    levels, codes = register.levels, register.codes
+    score = np.array(levels["predicted_score"], dtype=float)[codes["predicted_score"]]
+    delta, kind, provenance = (codes[c].astype(np.int8) for c in _MEMBERSHIP_COLUMNS[:3])
+    for c in _MEMBERSHIP_COLUMNS:
+        del levels[c], codes[c]
+    return Expanded(register, delta, kind, provenance, score)
 
 
 def write_correlation_csv(path, corr: dict):

@@ -12,6 +12,7 @@ biased on purpose.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -122,18 +123,42 @@ class SynthConfig:
         return cfg
 
     def validate(self):
+        """Raise DataError naming the first field that generate cannot draw from."""
         if self.n_register < 100:
             raise DataError("n_register must be >= 100")
         if len(self.kind_shares) != 5:
             raise DataError("kind_shares must hold 5 shares, one per kind 0..4")
-        for name, shares in [
-            ("kind_shares", list(self.kind_shares)),
-            ("department_shares", list(self.department_shares.values())),
-            ("course_shares", list(self.course_shares.values())),
-            ("employment_shares", list(self.employment_shares.values())),
-        ]:
-            if abs(sum(shares) - 100.0) > 0.01:
+        for name, low in _LEAST.items():
+            if not low <= getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be finite and >= {low}, got {getattr(self, name)}")
+        for name in ("years_sd", "ects_sd"):  # generate z-scores by them
+            if not 0 < getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in _SHARES:
+            value = getattr(self, name)
+            shares = list(value.values() if isinstance(value, dict) else np.atleast_1d(value))
+            if not all(0 <= share <= 100 for share in shares):
+                raise DataError(f"{name} must be finite and in [0, 100], got {value}")
+            if name.endswith("_shares") and abs(sum(shares) - 100.0) > 0.01:  # a distribution
                 raise DataError(f"{name} must sum to 100, got {sum(shares)}")
+        if sorted(self.signal) != sorted(SIGNAL_COLUMNS):
+            raise DataError(f"signal must hold exactly the keys {SIGNAL_COLUMNS}")
+        if not set(self.response_offsets) <= set(_RESPONSE_VARIABLES):
+            raise DataError(f"response_offsets may only hold {_RESPONSE_VARIABLES}")
+        for name, values in [("ects_mean", [self.ects_mean]), ("signal", self.signal.values()),
+                             ("response_offsets", [v for table in self.response_offsets.values()
+                                                   for v in table.values()])]:
+            if not np.isfinite(list(values)).all():
+                raise DataError(f"{name} must hold finite numbers")
+
+
+# the least value of each bounded field; each must also be finite
+_LEAST = {"seed": 0, "n_survey_native": 0, "n_survey_migrant": 0, "n_screened_out": 0,
+          "years_mean": 1, "years_max": 1, "ects_max": 0}
+_SHARES = ("kind_shares", "department_shares", "course_shares", "employment_shares",
+           "male_share", "common_name_share_native", "common_name_share_migrant")
+# the register columns whose levels response_offsets may shift
+_RESPONSE_VARIABLES = ("gender", "department", "course_level", "employment")
 
 
 def _conforms(value, default) -> bool:

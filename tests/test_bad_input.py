@@ -209,6 +209,43 @@ def config_not_json(d):
             f"{config}: JSONDecodeError")
 
 
+# a value that generate would draw from, out of range, and the start of its message
+_CONFIG_CASES = [
+    ({"seed": -1}, "seed must be finite and >= 0, got -1"),
+    ({"n_survey_native": -5}, "n_survey_native must be finite and >= 0, got -5"),
+    ({"n_survey_migrant": -1}, "n_survey_migrant must be finite and >= 0, got -1"),
+    ({"male_share": 150}, "male_share must be finite and in [0, 100], got 150"),
+    ({"male_share": float("nan")}, "male_share must be finite and in [0, 100], got nan"),
+    ({"department_shares": {"law": -10, "science": 110}},
+     "department_shares must be finite and in [0, 100], got {'law': -10, 'science': 110}"),
+    ({"years_mean": 0.5}, "years_mean must be finite and >= 1, got 0.5"),
+    ({"ects_sd": -3}, "ects_sd must be finite and > 0, got -3"),
+    ({"years_sd": 0}, "years_sd must be finite and > 0, got 0"),
+    ({"years_max": 0}, "years_max must be finite and >= 1, got 0"),
+    ({"ects_max": -1}, "ects_max must be finite and >= 0, got -1"),
+    ({"ects_mean": float("inf")}, "ects_mean must hold finite numbers"),
+    ({"signal": {"gender=M": 1.0}}, "signal must hold exactly the keys ['gender=M', "),
+    ({"response_offsets": {"shoe_size": {"42": 1.0}}}, "response_offsets may only hold ("),
+    ({"response_offsets": {"gender": {"M": float("inf")}}},
+     "response_offsets must hold finite numbers"),
+]
+
+
+@pytest.mark.parametrize("config, message", _CONFIG_CASES,
+                         ids=[json.dumps(config) for config, _ in _CONFIG_CASES])
+@pytest.mark.parametrize("n_register", ["2000", "6000"])
+def test_config_value_out_of_range_exits_3_naming_it(tmp_path, capsys, config, message,
+                                                     n_register):
+    """Each value that generate draws from is checked before it draws."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["synth", "--config", str(path), "--n-register", n_register,
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: DataError: {path}: {message}") and err.count("\n") == 1, err
+
+
 def expanded_without_register_columns(d):
     expanded = d / "expanded.csv"
     expanded.write_text("delta,kind,provenance,predicted_score\n1,4,exact,\n")
@@ -317,6 +354,9 @@ def test_huge_logistic_weights_exit_3_naming_the_file(bundle, tmp_path, capsys, 
      "ridge_lambda must be in [1e-06, 0.01], not 0.5"),
     ("model_logistic.json", "max_abs_gradient", -1.0, "a number >= 0",
      "max_abs_gradient must be in [0, inf], not -1.0"),
+    # checked before mtry, ceil(sqrt(n_features)), is read
+    ("model_forest.json", "n_features", -4, "an integer >= 1", "n_features must be >= 1, not -4"),
+    ("model_forest.json", "n_features", 0, "an integer >= 1", "n_features must be >= 1, not 0"),
 ])
 def test_model_value_of_the_wrong_type_exits_3(bundle, tmp_path, capsys, name, field, value,
                                                holds, message):

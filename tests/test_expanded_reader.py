@@ -1,0 +1,187 @@
+"""report's expanded-register reader against the row-at-a-time reference."""
+
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hiddenpop.domain import MEMBERSHIP, BackgroundKind
+from hiddenpop.errors import DataError
+from hiddenpop.expand import PROVENANCES, Imputations, expand_dataset
+from hiddenpop.ingest import ADMIN_COLUMNS, ITALY, SurveyRecord, link
+from hiddenpop.report import _ALLOWED, read_expanded_csv, write_expanded_csv
+
+from register_reference import read_expanded_rows, register_of
+from test_ingest import make_admin
+
+_ADMISSIBLE = [(bp, cit, pa) for bp in (0, 1) for cit in (0, 1) for pa in (0, 1)
+               if MEMBERSHIP[bp, cit, pa, 1] >= 0]
+_COUNTRY = {0: "XX", 1: ITALY}
+
+
+def _expansion(rows, scores):
+    """expand_dataset's result for rows of ((bp, cit, pa), linked); an unlinked (1,1)
+    row gets its pa imputed with the next score."""
+    admin = register_of([make_admin(f"S{i:02d}", birth_country=_COUNTRY[bp],
+                                    citizenship_country=_COUNTRY[cit], ects_earned=7 * i)
+                         for i, ((bp, cit, _pa), _linked) in enumerate(rows)])
+    survey = [SurveyRecord(f"S{i:02d}", True, pa)
+              for i, ((_bp, _cit, pa), linked) in enumerate(rows) if linked]
+    imputed = [i for i, ((bp, cit, _pa), linked) in enumerate(rows)
+               if not linked and (bp, cit) == (1, 1)]
+    return expand_dataset(admin, link(admin, survey), Imputations(
+        np.array(imputed, dtype=np.intp), np.array([rows[i][0][2] for i in imputed]),
+        np.resize(np.array(scores), len(imputed))))
+
+
+def _read(reader, path):
+    try:
+        return reader(path)
+    except DataError as exc:
+        return exc
+
+
+def _assert_same_expansion(got, want):
+    for name in ("delta", "kind", "provenance", "score"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+    np.testing.assert_array_equal(got.score, want.score)
+    for name in ("delta", "kind", "provenance"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    assert got.register.link_key.tolist() == want.register.link_key.tolist()
+    assert list(got.register.codes) == list(want.register.codes)
+    for column, codes in want.register.codes.items():
+        assert got.register.codes[column].dtype == codes.dtype
+        assert got.register.codes[column].tolist() == codes.tolist(), column
+        assert got.register.levels[column] == want.register.levels[column], column
+
+
+_EVERY_ROW = [(triple, linked) for triple in _ADMISSIBLE for linked in (False, True)]
+
+_COLUMN = {c: i for i, c in enumerate(
+    ADMIN_COLUMNS + ["delta", "kind", "provenance", "predicted_score"])}
+
+# column -> the cells a corruption may write there
+_BAD_CELLS = {**dict.fromkeys(["enrollment_year", "years_enrolled", "ects_earned"],
+                              ["seven", "", "4.5"]),
+              "delta": ["0", "1", "2", "-1", "x"], "kind": ["0", "1", "2", "3", "4", "7", "-1", "x"],
+              "provenance": [*PROVENANCES, "guessed", ""],
+              "predicted_score": ["", "high", "0.5"]}
+# (edit, column, new cell): the corruptions a line may take
+_CORRUPTIONS = st.one_of(
+    *(st.tuples(st.just("cell"), st.just(column), st.sampled_from(cells))
+      for column, cells in _BAD_CELLS.items()),
+    st.tuples(st.just("duplicate"), st.none(), st.none()),
+    st.tuples(st.just("drop"), st.none(), st.none()),
+)
+
+
+def _corrupt(lines, edit, column, cell, at, to):
+    """Apply one corruption to data line at (and, for a duplicate, insert it at to)."""
+    data = len(lines) - 1
+    at, to = 1 + at % data, 1 + to % (data + 1)
+    if edit == "duplicate":
+        lines.insert(to, lines[at])
+        return
+    cells = lines[at].split(",")
+    if edit == "drop":
+        cells.pop()
+    elif _COLUMN[column] < len(cells):  # a field dropped before stays dropped
+        cells[_COLUMN[column]] = cell
+    lines[at] = ",".join(cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_ADMISSIBLE), st.booleans()), min_size=1, max_size=12),
+       st.lists(st.floats(0, 1), min_size=1, max_size=3),
+       st.lists(st.tuples(_CORRUPTIONS, st.integers(0, 99), st.integers(0, 99)), max_size=2))
+def test_reader_agrees_with_the_row_reference_on_corrupted_files(rows, scores, corruptions):
+    """Both readers accept a file with equal results, or raise the same DataError.
+
+    The reader checks a line's faults in the reference's order, so even a line
+    with two faults gets the reference's message.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "expanded.csv"
+        write_expanded_csv(path, _expansion(rows, scores))
+        lines = path.read_bytes().decode().split("\r\n")[:-1]
+        for (edit, column, cell), at, to in corruptions:
+            _corrupt(lines, edit, column, cell, at, to)
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+        _assert_readers_agree(path)
+
+
+def _assert_readers_agree(path):
+    want, got = _read(read_expanded_rows, path), _read(read_expanded_csv, path)
+    if isinstance(want, DataError):
+        assert isinstance(got, DataError), want
+        assert str(got) == str(want)
+    else:
+        assert not isinstance(got, DataError), got
+        _assert_same_expansion(got, want)
+
+
+def test_every_single_fault_gets_the_reference_message(tmp_path):
+    """Each bad cell, and each dropped field, on each kind of row."""
+    path = tmp_path / "expanded.csv"
+    write_expanded_csv(path, _expansion(_EVERY_ROW, [0.25]))
+    text = path.read_bytes().decode()
+    edits = [("drop", None, None)] + [("cell", column, cell)
+                                      for column, cells in _BAD_CELLS.items() for cell in cells]
+    for at in range(len(_EVERY_ROW)):
+        for edit in edits:
+            lines = text.split("\r\n")[:-1]
+            _corrupt(lines, *edit, at, 0)
+            path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+            _assert_readers_agree(path)
+
+
+def test_a_repeated_key_goes_first_on_its_line(tmp_path):
+    path = tmp_path / "expanded.csv"
+    write_expanded_csv(path, _expansion([((1, 1, 1), True), ((0, 0, 0), False)], [0.5]))
+    lines = path.read_bytes().decode().split("\r\n")
+    lines.insert(-1, lines[1].replace(",linked,", ",guessed,"))
+    path.write_bytes("\r\n".join(lines).encode())
+    for reader in (read_expanded_rows, read_expanded_csv):
+        with pytest.raises(DataError, match="expanded.csv:4: link_key 'S00' already on line 2$"):
+            reader(path)
+
+
+def test_first_bad_line_is_named_ahead_of_a_later_unreadable_int(tmp_path):
+    """A forbidden exact row on line 2 and an ects_earned of 'seven' on line 3."""
+    path = tmp_path / "edge.csv"
+    write_expanded_csv(path, _expansion([((1, 1, 1), True), ((1, 1, 0), True)], [0.5]))
+    lines = path.read_bytes().decode().split("\r\n")
+    lines[1] = lines[1].replace(",linked,", ",exact,")
+    lines[2] = lines[2].replace(",7,", ",seven,")
+    path.write_bytes("\r\n".join(lines).encode())
+    message = "edge.csv:2: delta=0 kind=0 provenance='exact' is not allowed for bp=1 cit=1"
+    for reader in (read_expanded_rows, read_expanded_csv):
+        with pytest.raises(DataError, match=re.escape(message)):
+            reader(path)
+
+
+def test_first_bad_line_is_named_ahead_of_a_later_read_failure(tmp_path):
+    path = tmp_path / "expanded.csv"
+    write_expanded_csv(path, _expansion([((1, 1, 1), True), ((0, 0, 0), False),
+                                         ((1, 1, 0), True)], [0.5]))
+    lines = path.read_bytes().decode().split("\r\n")
+    lines[2] = lines[2].replace(",exact,", ",predicted,")
+    lines[3] = lines[3].rsplit(",", 1)[0]  # fewer fields than the header
+    path.write_bytes("\r\n".join(lines).encode())
+    message = "expanded.csv:3: delta=1 kind=4 provenance='predicted' is not allowed for bp=0 cit=0"
+    with pytest.raises(DataError, match=re.escape(message)):
+        read_expanded_csv(path)
+
+
+def test_allowed_table_is_what_expand_dataset_writes():
+    """The table allows exactly the (bp, cit, provenance, kind) that expand_dataset gives
+    over every admissible (bp, cit, pa) triple, linked or not."""
+    expanded = _expansion(_EVERY_ROW, [0.5])
+    written = set(zip(expanded.register.bp.tolist(), expanded.register.cit.tolist(),
+                      expanded.provenance.tolist(), expanded.kind.tolist()))
+    assert set(zip(*(a.tolist() for a in np.nonzero(_ALLOWED)))) == written
+    assert _ALLOWED.shape == (2, 2, len(PROVENANCES), len(BackgroundKind))

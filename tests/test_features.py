@@ -1,6 +1,7 @@
 """Encoding schema, one-hot/z-score encoding and training-set assembly."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -93,15 +94,17 @@ def test_encode_matrix_matches_per_row_reference(small_inputs, small_training):
                                   expected)
 
 
-def test_encode_unknown_level_falls_back_to_reference():
+def test_encode_unknown_level_falls_back_to_reference(caplog):
     records = varied_records()
     schema = build_schema(records.take([0, 1]), TABLE)  # only bachelor/master observed
-    before = schema.unknown_level_count
     # records[2] carries two unseen levels: student_worker and bachelor_and_master
-    x = encode_matrix(records.take([2]), schema, TABLE)[0]
+    with caplog.at_level(logging.WARNING, logger="hiddenpop.features"):
+        x = encode_matrix(records.take([2]), schema, TABLE)[0]
     for group in ("course_level", "employment"):
         assert all(x[i] == 0.0 for i in schema.group_indices(group))
-    assert schema.unknown_level_count == before + 2
+    assert sorted(r.getMessage() for r in caplog.records) == [
+        "unknown course_level level 'bachelor_and_master' mapped to reference (1 rows)",
+        "unknown employment level 'student_worker' mapped to reference (1 rows)"]
 
 
 def test_schema_json_round_trip():

@@ -94,7 +94,7 @@ _DISTRIBUTION = DistributionTable(rows=[
 _BIAS = BiasReport(variables={"department": {'a,"b"': (60.0, 50.0, -10.0),
                                              "science": (40.0, 50.0, 10.0)},
                               "gender": {"F": (50.0, 52.5, 2.5)}},
-                   flagged=[], alert_threshold=5.0)
+                   alert_threshold=5.0)
 _METRIC_HEADER = ["accuracy", "precision", "true_positive_rate", "f1", "kappa"]
 
 
