@@ -87,8 +87,8 @@ def write_manifest(out_dir, subcommand, config, seed, inputs, outputs):
 
 
 class Run:
-    """One invocation: its options, out dir and seed, the data it parses (once)
-    and the files it reads and writes, which main() digests into one manifest."""
+    """One invocation: its options, out dir and seed, its inputs (each loaded once, when
+    first used) and the files it reads and writes, which main() digests into one manifest."""
 
     def __init__(self, args):
         self.args = args
@@ -107,17 +107,24 @@ class Run:
         return Path(data_dir)
 
     @cached_property
-    def parsed(self):
-        """(register, survey, name table, linkage) of the data directory."""
-        data_dir = self.data_dir
-        admin = parse_admin(data_dir / "admin.csv")
-        survey_files = [data_dir / "survey.csv"]
-        if (data_dir / "screened_out.csv").exists():
-            survey_files.append(data_dir / "screened_out.csv")
-        survey = parse_survey(*survey_files)
-        table = build_name_table(data_dir / "names.csv")
-        self.inputs += [data_dir / "admin.csv", *survey_files, data_dir / "names.csv"]
-        return admin, survey, table, link(admin, survey)
+    def register(self):
+        """The standardized register of admin.csv; report sets the one of --expanded."""
+        self.inputs.append(self.data_dir / "admin.csv")
+        return parse_admin(self.data_dir / "admin.csv")
+
+    @cached_property
+    def names(self):
+        """The name frequency table of names.csv."""
+        self.inputs.append(self.data_dir / "names.csv")
+        return build_name_table(self.data_dir / "names.csv")
+
+    @cached_property
+    def linked(self):
+        """survey.csv, and screened_out.csv when there is one, linked to the register."""
+        files = [self.data_dir / "survey.csv"]
+        files += [f for f in [self.data_dir / "screened_out.csv"] if f.exists()]
+        self.inputs += files
+        return link(self.register, parse_survey(*files))
 
     def write(self, rel, writer, *values):
         """Write the artifact out/rel as writer(path, *values) and record it."""
@@ -157,12 +164,9 @@ def _synth(run, rel) -> Path:
 def _train(run, rel) -> dict:
     """Fit the --model classifiers on the linked bp=cit=1 rows; model name -> validation report."""
     args, seed = run.args, run.seed
-    admin, _survey, table, linked = run.parsed
-    train_rows = linked.rows[linked.native()]
-    if not len(train_rows):
-        raise DataError("no linked records with bp=cit=1 to train on")
-    schema = build_schema(admin.take(train_rows), table)
-    data = assemble_training_set(linked, schema, table)
+    register, linked, names = run.register, run.linked, run.names
+    schema = build_schema(register.take(linked.rows[linked.native()]), names)
+    data = assemble_training_set(linked, schema, names)
     train, val = split_train_validate(data, ratio=args.ratio, seed=seed)
     run.write(rel + "schema.json", _write_text, schema.to_json())
     run.write(rel + "correlation.csv", write_correlation_csv, correlation_report(data, schema))
@@ -196,13 +200,13 @@ def _train(run, rel) -> dict:
 
 def _impute(run, rel, model_file):
     """Impute pa for the unlinked bp=cit=1 rows and write the expanded register."""
-    admin, _survey, table, linked = run.parsed
+    register, linked, names = run.register, run.linked, run.names
     model, schema = load_model(model_file)
     _check_schema_digest(model_file, schema)
     with reading(model_file, OverflowError):
-        imputations = impute_pa(model, schema, admin, table,
+        imputations = impute_pa(model, schema, register, names,
                                 linked_rows=linked.rows, threshold=run.args.threshold)
-    expanded = expand_dataset(admin, linked, imputations)
+    expanded = expand_dataset(register, linked, imputations)
     run.write(rel + "expanded_register.csv", write_expanded_csv, expanded)
     dist = tabulate_population(expanded)
     run.write(rel + "distribution.csv", write_distribution_csv, dist)
@@ -212,7 +216,7 @@ def _impute(run, rel, model_file):
 
 def _report(run, rel, expanded):
     """Compare the estimated members with the eligible linked survey respondents."""
-    linked = run.parsed[3]
+    linked = run.linked
     members = expanded.register.take(np.flatnonzero(expanded.delta == 1))
     eligible = np.array([s.eligible for s in linked.survey], dtype=bool)
     sample = linked.register.take(linked.rows[eligible])
@@ -232,14 +236,14 @@ def cmd_synth(run):
 
 
 def cmd_ingest(run):
-    admin, survey, table, linked = run.parsed
+    register, linked, names = run.register, run.linked, run.names
     counts = {
-        "admin_records": len(admin),
-        "survey_records": len(survey),
+        "admin_records": len(register),
+        "survey_records": len(linked.survey) + len(linked.unmatched_survey),
         "matched": len(linked.rows),
-        "unmatched_admin": len(admin) - len(linked.rows),
+        "unmatched_admin": len(register) - len(linked.rows),
         "unmatched_survey": len(linked.unmatched_survey),
-        "name_table_entries": table.total_names,
+        "name_table_entries": names.total_names,
     }
     run.write("linkage_summary.csv", _write_text,
               "quantity,count\n" + "".join(f"{k},{v}\n" for k, v in counts.items()))
@@ -277,9 +281,8 @@ def cmd_evaluate(run):
     run.data_dir  # a missing data directory is reported before a bad model
     model, schema = load_model(model_file)
     _check_schema_digest(model_file, schema)
-    _admin, _survey, table, linked = run.parsed
     run.inputs.append(Path(model_file))
-    data = assemble_training_set(linked, schema, table)
+    data = assemble_training_set(run.linked, schema, run.names)
     name = model_type(model)
     with reading(model_file, OverflowError):
         scores = predict_scores(model, data.X)
@@ -298,7 +301,7 @@ def cmd_impute(run):
 
 def _check_expanded_inputs(run, expanded_file):
     """When a run manifest beside --expanded, or one directory up, lists it among its
-    outputs, every data file it read must have the digest of the one read now."""
+    outputs, each file it read must have the digest of the --data-dir file of that name, if any."""
     path = Path(expanded_file).resolve()
     digest = _sha256(path)
     for out_dir in path.parents[:2]:
@@ -309,20 +312,20 @@ def _check_expanded_inputs(run, expanded_file):
             recorded = json.loads(manifest.read_text(encoding="utf-8"))
             if recorded["outputs"].get(path.relative_to(out_dir).as_posix()) != digest:
                 continue
-            made_from = {Path(p).name: (p, d) for p, d in recorded["inputs"].items()}
-        for data_file in run.inputs:
-            source, source_digest = made_from.get(data_file.name, (None, None))
-            if source is not None and source_digest != _sha256(data_file):
-                raise DataError(f"{expanded_file} was made from {source} ({manifest}), "
-                                f"which differs from {data_file}")
+            for source, source_digest in recorded["inputs"].items():
+                data_file = run.data_dir / Path(source).name
+                if data_file.is_file() and source_digest != _sha256(data_file):
+                    raise DataError(f"{expanded_file} was made from {source} ({manifest}), "
+                                    f"which differs from {data_file}")
         return
 
 
 def cmd_report(run):
-    run.parsed  # the data is read before --expanded
+    run.data_dir  # a missing data directory is reported before a bad --expanded
     expanded = read_expanded_csv(run.args.expanded)
     _check_expanded_inputs(run, run.args.expanded)
     run.inputs.append(Path(run.args.expanded))
+    run.register = expanded.register  # the survey links to the register it expanded
     br = _report(run, "", expanded)
     for var, level, gap in br.flagged:
         print(f"flagged: {var}={level} gap {gap:+.1f} pp")

@@ -164,7 +164,7 @@ def build_schema(register: Register, name_table: NameFrequencyTable) -> FeatureS
     dropped with a warning and recorded in schema.dropped.
     """
     if not len(register):
-        raise ValueError("cannot build a schema from zero records")
+        raise DataError("no linked records with bp=cit=1 to train on")
     values = _source_values(register, name_table)
     observed = {group: set(v.tolist()) for group, v in values.items()}
     dropped = [group for group in values if len(observed[group]) < 2]

@@ -141,6 +141,7 @@ def _first_fault(register, coders):
     """
     codes, levels, bp, cit = register.codes, register.levels, register.bp, register.cit
     delta, kind, provenance, score = (codes[c] for c in _MEMBERSHIP_COLUMNS)
+    predicted = provenance == PROVENANCES.index("predicted")
     faults = [*((codes[c] < 0, c) for c in codes if c != "predicted_score"),
               (kind >= len(BackgroundKind), "{kind} is not a valid BackgroundKind"),
               ((delta == 0) != (kind == 0), "inconsistent delta={delta} kind={kind}"),
@@ -150,8 +151,8 @@ def _first_fault(register, coders):
                "delta={delta} kind={kind} provenance={provenance!r} is not allowed for "
                "bp={bp} cit={cit}"),
               (score < 0, "predicted_score"),
-              ((provenance == PROVENANCES.index("predicted")) & (score == 0),
-               "predicted record without a score")]
+              (predicted & (score == 0), "predicted record without a score"),
+              (~predicted & (score > 0), "predicted_score on a non-predicted record")]
     bad = np.array([mask for mask, _ in faults])
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))

@@ -161,6 +161,8 @@ def _membership(row: dict) -> tuple:
     value = float(score) if score else np.nan
     if provenance == "predicted" and not score:
         raise ValueError("predicted record without a score")
+    if provenance != "predicted" and score:
+        raise ValueError("predicted_score on a non-predicted record")
     return (*found, PROVENANCES.index(provenance), value)
 
 

@@ -18,11 +18,13 @@ from hiddenpop.synth import SynthConfig, generate
 
 INPUTS = ["admin.csv", "survey.csv", "screened_out.csv", "names.csv"]
 MODELS = ["model_logistic.json", "model_forest.json"]
+EXPANDED = "expanded_register.csv"
 
 
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
-    """A 600-row bundle, and a logistic and a 5-tree forest model trained on it."""
+    """A 600-row bundle, a logistic and a 5-tree forest model trained on it, and the
+    register the logistic model expands."""
     root = tmp_path_factory.mktemp("bad_input")
     cfg = SynthConfig(n_register=600, n_survey_native=20, n_survey_migrant=20,
                       n_screened_out=40)
@@ -30,16 +32,19 @@ def bundle(tmp_path_factory):
     for model, extra in [("logistic", []), ("forest", ["--trees", "5"])]:
         assert main(["train", "--data-dir", str(root / "data"), "--out",
                      str(root / f"train_{model}"), "--model", model, "--k", "0", *extra]) == 0
+    assert main(["impute", "--data-dir", str(root / "data"), "--out", str(root / "impute"),
+                 "--model-file", str(root / "train_logistic" / "model_logistic.json")]) == 0
     return root
 
 
 def _case_dir(bundle, case):
-    """A fresh copy of the inputs and the model, for one corruption."""
+    """A fresh copy of the inputs, the models and the expanded register, for one corruption."""
     case.mkdir()
     for name in INPUTS:
         shutil.copy(bundle / "data" / name, case / name)
     for kind in ("logistic", "forest"):
         shutil.copy(bundle / f"train_{kind}" / f"model_{kind}.json", case)
+    shutil.copy(bundle / "impute" / EXPANDED, case)
     return case
 
 
@@ -495,7 +500,7 @@ def test_malformed_forest_exits_3_naming_the_file(bundle, tmp_path, capsys, edit
 
 
 _counter = itertools.count()
-_FILES = ["admin.csv", "survey.csv", "names.csv", *MODELS]
+_FILES = ["admin.csv", "survey.csv", "names.csv", *MODELS, EXPANDED]
 _JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                          st.text(max_size=8), st.lists(st.integers(), max_size=3))
 
@@ -553,10 +558,12 @@ def test_corrupted_input_exits_0_or_3(bundle, data):
     else:
         blob = _replace_cell(blob, name, data)
     path.write_bytes(blob)
-    command = "impute" if name in MODELS else data.draw(
-        st.sampled_from(["ingest", "impute"]))
+    command = ("impute" if name in MODELS else "report" if name == EXPANDED
+               else data.draw(st.sampled_from(["ingest", "impute", "report"])))
     argv = [command, "--data-dir", str(case), "--out", str(case / "out")]
     if command == "impute":
         model = name if name in MODELS else data.draw(st.sampled_from(MODELS))
         argv += ["--model-file", str(case / model)]
+    elif command == "report":
+        argv += ["--expanded", str(case / EXPANDED)]
     assert main(argv) in (0, 3)

@@ -248,8 +248,68 @@ def test_manifest_config_records_the_options(cli_run, tmp_path):
     assert config["alert_threshold"] == 2.5
 
 
+def test_report_reads_only_the_survey_and_expanded(cli_run, tmp_path, monkeypatch):
+    """report links the survey to the register of --expanded: it parses neither
+    admin.csv nor names.csv, and its manifest lists only what it read."""
+    _root, data, train = cli_run
+    expanded = _impute(data, train, tmp_path / "impute")
+
+    def refuse(path):
+        raise AssertionError(f"report parsed {path}")
+
+    monkeypatch.setattr(hiddenpop.cli, "parse_admin", refuse)
+    monkeypatch.setattr(hiddenpop.cli, "build_name_table", refuse)
+    rep = tmp_path / "report"
+    assert main(["report", "--data-dir", str(data), "--out", str(rep),
+                 "--expanded", str(expanded)]) == 0
+    assert sorted(_manifest(rep)["inputs"]) == sorted(
+        str(p) for p in [data / "survey.csv", data / "screened_out.csv", expanded])
+
+
+def test_report_without_admin_and_names_writes_the_same_report(cli_run, tmp_path):
+    _root, data, train = cli_run
+    expanded = _impute(data, train, tmp_path / "impute")
+    survey_only = tmp_path / "survey_only"
+    survey_only.mkdir()
+    for name in ("survey.csv", "screened_out.csv"):
+        shutil.copy(data / name, survey_only)
+    for data_dir, out in [(data, "full"), (survey_only, "survey_only_report")]:
+        assert main(["report", "--data-dir", str(data_dir), "--out", str(tmp_path / out),
+                     "--expanded", str(expanded)]) == 0
+    assert ((tmp_path / "survey_only_report" / "bias_report.csv").read_bytes()
+            == (tmp_path / "full" / "bias_report.csv").read_bytes())
+
+
+def test_train_without_native_respondents_exits_3(cli_run, tmp_path, capsys):
+    """A survey of kind 2-4 respondents only, and no screened_out.csv: nothing to train on."""
+    _root, data, _train = cli_run
+    copy = tmp_path / "data"
+    copy.mkdir()
+    for name in ("admin.csv", "names.csv"):
+        shutil.copy(data / name, copy)
+    admin = (data / "admin.csv").read_text(encoding="utf-8").splitlines()
+    native = {row["link_key"] for row in csv.DictReader(admin)
+              if row["birth_country"] == row["citizenship_country"] == "IT"}
+    survey = (data / "survey.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in survey[1:] if line.split(",")[0] not in native]
+    assert kept and len(kept) < len(survey) - 1
+    (copy / "survey.csv").write_text("".join(survey[:1] + kept), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--data-dir", str(copy), "--out", str(tmp_path / "train")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: DataError: no linked records with bp=cit=1 to train on\n"
+
+
+def _added_admin_row(path):
+    """A copy of admin.csv's last row under a new link_key."""
+    last = path.read_text(encoding="utf-8").splitlines()[-1]
+    return "Z" + last[last.index(","):] + "\n"
+
+
 @pytest.mark.parametrize("layout", ["impute", "pipeline"])
 def test_report_checks_expanded_came_from_its_data(cli_run, tmp_path, capsys, layout):
+    """Each data file the producing run read must be unchanged, admin.csv and
+    names.csv too, which report itself does not read."""
     _root, data, train = cli_run
     if layout == "impute":  # the manifest sits beside expanded_register.csv
         expanded = _impute(data, train, tmp_path / "impute")
@@ -257,19 +317,23 @@ def test_report_checks_expanded_came_from_its_data(cli_run, tmp_path, capsys, la
         assert main(["pipeline", "--data-dir", str(data), "--out", str(tmp_path / "pipe"),
                      "--model", "logistic", "--k", "0"]) == 0
         expanded = tmp_path / "pipe" / "impute" / "expanded_register.csv"
-    copy = tmp_path / "copy"
-    shutil.copytree(data, copy)
-    assert main(["report", "--data-dir", str(copy), "--out", str(tmp_path / "same"),
-                 "--expanded", str(expanded)]) == 0
+    for changed, added in [("names.csv", lambda path: "zebedeo,9\n"),
+                           ("admin.csv", _added_admin_row)]:
+        copy = tmp_path / f"copy_{changed}"
+        shutil.copytree(data, copy)
+        assert main(["report", "--data-dir", str(copy), "--out", str(tmp_path / "same"),
+                     "--expanded", str(expanded)]) == 0
 
-    with open(copy / "names.csv", "a", encoding="utf-8") as f:
-        f.write("zebedeo,9\n")
-    capsys.readouterr()
-    assert main(["report", "--data-dir", str(copy), "--out", str(tmp_path / "other"),
-                 "--expanded", str(expanded)]) == 3
-    err = capsys.readouterr().err
-    assert str(data / "names.csv") in err and str(copy / "names.csv") in err
-    assert not (tmp_path / "other" / "bias_report.csv").exists()
+        row = added(copy / changed)
+        with open(copy / changed, "a", encoding="utf-8") as f:
+            f.write(row)
+        capsys.readouterr()
+        other = tmp_path / f"other_{changed}"
+        assert main(["report", "--data-dir", str(copy), "--out", str(other),
+                     "--expanded", str(expanded)]) == 3
+        err = capsys.readouterr().err
+        assert str(data / changed) in err and str(copy / changed) in err, err
+        assert not (other / "bias_report.csv").exists()
 
 
 def test_pipeline_writes_a_linked_pa_1_of_a_foreign_born_citizen(cli_run, tmp_path):

@@ -155,15 +155,16 @@ def test_expand_coverage_gap():
 
 
 def test_expanded_record_validation(tmp_path):
-    # an expanded row exists only with a known provenance, and a score if predicted
+    # an expanded row exists only with a known provenance, and a score iff predicted
     path = tmp_path / "expanded.csv"
     write_expanded_csv(path, Expanded(register_of([make_admin("S1")]),
                                       np.array([0]), np.array([0]), np.array([1]),
                                       np.array([np.nan])))
     text = path.read_text()
-    for provenance, reason in [("guessed", "bad provenance 'guessed'"),
-                               ("predicted", "predicted record without a score")]:
-        path.write_text(text.replace("linked,", f"{provenance},"))
+    for provenance, reason in [("guessed,", "bad provenance 'guessed'"),
+                               ("predicted,", "predicted record without a score"),
+                               ("linked,0.5", "predicted_score on a non-predicted record")]:
+        path.write_text(text.replace("linked,", provenance))
         with pytest.raises(DataError, match=f"expanded.csv:2: {reason}"):
             read_expanded_csv(path)
 
