@@ -1,10 +1,12 @@
 """Predictor encoding and assembly of the labeled training set.
 
 The predictor set is fixed: gender, employment status, course level, the
-common-Italian-name dummy, years enrolled and ECTS earned.  Categoricals are
-one-hot encoded against a reference level; numerics are z-scored with
-statistics computed on the training rows (trees are insensitive to the
-monotone rescaling, the logistic solver benefits from the conditioning).
+common-Italian-name dummy, years enrolled and ECTS earned.  The encoder takes
+each as level codes and works once per level, indexing by row only at the end:
+categoricals are one-hot encoded against a reference level, an unknown level
+counted once, not per row; numerics are z-scored with statistics computed on
+the training rows (trees are insensitive to the monotone rescaling, the
+logistic solver benefits from the conditioning).
 
 The positive class throughout is pa=0, i.e. "at least one foreign-born
 parent": the event whose probability the logistic model targets.
@@ -141,36 +143,37 @@ def feature_layout(moments: dict) -> list[Column]:
     return columns
 
 
-def _source_values(register: Register, name_table) -> dict:
-    """Column group -> array of its source values over the register's rows.
-
-    The name flag is computed once per distinct given name present.
-    """
+def _level_codes(register: Register, name_table) -> dict:
+    """Column group -> (levels, codes), the group's values and each row's index into
+    them; the name flag is computed once per distinct given name present."""
     names, codes = register.levels["given_name"], register.codes["given_name"]
     common = np.zeros(len(names), dtype=bool)
     for i in np.flatnonzero(np.bincount(codes, minlength=len(names))):
         common[i] = is_common_name(names[i], name_table)
-    values = {source: register.column(source) for source, _, _ in _CATEGORICALS}
-    values[NAME_FLAG] = common[codes]
-    for source in _NUMERICS:
-        values[source] = np.array(register.levels[source], dtype=float)[register.codes[source]]
-    return values
+    groups = {source: (np.array(register.levels[source], dtype=object), register.codes[source])
+              for source, _, _ in _CATEGORICALS}
+    groups[NAME_FLAG] = (common, codes)
+    return groups | {source: (np.array(register.levels[source], dtype=float),
+                              register.codes[source]) for source in _NUMERICS}
 
 
 def build_schema(register: Register, name_table: NameFrequencyTable) -> FeatureSchema:
     """Derive the column layout and z-scoring stats from the training rows.
 
     Degenerate features (single observed level, zero-variance numeric) are
-    dropped with a warning and recorded in schema.dropped.
+    dropped with a warning and recorded in schema.dropped.  A level is observed
+    if a row uses it, whatever the (maybe shared) level list holds.
     """
     if not len(register):
         raise DataError("no linked records with bp=cit=1 to train on")
-    values = _source_values(register, name_table)
-    observed = {group: set(v.tolist()) for group, v in values.items()}
-    dropped = [group for group in values if len(observed[group]) < 2]
+    groups = _level_codes(register, name_table)
+    observed = {group: set(levels[np.bincount(codes, minlength=len(levels)) > 0].tolist())
+                for group, (levels, codes) in groups.items()}
+    dropped = [group for group in groups if len(observed[group]) < 2]
     for group in dropped:
         log.warning("feature %r degenerate (only %s observed), dropped",
                     group, observed[group])
+    values = {source: np.take(*groups[source]) for source in _NUMERICS}
     moments = {source: (float(values[source].mean()), float(values[source].std(ddof=0)))
                for source in _NUMERICS}
     columns = [
@@ -180,34 +183,33 @@ def build_schema(register: Register, name_table: NameFrequencyTable) -> FeatureS
     return FeatureSchema(columns=columns, dropped=dropped)
 
 
-def encode_columns(values: dict, schema: FeatureSchema) -> np.ndarray:
-    """Encode per-group source arrays into the schema's columns, one column at a time.
+def encode_columns(groups: dict, schema: FeatureSchema) -> np.ndarray:
+    """Encode per-group level codes into the schema's columns, one column at a time.
 
-    values maps each column group to an array over the rows: the raw level of
-    a categorical, the boolean name flag, or the numeric value.  Category
-    levels unseen at schema build fall back to the reference level (all-zero
-    dummies), with a warning naming the level and its row count.
+    groups maps each column group to (levels, codes), an array of its distinct
+    values and each row's index into it; a column is computed once per level
+    and indexed by the codes.  Category levels unseen at schema build fall back
+    to the reference level (all-zero dummies), with a warning naming the level
+    and its row count; each unknown level is counted once, not per row.
     """
-    n = len(next(iter(values.values())))
+    n = len(next(iter(groups.values()))[1])
     X = np.empty((n, schema.width))
-    reference = {source: ref for source, ref, _ in _CATEGORICALS}
-    dummies = {}
-    for c in schema.columns:
-        if c.kind == "onehot":
-            dummies.setdefault(c.group, []).append(c.level)
-    for source, encoded in dummies.items():
-        known = {reference[source], *encoded}
-        for value, count in zip(*np.unique(values[source], return_counts=True)):
-            if value not in known:
+    for source, reference, _ in _CATEGORICALS:
+        encoded = {c.level for c in schema.columns if c.group == source}
+        levels, codes = groups[source]
+        counts = np.bincount(codes, minlength=len(levels)).tolist()
+        for value, count in sorted(zip(levels.tolist(), counts)):
+            if encoded and count and value not in encoded | {reference}:
                 log.warning("unknown %s level %r mapped to reference (%d rows)",
-                            source, str(value), count)
+                            source, value, count)
     for i, c in enumerate(schema.columns):
+        levels, codes = groups[c.group]
         if c.kind == "numeric":
-            X[:, i] = (values[c.group] - c.mean) / c.sd
+            X[:, i] = ((levels - c.mean) / c.sd)[codes]
         elif c.kind == "onehot":
-            X[:, i] = values[c.group] == c.level
+            X[:, i] = (levels == c.level)[codes]
         else:
-            X[:, i] = values[c.group]
+            X[:, i] = levels[codes]
     return X
 
 
@@ -216,7 +218,7 @@ def encode_matrix(register: Register, schema: FeatureSchema,
     """Encode the register's rows into the schema's column order, one row each."""
     if not len(register):
         return np.empty((0, schema.width))
-    return encode_columns(_source_values(register, name_table), schema)
+    return encode_columns(_level_codes(register, name_table), schema)
 
 
 def assemble_training_set(linked: LinkedDataset, schema: FeatureSchema,

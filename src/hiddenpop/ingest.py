@@ -231,10 +231,6 @@ class Register:
         return Register(self.link_key[rows], {c: a[rows] for c, a in self.codes.items()},
                         self.levels)
 
-    def column(self, name) -> np.ndarray:
-        """Decoded values of a coded column."""
-        return np.asarray(self.levels[name])[self.codes[name]]
-
     def _is_italy(self, name) -> np.ndarray:
         return np.array([lvl == ITALY for lvl in self.levels[name]], dtype=np.int8)[
             self.codes[name]]

@@ -103,16 +103,19 @@ _DIGITS = np.array([str(d) for d in range(10)], dtype=object)
 
 
 def write_expanded_csv(path, expanded: Expanded):
-    """Original register columns plus delta, kind, provenance, predicted_score."""
+    """Original register columns plus delta, kind, provenance, predicted_score;
+    each distinct predicted score is formatted once, and each row looks its cell up."""
     provenance_text = np.array(PROVENANCES, dtype=object)
-    predicted = PROVENANCES.index("predicted")
+    predicted = expanded.provenance == PROVENANCES.index("predicted")
+    # np.unique merges -0.0 into 0.0, which no model emits: logistic scores are
+    # clipped to [1e-12, 1 - 1e-12] and forest vote shares are >= +0.0
+    distinct, index = np.unique(expanded.score[predicted], return_inverse=True)
+    scores = np.full(len(predicted), "", dtype=object)
+    scores[predicted] = np.array([_fmt(s) for s in distinct.tolist()], dtype=object)[index]
 
     def membership_cells(rows):
-        provenance = expanded.provenance[rows]
-        scores = [_fmt(s) if p == predicted else ""
-                  for s, p in zip(expanded.score[rows].tolist(), provenance.tolist())]
         return [_DIGITS[expanded.delta[rows]], _DIGITS[expanded.kind[rows]],
-                provenance_text[provenance], scores]
+                provenance_text[expanded.provenance[rows]], scores[rows]]
 
     write_admin_csv(path, expanded.register, _MEMBERSHIP_COLUMNS, membership_cells)
 

@@ -157,7 +157,7 @@ _LEAST = {"seed": 0, "n_survey_native": 0, "n_survey_migrant": 0, "n_screened_ou
           "years_mean": 1, "years_max": 1, "ects_max": 0}
 _SHARES = ("kind_shares", "department_shares", "course_shares", "employment_shares",
            "male_share", "common_name_share_native", "common_name_share_migrant")
-# the register columns whose levels response_offsets may shift
+# the drawn categorical register columns, in draw order; response_offsets may shift their levels
 _RESPONSE_VARIABLES = ("gender", "department", "course_level", "employment")
 
 
@@ -192,12 +192,11 @@ class SyntheticBundle:
     meta_path: Path
 
 
-def _draw_levels(rng, shares: dict, n: int) -> np.ndarray:
+def _draw_levels(rng, shares: dict, n: int) -> tuple:
+    """(levels, codes): the share keys and each of n rows' index into them, drawn by share."""
     levels = list(shares)
     p = np.array([shares[l] for l in levels], dtype=float) / 100.0
-    p = p / p.sum()
-    idx = rng.choice(len(levels), size=n, p=p)
-    return np.array(levels, dtype=object)[idx]
+    return np.array(levels, dtype=object), rng.choice(len(levels), size=n, p=p / p.sum())
 
 
 def _generating_schema(config: SynthConfig) -> FeatureSchema:
@@ -251,10 +250,10 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     group = rng.choice(4, size=n, p=group_p / group_p.sum())
     native = group == 0  # bp = cit = 1
 
-    gender = _draw_levels(rng, {"M": config.male_share, "F": 100 - config.male_share}, n)
-    department = _draw_levels(rng, config.department_shares, n)
-    course = _draw_levels(rng, config.course_shares, n)
-    employment = _draw_levels(rng, config.employment_shares, n)
+    drawn = {var: _draw_levels(rng, level_shares, n) for var, level_shares in zip(
+        _RESPONSE_VARIABLES, [{"M": config.male_share, "F": 100 - config.male_share},
+                              config.department_shares, config.course_shares,
+                              config.employment_shares])}
     years = np.minimum(rng.geometric(p=1.0 / config.years_mean, size=n), config.years_max)
     ects = np.clip(
         np.rint(rng.normal(config.ects_mean, config.ects_sd, size=n)),
@@ -264,10 +263,10 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
                         config.common_name_share_migrant) / 100.0
     common = rng.random(n) < p_common
 
-    X = encode_columns({
-        "gender": gender, "employment": employment, "course_level": course,
-        NAME_FLAG: common, "years_enrolled": years, "ects_earned": ects,
-    }, _generating_schema(config))
+    X = encode_columns({**drawn, NAME_FLAG: np.unique(common, return_inverse=True),
+                        "years_enrolled": np.unique(years, return_inverse=True),
+                        "ects_earned": np.unique(ects, return_inverse=True)},
+                       _generating_schema(config))
     beta = np.array([config.signal[c] for c in SIGNAL_COLUMNS])
     eta_slope = X @ beta
     target_pa0 = shares[1] / (shares[0] + shares[1])
@@ -293,20 +292,19 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
 
     keys = [f"S{i:06d}" for i in range(n)]
     admin = Register.from_columns({
-        "link_key": keys, "given_name": names, "gender": gender,
+        "link_key": keys, "given_name": names,
         "birth_country": np.where(bp == 1, "IT", "XX"),
         "citizenship_country": np.where(cit == 1, "IT", "XX"),
-        "course_level": course, "department": department, "enrollment_year": 2022 - years,
-        "years_enrolled": years, "ects_earned": ects, "employment": employment,
+        **{var: levels[codes] for var, (levels, codes) in drawn.items()},
+        "enrollment_year": 2022 - years, "years_enrolled": years, "ects_earned": ects,
     })
 
     # opt-in selection with known level offsets; exact counts per stratum
     offsets = np.zeros(n)
     for var, table in config.response_offsets.items():
-        values = {"gender": gender, "department": department,
-                  "course_level": course, "employment": employment}[var]
+        levels, codes = drawn[var]
         for level, off in table.items():
-            offsets += np.where(values == level, off, 0.0)
+            offsets += np.where(levels == level, off, 0.0)[codes]
     weights = np.exp(offsets)
 
     respondents_native = _weighted_sample(rng, kind == 1, weights, config, "n_survey_native")

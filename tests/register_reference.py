@@ -128,12 +128,14 @@ def register_of(records):
     return Register.from_columns({c: [getattr(r, c) for r in records] for c in ADMIN_COLUMNS})
 
 
+def decoded(register, column) -> list:
+    """The value of a coded register column on each row."""
+    return [register.levels[column][code] for code in register.codes[column].tolist()]
+
+
 def register_rows(register) -> list[AdminRecord]:
     """A Register decoded back into one AdminRecord per row."""
-    columns = [register.link_key.tolist()] + [
-        [register.levels[c][code] for code in register.codes[c].tolist()]
-        for c in ADMIN_COLUMNS[1:]
-    ]
+    columns = [register.link_key.tolist()] + [decoded(register, c) for c in ADMIN_COLUMNS[1:]]
     return [AdminRecord(*values) for values in zip(*columns)]
 
 

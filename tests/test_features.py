@@ -107,6 +107,38 @@ def test_encode_unknown_level_falls_back_to_reference(caplog):
         "unknown employment level 'student_worker' mapped to reference (1 rows)"]
 
 
+def test_subset_sharing_level_lists_counts_only_its_rows(caplog):
+    """A take subset's level lists hold levels none of its rows use; the schema,
+    its warnings and the unknown-level warnings must match a register of those rows alone."""
+    records = varied_records()
+    train, scored = records.take([0, 2]), records.take([1])
+
+    def warned(run, register):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hiddenpop.features"):
+            result = run(register)
+        return result, [r.getMessage() for r in caplog.records]
+
+    schema, schema_warnings = warned(lambda r: build_schema(r, TABLE), train)
+    alone, alone_warnings = warned(lambda r: build_schema(r, TABLE),
+                                   register_of(register_rows(train)))
+    assert schema.to_json() == alone.to_json()
+    assert schema_warnings == alone_warnings
+    assert schema.dropped == ["gender", "common_italian_name"]
+    # worker_student, not_available and master are in the shared lists, not in train's rows
+    assert [n for n in schema.names if "=" in n] == ["employment=student_worker",
+                                                     "course_level=bachelor_and_master"]
+    assert "feature 'gender' degenerate (only {'F'} observed), dropped" in schema_warnings
+    X, encode_warnings = warned(lambda r: encode_matrix(r, schema, TABLE), scored)
+    X_alone, alone_warnings = warned(lambda r: encode_matrix(r, schema, TABLE),
+                                     register_of(register_rows(scored)))
+    np.testing.assert_array_equal(X, X_alone)
+    # not_available is in the shared list and unknown to the schema, but no scored row uses it
+    assert encode_warnings == alone_warnings == [
+        "unknown employment level 'worker_student' mapped to reference (1 rows)",
+        "unknown course_level level 'master' mapped to reference (1 rows)"]
+
+
 def test_schema_json_round_trip():
     schema = build_schema(varied_records(), TABLE)
     again = FeatureSchema.from_json(schema.to_json())

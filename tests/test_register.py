@@ -15,7 +15,7 @@ import hiddenpop.ingest
 from hiddenpop.errors import DataError
 from hiddenpop.ingest import ADMIN_COLUMNS, parse_admin, write_admin_csv
 
-from register_reference import parse_admin_rows, register_of, register_rows
+from register_reference import decoded, parse_admin_rows, register_of, register_rows
 from test_ingest import make_admin
 
 # column -> (spellings that standardize, spellings that are rejected)
@@ -137,8 +137,8 @@ def test_register_take_and_columns():
     assert len(reg) == 3
     sub = reg.take([2, 0])
     assert sub.link_key.tolist() == ["S3", "S1"]
-    assert sub.column("gender").tolist() == ["M", "M"]
-    assert reg.column("years_enrolled").tolist() == [2, 5, 2]
+    assert decoded(sub, "gender") == ["M", "M"]
+    assert decoded(reg, "years_enrolled") == [2, 5, 2]
     assert reg.bp.tolist() == [0, 1, 1]
     assert reg.cit.tolist() == [1, 1, 0]
     assert register_rows(sub) == [make_admin("S3", gender="M", citizenship_country="MA"),

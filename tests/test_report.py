@@ -279,7 +279,7 @@ def test_register_writers_quote_as_csv_writer(tmp_path, monkeypatch):
     for j, c in enumerate(ADMIN_COLUMNS[1:]):
         columns[c] = [i - j if c in _INT_COLUMNS else _AWKWARD[(i + j) % len(_AWKWARD)]
                       for i in range(n)]
-    predicted = [i % 5 == 0 for i in range(n)]
+    predicted = [i % 3 != 1 for i in range(n)]
     for c in ("birth_country", "citizenship_country"):
         columns[c] = [ITALY if p else v for v, p in zip(columns[c], predicted)]
     register = Register.from_columns(columns)
@@ -291,7 +291,9 @@ def test_register_writers_quote_as_csv_writer(tmp_path, monkeypatch):
     expanded = Expanded(register, *np.array(members, dtype=np.int8).T,
                         np.array([PROVENANCES.index("predicted" if p else "exact")
                                   for p in predicted], dtype=np.int8),
-                        np.array([i / 40 if p else np.nan for i, p in enumerate(predicted)]))
+                        # scores 0.0, 0.5 and 1.0, repeated within a block and across blocks
+                        np.array([(i // 2 % 3) / 2 if p else np.nan
+                                  for i, p in enumerate(predicted)]))
     path = tmp_path / "expanded.csv"
     write_expanded_csv(path, expanded)
     tails = [[str(d), str(k), PROVENANCES[p], "" if np.isnan(s) else f"{s:.6f}"]
