@@ -192,15 +192,23 @@ class Coder(dict):
         return code
 
     def code(self, values) -> np.ndarray:
-        return np.fromiter(map(self.__getitem__, values), np.int32, len(values))
+        """The codes of values, in the narrowest type that holds every code given so far."""
+        codes = np.fromiter(map(self.__getitem__, values), np.int32, len(values))
+        return codes.astype(code_dtype(max(len(self.levels), len(self.errors))))
+
+
+def code_dtype(count: int) -> np.dtype:
+    """The narrowest signed integer type that holds every code in [-count, count)."""
+    return np.min_scalar_type(-max(count, 1))
 
 
 @dataclass
 class Register:
     """The standardized register, one array per column.
 
-    link_key is an object array of strings.  Every other column is an int32
-    array of codes into levels[column], the column's distinct values.
+    link_key is an object array of strings.  Every other column is an array of
+    codes into levels[column], the column's distinct values, in the narrowest
+    signed integer type that holds them (code_dtype): one byte up to 128 levels.
     """
 
     link_key: np.ndarray
@@ -211,19 +219,11 @@ class Register:
         return len(self.link_key)
 
     @classmethod
-    def from_columns(cls, columns: dict) -> "Register":
-        """A register from one sequence of standardized values per admin column."""
-        coders = {c: Coder() for c in ADMIN_COLUMNS[1:]}
-        codes = {c: coder.code(np.asarray(columns[c], dtype=object))
-                 for c, coder in coders.items()}
-        return cls(np.asarray(columns["link_key"], dtype=object), codes,
-                   {c: coder.levels for c, coder in coders.items()})
-
-    @classmethod
     def concat(cls, parts, levels) -> "Register":
-        """The rows of parts, which share these level lists, one after another."""
+        """The rows of parts, which share these level lists, one after another; each
+        column takes the widest of its parts' code types."""
         return cls(np.concatenate([np.empty(0, dtype=object)] + [p.link_key for p in parts]),
-                   {c: np.concatenate([np.empty(0, dtype=np.int32)] + [p.codes[c] for p in parts])
+                   {c: np.concatenate([np.empty(0, dtype=np.int8)] + [p.codes[c] for p in parts])
                     for c in levels}, levels)
 
     def take(self, rows) -> "Register":
@@ -565,26 +565,31 @@ def _csv_cells(values) -> np.ndarray:
     return np.array(cells, dtype=object)
 
 
-def write_admin_csv(path, register: Register, more_columns=(), more_cells=None):
+def write_admin_csv(path, register: Register, more=None):
     """Write the register in the canonical column order (round-trips via parse_admin).
 
-    The bytes are csv.writer's, but each level is quoted once, not once per
-    row.  more_columns follow the register's; more_cells(rows) gives their
-    cells for a slice of rows, as text that needs no quoting.  Rows are
-    written BLOCK_ROWS at a time.
+    The bytes are csv.writer's, but each level is quoted once, not once per row.
+    more maps further columns to (cells, codes): each distinct cell, as text that
+    needs no quoting, and each row's index into them.  Each level's text carries
+    the separator after it; each block of BLOCK_ROWS rows is one join of its cells.
     """
-    text = {c: _csv_cells(map(str, register.levels[c])) for c in ADMIN_COLUMNS[1:]}
+    columns = {c: (_csv_cells(map(str, register.levels[c])), register.codes[c])
+               for c in ADMIN_COLUMNS[1:]} | (more or {})
+    ends = [","] * (len(columns) - 1) + ["\r\n"]
+    text = [(np.array(cells, dtype=object) + end, codes)
+            for (cells, codes), end in zip(columns.values(), ends)]
     with atomic_open(path) as f:
-        csv.writer(f).writerow(ADMIN_COLUMNS + list(more_columns))
+        csv.writer(f).writerow(ADMIN_COLUMNS[:1] + list(columns))
         for start in range(0, len(register), BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
             keys = register.link_key[rows]
             if _QUOTED.search("".join(keys)):
                 keys = _csv_cells(keys)
-            cells = [keys] + [text[c][register.codes[c][rows]] for c in ADMIN_COLUMNS[1:]]
-            if more_cells is not None:
-                cells += more_cells(rows)
-            f.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+            table = np.empty((len(keys), len(columns) + 2), dtype=object)  # row-major
+            table[:, 0], table[:, 1] = keys, ","
+            for j, (cells, codes) in enumerate(text, start=2):
+                table[:, j] = cells[codes[rows]]
+            f.write("".join(table.ravel().tolist()))
 
 
 def write_survey_csv(path, records: list[SurveyRecord]):

@@ -99,25 +99,21 @@ def write_bias_plot(path, table: dict):
 
 
 _MEMBERSHIP_COLUMNS = ["delta", "kind", "provenance", "predicted_score"]
-_DIGITS = np.array([str(d) for d in range(10)], dtype=object)
+_DIGITS = [str(d) for d in range(10)]
 
 
 def write_expanded_csv(path, expanded: Expanded):
     """Original register columns plus delta, kind, provenance, predicted_score;
     each distinct predicted score is formatted once, and each row looks its cell up."""
-    provenance_text = np.array(PROVENANCES, dtype=object)
     predicted = expanded.provenance == PROVENANCES.index("predicted")
     # np.unique merges -0.0 into 0.0, which no model emits: logistic scores are
     # clipped to [1e-12, 1 - 1e-12] and forest vote shares are >= +0.0
     distinct, index = np.unique(expanded.score[predicted], return_inverse=True)
-    scores = np.full(len(predicted), "", dtype=object)
-    scores[predicted] = np.array([_fmt(s) for s in distinct.tolist()], dtype=object)[index]
-
-    def membership_cells(rows):
-        return [_DIGITS[expanded.delta[rows]], _DIGITS[expanded.kind[rows]],
-                provenance_text[expanded.provenance[rows]], scores[rows]]
-
-    write_admin_csv(path, expanded.register, _MEMBERSHIP_COLUMNS, membership_cells)
+    scores = np.full(len(predicted), len(distinct))  # the empty cell, after the scores
+    scores[predicted] = index
+    write_admin_csv(path, expanded.register, dict(zip(_MEMBERSHIP_COLUMNS, [
+        (_DIGITS, expanded.delta), (_DIGITS, expanded.kind), (PROVENANCES, expanded.provenance),
+        ([_fmt(s) for s in distinct.tolist()] + [""], scores)])))
 
 
 def _allowed() -> np.ndarray:

@@ -21,10 +21,12 @@ import numpy as np
 from .errors import DataError
 from .features import NAME_FLAG, FeatureSchema, encode_columns, encode_matrix, feature_layout
 from .ingest import (
+    ADMIN_COLUMNS,
     NameFrequencyTable,
     Register,
     SurveyRecord,
     atomic_open,
+    code_dtype,
     read_csv,
     write_admin_csv,
     write_name_table,
@@ -263,9 +265,9 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
                         config.common_name_share_migrant) / 100.0
     common = rng.random(n) < p_common
 
-    X = encode_columns({**drawn, NAME_FLAG: np.unique(common, return_inverse=True),
-                        "years_enrolled": np.unique(years, return_inverse=True),
-                        "ects_earned": np.unique(ects, return_inverse=True)},
+    numerics = {c: np.unique(v, return_inverse=True) for c, v in
+                [("years_enrolled", years), ("ects_earned", ects)]}
+    X = encode_columns({**drawn, NAME_FLAG: np.unique(common, return_inverse=True), **numerics},
                        _generating_schema(config))
     beta = np.array([config.signal[c] for c in SIGNAL_COLUMNS])
     eta_slope = X @ beta
@@ -284,20 +286,22 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     cit = np.where(np.isin(kind, [0, 1, 3]), 1, 0)
 
     # given names consistent with the common-name flag and the reference table
-    names = np.empty(n, dtype=object)
-    common_pool = np.array(_COMMON_NAMES, dtype=object)
-    rare_pool = np.array(_RARE_LISTED_NAMES + _RARE_UNLISTED_NAMES, dtype=object)
-    names[common] = rng.choice(common_pool, size=int(common.sum()))
-    names[~common] = rng.choice(rare_pool, size=int((~common).sum()))
+    rare_names = _RARE_LISTED_NAMES + _RARE_UNLISTED_NAMES
+    name_codes = np.empty(n, dtype=int)
+    name_codes[common] = rng.choice(len(_COMMON_NAMES), size=int(common.sum()))
+    name_codes[~common] = len(_COMMON_NAMES) + rng.choice(len(rare_names),
+                                                          size=int((~common).sum()))
 
     keys = [f"S{i:06d}" for i in range(n)]
-    admin = Register.from_columns({
-        "link_key": keys, "given_name": names,
-        "birth_country": np.where(bp == 1, "IT", "XX"),
-        "citizenship_country": np.where(cit == 1, "IT", "XX"),
-        **{var: levels[codes] for var, (levels, codes) in drawn.items()},
-        "enrollment_year": 2022 - years, "years_enrolled": years, "ects_earned": ects,
-    })
+    year_levels, year_codes = numerics["years_enrolled"]
+    countries = np.array(["XX", "IT"])
+    columns = {"given_name": (np.array(_COMMON_NAMES + rare_names), name_codes),
+               "birth_country": (countries, bp), "citizenship_country": (countries, cit),
+               "enrollment_year": (2022 - year_levels, year_codes), **drawn, **numerics}
+    admin = Register(np.array(keys, dtype=object), {}, {})
+    for c in ADMIN_COLUMNS[1:]:  # each column's drawn levels and codes, narrowed as parsed
+        levels, codes = columns[c]
+        admin.codes[c], admin.levels[c] = codes.astype(code_dtype(len(levels))), levels.tolist()
 
     # opt-in selection with known level offsets; exact counts per stratum
     offsets = np.zeros(n)

@@ -123,9 +123,19 @@ def parse_admin_rows(path, reject_path) -> list[AdminRecord]:
     return records
 
 
+def register_from_columns(columns: dict) -> Register:
+    """A register from one sequence of standardized values per admin column, each
+    column coded by a Coder, as parse_admin codes the columns of a block."""
+    coders = {c: Coder() for c in ADMIN_COLUMNS[1:]}
+    return Register(np.asarray(columns["link_key"], dtype=object),
+                    {c: coder.code(np.asarray(columns[c], dtype=object))
+                     for c, coder in coders.items()},
+                    {c: coder.levels for c, coder in coders.items()})
+
+
 def register_of(records):
     """A Register from objects with one attribute per admin column."""
-    return Register.from_columns({c: [getattr(r, c) for r in records] for c in ADMIN_COLUMNS})
+    return register_from_columns({c: [getattr(r, c) for r in records] for c in ADMIN_COLUMNS})
 
 
 def decoded(register, column) -> list:
@@ -137,6 +147,17 @@ def register_rows(register) -> list[AdminRecord]:
     """A Register decoded back into one AdminRecord per row."""
     columns = [register.link_key.tolist()] + [decoded(register, c) for c in ADMIN_COLUMNS[1:]]
     return [AdminRecord(*values) for values in zip(*columns)]
+
+
+def narrowed(codes) -> np.ndarray:
+    """codes in the first of int8, int16 and int32 that holds them all.
+
+    A column's codes run from -(its error count) to its level count - 1, each
+    value taken by some row, so this is the type Coder.code narrows them to.
+    """
+    lo, hi = codes.min(initial=0), codes.max(initial=0)
+    return codes.astype(next(t for t in (np.int8, np.int16, np.int32)
+                             if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max))
 
 
 _INT_FIELDS = ("enrollment_year", "years_enrolled", "ects_earned")
@@ -185,8 +206,9 @@ def read_expanded_rows(path) -> Expanded:
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         lines[key] = lineno
-    codes = np.array(codes, dtype=np.int32).reshape(-1, len(coders)).T
+    codes = np.array(codes, dtype=np.int64).reshape(-1, len(coders)).T
     delta, kind, provenance, score = np.array(found).reshape(-1, 4).T
-    register = Register(np.array(list(lines), dtype=object), dict(zip(coders, codes)),
+    register = Register(np.array(list(lines), dtype=object),
+                        {c: narrowed(a) for c, a in zip(coders, codes)},
                         {c: coder.levels for c, coder in coders.items()})
     return Expanded(register, *(a.astype(np.int8) for a in (delta, kind, provenance)), score)

@@ -160,7 +160,56 @@ def test_register_codes_each_distinct_value_once(tmp_path):
         reg = parse_admin(path)
     assert sorted(calls) == ["F", "M"]
     assert reg.levels["gender"] == ["M", "F"]  # in order of first appearance
-    assert reg.codes["gender"].dtype == np.int32
+    assert reg.codes["gender"].dtype == np.int8
+
+
+@pytest.mark.parametrize("n_names, itemsize", [(128, 1), (129, 2), (257, 2)])
+def test_codes_widen_when_a_later_block_brings_a_new_level(tmp_path, monkeypatch,
+                                                           n_names, itemsize):
+    """A column's codes take one byte up to 128 levels; the block that brings the next
+    one codes it in two, and the concatenation widens the earlier blocks' codes."""
+    monkeypatch.setattr(hiddenpop.ingest, "BLOCK_ROWS", 50)
+    names = [f"name{i}" for i in range(n_names)] * 2  # the last new name is in block 3 or later
+    path = tmp_path / "admin.csv"
+    write_admin_csv(path, register_of([make_admin(f"S{i}", given_name=name)
+                                       for i, name in enumerate(names)]))
+    block_widths = []
+    code = hiddenpop.ingest.Coder.code
+
+    def recording(coder, values):
+        codes = code(coder, values)
+        if coder.standardize is str.strip:  # the given_name coder
+            block_widths.append(codes.itemsize)
+        return codes
+
+    with mock.patch.object(hiddenpop.ingest.Coder, "code", recording):
+        reg = parse_admin(path)
+    assert reg.codes["given_name"].itemsize == itemsize
+    assert block_widths[0] == 1 and block_widths[-1] == itemsize
+    assert decoded(reg, "given_name") == names
+    assert reg.codes["given_name"].tolist() == list(range(n_names)) * 2
+
+
+def test_a_block_with_a_rejected_row_codes_it_negative_and_drops_it(tmp_path, monkeypatch):
+    """The rejected row's error code is negative, so its block's codes are signed; every
+    block's are, so dropping the row leaves the columns one byte wide."""
+    coder = hiddenpop.ingest.Coder(hiddenpop.ingest.standardize_gender)
+    codes = coder.code(["F", "?", "M", "?"])
+    assert codes.dtype == np.int8 and codes.tolist() == [0, -1, 1, -1]
+    monkeypatch.setattr(hiddenpop.ingest, "BLOCK_ROWS", 4)
+    path = tmp_path / "admin.csv"
+    write_admin_csv(path, register_of([make_admin(f"S{i}", gender="?" if i == 5 else "MF"[i % 2])
+                                       for i in range(40)]))
+    reg = parse_admin(path)
+    assert "S5" not in reg.link_key.tolist() and len(reg) == 39
+    assert decoded(reg, "gender") == ["MF"[i % 2] for i in range(40) if i != 5]
+    assert {c: a.dtype for c, a in reg.codes.items()} == dict.fromkeys(ADMIN_COLUMNS[1:], np.int8)
+
+
+def test_a_synthetic_register_parses_to_one_byte_per_cell(small_inputs):
+    """Every column of a seed-3 bundle has at most 128 levels: one byte per code."""
+    admin = small_inputs[0]
+    assert sum(a.itemsize for a in admin.codes.values()) == len(ADMIN_COLUMNS[1:]) == 10
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 512])

@@ -16,7 +16,7 @@ from hiddenpop.errors import DataError
 from hiddenpop.eval import ConfusionMatrix, CvResult, MetricsReport, RocCurve, evaluate, roc
 from hiddenpop.expand import PROVENANCES, BiasReport, DistributionTable, Expanded
 from hiddenpop.expand import expand_dataset, impute_pa, tabulate_population
-from hiddenpop.ingest import (ADMIN_COLUMNS, ITALY, NameFrequencyTable, Register, SurveyRecord,
+from hiddenpop.ingest import (ADMIN_COLUMNS, ITALY, NameFrequencyTable, SurveyRecord,
                               parse_admin, write_admin_csv, write_name_table, write_survey_csv)
 from hiddenpop.models.io import load_model, save_model
 from hiddenpop.models import ImportanceReport, fit_logistic, fit_forest
@@ -36,7 +36,7 @@ from hiddenpop.report import (
     write_roc_csv,
 )
 
-from register_reference import register_of, register_rows
+from register_reference import register_from_columns, register_of, register_rows
 from test_ingest import make_admin
 
 
@@ -282,7 +282,7 @@ def test_register_writers_quote_as_csv_writer(tmp_path, monkeypatch):
     predicted = [i % 3 != 1 for i in range(n)]
     for c in ("birth_country", "citizenship_country"):
         columns[c] = [ITALY if p else v for v, p in zip(columns[c], predicted)]
-    register = Register.from_columns(columns)
+    register = register_from_columns(columns)
     rows = [[str(columns[c][i]) for c in ADMIN_COLUMNS] for i in range(n)]
     write_admin_csv(tmp_path / "admin.csv", register)
     assert (tmp_path / "admin.csv").read_bytes() == _csv_writer_bytes(ADMIN_COLUMNS, rows)
