@@ -6,7 +6,9 @@ Provenance of each record's membership:
 
 * ``exact``     — determined by the register's own bp/cit indicators
 * ``linked``    — pa observed via the survey linkage
-* ``predicted`` — pa imputed by a fitted classifier (score retained)
+* ``predicted`` — pa imputed by a fitted classifier, which scores each distinct
+  covariate pattern once; the score is kept like a register column, as the
+  distinct scores and each row's index into them
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from .domain import KIND_LABELS, MEMBERSHIP, PA_UNOBSERVED, BackgroundKind
 from .errors import DataError, HiddenPopError, SchemaMismatch
-from .features import FeatureSchema, encode_matrix
-from .ingest import LinkedDataset, NameFrequencyTable, Register
+from .features import FeatureSchema, distinct_rows, encode_matrix, level_codes
+from .ingest import LinkedDataset, NameFrequencyTable, Register, code_dtype
 from .models import ForestModel, LogisticModel, predict_forest, predict_logistic
 
 log = logging.getLogger(__name__)
@@ -30,14 +32,17 @@ _EXACT, _LINKED, _PREDICTED = range(3)
 
 @dataclass
 class Imputations:
-    """The imputed pa of the unlinked (bp,cit)=(1,1) register rows."""
+    """The imputed pa of the unlinked (bp,cit)=(1,1) register rows, and their scores, coded."""
 
-    rows: np.ndarray    # register rows
-    pa: np.ndarray      # 0 where the score exceeds the threshold, else 1
-    scores: np.ndarray  # the model's P(pa=0) under the case-control training mix
+    rows: np.ndarray          # register rows
+    pa: np.ndarray            # 0 where the score exceeds the threshold, else 1
+    score_levels: np.ndarray  # the model's P(pa=0) under the case-control training mix
+    score_codes: np.ndarray   # each row's index into score_levels
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    scores = property(lambda self: self.score_levels[self.score_codes], doc="Each row's score.")
 
 
 @dataclass
@@ -47,11 +52,18 @@ class Expanded:
     register: Register
     delta: np.ndarray
     kind: np.ndarray
-    provenance: np.ndarray  # index into PROVENANCES
-    score: np.ndarray       # the imputation score of "predicted" rows, NaN elsewhere
+    provenance: np.ndarray    # index into PROVENANCES
+    score_levels: np.ndarray  # the distinct imputation scores, NaN for none
+    score_codes: np.ndarray = None  # each row's index into score_levels; by default, its row
+
+    def __post_init__(self):  # without codes, score_levels holds one score per row
+        if self.score_codes is None:
+            self.score_codes = np.arange(len(self.score_levels))
 
     def __len__(self) -> int:
         return len(self.register)
+
+    score = property(lambda self: self.score_levels[self.score_codes], doc="Each row's score.")
 
 
 def predict_scores(model, X: np.ndarray) -> np.ndarray:
@@ -69,7 +81,8 @@ def impute_pa(model, schema: FeatureSchema, admin: Register, name_table: NameFre
     The score is the model's P(pa=0) under the case-control training mix, not
     a population probability; pa_hat = 0 when the score exceeds the threshold
     (score exactly at the threshold resolves to pa_hat=1, the same tie rule
-    classification uses everywhere else).
+    classification uses everywhere else).  Rows alike in every predictor group
+    share a covariate pattern, which is encoded and scored once.
     """
     if model.width != schema.width:
         raise SchemaMismatch(
@@ -78,13 +91,21 @@ def impute_pa(model, schema: FeatureSchema, admin: Register, name_table: NameFre
     target = (admin.bp == 1) & (admin.cit == 1)
     target[np.asarray(linked_rows, dtype=np.intp)] = False
     rows = np.flatnonzero(target)
-    if not len(rows):
-        return Imputations(rows, np.empty(0, dtype=np.int8), np.empty(0))
-    scores = predict_scores(model, encode_matrix(admin.take(rows), schema, name_table))
-    pa = np.where(scores > threshold, 0, 1).astype(np.int8)
+    if not len(rows):  # no pa, no scores, no codes
+        return Imputations(rows, np.empty(0, dtype=np.int8), np.empty(0), rows)
+    groups = level_codes(admin, name_table, rows)
+    first, inverse = distinct_rows([codes for _levels, codes in groups.values()])
+    X = encode_matrix({group: (levels, codes[first]) for group, (levels, codes) in groups.items()},
+                      schema, np.bincount(inverse))
+    try:
+        scores = predict_scores(model, X)
+    except OverflowError:  # raised again from the rows, so that the message counts them
+        predict_scores(model, X[inverse])
+        raise
+    pa = np.where(scores > threshold, 0, 1).astype(np.int8)[inverse]
     log.info("imputed pa for %d records (%.1f%% predicted pa=0)",
              len(rows), 100 * np.mean(pa == 0))
-    return Imputations(rows, pa, scores)
+    return Imputations(rows, pa, scores, inverse)
 
 
 def expand_dataset(admin: Register, linked: LinkedDataset, imputations: Imputations) -> Expanded:
@@ -100,14 +121,15 @@ def expand_dataset(admin: Register, linked: LinkedDataset, imputations: Imputati
     inside = (bp == 1) & (cit == 1)
     pa = np.full(len(admin), PA_UNOBSERVED, dtype=np.int8)
     provenance = np.full(len(admin), _PREDICTED, dtype=np.int8)
-    score = np.full(len(admin), np.nan)
-    pa[imputations.rows], score[imputations.rows] = imputations.pa, imputations.scores
+    unscored = len(imputations.score_levels)  # the NaN level, after the scores
+    score = np.full(len(admin), unscored, dtype=code_dtype(unscored + 1))
+    pa[imputations.rows], score[imputations.rows] = imputations.pa, imputations.score_codes
     pa[~inside], provenance[~inside] = PA_UNOBSERVED, _EXACT
     rows, observed = linked.rows, np.array([s.pa_observed for s in linked.survey], dtype=np.intp)
     decides = (MEMBERSHIP[bp[rows], cit[rows], observed]
                != MEMBERSHIP[bp[rows], cit[rows], PA_UNOBSERVED]).any(axis=1)
     pa[rows[decides]], provenance[rows[decides]] = observed[decides], _LINKED
-    score[provenance != _PREDICTED] = np.nan
+    score[provenance != _PREDICTED] = unscored
     order = np.argsort(admin.link_key, kind="stable")
     delta, kind = MEMBERSHIP[bp[order], cit[order], pa[order]].T
     if (kind < 0).any():
@@ -115,7 +137,8 @@ def expand_dataset(admin: Register, linked: LinkedDataset, imputations: Imputati
         raise HiddenPopError(
             f"record {key!r} has (bp,cit)=(1,1) but neither a linked nor an imputed pa"
         )
-    return Expanded(admin.take(order), delta, kind, provenance[order], score[order])
+    return Expanded(admin.take(order), delta, kind, provenance[order],
+                    np.append(imputations.score_levels, np.nan), score[order])
 
 
 @dataclass

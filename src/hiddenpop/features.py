@@ -143,18 +143,33 @@ def feature_layout(moments: dict) -> list[Column]:
     return columns
 
 
-def _level_codes(register: Register, name_table) -> dict:
-    """Column group -> (levels, codes), the group's values and each row's index into
-    them; the name flag is computed once per distinct given name present."""
-    names, codes = register.levels["given_name"], register.codes["given_name"]
-    common = np.zeros(len(names), dtype=bool)
+def level_codes(register: Register, name_table, rows=slice(None)) -> dict:
+    """Column group -> (levels, codes), the group's values and each given row's index
+    into them; the name flag is computed once per distinct given name present."""
+    names, codes = register.levels["given_name"], register.codes["given_name"][rows]
+    common = np.zeros(len(names), dtype=np.int8)
     for i in np.flatnonzero(np.bincount(codes, minlength=len(names))):
         common[i] = is_common_name(names[i], name_table)
-    groups = {source: (np.array(register.levels[source], dtype=object), register.codes[source])
-              for source, _, _ in _CATEGORICALS}
-    groups[NAME_FLAG] = (common, codes)
+    groups = {source: (np.array(register.levels[source], dtype=object),
+                       register.codes[source][rows]) for source, _, _ in _CATEGORICALS}
+    groups[NAME_FLAG] = (np.array([False, True]), common[codes])
     return groups | {source: (np.array(register.levels[source], dtype=float),
-                              register.codes[source]) for source in _NUMERICS}
+                              register.codes[source][rows]) for source in _NUMERICS}
+
+
+def distinct_rows(columns):
+    """(first, inverse): a row index per distinct row of the table with these columns, and
+    each row's index into first; a lexsort groups equal rows, copying one column at a time."""
+    order = np.lexsort(columns)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        sorted_column = column[order]
+        new[1:] |= sorted_column[1:] != sorted_column[:-1]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new)
+    inverse -= 1
+    return order[new], inverse
 
 
 def build_schema(register: Register, name_table: NameFrequencyTable) -> FeatureSchema:
@@ -166,7 +181,7 @@ def build_schema(register: Register, name_table: NameFrequencyTable) -> FeatureS
     """
     if not len(register):
         raise DataError("no linked records with bp=cit=1 to train on")
-    groups = _level_codes(register, name_table)
+    groups = level_codes(register, name_table)
     observed = {group: set(levels[np.bincount(codes, minlength=len(levels)) > 0].tolist())
                 for group, (levels, codes) in groups.items()}
     dropped = [group for group in groups if len(observed[group]) < 2]
@@ -183,22 +198,21 @@ def build_schema(register: Register, name_table: NameFrequencyTable) -> FeatureS
     return FeatureSchema(columns=columns, dropped=dropped)
 
 
-def encode_columns(groups: dict, schema: FeatureSchema) -> np.ndarray:
-    """Encode per-group level codes into the schema's columns, one column at a time.
+def encode_matrix(groups: dict, schema: FeatureSchema, counts=None) -> np.ndarray:
+    """Encode per-group level codes into the schema's columns, one row per code.
 
-    groups maps each column group to (levels, codes), an array of its distinct
-    values and each row's index into it; a column is computed once per level
-    and indexed by the codes.  Category levels unseen at schema build fall back
-    to the reference level (all-zero dummies), with a warning naming the level
-    and its row count; each unknown level is counted once, not per row.
+    groups maps each column group to (levels, codes), as level_codes gives them; a column
+    is computed once per level and indexed by the codes.  Category levels unseen at
+    schema build fall back to the reference level (all-zero dummies), with one warning
+    naming the level and its register rows, row r standing for counts[r] (1 by default).
     """
     n = len(next(iter(groups.values()))[1])
     X = np.empty((n, schema.width))
     for source, reference, _ in _CATEGORICALS:
         encoded = {c.level for c in schema.columns if c.group == source}
         levels, codes = groups[source]
-        counts = np.bincount(codes, minlength=len(levels)).tolist()
-        for value, count in sorted(zip(levels.tolist(), counts)):
+        rows = np.bincount(codes, counts, minlength=len(levels)).astype(int).tolist()
+        for value, count in sorted(zip(levels.tolist(), rows)):
             if encoded and count and value not in encoded | {reference}:
                 log.warning("unknown %s level %r mapped to reference (%d rows)",
                             source, value, count)
@@ -211,14 +225,6 @@ def encode_columns(groups: dict, schema: FeatureSchema) -> np.ndarray:
         else:
             X[:, i] = levels[codes]
     return X
-
-
-def encode_matrix(register: Register, schema: FeatureSchema,
-                  name_table: NameFrequencyTable) -> np.ndarray:
-    """Encode the register's rows into the schema's column order, one row each."""
-    if not len(register):
-        return np.empty((0, schema.width))
-    return encode_columns(_level_codes(register, name_table), schema)
 
 
 def assemble_training_set(linked: LinkedDataset, schema: FeatureSchema,
@@ -238,7 +244,7 @@ def assemble_training_set(linked: LinkedDataset, schema: FeatureSchema,
     if y.min() == y.max():
         raise DataError(f"training labels are all {y[0]}")
     register = linked.register.take(rows[order])
-    X = encode_matrix(register, schema, name_table)
+    X = encode_matrix(level_codes(register, name_table), schema)
     log.info("training set: %d rows, %.1f%% positive (pa=0)", len(y), 100 * y.mean())
     return LabeledDataset(X=X, y=y, row_ids=register.link_key.tolist())
 

@@ -356,6 +356,17 @@ def read_csv(path, required):
             yield lineno, dict(zip(header, row))
 
 
+def first_repeat(keys, line, hashes):
+    """(i, reason) for the first row i whose key an earlier row holds, or None.  Only
+    rows whose hash another row shares are compared, exactly and in row order."""
+    ordered = np.sort(hashes)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]  # each hash that two rows or more hold
+    first = {}
+    for i in np.flatnonzero(np.isin(hashes, shared)).tolist():
+        if first.setdefault(keys[i], i) != i:
+            return i, f"link_key {keys[i]!r} already on line {line[first[keys[i]]]}"
+
+
 def read_register(path, coders, *, strip=True, keep=None, check=None):
     """The rows of a CSV file: link_key, stripped if strip, and each coders column, coded.
 
@@ -378,11 +389,9 @@ def read_register(path, coders, *, strip=True, keep=None, check=None):
     finally:
         register = Register.concat(parts, levels)
         line = np.concatenate([np.empty(0, dtype=int)] + lines)
-        keys, first = register.link_key.tolist(), {}
-        faults = [check(register, coders)] if check else []
-        if len(set(keys)) < len(keys):  # a repeat goes first on its line
-            i = next(i for i, key in enumerate(keys) if first.setdefault(key, i) != i)
-            faults.insert(0, (i, f"link_key {keys[i]!r} already on line {line[first[keys[i]]]}"))
+        keys = register.link_key
+        faults = [first_repeat(keys, line, np.fromiter(map(hash, keys), np.int64, len(keys))),
+                  check(register, coders) if check else None]  # a repeat goes first on its line
         fault = min(filter(None, faults), key=lambda fault: fault[0], default=None)
         if fault:
             raise DataError(f"{path}:{line[fault[0]]}: {fault[1]}")

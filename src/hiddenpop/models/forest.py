@@ -55,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..features import design_matrix
+from ..features import design_matrix, distinct_rows
 
 log = logging.getLogger(__name__)
 
@@ -380,9 +380,9 @@ def fit_forest(data, *, n_trees: int = 500, seed: int = 0) -> ForestModel:
     model.trees = _assemble_trees(n_nodes, roots, records)
 
     # OOB votes: the distinct training rows are scored once, by every tree
-    distinct, inverse = _distinct_rows(X)
-    positive = np.empty((len(distinct), n_trees), dtype=bool)
-    for lo, hi, t0, t1, vote in model.leaf_tables.votes(distinct):
+    first, inverse = distinct_rows(X.T)
+    positive = np.empty((len(first), n_trees), dtype=bool)
+    for lo, hi, t0, t1, vote in model.leaf_tables.votes(X[first]):
         positive[lo:hi, t0:t1] = vote
     positive = positive[inverse].T
     votes = np.column_stack([(oob & ~positive).sum(axis=0), (oob & positive).sum(axis=0)]
@@ -394,23 +394,6 @@ def fit_forest(data, *, n_trees: int = 500, seed: int = 0) -> ForestModel:
         model.oob_error = float(np.mean(oob_pred[voted] != y[voted]))
     log.info("forest: %d trees, mtry=%d, OOB error %.4f", n_trees, model.mtry, model.oob_error)
     return model
-
-
-def _distinct_rows(X):
-    """(distinct rows, inverse) with X == distinct[inverse] under `==`.
-
-    A lexsort brings equal rows together; unlike np.unique(axis=0) it copies
-    no more than one column at a time.
-    """
-    order = np.lexsort(X.T)
-    new = np.zeros(len(X), dtype=bool)
-    new[:1] = True
-    for column in X.T:
-        sorted_column = column[order]
-        new[1:] |= sorted_column[1:] != sorted_column[:-1]
-    inverse = np.empty(len(X), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return X[order[new]], inverse
 
 
 def _table_bytes(trees):
@@ -557,9 +540,9 @@ def predict_forest(model: ForestModel, X) -> np.ndarray:
     that compare equal take every split alike.
     """
     X = design_matrix(X, model.n_features)
-    distinct, inverse = _distinct_rows(X)
-    votes = np.zeros(len(distinct))
-    for lo, hi, _t0, _t1, vote in model.leaf_tables.votes(distinct):
+    first, inverse = distinct_rows(X.T)
+    votes = np.zeros(len(first))
+    for lo, hi, _t0, _t1, vote in model.leaf_tables.votes(X[first]):
         votes[lo:hi] += vote.sum(axis=1)
     return votes[inverse] / model.n_trees
 

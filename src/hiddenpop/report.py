@@ -103,17 +103,13 @@ _DIGITS = [str(d) for d in range(10)]
 
 
 def write_expanded_csv(path, expanded: Expanded):
-    """Original register columns plus delta, kind, provenance, predicted_score;
-    each distinct predicted score is formatted once, and each row looks its cell up."""
+    """Original register columns plus delta, kind, provenance, predicted_score; each distinct
+    score is formatted once, and a row that is not predicted takes the empty cell after them."""
     predicted = expanded.provenance == PROVENANCES.index("predicted")
-    # np.unique merges -0.0 into 0.0, which no model emits: logistic scores are
-    # clipped to [1e-12, 1 - 1e-12] and forest vote shares are >= +0.0
-    distinct, index = np.unique(expanded.score[predicted], return_inverse=True)
-    scores = np.full(len(predicted), len(distinct))  # the empty cell, after the scores
-    scores[predicted] = index
+    scores = [_fmt(s) for s in expanded.score_levels.tolist()] + [""]
     write_admin_csv(path, expanded.register, dict(zip(_MEMBERSHIP_COLUMNS, [
         (_DIGITS, expanded.delta), (_DIGITS, expanded.kind), (PROVENANCES, expanded.provenance),
-        ([_fmt(s) for s in distinct.tolist()] + [""], scores)])))
+        (scores, np.where(predicted, expanded.score_codes, len(scores) - 1))])))
 
 
 def _allowed() -> np.ndarray:
@@ -172,12 +168,9 @@ def read_expanded_csv(path) -> Expanded:
                   provenance=Coder(None, PROVENANCES),
                   predicted_score=Coder(lambda cell: float(cell) if cell else None, [None]))
     register = read_register(path, coders, strip=False, check=_first_fault)
-    levels, codes = register.levels, register.codes
-    score = np.array(levels["predicted_score"], dtype=float)[codes["predicted_score"]]
-    delta, kind, provenance = (codes[c].astype(np.int8) for c in _MEMBERSHIP_COLUMNS[:3])
-    for c in _MEMBERSHIP_COLUMNS:
-        del levels[c], codes[c]
-    return Expanded(register, delta, kind, provenance, score)
+    codes = [register.codes.pop(c) for c in _MEMBERSHIP_COLUMNS]
+    scores = np.array([register.levels.pop(c) for c in _MEMBERSHIP_COLUMNS][-1], dtype=float)
+    return Expanded(register, *(a.astype(np.int8) for a in codes[:3]), scores, codes[3])
 
 
 def write_correlation_csv(path, corr: dict):

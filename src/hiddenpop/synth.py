@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .features import NAME_FLAG, FeatureSchema, encode_columns, encode_matrix, feature_layout
+from .features import NAME_FLAG, FeatureSchema, encode_matrix, feature_layout, level_codes
 from .ingest import (
     ADMIN_COLUMNS,
     NameFrequencyTable,
@@ -267,8 +267,8 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
 
     numerics = {c: np.unique(v, return_inverse=True) for c, v in
                 [("years_enrolled", years), ("ects_earned", ects)]}
-    X = encode_columns({**drawn, NAME_FLAG: np.unique(common, return_inverse=True), **numerics},
-                       _generating_schema(config))
+    X = encode_matrix({**drawn, NAME_FLAG: np.unique(common, return_inverse=True), **numerics},
+                      _generating_schema(config))
     beta = np.array([config.signal[c] for c in SIGNAL_COLUMNS])
     eta_slope = X @ beta
     target_pa0 = shares[1] / (shares[0] + shares[1])
@@ -360,7 +360,7 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
 def generating_design(records: Register, table: NameFrequencyTable,
                       config: SynthConfig) -> np.ndarray:
     """Re-encode register rows exactly as the generating model saw them."""
-    return encode_matrix(records, _generating_schema(config), table)
+    return encode_matrix(level_codes(records, table), _generating_schema(config))
 
 
 def load_truth(path) -> dict:

@@ -1,5 +1,7 @@
 """Register expansion, tabulation and the selection-bias report."""
 
+import functools
+import logging
 import tempfile
 from pathlib import Path
 
@@ -17,15 +19,16 @@ from hiddenpop.expand import (
     bias_report,
     expand_dataset,
     impute_pa,
+    predict_scores,
     tabulate_population,
 )
-from hiddenpop.features import build_schema
+from hiddenpop.features import build_schema, encode_matrix, level_codes
 from hiddenpop.ingest import NameFrequencyTable, SurveyRecord, link
-from hiddenpop.models import fit_logistic
+from hiddenpop.models import fit_forest, fit_logistic, predict_logistic
 from hiddenpop.features import LabeledDataset
 from hiddenpop.report import read_expanded_csv, write_expanded_csv
 
-from register_reference import register_of
+from register_reference import read_expanded_rows, register_of
 from test_ingest import make_admin
 
 TABLE = NameFrequencyTable({"maria": 100, "giuseppe": 80, "tecla": 2})
@@ -39,8 +42,7 @@ def fitted_model_and_schema():
         make_admin("T4", given_name="tecla", gender="M", years_enrolled=5),
     ])
     schema = build_schema(records, TABLE)
-    from hiddenpop.features import encode_matrix
-    X = encode_matrix(records, schema, TABLE)
+    X = encode_matrix(level_codes(records, TABLE), schema)
     y = np.array([0, 1, 0, 1])
     data = LabeledDataset(X=X, y=y, row_ids=records.link_key.tolist())
     return fit_logistic(data), schema
@@ -64,6 +66,108 @@ def test_impute_targets_only_unlinked_native_records():
     assert score <= 0.5 and pa_hat == 1
 
 
+def _per_row_scores(model, schema, register):
+    """The scores of encoding and scoring every row, the reference for impute_pa."""
+    return predict_scores(model, encode_matrix(level_codes(register, TABLE), schema))
+
+
+def _warnings(run):
+    """run()'s result and the messages hiddenpop.features logged meanwhile."""
+    records, handler, log = [], logging.Handler(), logging.getLogger("hiddenpop.features")
+    handler.emit = records.append
+    log.addHandler(handler)
+    try:
+        return run(), [r.getMessage() for r in records]
+    finally:
+        log.removeHandler(handler)
+
+
+@functools.cache
+def _schema_and_models():
+    """Trained without student_worker, not_available or a second course level, so that
+    those employment levels are unknown to the schema and course_level is dropped."""
+    train = register_of([
+        make_admin(f"T{i:02d}", gender="FM"[i % 2],
+                   employment=("student", "worker_student")[i % 3 == 0],
+                   given_name=("maria", "tecla", "amira")[i % 3], years_enrolled=1 + i % 4,
+                   ects_earned=10 * (i % 5))
+        for i in range(16)])
+    schema = build_schema(train, TABLE)
+    assert schema.dropped == ["course_level"]
+    data = LabeledDataset(X=encode_matrix(level_codes(train, TABLE), schema),
+                          y=np.array([i % 4 in (0, 3) for i in range(16)], dtype=int),
+                          row_ids=train.link_key.tolist())
+    return schema, (fit_logistic(data), fit_forest(data, n_trees=9, seed=2))
+
+
+# a covariate pattern: gender, employment, course level, given name, years, ECTS
+_PATTERN = st.tuples(st.sampled_from("FM"),
+                     st.sampled_from(["student", "worker_student", "student_worker",
+                                      "not_available"]),
+                     st.sampled_from(["bachelor", "master"]),
+                     st.sampled_from(["maria", "tecla", "amira", "giuseppe"]),
+                     st.integers(1, 5), st.sampled_from([0, 20, 40]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_PATTERN, min_size=1, max_size=4).flatmap(lambda patterns: st.lists(
+    st.tuples(st.sampled_from(patterns), st.sampled_from(["IT", "XX"]), st.booleans()),
+    min_size=1, max_size=40)))
+def test_impute_scores_each_pattern_as_its_rows(rows):
+    """Rows (pattern, birth country, linked): impute_pa's scores and pa are those of
+    scoring every row's own encoding, and it warns of the same unknown-level row counts;
+    the expanded register reads back with the scores the row reference reads.
+
+    The forest's scores are equal bit for bit.  The logistic model's may differ in the
+    last bits, as BLAS sums a row's X @ w in an order that depends on the row's
+    position in the matrix: identical rows of one matrix can already differ there.
+    """
+    schema, models = _schema_and_models()
+    admin = register_of([
+        make_admin(f"S{i:02d}", gender=g, employment=e, course_level=c, given_name=n,
+                   years_enrolled=y, ects_earned=x, birth_country=country)
+        for i, ((g, e, c, n, y, x), country, _linked) in enumerate(rows)])
+    linked = link(admin, [SurveyRecord(f"S{i:02d}", True, i % 2)
+                          for i, (_pattern, _country, on) in enumerate(rows) if on])
+    target = [i for i, (_pattern, country, on) in enumerate(rows) if country == "IT" and not on]
+    for model, tolerance in zip(models, (1e-12, 0.0)):
+        out, warned = _warnings(lambda: impute_pa(model, schema, admin, TABLE,
+                                                  linked_rows=linked.rows))
+        assert out.rows.tolist() == target
+        if not target:
+            continue
+        want, want_warned = _warnings(lambda: _per_row_scores(model, schema, admin.take(target)))
+        np.testing.assert_allclose(out.scores, want, rtol=0, atol=tolerance)
+        assert np.array_equal(out.pa, np.where(out.scores > 0.5, 0, 1))
+        clear = np.abs(want - 0.5) > tolerance
+        assert np.array_equal(out.pa[clear], np.where(want > 0.5, 0, 1)[clear])
+        assert warned == want_warned
+        expanded = expand_dataset(admin, linked, out)
+        order = np.argsort(admin.link_key[out.rows])
+        assert np.array_equal(expanded.score[~np.isnan(expanded.score)], out.scores[order])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "expanded.csv"
+            write_expanded_csv(path, expanded)
+            np.testing.assert_array_equal(read_expanded_csv(path).score,
+                                          read_expanded_rows(path).score)
+
+
+def test_impute_overflow_counts_rows_not_patterns():
+    """Four rows share the one pattern whose linear predictor overflows."""
+    model, schema = fitted_model_and_schema()
+    model.weights[:] = 0.0
+    model.weights[[schema.names.index(c) for c in ("gender=M", "common_italian_name")]] = 1e308
+    rows = [("M", "maria")] * 4 + [("F", "maria")] * 2 + [("M", "tecla")]
+    admin = register_of([make_admin(f"S{i}", gender=gender, given_name=name)
+                         for i, (gender, name) in enumerate(rows)])
+    with pytest.raises(OverflowError) as want:
+        predict_logistic(model, encode_matrix(level_codes(admin, TABLE), schema))
+    assert "overflows on 4 rows" in str(want.value)
+    with pytest.raises(OverflowError) as got:
+        impute_pa(model, schema, admin, TABLE)
+    assert str(got.value) == str(want.value)
+
+
 def test_impute_schema_mismatch():
     model, schema = fitted_model_and_schema()
     model.weights = model.weights[:-1]
@@ -79,7 +183,7 @@ def test_expand_precedence_and_order():
     ])
     linked = link(admin, [SurveyRecord("S1", True, 0)])
     expanded = expand_dataset(admin, linked, Imputations(np.array([1]), np.array([1]),
-                                                         np.array([0.2])))
+                                                         np.array([0.2]), np.array([0])))
     assert expanded.register.link_key.tolist() == ["S1", "S2", "S3"]
     by_key = {k: i for i, k in enumerate(expanded.register.link_key)}
     provenance = [PROVENANCES[p] for p in expanded.provenance]
@@ -97,7 +201,8 @@ def test_linked_pa_1_decides_a_foreign_born_citizen():
     admin = register_of([make_admin("S1", birth_country="XX"), make_admin("S2", birth_country="XX"),
                          make_admin("S3", birth_country="XX")])
     linked = link(admin, [SurveyRecord("S1", True, 1), SurveyRecord("S2", True, 0)])
-    none = Imputations(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
+    empty = np.empty(0, dtype=int)
+    none = Imputations(empty, empty, np.empty(0), empty)
     expanded = expand_dataset(admin, linked, none)
     got = [(int(d), int(k), PROVENANCES[p])
            for d, k, p in zip(expanded.delta, expanded.kind, expanded.provenance)]
@@ -127,7 +232,7 @@ def test_expanded_rows_follow_the_membership_table_at_their_observed_triple(rows
                if not linked and (bp, cit) == (1, 1)]
     expanded = expand_dataset(admin, link(admin, survey), Imputations(
         np.array(imputed, dtype=np.intp), np.array([rows[i][0][2] for i in imputed]),
-        np.full(len(imputed), 0.25)))
+        np.array([0.25]), np.zeros(len(imputed), dtype=int)))
 
     assert expanded.register.link_key.tolist() == [f"S{i:02d}" for i in range(len(rows))]
     for ((bp, cit, pa), linked), delta, kind, provenance in zip(
@@ -149,7 +254,8 @@ def test_expanded_rows_follow_the_membership_table_at_their_observed_triple(rows
 
 def test_expand_coverage_gap():
     admin = register_of([make_admin("S1")])
-    none = Imputations(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
+    empty = np.empty(0, dtype=int)
+    none = Imputations(empty, empty, np.empty(0), empty)
     with pytest.raises(HiddenPopError, match="neither a linked nor an imputed pa"):
         expand_dataset(admin, link(admin, []), none)
 

@@ -35,7 +35,7 @@ def _expansion(rows, scores):
                if not linked and (bp, cit) == (1, 1)]
     return expand_dataset(admin, link(admin, survey), Imputations(
         np.array(imputed, dtype=np.intp), np.array([rows[i][0][2] for i in imputed]),
-        np.resize(np.array(scores), len(imputed))))
+        np.array(scores), np.arange(len(imputed)) % len(scores)))
 
 
 def _read(reader, path):

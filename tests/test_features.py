@@ -13,6 +13,7 @@ from hiddenpop.features import (
     correlation_report,
     encode_matrix,
     FeatureSchema,
+    level_codes,
 )
 from hiddenpop.ingest import NameFrequencyTable, SurveyRecord, is_common_name, link
 
@@ -70,7 +71,7 @@ def test_schema_drops_degenerate_features():
 def test_encode_values():
     records = varied_records()
     schema = build_schema(records, TABLE)
-    X = encode_matrix(records, schema, TABLE)
+    X = encode_matrix(level_codes(records, TABLE), schema)
     assert X.shape == (4, 9)
     # S2: male, worker_student, master, rare listed name
     np.testing.assert_array_equal(X[1, :7], [1, 1, 0, 0, 1, 0, 0])
@@ -90,8 +91,8 @@ def test_encode_matrix_matches_per_row_reference(small_inputs, small_training):
          for c in schema.columns]
         for r in records
     ]
-    np.testing.assert_array_equal(encode_matrix(admin.take(np.arange(500)), schema, table),
-                                  expected)
+    np.testing.assert_array_equal(
+        encode_matrix(level_codes(admin.take(np.arange(500)), table), schema), expected)
 
 
 def test_encode_unknown_level_falls_back_to_reference(caplog):
@@ -99,7 +100,7 @@ def test_encode_unknown_level_falls_back_to_reference(caplog):
     schema = build_schema(records.take([0, 1]), TABLE)  # only bachelor/master observed
     # records[2] carries two unseen levels: student_worker and bachelor_and_master
     with caplog.at_level(logging.WARNING, logger="hiddenpop.features"):
-        x = encode_matrix(records.take([2]), schema, TABLE)[0]
+        x = encode_matrix(level_codes(records.take([2]), TABLE), schema)[0]
     for group in ("course_level", "employment"):
         assert all(x[i] == 0.0 for i in schema.group_indices(group))
     assert sorted(r.getMessage() for r in caplog.records) == [
@@ -129,8 +130,8 @@ def test_subset_sharing_level_lists_counts_only_its_rows(caplog):
     assert [n for n in schema.names if "=" in n] == ["employment=student_worker",
                                                      "course_level=bachelor_and_master"]
     assert "feature 'gender' degenerate (only {'F'} observed), dropped" in schema_warnings
-    X, encode_warnings = warned(lambda r: encode_matrix(r, schema, TABLE), scored)
-    X_alone, alone_warnings = warned(lambda r: encode_matrix(r, schema, TABLE),
+    X, encode_warnings = warned(lambda r: encode_matrix(level_codes(r, TABLE), schema), scored)
+    X_alone, alone_warnings = warned(lambda r: encode_matrix(level_codes(r, TABLE), schema),
                                      register_of(register_rows(scored)))
     np.testing.assert_array_equal(X, X_alone)
     # not_available is in the shared list and unknown to the schema, but no scored row uses it
@@ -144,8 +145,8 @@ def test_schema_json_round_trip():
     again = FeatureSchema.from_json(schema.to_json())
     assert again.to_json() == schema.to_json()
     assert json.loads(schema.to_json())["name_rule"] == {"min_count": 5, "top_k": None}
-    x0 = encode_matrix(varied_records().take([0]), schema, TABLE)[0]
-    x1 = encode_matrix(varied_records().take([0]), again, TABLE)[0]
+    x0 = encode_matrix(level_codes(varied_records().take([0]), TABLE), schema)[0]
+    x1 = encode_matrix(level_codes(varied_records().take([0]), TABLE), again)[0]
     np.testing.assert_array_equal(x0, x1)
 
 

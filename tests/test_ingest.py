@@ -4,14 +4,17 @@ import codecs
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import hiddenpop.ingest
 from hiddenpop.errors import DataError
 from hiddenpop.ingest import (
     COMMON_NAME_MIN_COUNT,
     NameFrequencyTable,
     SurveyRecord,
     build_name_table,
+    first_repeat,
     is_common_name,
     link,
     normalize_name,
@@ -95,6 +98,38 @@ def test_admin_reject_threshold(tmp_path):
         )
     with pytest.raises(DataError, match=r"1/2 rows rejected \(limit 5%\)"):
         parse_admin(path)
+
+
+@pytest.mark.parametrize("keys, message", [
+    (["S1", "S2", "S1", "S3"], "admin.csv:4: link_key 'S1' already on line 2"),  # one block
+    (["S0", "S1", "S2", "S3", "S4", "S2"], "admin.csv:7: link_key 'S2' already on line 4"),
+    (["S5", "S6", "S5", "S7", "S5"], "admin.csv:4: link_key 'S5' already on line 2"),  # thrice
+    (["S1", "S2", "S3", "S2", "S1"], "admin.csv:5: link_key 'S2' already on line 3"),
+], ids=["same-block", "across-blocks", "three-times", "first-repeat-not-first-key"])
+def test_a_repeated_key_names_its_first_repeat(tmp_path, monkeypatch, keys, message):
+    """The first line whose key an earlier line holds, and the key's first line."""
+    monkeypatch.setattr(hiddenpop.ingest, "BLOCK_ROWS", 4)
+    path = tmp_path / "admin.csv"
+    write_admin_csv(path, register_of([make_admin(key) for key in keys]))
+    with pytest.raises(DataError, match=f"/{message}$"):
+        parse_admin(path)
+
+
+def test_first_repeat_compares_keys_whose_hashes_are_equal():
+    """Equal hashes only make rows candidates: their keys are compared exactly."""
+    keys, line = np.array(["a", "b", "c", "b", "a"], dtype=object), np.arange(2, 7)
+
+    def repeat(keys, hashes):
+        return first_repeat(keys, line, np.array(hashes, dtype=np.int64))
+
+    assert repeat(keys[:3], [0, 0, 0]) is None  # every key collides, none repeats
+    assert repeat(keys, [0] * 5) == (3, "link_key 'b' already on line 3")
+    # "a" and "c" collide without being equal; "b" repeats under its own hash
+    assert repeat(keys[:4], [7, 9, 7, 9]) == (3, "link_key 'b' already on line 3")
+    # the first repeat in row order, not in hash order
+    assert repeat(np.array(["x", "y", "y", "x"], dtype=object), [1, 5, 5, 1]) == (
+        2, "link_key 'y' already on line 3")
+    assert repeat(keys[:0], []) is None
 
 
 def test_admin_duplicate_key_and_missing_column(tmp_path):
