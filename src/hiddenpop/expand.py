@@ -6,9 +6,7 @@ Provenance of each record's membership:
 
 * ``exact``     — determined by the register's own bp/cit indicators
 * ``linked``    — pa observed via the survey linkage
-* ``predicted`` — pa imputed by a fitted classifier, which scores each distinct
-  covariate pattern once; the score is kept like a register column, as the
-  distinct scores and each row's index into them
+* ``predicted`` — pa imputed by a fitted classifier, one score per covariate pattern
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ import numpy as np
 from .domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind
 from .eval import CvResult, MetricsReport, RocCurve, METRIC_NAMES
 from .expand import PROVENANCES, BiasReport, DistributionTable, Expanded
-from .ingest import (ADMIN_COLUMNS, Coder, atomic_open, read_register, write_admin_csv,
-                     write_csv)
+from .ingest import (ADMIN_COLUMNS, Coder, atomic_open, code_dtype, read_register,
+                     write_admin_csv, write_csv)
 from .models import ImportanceReport
 
 
@@ -107,9 +107,10 @@ def write_expanded_csv(path, expanded: Expanded):
     score is formatted once, and a row that is not predicted takes the empty cell after them."""
     predicted = expanded.provenance == PROVENANCES.index("predicted")
     scores = [_fmt(s) for s in expanded.score_levels.tolist()] + [""]
+    codes = expanded.score_codes.astype(code_dtype(len(scores)), copy=False)  # to hold the last
     write_admin_csv(path, expanded.register, dict(zip(_MEMBERSHIP_COLUMNS, [
         (_DIGITS, expanded.delta), (_DIGITS, expanded.kind), (PROVENANCES, expanded.provenance),
-        (scores, np.where(predicted, expanded.score_codes, len(scores) - 1))])))
+        (scores, np.where(predicted, codes, len(scores) - 1))])))
 
 
 def _allowed() -> np.ndarray:
@@ -169,7 +170,9 @@ def read_expanded_csv(path) -> Expanded:
                   predicted_score=Coder(lambda cell: float(cell) if cell else None, [None]))
     register = read_register(path, coders, strip=False, check=_first_fault)
     codes = [register.codes.pop(c) for c in _MEMBERSHIP_COLUMNS]
-    scores = np.array([register.levels.pop(c) for c in _MEMBERSHIP_COLUMNS][-1], dtype=float)
+    scores = np.array(register.levels.pop("predicted_score"), dtype=float)
+    for c in _MEMBERSHIP_COLUMNS[:3]:
+        del register.levels[c]
     return Expanded(register, *(a.astype(np.int8) for a in codes[:3]), scores, codes[3])
 
 

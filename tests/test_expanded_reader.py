@@ -185,3 +185,21 @@ def test_allowed_table_is_what_expand_dataset_writes():
                       expanded.provenance.tolist(), expanded.kind.tolist()))
     assert set(zip(*(a.tolist() for a in np.nonzero(_ALLOWED)))) == written
     assert _ALLOWED.shape == (2, 2, len(PROVENANCES), len(BackgroundKind))
+
+
+@pytest.mark.parametrize("n_scores", [126, 127, 128])
+def test_scores_round_trip_at_the_one_byte_code_limit(tmp_path, n_scores):
+    """Score codes that fill a one-byte code type still leave the unscored rows empty,
+    both as expand_dataset codes them and as read_expanded_csv does."""
+    rows = [((1, 1, 1), False)] * n_scores + [((0, 0, 0), False), ((1, 1, 0), True)]
+    expanded = _expansion(rows, np.arange(n_scores) / 1000)
+    path, again = tmp_path / "expanded.csv", tmp_path / "again.csv"
+    write_expanded_csv(path, expanded)
+    ends = [line.rsplit(",", 2)[1:] for line in path.read_bytes().decode().split("\r\n")[1:-1]]
+    assert sorted((provenance, cell == "") for provenance, cell in ends) == \
+        [("exact", True), ("linked", True)] + [("predicted", False)] * n_scores
+    _assert_readers_agree(path)
+    read = read_expanded_csv(path)
+    np.testing.assert_array_equal(read.score, expanded.score)
+    write_expanded_csv(again, read)
+    assert again.read_bytes() == path.read_bytes()
