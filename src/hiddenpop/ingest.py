@@ -20,8 +20,10 @@ import logging
 import os
 import re
 import unicodedata
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, zip_longest
 from pathlib import Path
 
@@ -164,6 +166,7 @@ MAX_REJECT_FRACTION = 0.05
 # rows read, coded and written per block; a block's row lists are freed before
 # the garbage collector's youngest generation (700 objects) fills up
 BLOCK_ROWS = 512
+KEY = np.dtypes.StringDType()  # link_key's type: no Python object per key, up to 15 bytes inline
 
 
 class Coder(dict):
@@ -206,7 +209,7 @@ def code_dtype(count: int) -> np.dtype:
 class Register:
     """The standardized register, one array per column.
 
-    link_key is an object array of strings.  Every other column is an array of
+    link_key is a KEY (StringDType) array.  Every other column is an array of
     codes into levels[column], the column's distinct values, in the narrowest
     signed integer type that holds them (code_dtype): one byte up to 128 levels.
     """
@@ -222,9 +225,14 @@ class Register:
     def concat(cls, parts, levels) -> "Register":
         """The rows of parts, which share these level lists, one after another; each
         column takes the widest of its parts' code types."""
-        return cls(np.concatenate([np.empty(0, dtype=object)] + [p.link_key for p in parts]),
+        return cls(np.concatenate([np.empty(0, dtype=KEY)] + [p.link_key for p in parts]),
                    {c: np.concatenate([np.empty(0, dtype=np.int8)] + [p.codes[c] for p in parts])
                     for c in levels}, levels)
+
+    @cached_property
+    def key_order(self) -> np.ndarray:
+        """The rows in link_key order, ties in row order: the one sort of the keys."""
+        return np.argsort(self.link_key, kind="stable")
 
     def take(self, rows) -> "Register":
         """The given rows, in the given order; the level lists are shared."""
@@ -356,15 +364,15 @@ def read_csv(path, required):
             yield lineno, dict(zip(header, row))
 
 
-def first_repeat(keys, line, hashes):
-    """(i, reason) for the first row i whose key an earlier row holds, or None.  Only
-    rows whose hash another row shares are compared, exactly and in row order."""
-    ordered = np.sort(hashes)
-    shared = ordered[1:][ordered[1:] == ordered[:-1]]  # each hash that two rows or more hold
-    first = {}
-    for i in np.flatnonzero(np.isin(hashes, shared)).tolist():
-        if first.setdefault(keys[i], i) != i:
-            return i, f"link_key {keys[i]!r} already on line {line[first[keys[i]]]}"
+def first_repeat(keys, order, line):
+    """(i, reason) for the first row i whose key an earlier row holds, or None.  order lists
+    the rows by key, ties in row order, so a key's rows are neighbours there, in row order."""
+    ordered = keys[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if len(repeats):
+        i = repeats.min()
+        first = order[np.argmax(ordered == keys[i])]
+        return i, f"link_key {keys[i]!r} already on line {line[first]}"
 
 
 def read_register(path, coders, *, strip=True, keep=None, check=None):
@@ -372,11 +380,12 @@ def read_register(path, coders, *, strip=True, keep=None, check=None):
 
     keep(header, lines, rows, part) picks the rows of each block to keep (all by
     default); check(register, coders) gives (position, reason) of the first row
-    it forbids, or None.  The first line that repeats a kept link_key, or else
+    it forbids, or None.  The first line whose kept link_key holds a NUL character
+    (KEY compares strings only up to one), or repeats a kept link_key, or else
     that check forbids, raises DataError naming it, ahead of a later read failure.
     """
     levels = {c: coder.levels for c, coder in coders.items()}
-    parts, lines = [], []
+    parts, lines, nul = [], [], []  # nul: the position of each block's first kept key with a NUL
     try:
         for header, block_lines, rows in read_blocks(path, ["link_key", *coders]):
             columns = dict(zip(header, zip(*rows)))  # a repeated name reads its last column
@@ -384,13 +393,18 @@ def read_register(path, coders, *, strip=True, keep=None, check=None):
             part = Register(np.array(list(keys), dtype=object),
                             {c: coder.code(columns[c]) for c, coder in coders.items()}, levels)
             kept = slice(None) if keep is None else keep(header, block_lines, rows, part)
-            parts.append(part.take(kept))
+            part, keys = part.take(kept), part.link_key[kept].tolist()
+            if "\x00" in "".join(keys):
+                nul.append(sum(map(len, parts)) + ["\x00" in key for key in keys].index(True))
+            part.link_key = np.array(keys, dtype=KEY)  # the block's str objects die with it
+            parts.append(part)
             lines.append(np.array(block_lines)[kept])
     finally:
         register = Register.concat(parts, levels)
         line = np.concatenate([np.empty(0, dtype=int)] + lines)
         keys = register.link_key
-        faults = [first_repeat(keys, line, np.fromiter(map(hash, keys), np.int64, len(keys))),
+        faults = [(nul[0], f"link_key {keys[nul[0]]!r} holds a NUL character") if nul else None,
+                  first_repeat(keys, register.key_order, line),
                   check(register, coders) if check else None]  # a repeat goes first on its line
         fault = min(filter(None, faults), key=lambda fault: fault[0], default=None)
         if fault:
@@ -513,8 +527,12 @@ def link(admin: Register, survey: list[SurveyRecord]) -> LinkedDataset:
     A matched (bp, cit, pa) triple that Jus Sanguinis rules out raises
     ExcludedCombination.
     """
-    wanted = {s.link_key for s in survey}
-    row_of = {key: i for i, key in enumerate(admin.link_key.tolist()) if key in wanted}
+    keys, order = admin.link_key, admin.key_order
+    # a binary search of the key order, comparing str: np.searchsorted compares KEY strings
+    # of over 15 bytes wrongly (NumPy 2.4)
+    at = [bisect_left(order, s.link_key, key=keys.__getitem__) for s in survey]
+    row_of = {s.link_key: order[i] for s, i in zip(survey, at)
+              if i < len(keys) and keys[order[i]] == s.link_key}
     matched = [s for s in survey if s.link_key in row_of]
     unmatched_survey = [s for s in survey if s.link_key not in row_of]
     rows = np.array([row_of[s.link_key] for s in matched], dtype=np.intp)
@@ -574,12 +592,13 @@ def _csv_cells(values) -> np.ndarray:
     return np.array(cells, dtype=object)
 
 
-def write_admin_csv(path, register: Register, more=None):
-    """Write the register in the canonical column order (round-trips via parse_admin).
+def write_admin_csv(path, register: Register, more=None, order=None):
+    """Write the register's rows in order (row order by default), in the canonical column
+    order (round-trips via parse_admin).
 
     The bytes are csv.writer's, but each level is quoted once, not once per row.
     more maps further columns to (cells, codes): each distinct cell, as text that
-    needs no quoting, and each row's index into them.  Each level's text carries
+    needs no quoting, and each written row's index into them.  Each level's text carries
     the separator after it; each block of BLOCK_ROWS rows is one join of its cells.
     """
     columns = {c: (_csv_cells(map(str, register.levels[c])), register.codes[c])
@@ -590,14 +609,15 @@ def write_admin_csv(path, register: Register, more=None):
     with atomic_open(path) as f:
         csv.writer(f).writerow(ADMIN_COLUMNS[:1] + list(columns))
         for start in range(0, len(register), BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            keys = register.link_key[rows]
+            block = slice(start, start + BLOCK_ROWS)
+            rows = block if order is None else order[block]
+            keys = register.link_key[rows].tolist()
             if _QUOTED.search("".join(keys)):
                 keys = _csv_cells(keys)
             table = np.empty((len(keys), len(columns) + 2), dtype=object)  # row-major
             table[:, 0], table[:, 1] = keys, ","
-            for j, (cells, codes) in enumerate(text, start=2):
-                table[:, j] = cells[codes[rows]]
+            for j, (cells, codes) in enumerate(text, start=2):  # more's codes are per written row
+                table[:, j] = cells[codes[rows if j <= len(ADMIN_COLUMNS) else block]]
             f.write("".join(table.ravel().tolist()))
 
 

@@ -136,10 +136,11 @@ def predict_logistic(model: LogisticModel, X) -> np.ndarray:
     """P(y=1 | x) per row of a (rows, width) matrix, clamped to [1e-12, 1-1e-12].
 
     Raises OverflowError when a row's linear predictor is not finite: finite
-    but huge weights would otherwise score every row 0 or 1.
+    but huge weights would otherwise score every row 0 or 1.  Each row is summed
+    alone, so equal rows score equally wherever they stand, unlike BLAS's X @ w.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        eta = model.intercept + design_matrix(X, model.width) @ model.weights
+        eta = model.intercept + (design_matrix(X, model.width) * model.weights).sum(axis=1)
     overflows = np.count_nonzero(~np.isfinite(eta))
     if overflows:
         raise OverflowError(f"the logistic model's linear predictor overflows on {overflows} "

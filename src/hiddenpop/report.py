@@ -108,9 +108,9 @@ def write_expanded_csv(path, expanded: Expanded):
     predicted = expanded.provenance == PROVENANCES.index("predicted")
     scores = [_fmt(s) for s in expanded.score_levels.tolist()] + [""]
     codes = expanded.score_codes.astype(code_dtype(len(scores)), copy=False)  # to hold the last
-    write_admin_csv(path, expanded.register, dict(zip(_MEMBERSHIP_COLUMNS, [
+    write_admin_csv(path, expanded.source, dict(zip(_MEMBERSHIP_COLUMNS, [
         (_DIGITS, expanded.delta), (_DIGITS, expanded.kind), (PROVENANCES, expanded.provenance),
-        (scores, np.where(predicted, codes, len(scores) - 1))])))
+        (scores, np.where(predicted, codes, len(scores) - 1))])), expanded.order)
 
 
 def _allowed() -> np.ndarray:

@@ -22,6 +22,7 @@ from .errors import DataError
 from .features import NAME_FLAG, FeatureSchema, encode_matrix, feature_layout, level_codes
 from .ingest import (
     ADMIN_COLUMNS,
+    KEY,
     NameFrequencyTable,
     Register,
     SurveyRecord,
@@ -298,7 +299,7 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     columns = {"given_name": (np.array(_COMMON_NAMES + rare_names), name_codes),
                "birth_country": (countries, bp), "citizenship_country": (countries, cit),
                "enrollment_year": (2022 - year_levels, year_codes), **drawn, **numerics}
-    admin = Register(np.array(keys, dtype=object), {}, {})
+    admin = Register(np.array(keys, dtype=KEY), {}, {})
     for c in ADMIN_COLUMNS[1:]:  # each column's drawn levels and codes, narrowed as parsed
         levels, codes = columns[c]
         admin.codes[c], admin.levels[c] = codes.astype(code_dtype(len(levels))), levels.tolist()

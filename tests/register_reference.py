@@ -24,6 +24,7 @@ from hiddenpop.expand import PROVENANCES, Expanded
 from hiddenpop.ingest import (
     ADMIN_COLUMNS,
     ITALY,
+    KEY,
     Coder,
     Register,
     _slug,
@@ -127,7 +128,7 @@ def register_from_columns(columns: dict) -> Register:
     """A register from one sequence of standardized values per admin column, each
     column coded by a Coder, as parse_admin codes the columns of a block."""
     coders = {c: Coder() for c in ADMIN_COLUMNS[1:]}
-    return Register(np.asarray(columns["link_key"], dtype=object),
+    return Register(np.asarray(columns["link_key"], dtype=KEY),
                     {c: coder.code(np.asarray(columns[c], dtype=object))
                      for c, coder in coders.items()},
                     {c: coder.levels for c, coder in coders.items()})
@@ -208,7 +209,7 @@ def read_expanded_rows(path) -> Expanded:
         lines[key] = lineno
     codes = np.array(codes, dtype=np.int64).reshape(-1, len(coders)).T
     delta, kind, provenance, score = np.array(found).reshape(-1, 4).T
-    register = Register(np.array(list(lines), dtype=object),
+    register = Register(np.array(list(lines), dtype=KEY),
                         {c: narrowed(a) for c, a in zip(coders, codes)},
                         {c: coder.levels for c, coder in coders.items()})
     return Expanded(register, *(a.astype(np.int8) for a in (delta, kind, provenance)), score)

@@ -260,6 +260,20 @@ def test_expand_coverage_gap():
         expand_dataset(admin, link(admin, []), none)
 
 
+def test_expand_dataset_keeps_the_register_it_was_given():
+    """The Expanded takes its rows from admin, in link_key order, without copying it; a
+    (1,1) row with neither pa is named by the first such row in that order."""
+    admin = register_of([make_admin(key) for key in ["S3", "S10", "S2"]])
+    empty = np.empty(0, dtype=int)
+    with pytest.raises(HiddenPopError, match="record 'S10' has"):
+        expand_dataset(admin, link(admin, []), Imputations(empty, empty, np.empty(0), empty))
+    expanded = expand_dataset(admin, link(admin, []), Imputations(
+        np.arange(3), np.ones(3, dtype=int), np.array([0.2]), np.zeros(3, dtype=int)))
+    assert expanded.source is admin
+    assert expanded.register.link_key.tolist() == ["S10", "S2", "S3"]
+    assert expanded.take(np.array([2, 0])).link_key.tolist() == ["S3", "S10"]
+
+
 def test_expanded_record_validation(tmp_path):
     # an expanded row exists only with a known provenance, and a score iff predicted
     path = tmp_path / "expanded.csv"

@@ -11,6 +11,7 @@ import hiddenpop.ingest
 from hiddenpop.errors import DataError
 from hiddenpop.ingest import (
     COMMON_NAME_MIN_COUNT,
+    KEY,
     NameFrequencyTable,
     SurveyRecord,
     build_name_table,
@@ -115,21 +116,38 @@ def test_a_repeated_key_names_its_first_repeat(tmp_path, monkeypatch, keys, mess
         parse_admin(path)
 
 
-def test_first_repeat_compares_keys_whose_hashes_are_equal():
-    """Equal hashes only make rows candidates: their keys are compared exactly."""
-    keys, line = np.array(["a", "b", "c", "b", "a"], dtype=object), np.arange(2, 7)
+def test_first_repeat_compares_neighbours_in_key_order(tmp_path, monkeypatch):
+    """A key's rows are neighbours in the stable key order; the first repeat in row order,
+    not in key order, is named, with the first line of its key."""
+    line = np.arange(2, 9)
 
-    def repeat(keys, hashes):
-        return first_repeat(keys, line, np.array(hashes, dtype=np.int64))
+    def repeat(keys):
+        keys = np.array(keys, dtype=KEY)
+        return first_repeat(keys, np.argsort(keys, kind="stable"), line)
 
-    assert repeat(keys[:3], [0, 0, 0]) is None  # every key collides, none repeats
-    assert repeat(keys, [0] * 5) == (3, "link_key 'b' already on line 3")
-    # "a" and "c" collide without being equal; "b" repeats under its own hash
-    assert repeat(keys[:4], [7, 9, 7, 9]) == (3, "link_key 'b' already on line 3")
-    # the first repeat in row order, not in hash order
-    assert repeat(np.array(["x", "y", "y", "x"], dtype=object), [1, 5, 5, 1]) == (
-        2, "link_key 'y' already on line 3")
-    assert repeat(keys[:0], []) is None
+    assert repeat([]) is None
+    assert repeat(["b", "a", "c", "a" * 20, "é"]) is None
+    assert repeat(["x", "y", "y", "x"]) == (2, "link_key 'y' already on line 3")
+    assert repeat(["c", "a", "c", "b", "c"]) == (2, "link_key 'c' already on line 2")  # thrice
+    assert repeat(["é" * 20, "b", "e" * 20, "é" * 20]) == (
+        3, f"link_key {'é' * 20!r} already on line 2")  # keys held on KEY's heap
+    # across a block boundary: 'x' repeats first in key order, 'y' first in row order
+    monkeypatch.setattr(hiddenpop.ingest, "BLOCK_ROWS", 4)
+    path = tmp_path / "admin.csv"
+    write_admin_csv(path, register_of([make_admin(key) for key in "yxqryxy"]))
+    with pytest.raises(DataError, match="/admin.csv:6: link_key 'y' already on line 2$"):
+        parse_admin(path)
+
+
+def test_a_key_holding_a_nul_names_its_line(tmp_path):
+    """KEY compares strings only up to a NUL, so a register key may not hold one; a
+    repeat on an earlier line is named first."""
+    path = tmp_path / "admin.csv"
+    for keys, message in [(["S1", "b\x00b", "b\x00a"], r"3: link_key 'b\\x00b' holds a NUL"),
+                          (["S1", "S1", "b\x00b"], "3: link_key 'S1' already on line 2")]:
+        write_admin_csv(path, register_of([make_admin(key) for key in keys]))
+        with pytest.raises(DataError, match=f"/admin.csv:{message}"):
+            parse_admin(path)
 
 
 def test_admin_duplicate_key_and_missing_column(tmp_path):
@@ -176,6 +194,37 @@ def test_link_partitions():
     unmatched_admin = sorted(set(range(len(admin))) - set(linked.rows.tolist()))
     assert [admin.link_key[r] for r in unmatched_admin] == ["S1"]
     assert [r.link_key for r in linked.unmatched_survey] == ["S9"]
+
+
+def test_keys_inline_on_the_heap_or_quoted_round_trip_and_link(tmp_path, monkeypatch):
+    """Keys of up to 15 bytes and longer ones (KEY holds those on its heap), non-ASCII keys
+    and keys that need quoting are written, parsed and written again to the same bytes,
+    and the survey links to each."""
+    monkeypatch.setattr(hiddenpop.ingest, "BLOCK_ROWS", 4)
+    keys = ["S2", "a" * 15, "a" * 16, "é" * 8, "ü" * 40, "学生-0001", "a,b", 'say "hi"',
+            "x\r\ny", "", "S10", "S1"]
+    path, again = tmp_path / "admin.csv", tmp_path / "again.csv"
+    write_admin_csv(path, register_of([make_admin(key) for key in keys]))
+    register = parse_admin(path)
+    write_admin_csv(again, register)
+    assert again.read_bytes() == path.read_bytes()
+    assert register.link_key.tolist() == keys
+    absent = ["a" * 17, "é" * 7, "S", "S11", "~", "\x00"]
+    linked = link(register, [SurveyRecord(key, True, 1) for key in keys[::-1] + absent])
+    assert [register.link_key[r] for r in linked.rows] == keys[::-1]
+    assert [s.link_key for s in linked.survey] == keys[::-1]
+    assert [s.link_key for s in linked.unmatched_survey] == absent
+
+
+def test_link_an_empty_register_or_survey():
+    register, empty = register_of([make_admin("S1")]), register_of([])
+    for admin, survey, matched, unmatched in [
+            (empty, [SurveyRecord("S1", True, 1)], [], ["S1"]),
+            (register, [], [], []), (empty, [], [], [])]:
+        linked = link(admin, survey)
+        assert linked.rows.dtype == np.intp and linked.rows.tolist() == []
+        assert [s.link_key for s in linked.survey] == matched
+        assert [s.link_key for s in linked.unmatched_survey] == unmatched
 
 
 def test_name_table_merges_normalized_spellings(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from hiddenpop.errors import HiddenPopError
 from hiddenpop.features import LabeledDataset
-from hiddenpop.models import fit_logistic, predict_logistic
+from hiddenpop.models import LogisticModel, fit_logistic, predict_logistic
 from hiddenpop.models.logistic import _newton, penalized_gradient, penalized_loglik
 
 
@@ -105,3 +105,18 @@ def test_intercept_unpenalized():
     assert abs(weight) < abs(small.weights[0])
     base = np.log(data.y.mean() / (1 - data.y.mean()))
     assert abs(intercept) > 0.1 * abs(base)
+
+
+def test_equal_rows_score_equally_wherever_they_stand():
+    """A row's score does not depend on its position or on the rows beside it (BLAS's X @ w
+    rounds the rows of a tiled matrix apart for about half of these weights)."""
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        model = LogisticModel(0.0, rng.normal(size=9), 1e-6, 1, 0.0)
+        row = rng.normal(size=9)
+        alone = predict_logistic(model, row[None])[0]
+        for n in range(1, 40):
+            X = rng.normal(size=(n, 9))
+            X[::3] = row
+            assert set(predict_logistic(model, X)[::3].tolist()) == {alone}
+            assert set(predict_logistic(model, np.tile(row, (n, 1))).tolist()) == {alone}

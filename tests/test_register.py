@@ -12,9 +12,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hiddenpop.ingest
+import hiddenpop.synth
 from hiddenpop.errors import DataError
+from hiddenpop.expand import expand_dataset, impute_pa
 from hiddenpop.ingest import ADMIN_COLUMNS, parse_admin, write_admin_csv
+from hiddenpop.models import fit_logistic
+from hiddenpop.report import read_expanded_csv, write_expanded_csv
 
+from conftest import small_config
 from register_reference import decoded, parse_admin_rows, register_of, register_rows
 from test_ingest import make_admin
 
@@ -210,6 +215,24 @@ def test_a_synthetic_register_parses_to_one_byte_per_cell(small_inputs):
     """Every column of a seed-3 bundle has at most 128 levels: one byte per code."""
     admin = small_inputs[0]
     assert sum(a.itemsize for a in admin.codes.values()) == len(ADMIN_COLUMNS[1:]) == 10
+
+
+def test_registers_hold_no_python_object_per_row(small_inputs, small_training, tmp_path,
+                                                 monkeypatch):
+    """parse_admin, read_expanded_csv and synth.generate hold link_key as one StringDType
+    array and every other column as integer codes: no object column."""
+    admin, _survey, table, linked = small_inputs
+    schema, data = small_training
+    imputations = impute_pa(fit_logistic(data), schema, admin, table, linked_rows=linked.rows)
+    write_expanded_csv(tmp_path / "expanded.csv", expand_dataset(admin, linked, imputations))
+    registers = [admin, read_expanded_csv(tmp_path / "expanded.csv").register]
+    monkeypatch.setattr(hiddenpop.synth, "write_admin_csv",
+                        lambda path, register: registers.append(register))
+    hiddenpop.synth.generate(small_config(), tmp_path / "bundle")
+    assert len(registers) == 3
+    for register in registers:
+        assert isinstance(register.link_key.dtype, np.dtypes.StringDType)
+        assert [a.dtype.kind for a in register.codes.values()] == ["i"] * 10
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 512])
