@@ -217,7 +217,7 @@ def _impute(run, rel, model_file):
 def _report(run, rel, expanded):
     """Compare the estimated members with the eligible linked survey respondents."""
     linked = run.linked
-    members = expanded.take(np.flatnonzero(expanded.delta == 1))
+    members = expanded.register.take(np.flatnonzero(expanded.delta == 1))
     eligible = np.array([s.eligible for s in linked.survey], dtype=bool)
     sample = linked.register.take(linked.rows[eligible])
     if not len(sample):
@@ -325,7 +325,7 @@ def cmd_report(run):
     expanded = read_expanded_csv(run.args.expanded)
     _check_expanded_inputs(run, run.args.expanded)
     run.inputs.append(Path(run.args.expanded))
-    run.register = expanded.source  # the survey links to the register it expanded, as read
+    run.register = expanded.register  # the survey links to the register it expanded, as read
     br = _report(run, "", expanded)
     for var, level, gap in br.flagged:
         print(f"flagged: {var}={level} gap {gap:+.1f} pp")

@@ -119,8 +119,7 @@ def roc(scores, labels) -> RocCurve:
     tpr = np.r_[0.0, tp / n_pos, 1.0]
     fpr = np.r_[0.0, fp / n_neg, 1.0]
     thresholds = np.r_[np.inf, s[block_ends], -np.inf]
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    auc = float(trapezoid(tpr, fpr))
+    auc = float(np.trapezoid(tpr, fpr))
     return RocCurve(points=np.column_stack([fpr, tpr]), auc=auc, thresholds=thresholds)
 
 

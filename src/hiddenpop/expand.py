@@ -1,6 +1,6 @@
 """Register expansion: impute the missing parental indicator, attach membership
-and typology to every register record, tabulate the population, and compare
-sample vs. population marginals.
+and typology to every register record, in register row order, tabulate the
+population, and compare sample vs. population marginals.
 
 Provenance of each record's membership:
 
@@ -45,28 +45,21 @@ class Imputations:
 
 @dataclass
 class Expanded:
-    """The register in link_key order, each row with its membership and provenance."""
+    """The register, each row with its membership and provenance, in register row order."""
 
-    source: Register          # the register's rows: in this order, unless order is given
+    register: Register
     delta: np.ndarray
     kind: np.ndarray
     provenance: np.ndarray    # index into PROVENANCES
     score_levels: np.ndarray  # the distinct imputation scores, NaN for none
     score_codes: np.ndarray = None  # each row's index into score_levels; by default, its row
-    order: np.ndarray = None  # each row's row in source, which is then not copied into order
 
     def __post_init__(self):  # without codes, score_levels holds one score per row
         if self.score_codes is None:
             self.score_codes = np.arange(len(self.score_levels))
 
     def __len__(self) -> int:
-        return len(self.source)
-
-    def take(self, rows) -> Register:
-        """The register's rows at these positions, taken from source."""
-        return self.source.take(rows if self.order is None else self.order[rows])
-
-    register = property(lambda self: self.take(slice(None)), doc="The register, in order.")
+        return len(self.register)
 
     score = property(lambda self: self.score_levels[self.score_codes], doc="Each row's score.")
 
@@ -114,7 +107,7 @@ def impute_pa(model, schema: FeatureSchema, admin: Register, name_table: NameFre
 
 
 def expand_dataset(admin: Register, linked: LinkedDataset, imputations: Imputations) -> Expanded:
-    """Every register row with its membership, ordered by link_key; admin is not copied.
+    """Every register row with its membership, in register row order; admin is not copied.
 
     Precedence: a survey-observed pa decides its row wherever the register's
     bp/cit alone would not: inside (1,1), where it beats an imputed one, and
@@ -135,15 +128,14 @@ def expand_dataset(admin: Register, linked: LinkedDataset, imputations: Imputati
                != MEMBERSHIP[bp[rows], cit[rows], PA_UNOBSERVED]).any(axis=1)
     pa[rows[decides]], provenance[rows[decides]] = observed[decides], _LINKED
     score[provenance != _PREDICTED] = unscored
-    order = admin.key_order
-    delta, kind = MEMBERSHIP[bp[order], cit[order], pa[order]].T
-    if (kind < 0).any():
-        key = admin.link_key[order[np.argmax(kind < 0)]]
+    delta, kind = MEMBERSHIP[bp, cit, pa].T
+    if (kind < 0).any():  # named by the first such row in link_key order
+        key = min(admin.link_key[kind < 0].tolist())
         raise HiddenPopError(
             f"record {key!r} has (bp,cit)=(1,1) but neither a linked nor an imputed pa"
         )
-    return Expanded(admin, delta, kind, provenance[order],
-                    np.append(imputations.score_levels, np.nan), score[order], order)
+    return Expanded(admin, delta, kind, provenance,
+                    np.append(imputations.score_levels, np.nan), score)
 
 
 @dataclass

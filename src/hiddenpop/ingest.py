@@ -598,7 +598,7 @@ def write_admin_csv(path, register: Register, more=None, order=None):
 
     The bytes are csv.writer's, but each level is quoted once, not once per row.
     more maps further columns to (cells, codes): each distinct cell, as text that
-    needs no quoting, and each written row's index into them.  Each level's text carries
+    needs no quoting, and each register row's index into them.  Each level's text carries
     the separator after it; each block of BLOCK_ROWS rows is one join of its cells.
     """
     columns = {c: (_csv_cells(map(str, register.levels[c])), register.codes[c])
@@ -616,8 +616,8 @@ def write_admin_csv(path, register: Register, more=None, order=None):
                 keys = _csv_cells(keys)
             table = np.empty((len(keys), len(columns) + 2), dtype=object)  # row-major
             table[:, 0], table[:, 1] = keys, ","
-            for j, (cells, codes) in enumerate(text, start=2):  # more's codes are per written row
-                table[:, j] = cells[codes[rows if j <= len(ADMIN_COLUMNS) else block]]
+            for j, (cells, codes) in enumerate(text, start=2):
+                table[:, j] = cells[codes[rows]]
             f.write("".join(table.ravel().tolist()))
 
 

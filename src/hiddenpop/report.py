@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind
-from .eval import CvResult, MetricsReport, RocCurve, METRIC_NAMES
+from .eval import CvResult, RocCurve, METRIC_NAMES
 from .expand import PROVENANCES, BiasReport, DistributionTable, Expanded
-from .ingest import (ADMIN_COLUMNS, Coder, atomic_open, code_dtype, read_register,
-                     write_admin_csv, write_csv)
+from .ingest import ADMIN_COLUMNS, Coder, atomic_open, read_register, write_admin_csv, write_csv
 from .models import ImportanceReport
 
 
@@ -103,14 +102,12 @@ _DIGITS = [str(d) for d in range(10)]
 
 
 def write_expanded_csv(path, expanded: Expanded):
-    """Original register columns plus delta, kind, provenance, predicted_score; each distinct
-    score is formatted once, and a row that is not predicted takes the empty cell after them."""
-    predicted = expanded.provenance == PROVENANCES.index("predicted")
-    scores = [_fmt(s) for s in expanded.score_levels.tolist()] + [""]
-    codes = expanded.score_codes.astype(code_dtype(len(scores)), copy=False)  # to hold the last
-    write_admin_csv(path, expanded.source, dict(zip(_MEMBERSHIP_COLUMNS, [
+    """Original register columns plus delta, kind, provenance, predicted_score, in link_key
+    order; each distinct score is formatted once, and the NaN score as the empty cell."""
+    scores = ["" if np.isnan(s) else _fmt(s) for s in expanded.score_levels.tolist()]
+    write_admin_csv(path, expanded.register, dict(zip(_MEMBERSHIP_COLUMNS, [
         (_DIGITS, expanded.delta), (_DIGITS, expanded.kind), (PROVENANCES, expanded.provenance),
-        (scores, np.where(predicted, codes, len(scores) - 1))])), expanded.order)
+        (scores, expanded.score_codes)])), expanded.register.key_order)
 
 
 def _allowed() -> np.ndarray:
@@ -158,6 +155,13 @@ def _first_fault(register, coders):
         return i, cells.get(reason) or reason.format(bp=bp[i], cit=cit[i], **cells)
 
 
+def _score(cell):
+    """An empty score cell as None, any other as a float in [0, 1] (so not NaN)."""
+    if cell and not 0 <= float(cell) <= 1:
+        raise ValueError(f"predicted_score {cell!r} is not in [0, 1]")
+    return float(cell) if cell else None
+
+
 def read_expanded_csv(path) -> Expanded:
     """Read write_expanded_csv's output.  The first line that repeats a link_key, or that
     write_expanded_csv could not have written, raises DataError naming it."""
@@ -166,8 +170,7 @@ def read_expanded_csv(path) -> Expanded:
     # valid membership values come first: a valid delta or kind codes as its value, a
     # provenance as its index in PROVENANCES, and an empty score (read as None) as 0
     coders.update(delta=Coder(int, (0, 1)), kind=Coder(int, range(len(BackgroundKind))),
-                  provenance=Coder(None, PROVENANCES),
-                  predicted_score=Coder(lambda cell: float(cell) if cell else None, [None]))
+                  provenance=Coder(None, PROVENANCES), predicted_score=Coder(_score, [None]))
     register = read_register(path, coders, strip=False, check=_first_fault)
     codes = [register.codes.pop(c) for c in _MEMBERSHIP_COLUMNS]
     scores = np.array(register.levels.pop("predicted_score"), dtype=float)

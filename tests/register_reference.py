@@ -183,6 +183,8 @@ def _membership(row: dict) -> tuple:
             f"allowed for bp={bp} cit={cit}"
         )
     value = float(score) if score else np.nan
+    if score and not 0 <= value <= 1:
+        raise ValueError(f"predicted_score {score!r} is not in [0, 1]")
     if provenance == "predicted" and not score:
         raise ValueError("predicted record without a score")
     if provenance != "predicted" and score:

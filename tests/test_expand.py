@@ -143,8 +143,8 @@ def test_impute_scores_each_pattern_as_its_rows(rows):
         assert np.array_equal(out.pa[clear], np.where(want > 0.5, 0, 1)[clear])
         assert warned == want_warned
         expanded = expand_dataset(admin, linked, out)
-        order = np.argsort(admin.link_key[out.rows])
-        assert np.array_equal(expanded.score[~np.isnan(expanded.score)], out.scores[order])
+        assert np.array_equal(expanded.score[out.rows], out.scores)
+        assert np.isnan(np.delete(expanded.score, out.rows)).all()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "expanded.csv"
             write_expanded_csv(path, expanded)
@@ -184,8 +184,9 @@ def test_expand_precedence_and_order():
     linked = link(admin, [SurveyRecord("S1", True, 0)])
     expanded = expand_dataset(admin, linked, Imputations(np.array([1]), np.array([1]),
                                                          np.array([0.2]), np.array([0])))
-    assert expanded.register.link_key.tolist() == ["S1", "S2", "S3"]
-    by_key = {k: i for i, k in enumerate(expanded.register.link_key)}
+    register = expanded.register
+    assert register.link_key[register.key_order].tolist() == ["S1", "S2", "S3"]
+    by_key = {k: i for i, k in enumerate(register.link_key)}
     provenance = [PROVENANCES[p] for p in expanded.provenance]
     assert provenance[by_key["S1"]] == "linked"
     assert expanded.kind[by_key["S1"]] == BackgroundKind.SECOND_GEN_ITALIAN
@@ -260,18 +261,25 @@ def test_expand_coverage_gap():
         expand_dataset(admin, link(admin, []), none)
 
 
-def test_expand_dataset_keeps_the_register_it_was_given():
-    """The Expanded takes its rows from admin, in link_key order, without copying it; a
-    (1,1) row with neither pa is named by the first such row in that order."""
+def test_expand_dataset_keeps_the_register_it_was_given(tmp_path):
+    """The Expanded holds admin itself, not a copy, with its arrays in admin's row order;
+    a (1,1) row with neither pa is named by the first such row in link_key order, the
+    order in which write_expanded_csv writes the rows."""
     admin = register_of([make_admin(key) for key in ["S3", "S10", "S2"]])
     empty = np.empty(0, dtype=int)
     with pytest.raises(HiddenPopError, match="record 'S10' has"):
         expand_dataset(admin, link(admin, []), Imputations(empty, empty, np.empty(0), empty))
     expanded = expand_dataset(admin, link(admin, []), Imputations(
-        np.arange(3), np.ones(3, dtype=int), np.array([0.2]), np.zeros(3, dtype=int)))
-    assert expanded.source is admin
-    assert expanded.register.link_key.tolist() == ["S10", "S2", "S3"]
-    assert expanded.take(np.array([2, 0])).link_key.tolist() == ["S3", "S10"]
+        np.arange(3), np.array([1, 0, 1]), np.array([0.2, 0.7]), np.array([0, 1, 0])))
+    assert expanded.register is admin
+    assert expanded.kind.tolist() == [0, BackgroundKind.SECOND_GEN_ITALIAN, 0]
+    assert expanded.score.tolist() == [0.2, 0.7, 0.2]
+    assert admin.link_key[admin.key_order].tolist() == ["S10", "S2", "S3"]
+    write_expanded_csv(tmp_path / "expanded.csv", expanded)
+    lines = (tmp_path / "expanded.csv").read_text().splitlines()[1:]
+    assert [(line.split(",")[0], line.split(",")[-3]) for line in lines] == \
+        [("S10", str(int(BackgroundKind.SECOND_GEN_ITALIAN))), ("S2", "0"), ("S3", "0")]
+    assert [line.rsplit(",", 1)[1] for line in lines] == ["0.700000", "0.200000", "0.200000"]
 
 
 def test_expanded_record_validation(tmp_path):
@@ -283,7 +291,10 @@ def test_expanded_record_validation(tmp_path):
     text = path.read_text()
     for provenance, reason in [("guessed,", "bad provenance 'guessed'"),
                                ("predicted,", "predicted record without a score"),
-                               ("linked,0.5", "predicted_score on a non-predicted record")]:
+                               ("linked,0.5", "predicted_score on a non-predicted record"),
+                               *((f"predicted,{score}",
+                                  f"predicted_score {score!r} is not in \\[0, 1\\]")
+                                 for score in ("nan", "inf", "1e400", "-3", "7"))]:
         path.write_text(text.replace("linked,", provenance))
         with pytest.raises(DataError, match=f"expanded.csv:2: {reason}"):
             read_expanded_csv(path)

@@ -270,7 +270,9 @@ _AWKWARD = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", ""
 
 
 def test_register_writers_quote_as_csv_writer(tmp_path, monkeypatch):
-    """Both register writers give csv.writer's bytes on levels and keys that need quoting."""
+    """Both register writers give csv.writer's bytes on levels and keys that need quoting:
+    write_admin_csv in row order, write_expanded_csv in link_key order, each row's
+    membership and score beside its own key."""
     monkeypatch.setattr(hiddenpop.ingest, "BLOCK_ROWS", 4)  # blocks with and without quoted keys
     n = 30
     keys = [f"K{i}" for i in range(n)]
@@ -299,14 +301,16 @@ def test_register_writers_quote_as_csv_writer(tmp_path, monkeypatch):
     tails = [[str(d), str(k), PROVENANCES[p], "" if np.isnan(s) else f"{s:.6f}"]
              for d, k, p, s in zip(expanded.delta, expanded.kind, expanded.provenance,
                                    expanded.score)]
+    order = sorted(range(n), key=keys.__getitem__)  # written in link_key order
+    assert order != list(range(n))
     assert path.read_bytes() == _csv_writer_bytes(
         ADMIN_COLUMNS + ["delta", "kind", "provenance", "predicted_score"],
-        [row + tail for row, tail in zip(rows, tails)])
+        [rows[i] + tails[i] for i in order])
     again = read_expanded_csv(path)
-    assert register_rows(again.register) == register_rows(register)
+    assert register_rows(again.register) == register_rows(register.take(order))
     for column in ("delta", "kind", "provenance"):
-        assert getattr(again, column).tolist() == getattr(expanded, column).tolist()
-    np.testing.assert_array_equal(again.score, expanded.score)
+        assert getattr(again, column).tolist() == getattr(expanded, column)[order].tolist()
+    np.testing.assert_array_equal(again.score, expanded.score[order])
 
 
 def test_expanded_register_round_trip_on_a_register(tmp_path, small_inputs, small_training):
