@@ -1,6 +1,5 @@
 from .logistic import LogisticModel, fit_logistic, predict_logistic
 from .forest import (
-    DecisionTree,
     ForestModel,
     ImportanceReport,
     fit_forest,

@@ -43,7 +43,10 @@ so 324 rows; 500 trees; W = 2).  Trees are taken in groups whose tables fit
 in _TABLE_BYTES (4 MB, or one tree); a forest that fits one group keeps its
 tables, a larger one builds each group's anew per call, so deep trees cost
 time, not memory.
-Rows are scored in chunks of _SCORE_WORDS mask words (1 MB), in two buffers.
+Rows are scored in chunks of _SCORE_WORDS mask words (1 MB), in two buffers,
+each chunk reading its rows of X through the distinct-row index, a column at
+a time.  The node table takes the model file's 28 bytes a node: 2.0 MiB for
+the default forest at seed 3 (75,210 nodes).
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ..errors import HiddenPopError
 from ..features import design_matrix, distinct_rows
 
 log = logging.getLogger(__name__)
@@ -68,30 +72,40 @@ _REPEATS = 10  # permutations per group in permutation_importance
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)  # k lowest bits set
 
 
-@dataclass
-class DecisionTree:
-    """Flat array representation: node i is a leaf iff feature[i] == -1.
+# each node field of the whole forest, tree after tree, as the little-endian items that
+# stand for it in a model file; counts is (nodes, 2), row-major
+_NODE_FIELDS = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4",
+                "counts": "<i4"}
 
-    An internal node's children come after it (left[i], right[i] > i), and
-    every node but the root is the child of exactly one internal node, so the
-    arrays hold one binary tree; load_model checks this.  A row goes left
-    where x[feature] <= threshold, and a leaf's class is its majority class
-    (ties -> 0).
+
+@dataclass(eq=False)
+class ForestModel:
+    """Every tree in one node table: each node field is one array of its _NODE_FIELDS type
+    (cast if need be; a value the type cannot hold raises HiddenPopError).
+
+    Tree t owns the n_nodes[t] nodes after trees 0..t-1, numbered in the tree
+    from 0 at its root.  A leaf has feature -1.  An internal node's children
+    come after it, and every node but a root is the child of exactly one, so
+    each tree is one binary tree; load_model checks this.  A row goes left
+    where x[feature] <= threshold; a leaf's class is its majority (ties -> 0).
     """
 
-    feature: np.ndarray      # int, split feature or -1
-    threshold: np.ndarray    # float, split threshold
-    left: np.ndarray         # int child index
-    right: np.ndarray        # int child index
-    counts: np.ndarray       # (n_nodes, 2) class counts of training rows at node
-
-
-@dataclass
-class ForestModel:
-    trees: list
+    n_nodes: np.ndarray      # nodes per tree
+    feature: np.ndarray      # split feature, or -1 at a leaf
+    threshold: np.ndarray    # split threshold
+    left: np.ndarray         # left child, or -1 at a leaf
+    right: np.ndarray        # right child, or -1 at a leaf
+    counts: np.ndarray       # (nodes, 2) class counts of the training rows at the node
     seed: int
     n_features: int
     oob_error: float
+
+    def __post_init__(self):
+        for name, dtype in _NODE_FIELDS.items():
+            items = np.ascontiguousarray(values := getattr(self, name), dtype)
+            if items is not values and name != "threshold" and not np.array_equal(items, values):
+                raise HiddenPopError(f"a forest's {name} holds a value outside {dtype}")
+            setattr(self, name, items)
 
     @property
     def width(self) -> int:
@@ -99,17 +113,28 @@ class ForestModel:
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return len(self.n_nodes)
 
     @property
     def mtry(self) -> int:
         """Candidate features per node, fixed at ceil(sqrt(p))."""
         return math.ceil(math.sqrt(self.n_features))
 
+    def subforest(self, t0: int, t1: int) -> ForestModel:
+        """Trees t0 up to t1, as a forest whose node fields are views of this one's."""
+        nodes = slice(int(self.n_nodes[:t0].sum()), int(self.n_nodes[:t1].sum()))
+        return ForestModel(self.n_nodes[t0:t1], *(getattr(self, f)[nodes] for f in _NODE_FIELDS),
+                           self.seed, self.n_features, self.oob_error)
+
+    @property
+    def trees(self) -> list:
+        """Each tree as a one-tree subforest (perfbench/tracer.py counts nodes through it)."""
+        return [self.subforest(t, t + 1) for t in range(self.n_trees)]
+
     @cached_property
     def leaf_tables(self) -> _LeafTables:
         """The exit-leaf scorer of the trees, built on first use."""
-        return _LeafTables(self.trees)
+        return _LeafTables(self)
 
 
 @dataclass
@@ -336,18 +361,18 @@ def _grow_trees(X, y, seed, n_trees, mtry):
 
 
 def _assemble_trees(n_nodes, roots, records):
-    """The DecisionTrees, from _grow_trees' records, emptying the list.
+    """The node fields of the forest, from _grow_trees' records, emptying the list.
 
     Each record is one step's splits: an int32 array with columns tree, node,
     feature, left child, left child's class counts, right child's class
     counts, and the thresholds.  Called once _grow_trees has returned, so the
-    growth buffers are freed before the node arrays are allocated.
+    growth buffers are freed before the node table is allocated.
     """
     offset = np.cumsum(n_nodes) - n_nodes
-    feature = np.full(n_nodes.sum(), _NO_FEATURE, dtype=np.intp)
+    feature = np.full(n_nodes.sum(), _NO_FEATURE, dtype=np.int32)
     threshold = np.zeros(len(feature))
-    left = np.full(len(feature), -1, dtype=np.intp)
-    counts = np.empty((len(feature), 2), dtype=np.int64)
+    left = np.full(len(feature), -1, dtype=np.int32)
+    counts = np.empty((len(feature), 2), dtype=np.int32)
     counts[offset] = roots
     while records:
         splits, thr = records.pop()
@@ -357,12 +382,7 @@ def _assemble_trees(n_nodes, roots, records):
         left[offset[t] + node] = lft
         counts[offset[t] + lft] = splits[:, 4:6]
         counts[offset[t] + lft + 1] = splits[:, 6:]
-    right = np.where(left < 0, -1, left + 1)
-    return [
-        DecisionTree(feature=feature[o:o + m], threshold=threshold[o:o + m],
-                     left=left[o:o + m], right=right[o:o + m], counts=counts[o:o + m])
-        for o, m in zip(offset, n_nodes)
-    ]
+    return feature, threshold, left, np.where(left < 0, left, left + 1), counts
 
 
 def fit_forest(data, *, n_trees: int = 500, seed: int = 0) -> ForestModel:
@@ -374,15 +394,14 @@ def fit_forest(data, *, n_trees: int = 500, seed: int = 0) -> ForestModel:
     if y.min() == y.max():
         raise ValueError("both classes must be present")
     n, p = X.shape
-    model = ForestModel(trees=[], seed=seed, n_features=p, oob_error=float("nan"))
-
-    n_nodes, roots, records, oob = _grow_trees(X, y, seed, n_trees, model.mtry)
-    model.trees = _assemble_trees(n_nodes, roots, records)
+    n_nodes, roots, records, oob = _grow_trees(X, y, seed, n_trees, math.ceil(math.sqrt(p)))
+    model = ForestModel(n_nodes, *_assemble_trees(n_nodes, roots, records), seed=seed,
+                        n_features=p, oob_error=float("nan"))
 
     # OOB votes: the distinct training rows are scored once, by every tree
     first, inverse = distinct_rows(X.T)
     positive = np.empty((len(first), n_trees), dtype=bool)
-    for lo, hi, t0, t1, vote in model.leaf_tables.votes(X[first]):
+    for lo, hi, t0, t1, vote in model.leaf_tables.votes(X, first):
         positive[lo:hi, t0:t1] = vote
     positive = positive[inverse].T
     votes = np.column_stack([(oob & ~positive).sum(axis=0), (oob & positive).sum(axis=0)]
@@ -396,32 +415,28 @@ def fit_forest(data, *, n_trees: int = 500, seed: int = 0) -> ForestModel:
     return model
 
 
-def _table_bytes(trees):
-    """Bytes of a group's tables: per feature, a row per distinct threshold and one more."""
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    inner = feature != _NO_FEATURE
-    feature, threshold = feature[inner], threshold[inner]
+def _table_bytes(forest):
+    """Bytes of a forest's tables: per feature, a row per distinct threshold and one more."""
+    inner = forest.feature != _NO_FEATURE
+    feature, threshold = forest.feature[inner], forest.threshold[inner]
     rows = sum(np.unique(threshold[feature == f]).size + 1 for f in np.unique(feature))
-    words = -(-max(tree.feature.size + 1 for tree in trees) // 128)  # leaves = (nodes + 1) / 2
-    return rows * len(trees) * words * 8
+    words = -(-(int(forest.n_nodes.max()) + 1) // 128)  # leaves = (nodes + 1) / 2
+    return rows * forest.n_trees * words * 8
 
 
-def _node_masks(trees):
+def _node_masks(forest):
     """Each internal node's leaf mask, and each tree's class-1 leaves, as W-word bitsets.
 
     Returns the internal nodes' feature, threshold, tree and (nodes, W) masks,
-    and the (len(trees), W) words of the trees' class-1 leaves.  Leaves are
+    and the (n_trees, W) words of the trees' class-1 leaves.  Leaves are
     numbered in order, left to right; bit i of a set is word i // 64, bit
     i % 64, and a node's mask clears the bits of its left subtree's leaves.
     """
-    n_nodes = np.array([tree.feature.size for tree in trees])
-    start = np.cumsum(n_nodes) - n_nodes
-    owner = np.repeat(np.arange(len(trees), dtype=np.int32), n_nodes)
-    feature = np.concatenate([tree.feature for tree in trees])
-    left = np.concatenate([tree.left for tree in trees]).astype(np.int32) + start[owner]
-    right = np.concatenate([tree.right for tree in trees]).astype(np.int32) + start[owner]
-    inner = feature != _NO_FEATURE
+    start = np.cumsum(forest.n_nodes) - forest.n_nodes
+    owner = np.repeat(np.arange(forest.n_trees, dtype=np.int32), forest.n_nodes)
+    left = forest.left + start[owner]
+    right = forest.right + start[owner]
+    inner = forest.feature != _NO_FEATURE
 
     levels = []  # the internal nodes of each depth, across trees
     nodes = start
@@ -431,15 +446,14 @@ def _node_masks(trees):
     n_leaves = (~inner).astype(np.int32)
     for nodes in reversed(levels):
         n_leaves[nodes] = n_leaves[left[nodes]] + n_leaves[right[nodes]]
-    first = np.zeros(len(feature), dtype=np.int32)  # the number of a node's first leaf
+    first = np.zeros(len(inner), dtype=np.int32)  # the number of a node's first leaf
     for nodes in levels:
         first[left[nodes]] = first[nodes]
         first[right[nodes]] = first[nodes] + n_leaves[left[nodes]]
     n_words = -(-int(n_leaves[start].max()) // 64)
 
-    leaf = np.flatnonzero(~inner & np.concatenate(
-        [tree.counts[:, 1] > tree.counts[:, 0] for tree in trees]))
-    positive = np.zeros((len(trees), n_words), dtype=np.uint64)
+    leaf = np.flatnonzero(~inner & (forest.counts[:, 1] > forest.counts[:, 0]))
+    positive = np.zeros((forest.n_trees, n_words), dtype=np.uint64)
     np.bitwise_or.at(positive, (owner[leaf], first[leaf] // 64),
                      np.uint64(1) << (first[leaf] % 64).astype(np.uint64))
 
@@ -449,19 +463,18 @@ def _node_masks(trees):
     for w in range(n_words):
         below_hi = _LOW_BITS[np.clip(hi - 64 * w, 0, 64)]
         masks[:, w] = ~(below_hi ^ _LOW_BITS[np.clip(lo - 64 * w, 0, 64)])
-    threshold = np.concatenate([tree.threshold for tree in trees])[nodes]
-    return feature[nodes], threshold, owner[nodes], masks, positive
+    return forest.feature[nodes], forest.threshold[nodes], owner[nodes], masks, positive
 
 
-def _group_tables(trees):
-    """The exit-leaf tables of a group of trees; see _LeafTables.
+def _group_tables(forest):
+    """The exit-leaf tables of a forest (a group of trees); see _LeafTables.
 
     Returns (features, thresholds, tables, positive): each feature that
     splits a node once, with its sorted distinct non-NaN thresholds T_f and
-    its (len(T_f) + 1, len(trees), W) uint64 table; and the (len(trees), W)
-    words marking each tree's leaves of class 1.
+    its (len(T_f) + 1, n_trees, W) uint64 table; and the (n_trees, W) words
+    marking each tree's leaves of class 1.
     """
-    feature, threshold, owner, masks, positive = _node_masks(trees)
+    feature, threshold, owner, masks, positive = _node_masks(forest)
     features, thresholds, tables = [], [], []
     for f in np.unique(feature):
         at = feature == f
@@ -470,7 +483,7 @@ def _group_tables(trees):
         values = np.unique(thr[~nan])
         # x <= nan is false for every x: such a node's mask is in every row
         row = np.where(nan, 0, np.searchsorted(values, thr) + 1)
-        table = np.full((len(values) + 1, len(trees), positive.shape[1]), _LOW_BITS[64])
+        table = np.full((len(values) + 1, *positive.shape), _LOW_BITS[64])
         np.bitwise_and.at(table, (row, owner[at]), masks[at])
         np.bitwise_and.accumulate(table, axis=0, out=table)
         features.append(f)
@@ -494,30 +507,32 @@ class _LeafTables:
     threshold makes every such node false.
     """
 
-    def __init__(self, trees):
-        self.trees = trees
+    def __init__(self, forest):
         # runs [t0, t1) of step trees: a run's tables take no more rows and words per tree
         # than the whole forest's, so runs of its share of _TABLE_BYTES fit, or of one tree
-        n = len(trees)
-        step = max(1, _TABLE_BYTES * n // max(1, _table_bytes(trees)))
+        n = forest.n_trees
+        step = max(1, _TABLE_BYTES * n // max(1, _table_bytes(forest)))
         self.groups = [(t0, min(t0 + step, n)) for t0 in range(0, n, step)]
+        # each run's trees as views: the forest and its tables make no reference cycle
+        self._forests = [forest.subforest(t0, t1) for t0, t1 in self.groups]
         # a forest whose tables fit one group keeps them; otherwise each call rebuilds them
-        self._kept = _group_tables(trees) if len(self.groups) == 1 else None
+        self._kept = _group_tables(forest) if len(self.groups) == 1 else None
 
-    def votes(self, X):
-        """Yields (lo, hi, t0, t1, vote): vote[i, j] says tree t0 + j puts row lo + i in class 1."""
-        for t0, t1 in self.groups:
-            features, thresholds, tables, positive = self._kept or _group_tables(self.trees[t0:t1])
+    def votes(self, X, rows):
+        """Yields (lo, hi, t0, t1, vote): vote[i, j] says tree t0 + j puts row rows[lo + i]
+        of X in class 1.  Each chunk reads its rows of X through rows, a column at a time."""
+        for (t0, t1), forest in zip(self.groups, self._forests):
+            features, thresholds, tables, positive = self._kept or _group_tables(forest)
             step = max(1, _SCORE_WORDS // positive.size)
-            exits = np.empty((min(step, len(X)), *positive.shape), dtype=np.uint64)
+            exits = np.empty((min(step, len(rows)), *positive.shape), dtype=np.uint64)
             taken = np.empty_like(exits)
-            for lo in range(0, len(X), step):
-                hi = min(lo + step, len(X))
+            for lo in range(0, len(rows), step):
+                hi = min(lo + step, len(rows))
                 exit_masks, table_rows = exits[:hi - lo], taken[:hi - lo]
                 exit_masks.fill(_LOW_BITS[64])
                 for f, values, table in zip(features, thresholds, tables):
-                    np.take(table, np.searchsorted(values, X[lo:hi, f]), axis=0, out=table_rows,
-                            mode="clip")
+                    np.take(table, np.searchsorted(values, X[rows[lo:hi], f]), axis=0,
+                            out=table_rows, mode="clip")
                     exit_masks &= table_rows
                 yield lo, hi, t0, t1, _exit_class(exit_masks, positive)
 
@@ -542,7 +557,7 @@ def predict_forest(model: ForestModel, X) -> np.ndarray:
     X = design_matrix(X, model.n_features)
     first, inverse = distinct_rows(X.T)
     votes = np.zeros(len(first))
-    for lo, hi, _t0, _t1, vote in model.leaf_tables.votes(X[first]):
+    for lo, hi, _t0, _t1, vote in model.leaf_tables.votes(X, first):
         votes[lo:hi] += vote.sum(axis=1)
     return votes[inverse] / model.n_trees
 

@@ -9,25 +9,22 @@ from dataclasses import fields
 
 import numpy as np
 
-from ..errors import HiddenPopError, SchemaMismatch
+from ..errors import SchemaMismatch
 from ..features import FeatureSchema
 from ..ingest import atomic_open, check_round_trip, reading
-from .forest import DecisionTree, ForestModel
+from .forest import _NODE_FIELDS, ForestModel
 from .logistic import FIT_RANGES, LogisticModel
 
 FORMAT_VERSION = 2
 
-# a model's file holds each field of its dataclass but a forest's trees, and its derived
-# and fixed values (see _payload); trees are n_nodes and one string per node field
+# a model's file holds each field of its dataclass, and its derived and fixed values (see
+# _payload); a forest's node table is the list n_nodes and a base64 string per node field
 _MODEL_TYPES = {LogisticModel: "logistic", ForestModel: "forest"}
+_NODE_TABLE = ("n_nodes", *_NODE_FIELDS)
 # how a model field of each annotated type is read from its JSON value; an array is
 # read flat, so a nested list of weights loads as a list that differs from it
 _CASTS = {"int": int, "float": float,
           "np.ndarray": lambda value: np.ravel(np.array(value, dtype=float))}
-# each node field of all trees, concatenated, as base64 of these little-endian items;
-# counts is (nodes, 2), row-major
-_NODE_FIELDS = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4",
-                "counts": "<i4"}
 
 
 def model_type(model) -> str:
@@ -40,30 +37,18 @@ def model_type(model) -> str:
 
 def _payload(model, schema: FeatureSchema) -> dict:
     """What save_model writes, less a forest's node strings."""
-    saved = {f.name: getattr(model, f.name) for f in fields(model) if f.name != "trees"}
+    saved = {f.name: getattr(model, f.name) for f in fields(model) if f.name not in _NODE_TABLE}
     if isinstance(model, LogisticModel):
         saved.update(weights=model.weights.tolist(), converged=model.converged)
     else:  # min_leaf and max_depth are fixed: every tree grows to purity
         saved.update(n_trees=model.n_trees, mtry=model.mtry, min_leaf=1, max_depth=None,
-                     n_nodes=[len(t.feature) for t in model.trees])
+                     n_nodes=model.n_nodes.tolist())
     return {"format_version": FORMAT_VERSION, "schema": json.loads(schema.to_json()),
             "model_type": model_type(model), "model": saved}
 
 
-def _packed_trees(trees) -> dict:
-    """Each node field of all trees as one base64 string."""
-    packed = {}
-    for name, dtype in _NODE_FIELDS.items():
-        values = np.concatenate([getattr(t, name) for t in trees])
-        items = values.astype(dtype)
-        if name != "threshold" and not np.array_equal(items, values):
-            raise HiddenPopError(f"a forest's {name} holds a value outside {dtype}")
-        packed[name] = base64.b64encode(items.tobytes()).decode("ascii")
-    return packed
-
-
 def _decoded(model: dict, name: str) -> np.ndarray:
-    """A node field of all trees, decoded; its string leaves model, so each is freed in turn."""
+    """A node field of all trees, a view of its decoded bytes; its string leaves model."""
     text, dtype = model.pop(name), np.dtype(_NODE_FIELDS[name])
     if not isinstance(text, str):
         raise TypeError(f"{name} must be a base64 string")
@@ -74,11 +59,11 @@ def _decoded(model: dict, name: str) -> np.ndarray:
     del text
     if len(data) % dtype.itemsize:
         raise ValueError(f"{name} is not a whole number of {dtype.str} items ({len(data)} bytes)")
-    return np.frombuffer(data, dtype).astype(float if dtype.kind == "f" else np.int64)
+    return np.frombuffer(data, dtype)
 
 
-def _unpacked_trees(model: dict, n_features: int) -> list:
-    """A saved forest's trees, checked in one pass over all nodes to hold one binary tree each."""
+def _node_table(model: dict, n_features: int) -> tuple:
+    """A saved forest's _NODE_TABLE, checked in one pass to hold one binary tree per tree."""
     sizes = np.array(model["n_nodes"])
     if sizes.ndim != 1 or not sizes.size or sizes.dtype.kind not in "iu":
         raise ValueError("n_nodes must be a non-empty list of integers")
@@ -103,14 +88,14 @@ def _unpacked_trees(model: dict, n_features: int) -> list:
     children = np.concatenate([left[inner], right[inner]]) + np.tile(start[tree[inner]], 2)
     if (np.bincount(children, minlength=n)[local > 0] != 1).any():
         raise ValueError("a node other than the root is not the child of exactly one node")
-    arrays = (np.split(a, start[1:]) for a in (feature, threshold, left, right, counts))
-    return [DecisionTree(*nodes) for nodes in zip(*arrays)]
+    return sizes, feature, threshold, left, right, counts
 
 
 def save_model(path, model, schema: FeatureSchema):
     payload = _payload(model, schema)
     if isinstance(model, ForestModel):
-        payload["model"].update(_packed_trees(model.trees))
+        payload["model"].update({name: base64.b64encode(getattr(model, name)).decode("ascii")
+                                 for name in _NODE_FIELDS})
     with atomic_open(path) as f:
         # streamed by the Python encoder, quick on a payload without long lists, so the
         # whole text is never held beside the node strings
@@ -135,7 +120,7 @@ def load_model(path):
             raise SchemaMismatch(f"{path}: unknown model_type {payload['model_type']!r}")
         stored = payload["model"]
         loaded = {f.name: (_CASTS[f.type], stored[f.name]) for f in fields(cls)
-                  if f.name != "trees"}
+                  if f.name not in _NODE_TABLE}
         for name, (cast, value) in loaded.items():
             try:
                 loaded[name] = cast(value)
@@ -144,7 +129,7 @@ def load_model(path):
         if cls is ForestModel:
             if loaded["n_features"] < 1:  # before mtry, its square root, is read
                 raise ValueError(f"n_features must be >= 1, not {loaded['n_features']}")
-            loaded["trees"] = _unpacked_trees(stored, loaded["n_features"])
+            loaded.update(zip(_NODE_TABLE, _node_table(stored, loaded["n_features"])))
         else:
             if not np.isfinite(loaded["weights"]).all() or not np.isfinite(loaded["intercept"]):
                 raise ValueError("intercept and weights must be finite")

@@ -156,10 +156,10 @@ def _first_fault(register, coders):
 
 
 def _score(cell):
-    """An empty score cell as None, any other as a float in [0, 1] (so not NaN)."""
+    """An empty score cell as None, any other as a float in [0, 1] (so not NaN), -0 as 0.0."""
     if cell and not 0 <= float(cell) <= 1:
         raise ValueError(f"predicted_score {cell!r} is not in [0, 1]")
-    return float(cell) if cell else None
+    return float(cell) + 0.0 if cell else None
 
 
 def read_expanded_csv(path) -> Expanded:

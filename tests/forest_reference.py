@@ -7,12 +7,32 @@ bit for bit; nothing here calls the package's scoring code.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from hiddenpop.models.forest import DecisionTree, ForestModel
+from hiddenpop.models.forest import _NODE_FIELDS, ForestModel
 
 _NO_FEATURE = -1
+
+
+@dataclass
+class Tree:
+    """One tree's node fields, numbered from 0 at its root, in any integer and float types."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+
+
+def forest(trees, *, n_features, seed=0, oob_error=0.0):
+    """The ForestModel of these trees: each node field concatenated, tree after tree."""
+    return ForestModel(np.array([len(tree.feature) for tree in trees]),
+                       *(np.concatenate([getattr(tree, name) for tree in trees])
+                         for name in _NODE_FIELDS),
+                       seed=seed, n_features=n_features, oob_error=oob_error)
 
 
 def predict_class(tree, X):
@@ -105,7 +125,7 @@ def grow_tree(X, y, idx, rng, mtry):
         # push right first so the left branch is processed (and draws RNG) first
         stack.append((r_id, right_idx))
         stack.append((l_id, left_idx))
-    return DecisionTree(
+    return Tree(
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=float),
         left=np.array(left, dtype=np.intp),
@@ -136,7 +156,7 @@ def fit_forest(data, *, n_trees=500, seed=0):
     voted = votes.sum(axis=1) > 0
     oob_pred = (votes[:, 1] > votes[:, 0]).astype(int)
     oob_error = float(np.mean(oob_pred[voted] != y[voted])) if voted.any() else float("nan")
-    return ForestModel(trees=trees, seed=seed, n_features=p, oob_error=oob_error)
+    return forest(trees, n_features=p, seed=seed, oob_error=oob_error)
 
 
 def predict_forest(model, X):

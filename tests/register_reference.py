@@ -182,7 +182,7 @@ def _membership(row: dict) -> tuple:
             f"delta={bg.delta} kind={int(bg.kind)} provenance={provenance!r} is not "
             f"allowed for bp={bp} cit={cit}"
         )
-    value = float(score) if score else np.nan
+    value = float(score) + 0.0 if score else np.nan  # -0 reads as +0.0
     if score and not 0 <= value <= 1:
         raise ValueError(f"predicted_score {score!r} is not in [0, 1]")
     if provenance == "predicted" and not score:

@@ -203,3 +203,23 @@ def test_scores_round_trip_at_the_one_byte_code_limit(tmp_path, n_scores):
     np.testing.assert_array_equal(read.score, expanded.score[expanded.register.key_order])
     write_expanded_csv(again, read)
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("zeros", [("0", "-0"), ("-0", "0"), ("-0.0", "0.0")])
+def test_a_zero_score_reads_as_positive_zero_in_either_order(tmp_path, zeros):
+    """A score of 0 and one of -0 share a level: whichever comes first, it reads as +0.0
+    and writes as 0.000000, as impute writes a zero."""
+    path, again = tmp_path / "expanded.csv", tmp_path / "again.csv"
+    write_expanded_csv(path, _expansion([((1, 1, 1), False)] * 2, [0.25, 0.75]))
+    lines = path.read_bytes().decode().split("\r\n")
+    for at, cell in zip((1, 2), zeros):
+        cells = lines[at].split(",")
+        cells[_COLUMN["predicted_score"]] = cell
+        lines[at] = ",".join(cells)
+    path.write_bytes("\r\n".join(lines).encode())
+    _assert_readers_agree(path)
+    read = read_expanded_csv(path)
+    assert not np.signbit(read.score).any()
+    write_expanded_csv(again, read)
+    assert [line.rsplit(",", 1)[1] for line in again.read_bytes().decode().split("\r\n")[1:-1]
+            ] == ["0.000000"] * 2

@@ -2,6 +2,7 @@
 
 import signal
 import tempfile
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -16,8 +17,7 @@ from hiddenpop.features import LabeledDataset
 from hiddenpop.models import (fit_forest, load_model, permutation_importance, predict_forest,
                               save_model)
 from hiddenpop.models import forest as forest_module
-from hiddenpop.models.forest import (_BLOCK, DecisionTree, ForestModel, _draw_candidates,
-                                     _gini)
+from hiddenpop.models.forest import _BLOCK, _NODE_FIELDS, _draw_candidates, _gini
 
 
 def learnable_data(n=300, seed=0):
@@ -146,12 +146,11 @@ def tied_data(n=160, seed=0):
 
 
 def assert_same_forest(got, want):
-    """Bit for bit: every node array and the OOB error."""
-    assert len(got.trees) == len(want.trees)
-    for a, b in zip(got.trees, want.trees):
-        for name in ("feature", "threshold", "left", "right", "counts"):
-            x, w = getattr(a, name), getattr(b, name)
-            assert x.dtype == w.dtype and x.shape == w.shape and x.tobytes() == w.tobytes(), name
+    """Bit for bit: the node table, in the model file's item types, and the OOB error."""
+    np.testing.assert_array_equal(got.n_nodes, want.n_nodes)
+    for name, dtype in _NODE_FIELDS.items():
+        x, w = getattr(got, name), getattr(want, name)
+        assert x.dtype == dtype and x.shape == w.shape and x.tobytes() == w.tobytes(), name
     np.testing.assert_equal(got.oob_error, want.oob_error)  # NaN when no row was out of bag
     assert got.mtry == want.mtry
 
@@ -407,8 +406,8 @@ def random_tree(rng, n_leaves, n_features):
         feature[i], threshold[i] = rng.integers(n_features), rng.choice(_POOL)
         left[i], right[i] = ids[lft], ids[rgt]
     counts = rng.integers(0, 3, size=(n, 2)).astype(np.int64)
-    return DecisionTree(feature=feature, threshold=threshold, left=left, right=right,
-                        counts=counts)
+    return reference.Tree(feature=feature, threshold=threshold, left=left, right=right,
+                          counts=counts)
 
 
 def scoring_rows(rng, n_rows, n_features):
@@ -436,7 +435,7 @@ def test_bitmask_scores_of_loaded_trees_equal_the_walk(small_training, seed, siz
     schema, _data = small_training
     rng = np.random.default_rng(seed)
     trees = [random_tree(rng, n_leaves, schema.width) for n_leaves in sizes]
-    built = ForestModel(trees=trees, seed=0, n_features=schema.width, oob_error=0.0)
+    built = reference.forest(trees, n_features=schema.width)
     with tempfile.TemporaryDirectory() as tmp:
         save_model(Path(tmp) / "model.json", built, schema)
         model, _schema = load_model(Path(tmp) / "model.json")
@@ -452,7 +451,7 @@ def test_saved_forest_loads_equal_arrays_and_votes(small_training, seed, sizes):
     rng = np.random.default_rng(seed)
     trees = [random_tree(rng, n_leaves, schema.width) for n_leaves in sizes]
     trees[0].counts[:] = rng.integers(0, 2**31, size=trees[0].counts.shape)
-    built = ForestModel(trees=trees, seed=0, n_features=schema.width, oob_error=0.0)
+    built = reference.forest(trees, n_features=schema.width)
     with tempfile.TemporaryDirectory() as tmp:
         save_model(Path(tmp) / "model.json", built, schema)
         model, _schema = load_model(Path(tmp) / "model.json")
@@ -461,17 +460,19 @@ def test_saved_forest_loads_equal_arrays_and_votes(small_training, seed, sizes):
         for name in ("feature", "left", "right", "counts"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         assert got.threshold.tobytes() == want.threshold.tobytes()  # -0.0 and NaN too
+    assert_same_forest(model, built)
     X = scoring_rows(rng, 60, schema.width)
     assert predict_forest(model, X).tobytes() == predict_forest(built, X).tobytes()
 
 
 def test_a_count_outside_int32_is_not_saved(small_training, tmp_path):
+    """A forest holds its node table in the file's item types, so no such forest is made."""
     schema, _data = small_training
     tree = random_tree(np.random.default_rng(0), 3, schema.width)
     tree.counts[-1, 1] = 2**31
-    model = ForestModel(trees=[tree], seed=0, n_features=schema.width, oob_error=0.0)
     with pytest.raises(HiddenPopError, match="counts holds a value outside <i4"):
-        save_model(tmp_path / "model.json", model, schema)
+        save_model(tmp_path / "model.json", reference.forest([tree], n_features=schema.width),
+                   schema)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -499,7 +500,71 @@ def test_bitmask_scorer_in_tree_groups_and_row_chunks(monkeypatch):
     assert_same_forest(got, reference.fit_forest(data, n_trees=9, seed=6))
     rng = np.random.default_rng(6)
     trees = [random_tree(rng, n_leaves, 5) for n_leaves in (1, 70, 140, 3)]
-    model = ForestModel(trees=trees, seed=0, n_features=5, oob_error=0.0)
+    model = reference.forest(trees, n_features=5)
     assert len(model.leaf_tables.groups) > 2
     assert_scores_equal_the_walk(got, np.vstack([data.X, scoring_rows(rng, 30, 5)]))
     assert_scores_equal_the_walk(model, scoring_rows(rng, 90, 5))
+
+
+def assert_one_node_table(model):
+    """One C-contiguous array per node field, in its _NODE_FIELDS type; no per-tree objects."""
+    n = int(model.n_nodes.sum())
+    for name, dtype in _NODE_FIELDS.items():
+        values = getattr(model, name)
+        assert values.dtype == dtype and values.flags.c_contiguous, name
+        assert values.shape == ((n, 2) if name == "counts" else (n,)), name
+    assert not [name for name, value in vars(model).items()
+                if isinstance(value, (list, tuple, dict))]
+
+
+def test_fitted_and_loaded_forests_hold_one_node_table(small_training, tmp_path):
+    schema, data = small_training
+    fitted = fit_forest(data, n_trees=20, seed=3)
+    save_model(tmp_path / "model.json", fitted, schema)
+    loaded, _schema = load_model(tmp_path / "model.json")
+    assert_one_node_table(fitted)
+    assert_one_node_table(loaded)
+    assert_same_forest(loaded, fitted)
+
+
+@contextmanager
+def traced_memory():
+    """Yields a dict that gets the bytes traced by tracemalloc in the block: its "peak" and
+    what is still held at its end ("retained"), over what was held at its start."""
+    tracemalloc.start()
+    traced = {}
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        yield traced
+        held, peak = tracemalloc.get_traced_memory()
+        traced.update(retained=held - base, peak=peak - base)
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_model_retains_at_most_28_bytes_per_node(small_training, tmp_path):
+    """The decoded node strings are the loaded forest's arrays: 4 + 8 + 4 + 4 + 2 x 4 bytes."""
+    schema, _data = small_training
+    rng = np.random.default_rng(0)
+    built = reference.forest([random_tree(rng, 150, schema.width) for _ in range(200)],
+                             n_features=schema.width)
+    path = tmp_path / "model.json"
+    save_model(path, built, schema)
+    load_model(path)  # whatever a first load caches is made here
+    with traced_memory() as traced:
+        model, _schema = load_model(path)
+    n = int(model.n_nodes.sum())
+    assert n == 200 * 299
+    assert traced["retained"] <= 28 * n + (64 << 10), traced
+
+
+def test_predict_forest_copies_no_distinct_rows():
+    """Each scoring chunk reads its rows through the distinct-row index: the scoring of
+    30,000 distinct rows peaks below one (distinct rows x width) float copy of them."""
+    rng = np.random.default_rng(0)
+    model = reference.forest([random_tree(rng, 64, 60) for _ in range(100)], n_features=60)
+    X = rng.normal(size=(30_000, 60))
+    predict_forest(model, X[:10])  # the leaf tables, which the forest keeps, are built here
+    with traced_memory() as traced:
+        predict_forest(model, X)
+    assert traced["peak"] < X.nbytes, traced
