@@ -243,7 +243,7 @@ def cmd_ingest(run):
         "matched": len(linked.rows),
         "unmatched_admin": len(register) - len(linked.rows),
         "unmatched_survey": len(linked.unmatched_survey),
-        "name_table_entries": names.total_names,
+        "name_table_entries": len(names),
     }
     run.write("linkage_summary.csv", _write_text,
               "quantity,count\n" + "".join(f"{k},{v}\n" for k, v in counts.items()))

@@ -77,6 +77,11 @@ MEMBERSHIP = _membership_rule()
 excluded triple and where pa stays open."""
 
 
+def pa_open(bp, cit):
+    """Where the register's bp and cit leave pa open, so a survey or a model must settle it."""
+    return MEMBERSHIP[bp, cit, PA_UNOBSERVED, 1] < 0
+
+
 @dataclass(frozen=True)
 class MigrantBackground:
     """Membership flag plus typology; delta == 0 iff kind == NO_BACKGROUND."""

@@ -1,8 +1,10 @@
 """Validation harness: split, confusion metrics, Cohen's kappa, ROC/AUC, k-fold CV.
 
+Each result holds only what it counted, and derives its figures from that: a
+confusion matrix its metrics, a ROC curve its AUC, a CV result its aggregates.
 Metrics with a zero denominator are reported as None ("undefined"), never 0;
 cross-validation aggregates skip undefined folds and report how many were
-skipped.
+skipped, so a metric that one fold defines has sd 0.
 """
 
 from __future__ import annotations
@@ -22,35 +24,46 @@ METRIC_NAMES = ["accuracy", "precision", "true_positive_rate", "f1", "kappa"]
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
+    """Counts at a threshold, and the metrics they define; None = undefined."""
+
     tp: int
     fp: int
     fn: int
     tn: int
 
+    total = property(lambda self: self.tp + self.fp + self.fn + self.tn)
+    accuracy = property(lambda self: (self.tp + self.tn) / self.total)
+    precision = property(
+        lambda self: self.tp / (self.tp + self.fp) if (self.tp + self.fp) > 0 else None)
+    true_positive_rate = property(
+        lambda self: self.tp / (self.tp + self.fn) if (self.tp + self.fn) > 0 else None)
+
     @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
+    def f1(self) -> float | None:
+        precision, tpr = self.precision, self.true_positive_rate
+        if precision is None or tpr is None or (precision + tpr) == 0:
+            return None
+        return 2 * precision * tpr / (precision + tpr)
 
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Each metric is recomputable from the confusion matrix; None = undefined."""
-
-    accuracy: float
-    precision: float | None
-    true_positive_rate: float | None
-    f1: float | None
-    kappa: float | None
-    confusion: ConfusionMatrix
+    @property
+    def kappa(self) -> float | None:
+        # chance agreement from the marginal products
+        p_e = ((self.tp + self.fp) * (self.tp + self.fn)
+               + (self.fn + self.tn) * (self.fp + self.tn)) / self.total**2
+        return (self.accuracy - p_e) / (1.0 - p_e) if p_e < 1.0 else None
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
-def confusion_at(scores, labels, threshold: float = 0.5) -> ConfusionMatrix:
+def evaluate(scores, labels, threshold: float = 0.5) -> ConfusionMatrix:
     """Counts at a threshold; a score exactly at the threshold classifies negative."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
+    if len(scores) != len(labels):
+        raise HiddenPopError(f"{len(scores)} scores vs {len(labels)} labels")
+    if len(scores) == 0:
+        raise HiddenPopError("no predictions to evaluate")
     pred = (scores > threshold).astype(int)
     return ConfusionMatrix(
         tp=int(np.sum((pred == 1) & (labels == 1))),
@@ -60,38 +73,14 @@ def confusion_at(scores, labels, threshold: float = 0.5) -> ConfusionMatrix:
     )
 
 
-def metrics_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
-    total = cm.total
-    if total == 0:
-        raise HiddenPopError("empty confusion matrix")
-    accuracy = (cm.tp + cm.tn) / total
-    precision = cm.tp / (cm.tp + cm.fp) if (cm.tp + cm.fp) > 0 else None
-    tpr = cm.tp / (cm.tp + cm.fn) if (cm.tp + cm.fn) > 0 else None
-    if precision is None or tpr is None or (precision + tpr) == 0:
-        f1 = None
-    else:
-        f1 = 2 * precision * tpr / (precision + tpr)
-    # chance agreement from the marginal products
-    p_e = ((cm.tp + cm.fp) * (cm.tp + cm.fn) + (cm.fn + cm.tn) * (cm.fp + cm.tn)) / total**2
-    kappa = (accuracy - p_e) / (1.0 - p_e) if p_e < 1.0 else None
-    return MetricsReport(accuracy, precision, tpr, f1, kappa, cm)
-
-
-def evaluate(scores, labels, threshold: float = 0.5) -> MetricsReport:
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if len(scores) != len(labels):
-        raise HiddenPopError(f"{len(scores)} scores vs {len(labels)} labels")
-    if len(scores) == 0:
-        raise HiddenPopError("no predictions to evaluate")
-    return metrics_from_confusion(confusion_at(scores, labels, threshold))
-
-
 @dataclass
 class RocCurve:
     points: np.ndarray   # (m, 2) array of (fpr, tpr), (0,0) .. (1,1)
-    auc: float
     thresholds: np.ndarray
+
+    @property
+    def auc(self) -> float:
+        return float(np.trapezoid(self.points[:, 1], self.points[:, 0]))
 
 
 def roc(scores, labels) -> RocCurve:
@@ -119,8 +108,7 @@ def roc(scores, labels) -> RocCurve:
     tpr = np.r_[0.0, tp / n_pos, 1.0]
     fpr = np.r_[0.0, fp / n_neg, 1.0]
     thresholds = np.r_[np.inf, s[block_ends], -np.inf]
-    auc = float(np.trapezoid(tpr, fpr))
-    return RocCurve(points=np.column_stack([fpr, tpr]), auc=auc, thresholds=thresholds)
+    return RocCurve(points=np.column_stack([fpr, tpr]), thresholds=thresholds)
 
 
 def _subset(data: LabeledDataset, idx) -> LabeledDataset:
@@ -143,12 +131,11 @@ def split_train_validate(data: LabeledDataset, ratio: float = 0.75, seed: int = 
     n = len(data.y)
     if n < 8:
         raise DataError(f"need at least 8 rows, got {n}")
-    classes = np.unique(data.y)
-    if len(classes) < 2:
+    if data.y.min() == data.y.max():
         raise DataError("both classes must be present")
     n_train = round(ratio * n)
     rng = np.random.default_rng(seed)
-    class_idx = [np.nonzero(data.y == c)[0] for c in classes]
+    class_idx = [np.nonzero(data.y == c)[0] for c in (0, 1)]
     take = _stratified_allocation([len(ix) for ix in class_idx], n_train, ratio)
     if min(take) == 0:
         raise DataError(f"ratio {ratio} leaves a class out of the {n_train} training rows")
@@ -170,7 +157,7 @@ def stratified_folds(y, k: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     cursor = 0
-    for c in np.unique(y):
+    for c in (0, 1):
         for i in rng.permutation(np.nonzero(y == c)[0]):
             folds[cursor % k].append(int(i))
             cursor += 1
@@ -179,10 +166,21 @@ def stratified_folds(y, k: int, seed: int) -> list:
 
 @dataclass
 class CvResult:
+    """Each fold's confusion matrix; the aggregates skip the folds a metric is undefined in."""
+
     fold_reports: list
-    mean: dict
-    sd: dict
-    undefined_counts: dict
+
+    def _defined(self, name) -> list:
+        return [v for r in self.fold_reports if (v := getattr(r, name)) is not None]
+
+    def _aggregate(self, statistic) -> dict:
+        return {name: float(statistic(v)) if (v := self._defined(name)) else None
+                for name in METRIC_NAMES}
+
+    mean = property(lambda self: self._aggregate(np.mean))
+    sd = property(lambda self: self._aggregate(np.std))  # population sd, ddof 0
+    undefined_counts = property(lambda self: {
+        name: len(self.fold_reports) - len(self._defined(name)) for name in METRIC_NAMES})
 
 
 def kfold_cv(data: LabeledDataset, trainer, k: int = 10, seed: int = 0,
@@ -197,17 +195,12 @@ def kfold_cv(data: LabeledDataset, trainer, k: int = 10, seed: int = 0,
         train_idx = sorted(set(range(n)) - set(test_idx))
         train = _subset(data, train_idx)
         test = _subset(data, test_idx)
-        if len(np.unique(train.y)) < 2:
+        if train.y.min() == train.y.max():
             raise DataError(f"fold {f}: training part lost a class")
         score_fn = trainer(train)
         reports.append(evaluate(score_fn(test.X), test.y, threshold))
-    mean, sd, undefined = {}, {}, {}
-    for name in METRIC_NAMES:
-        values = [getattr(r, name) for r in reports]
-        defined = [v for v in values if v is not None]
-        undefined[name] = len(values) - len(defined)
-        mean[name] = float(np.mean(defined)) if defined else None
-        sd[name] = float(np.std(defined, ddof=0)) if defined else None
+    result = CvResult(reports)
+    undefined = result.undefined_counts
     if any(undefined.values()):
         log.warning("CV aggregation skipped undefined metrics: %s", undefined)
-    return CvResult(reports, mean, sd, undefined)
+    return result

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import KIND_LABELS, MEMBERSHIP, PA_UNOBSERVED, BackgroundKind
+from .domain import KIND_LABELS, MEMBERSHIP, PA_UNOBSERVED, BackgroundKind, pa_open
 from .errors import DataError, HiddenPopError, SchemaMismatch
 from .features import FeatureSchema, distinct_rows, encode_matrix, level_codes
-from .ingest import LinkedDataset, NameFrequencyTable, Register, code_dtype
+from .ingest import LinkedDataset, Register, code_dtype
 from .models import ForestModel, LogisticModel, predict_forest, predict_logistic
 
 log = logging.getLogger(__name__)
@@ -72,7 +72,7 @@ def predict_scores(model, X: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def impute_pa(model, schema: FeatureSchema, admin: Register, name_table: NameFrequencyTable,
+def impute_pa(model, schema: FeatureSchema, admin: Register, name_table: dict[str, int],
               *, linked_rows=(), threshold: float = 0.5) -> Imputations:
     """Score every (bp,cit)=(1,1) register row outside linked_rows.
 
@@ -86,7 +86,7 @@ def impute_pa(model, schema: FeatureSchema, admin: Register, name_table: NameFre
         raise SchemaMismatch(
             f"model width {model.width} does not match schema width {schema.width}"
         )
-    target = (admin.bp == 1) & (admin.cit == 1)
+    target = pa_open(admin.bp, admin.cit)
     target[np.asarray(linked_rows, dtype=np.intp)] = False
     rows = np.flatnonzero(target)
     if not len(rows):  # no pa, no scores, no codes
@@ -116,7 +116,7 @@ def expand_dataset(admin: Register, linked: LinkedDataset, imputations: Imputati
     HiddenPopError for a (1,1) row with neither pa.
     """
     bp, cit = admin.bp, admin.cit
-    inside = (bp == 1) & (cit == 1)
+    inside = pa_open(bp, cit)
     pa = np.full(len(admin), PA_UNOBSERVED, dtype=np.int8)
     provenance = np.full(len(admin), _PREDICTED, dtype=np.int8)
     unscored = len(imputations.score_levels)  # the NaN level, after the scores
@@ -140,26 +140,27 @@ def expand_dataset(admin: Register, linked: LinkedDataset, imputations: Imputati
 
 @dataclass
 class DistributionTable:
-    """Population tabulation: counts and two percentage bases per kind."""
+    """Population tabulation: the count of each kind, and two percentage bases per kind."""
 
-    rows: list  # dicts: delta, kind, label, count, pct_of_all, pct_of_members
-    n_total: int
-    n_members: int
+    counts: list  # one count per BackgroundKind, in kind order
+
+    n_total = property(lambda self: sum(self.counts), doc="Register records.")
+    n_members = property(lambda self: self.n_total - self.counts[BackgroundKind.NO_BACKGROUND],
+                         doc="Estimated members: records of a kind other than NO_BACKGROUND.")
+
+    @property
+    def rows(self) -> list:
+        """One dict per kind: delta, kind, label, count, pct_of_all, pct_of_members."""
+        n_total, n_members = self.n_total, self.n_members
+        members = [kind != BackgroundKind.NO_BACKGROUND for kind in BackgroundKind]
+        return [{"delta": int(member), "kind": int(kind), "label": KIND_LABELS[kind],
+                 "count": count, "pct_of_all": 100.0 * count / n_total if n_total else 0.0,
+                 "pct_of_members": 100.0 * count / n_members if member and n_members else None}
+                for kind, member, count in zip(BackgroundKind, members, self.counts)]
 
 
 def tabulate_population(expanded: Expanded) -> DistributionTable:
-    n_total = len(expanded)
-    counts = np.bincount(expanded.kind, minlength=len(BackgroundKind)).tolist()
-    n_members = n_total - counts[BackgroundKind.NO_BACKGROUND]
-    rows = []
-    for kind in BackgroundKind:
-        count, member = counts[kind], kind != BackgroundKind.NO_BACKGROUND
-        rows.append({
-            "delta": int(member), "kind": int(kind), "label": KIND_LABELS[kind], "count": count,
-            "pct_of_all": 100.0 * count / n_total if n_total else 0.0,
-            "pct_of_members": 100.0 * count / n_members if member and n_members else None,
-        })
-    return DistributionTable(rows=rows, n_total=n_total, n_members=n_members)
+    return DistributionTable(np.bincount(expanded.kind, minlength=len(BackgroundKind)).tolist())
 
 
 # marginals the two sources share: a register column, or an indicator and the

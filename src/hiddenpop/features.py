@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, HiddenPopError
-from .ingest import (COMMON_NAME_MIN_COUNT, LinkedDataset, NameFrequencyTable, Register,
-                     check_round_trip, is_common_name)
+from .ingest import (COMMON_NAME_MIN_COUNT, LinkedDataset, Register, check_round_trip,
+                     is_common_name)
 
 log = logging.getLogger(__name__)
 
@@ -172,7 +172,7 @@ def distinct_rows(columns):
     return order[new], inverse
 
 
-def build_schema(register: Register, name_table: NameFrequencyTable) -> FeatureSchema:
+def build_schema(register: Register, name_table: dict[str, int]) -> FeatureSchema:
     """Derive the column layout and z-scoring stats from the training rows.
 
     Degenerate features (single observed level, zero-variance numeric) are
@@ -228,7 +228,7 @@ def encode_matrix(groups: dict, schema: FeatureSchema, counts=None) -> np.ndarra
 
 
 def assemble_training_set(linked: LinkedDataset, schema: FeatureSchema,
-                          name_table: NameFrequencyTable) -> LabeledDataset:
+                          name_table: dict[str, int]) -> LabeledDataset:
     """Training rows: linked students with bp=cit=1, labeled 1 iff pa_observed=0.
 
     Only in the (bp,cit)=(1,1) stratum does pa carry information; everywhere

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import MEMBERSHIP
+from .domain import MEMBERSHIP, pa_open
 from .errors import DataError, ExcludedCombination
 
 log = logging.getLogger(__name__)
@@ -270,18 +270,8 @@ class LinkedDataset:
     unmatched_survey: list
 
     def native(self) -> np.ndarray:
-        """Positions, in rows and survey, of the matched students with bp = cit = 1."""
-        matched = self.register.take(self.rows)
-        return np.flatnonzero((matched.bp == 1) & (matched.cit == 1))
-
-
-@dataclass
-class NameFrequencyTable:
-    counts: dict  # normalized name -> count
-
-    @property
-    def total_names(self) -> int:
-        return len(self.counts)
+        """Positions, in rows and survey, of the matched students whose pa is open."""
+        return np.flatnonzero(pa_open(self.register.bp[self.rows], self.register.cit[self.rows]))
 
 
 @contextmanager
@@ -552,8 +542,8 @@ def link(admin: Register, survey: list[SurveyRecord]) -> LinkedDataset:
     return LinkedDataset(admin, rows, matched, unmatched_survey)
 
 
-def build_name_table(path) -> NameFrequencyTable:
-    """Load the external given-name reference (columns: name,count)."""
+def build_name_table(path) -> dict[str, int]:
+    """Load the external given-name reference (columns: name,count): normalized name -> count."""
     counts = {}
     for lineno, raw in read_csv(path, ["name", "count"]):
         try:
@@ -564,16 +554,16 @@ def build_name_table(path) -> NameFrequencyTable:
             raise DataError(f"{path}:{lineno}: count must be >= 1")
         key = normalize_name(raw["name"])
         counts[key] = counts.get(key, 0) + count
-    return NameFrequencyTable(counts)
+    return counts
 
 
-def is_common_name(name: str, table: NameFrequencyTable) -> bool:
+def is_common_name(name: str, table: dict[str, int]) -> bool:
     """Whether a given name is in the reference table with count >= COMMON_NAME_MIN_COUNT."""
     key = normalize_name(name)
     if not key:
         log.warning("empty given name treated as not common")
         return False
-    return table.counts.get(key, 0) >= COMMON_NAME_MIN_COUNT
+    return table.get(key, 0) >= COMMON_NAME_MIN_COUNT
 
 
 # what csv.writer's default dialect quotes: the delimiter, the quote character, CR and LF
@@ -626,5 +616,5 @@ def write_survey_csv(path, records: list[SurveyRecord]):
               ([rec.link_key, int(rec.eligible), rec.pa_observed] for rec in records))
 
 
-def write_name_table(path, table: NameFrequencyTable):
-    write_csv(path, ["name", "count"], sorted(table.counts.items()))
+def write_name_table(path, table: dict[str, int]):
+    write_csv(path, ["name", "count"], sorted(table.items()))

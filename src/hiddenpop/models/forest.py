@@ -567,8 +567,10 @@ class ImportanceReport:
     """Mean decrease in accuracy per feature group (may be negative)."""
 
     mda: dict
-    ranking: list
     baseline_accuracy: float
+
+    ranking = property(lambda self: sorted(self.mda, key=self.mda.get, reverse=True),
+                       doc="The groups by decreasing MDA, ties in group order.")
 
 
 def permutation_importance(
@@ -601,5 +603,4 @@ def permutation_importance(
     drops = baseline - np.mean((scores > threshold) == y, axis=1)
     mda = {name: float(np.mean(drop))
            for (name, _cols), drop in zip(groups, drops.reshape(len(groups), _REPEATS))}
-    ranking = sorted(mda, key=lambda k: mda[k], reverse=True)
-    return ImportanceReport(mda=mda, ranking=ranking, baseline_accuracy=baseline)
+    return ImportanceReport(mda=mda, baseline_accuracy=baseline)

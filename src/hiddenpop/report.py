@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind
+from .domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind, pa_open
 from .eval import CvResult, RocCurve, METRIC_NAMES
 from .expand import PROVENANCES, BiasReport, DistributionTable, Expanded
 from .ingest import ADMIN_COLUMNS, Coder, atomic_open, read_register, write_admin_csv, write_csv
@@ -29,7 +29,7 @@ def _write_markdown_table(path, header, rows, preamble=""):
 
 
 def write_metrics_markdown(path, reports: dict):
-    """reports: model name -> MetricsReport; one row per model."""
+    """reports: model name -> ConfusionMatrix; one row per model."""
     _write_markdown_table(
         path, ["Model", "Accuracy", "Precision", "True positive rate", "F1 Score", "Kappa"],
         ([name] + [_fmt(getattr(r, m), 4) for m in METRIC_NAMES] for name, r in reports.items()))
@@ -38,7 +38,7 @@ def write_metrics_markdown(path, reports: dict):
 def write_metrics_csv(path, reports: dict):
     write_csv(path, ["model"] + METRIC_NAMES + ["tp", "fp", "fn", "tn"],
               ([name] + [_fmt(getattr(r, m)) for m in METRIC_NAMES]
-               + [r.confusion.tp, r.confusion.fp, r.confusion.fn, r.confusion.tn]
+               + [r.tp, r.fp, r.fn, r.tn]
                for name, r in reports.items()))
 
 
@@ -119,7 +119,7 @@ def _allowed() -> np.ndarray:
         kind, settled = MEMBERSHIP[bp, cit, [pa, PA_UNOBSERVED], 1]
         observed = pa != PA_UNOBSERVED
         allowed[bp, cit, :, kind] |= [not observed, observed and kind != settled,
-                                      observed and bp == cit == 1]
+                                      observed and pa_open(bp, cit)]
     return allowed
 
 

@@ -23,7 +23,6 @@ from .features import NAME_FLAG, FeatureSchema, encode_matrix, feature_layout, l
 from .ingest import (
     ADMIN_COLUMNS,
     KEY,
-    NameFrequencyTable,
     Register,
     SurveyRecord,
     atomic_open,
@@ -324,8 +323,8 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     screened_rows = [SurveyRecord(keys[i], eligible=False, pa_observed=1) for i in screened]
 
     # common names comfortably above the commonness cutoff, rare ones listed below it
-    table = NameFrequencyTable({**{nm: 120 + 37 * j for j, nm in enumerate(_COMMON_NAMES)},
-                                **{nm: 1 + j % 4 for j, nm in enumerate(_RARE_LISTED_NAMES)}})
+    table = {**{nm: 120 + 37 * j for j, nm in enumerate(_COMMON_NAMES)},
+             **{nm: 1 + j % 4 for j, nm in enumerate(_RARE_LISTED_NAMES)}}
 
     bundle = SyntheticBundle(*(out_dir / name for name in (
         "admin.csv", "survey.csv", "screened_out.csv", "names.csv", "truth.csv",
@@ -358,7 +357,7 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     return bundle
 
 
-def generating_design(records: Register, table: NameFrequencyTable,
+def generating_design(records: Register, table: dict[str, int],
                       config: SynthConfig) -> np.ndarray:
     """Re-encode register rows exactly as the generating model saw them."""
     return encode_matrix(level_codes(records, table), _generating_schema(config))

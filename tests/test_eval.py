@@ -1,25 +1,28 @@
 """Metrics, ROC/AUC, stratified splitting and cross-validation."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from hiddenpop.errors import DataError
 from hiddenpop.eval import (
+    METRIC_NAMES,
     ConfusionMatrix,
-    confusion_at,
     evaluate,
     kfold_cv,
-    metrics_from_confusion,
     roc,
     split_train_validate,
     stratified_folds,
 )
 from hiddenpop.features import LabeledDataset
 from hiddenpop.models import logistic_trainer
+from hiddenpop.report import write_cv_csv
 
 
 def test_fixture_confusion_metrics():
-    r = metrics_from_confusion(ConfusionMatrix(tp=3, fp=1, fn=2, tn=4))
+    r = ConfusionMatrix(tp=3, fp=1, fn=2, tn=4)
     assert r.accuracy == 0.7
     assert r.precision == 0.75
     assert r.true_positive_rate == 0.6
@@ -27,7 +30,7 @@ def test_fixture_confusion_metrics():
 
 
 def test_tie_at_threshold_classifies_negative():
-    cm = confusion_at(np.array([0.5, 0.5001]), np.array([1, 1]), threshold=0.5)
+    cm = evaluate(np.array([0.5, 0.5001]), np.array([1, 1]), threshold=0.5)
     assert (cm.tp, cm.fn) == (1, 1)
 
 
@@ -44,7 +47,7 @@ def test_undefined_metrics_are_none_not_zero():
 
 def test_kappa_known_value():
     # accuracy 0.7, chance agreement (4*5 + 5*6)/100 = 0.5 -> kappa 0.4
-    r = metrics_from_confusion(ConfusionMatrix(tp=3, fp=1, fn=2, tn=4))
+    r = ConfusionMatrix(tp=3, fp=1, fn=2, tn=4)
     assert abs(r.kappa - 0.4) < 1e-12
 
 
@@ -132,6 +135,26 @@ def test_kfold_cv_runs_and_aggregates():
     assert 0.5 < result.mean["accuracy"] <= 1.0
     assert result.sd["accuracy"] >= 0.0
     assert result.undefined_counts["accuracy"] == 0
+
+
+def test_kfold_cv_metric_defined_in_one_fold(tmp_path, caplog):
+    """Only the fold holding row 0 predicts a positive, so only it defines precision:
+    the aggregates skip the other k - 1 folds, and one value has sd 0."""
+    data = make_data(10, 10)
+    data.X[:] = 0.0
+    data.X[0, 0] = 1.0
+    k = 5
+    result = kfold_cv(data, lambda train: lambda X: X[:, 0], k=k, seed=0)
+    assert [r.precision is not None for r in result.fold_reports].count(True) == 1
+    assert (result.mean["precision"], result.sd["precision"]) == (1.0, 0.0)
+    assert result.undefined_counts["precision"] == k - 1
+    assert "CV aggregation skipped undefined metrics" in caplog.text
+    path = tmp_path / "cv.csv"
+    write_cv_csv(path, result)
+    rows = {row[0]: dict(zip(METRIC_NAMES, row[1:]))
+            for row in csv.reader(io.StringIO(path.read_text()))}
+    assert rows["sd"]["precision"] == "0.000000"
+    assert rows["n_undefined"]["precision"] == str(k - 1)
 
 
 def test_kfold_cv_too_few_rows():

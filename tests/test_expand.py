@@ -23,7 +23,7 @@ from hiddenpop.expand import (
     tabulate_population,
 )
 from hiddenpop.features import build_schema, encode_matrix, level_codes
-from hiddenpop.ingest import NameFrequencyTable, SurveyRecord, link
+from hiddenpop.ingest import SurveyRecord, link
 from hiddenpop.models import fit_forest, fit_logistic, predict_logistic
 from hiddenpop.features import LabeledDataset
 from hiddenpop.report import read_expanded_csv, write_expanded_csv
@@ -31,7 +31,7 @@ from hiddenpop.report import read_expanded_csv, write_expanded_csv
 from register_reference import read_expanded_rows, register_of
 from test_ingest import make_admin
 
-TABLE = NameFrequencyTable({"maria": 100, "giuseppe": 80, "tecla": 2})
+TABLE = {"maria": 100, "giuseppe": 80, "tecla": 2}
 
 
 def fitted_model_and_schema():

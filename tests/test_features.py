@@ -15,12 +15,12 @@ from hiddenpop.features import (
     FeatureSchema,
     level_codes,
 )
-from hiddenpop.ingest import NameFrequencyTable, SurveyRecord, is_common_name, link
+from hiddenpop.ingest import SurveyRecord, is_common_name, link
 
 from register_reference import register_of, register_rows
 from test_ingest import make_admin
 
-TABLE = NameFrequencyTable({"maria": 100, "giuseppe": 80, "tecla": 2})
+TABLE = {"maria": 100, "giuseppe": 80, "tecla": 2}
 
 
 def varied_records():

@@ -1,4 +1,5 @@
-"""Every name a module under src/ imports is used there; a package's __init__ re-exports."""
+"""Every name a module under src/ imports is used there, a package's __init__ re-exports,
+and every private module-level name is read somewhere in src/."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,47 @@ def test_unused_imports_are_found():
                                         for p in SRC.rglob("*.py") if p.name != "__init__.py"))
 def test_module_uses_every_import(path):
     assert unused_imports((SRC / path).read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of each private module-level name that nothing reads.
+
+    sources maps a module name to its source.  A name is read where its own module
+    loads it, or where any module imports it by name or reads an attribute of that name.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    elsewhere = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.ImportFrom):
+            elsewhere.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            elsewhere.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            unread += [(module, node.lineno, name) for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in loaded | elsewhere]
+    return sorted(unread)
+
+
+def test_unread_private_names_are_found():
+    sources = {"a": ("_A, _B = 1, 2\n_unread: int = 3\n_read_in_b = 4\n__dunder__ = 5\n"
+                     "def _helper():\n    return _A\nclass _Spare:\n    pass\n"),
+               "b": "from .a import _read_in_b\n"}
+    assert unread_private_names(sources) == [("a", 1, "_B"), ("a", 2, "_unread"),
+                                             ("a", 5, "_helper"), ("a", 7, "_Spare")]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({p.relative_to(SRC).as_posix(): p.read_text(encoding="utf-8")
+                                 for p in sorted(SRC.rglob("*.py"))}) == []

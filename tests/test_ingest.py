@@ -12,7 +12,6 @@ from hiddenpop.errors import DataError
 from hiddenpop.ingest import (
     COMMON_NAME_MIN_COUNT,
     KEY,
-    NameFrequencyTable,
     SurveyRecord,
     build_name_table,
     first_repeat,
@@ -231,8 +230,7 @@ def test_name_table_merges_normalized_spellings(tmp_path):
     path = tmp_path / "names.csv"
     path.write_text("name,count\nMaria,10\nmaría,5\nanselmo,2\n")
     table = build_name_table(path)
-    assert table.counts["maria"] == 15
-    assert table.total_names == 2
+    assert table == {"maria": 15, "anselmo": 2}
 
 
 def test_name_table_malformed(tmp_path):
@@ -249,8 +247,7 @@ def test_name_table_malformed(tmp_path):
 
 
 def test_is_common_name_rules():
-    table = NameFrequencyTable({"maria": 100, "anna": COMMON_NAME_MIN_COUNT,
-                                "tecla": COMMON_NAME_MIN_COUNT - 1})
+    table = {"maria": 100, "anna": COMMON_NAME_MIN_COUNT, "tecla": COMMON_NAME_MIN_COUNT - 1}
     assert COMMON_NAME_MIN_COUNT == 5
     assert is_common_name("MARIA", table)
     assert is_common_name("Anna", table)              # exactly the fixed minimum count

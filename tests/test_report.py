@@ -13,10 +13,10 @@ import hiddenpop.ingest
 import hiddenpop.models.io
 from hiddenpop.domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind
 from hiddenpop.errors import DataError
-from hiddenpop.eval import ConfusionMatrix, CvResult, MetricsReport, RocCurve, evaluate, roc
+from hiddenpop.eval import ConfusionMatrix, CvResult, RocCurve, evaluate, roc
 from hiddenpop.expand import PROVENANCES, BiasReport, DistributionTable, Expanded
 from hiddenpop.expand import expand_dataset, impute_pa, tabulate_population
-from hiddenpop.ingest import (ADMIN_COLUMNS, ITALY, NameFrequencyTable, SurveyRecord,
+from hiddenpop.ingest import (ADMIN_COLUMNS, ITALY, SurveyRecord,
                               parse_admin, write_admin_csv, write_name_table, write_survey_csv)
 from hiddenpop.models.io import load_model, save_model
 from hiddenpop.models import ImportanceReport, fit_logistic, fit_forest
@@ -82,15 +82,9 @@ def _csv_writer_bytes(header, rows):
 
 
 # every table writer's bytes, pinned: csv.writer over the expected cells, or the expected text
-_UNDEFINED_PRECISION = MetricsReport(accuracy=0.5, precision=None, true_positive_rate=0.0,
-                                     f1=None, kappa=0.0, confusion=ConfusionMatrix(0, 0, 1, 1))
-_FULL = MetricsReport(accuracy=0.75, precision=2 / 3, true_positive_rate=1.0, f1=0.8,
-                      kappa=0.5, confusion=ConfusionMatrix(2, 1, 0, 1))
-_DISTRIBUTION = DistributionTable(rows=[
-    dict(delta=0, kind=0, label="no migrant background", count=3, pct_of_all=75.0,
-         pct_of_members=None),
-    dict(delta=1, kind=4, label="Foreign", count=1, pct_of_all=25.0, pct_of_members=100.0),
-], n_total=4, n_members=1)
+_UNDEFINED_PRECISION = ConfusionMatrix(tp=0, fp=0, fn=1, tn=1)
+_FULL = ConfusionMatrix(tp=2, fp=1, fn=0, tn=1)
+_DISTRIBUTION = DistributionTable([3, 0, 0, 0, 1])  # every kind has a row, an empty one too
 _BIAS = BiasReport(variables={"department": {'a,"b"': (60.0, 50.0, -10.0),
                                              "science": (40.0, 50.0, 10.0)},
                               "gender": {"F": (50.0, 52.5, 2.5)}},
@@ -115,7 +109,7 @@ def test_metrics_csv_bytes(tmp_path):
 
 
 def test_roc_csv_bytes(tmp_path):
-    curve = RocCurve(points=np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]]), auc=0.75,
+    curve = RocCurve(points=np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]]),
                      thresholds=np.array([np.inf, 0.7, -np.inf]))
     assert _written(write_roc_csv, curve, tmp_path=tmp_path) == _csv_writer_bytes(
         ["fpr", "tpr", "threshold"],
@@ -124,23 +118,18 @@ def test_roc_csv_bytes(tmp_path):
 
 
 def test_cv_csv_bytes(tmp_path):
-    result = CvResult(
-        fold_reports=[_UNDEFINED_PRECISION, _FULL],
-        mean=dict(accuracy=0.625, precision=2 / 3, true_positive_rate=0.5, f1=0.8, kappa=0.25),
-        sd=dict(accuracy=0.125, precision=None, true_positive_rate=0.5, f1=None, kappa=0.25),
-        undefined_counts=dict(accuracy=0, precision=1, true_positive_rate=0, f1=1, kappa=0))
+    result = CvResult(fold_reports=[_UNDEFINED_PRECISION, _FULL])
     assert _written(write_cv_csv, result, tmp_path=tmp_path) == _csv_writer_bytes(
         ["fold", *_METRIC_HEADER],
         [["0", "0.500000", "undefined", "0.000000", "undefined", "0.000000"],
          ["1", "0.750000", "0.666667", "1.000000", "0.800000", "0.500000"],
          ["mean", "0.625000", "0.666667", "0.500000", "0.800000", "0.250000"],
-         ["sd", "0.125000", "undefined", "0.500000", "undefined", "0.250000"],
+         ["sd", "0.125000", "0.000000", "0.500000", "0.000000", "0.250000"],
          ["n_undefined", "0", "1", "0", "1", "0"]])
 
 
 def test_importance_csv_bytes(tmp_path):
-    report = ImportanceReport(mda={"gender": 0.0125, "employment": -0.001},
-                              ranking=["gender", "employment"], baseline_accuracy=0.8)
+    report = ImportanceReport(mda={"employment": -0.001, "gender": 0.0125}, baseline_accuracy=0.8)
     assert _written(write_importance_csv, report, tmp_path=tmp_path) == _csv_writer_bytes(
         ["rank", "feature", "mean_decrease_accuracy"],
         [["1", "gender", "0.012500"], ["2", "employment", "-0.001000"],
@@ -151,7 +140,22 @@ def test_distribution_csv_bytes(tmp_path):
     assert _written(write_distribution_csv, _DISTRIBUTION, tmp_path=tmp_path) == \
         _csv_writer_bytes(["delta", "kind", "label", "count", "pct_of_all", "pct_of_members"],
                           [["0", "0", "no migrant background", "3", "75.00", "undefined"],
+                           ["1", "1", "2nd generation Italian", "0", "0.00", "0.00"],
+                           ["1", "2", "2nd generation foreign", "0", "0.00", "0.00"],
+                           ["1", "3", "Italian with migrant experience", "0", "0.00", "0.00"],
                            ["1", "4", "Foreign", "1", "25.00", "100.00"]])
+
+
+def test_distribution_has_a_row_per_kind_when_kinds_are_empty(tmp_path):
+    expanded = expanded_of([make_admin("S1"), make_admin("S2")], [0, 1], [0, 4],
+                           ["exact", "exact"], [None, None])
+    table = tabulate_population(expanded)
+    assert (table.counts, table.n_total, table.n_members) == ([1, 0, 0, 0, 1], 2, 1)
+    rows = list(csv.reader(io.StringIO(
+        _written(write_distribution_csv, table, tmp_path=tmp_path).decode())))[1:]
+    assert [(row[1], row[3], row[5]) for row in rows] == [
+        ("0", "1", "undefined"), ("1", "0", "0.00"), ("2", "0", "0.00"), ("3", "0", "0.00"),
+        ("4", "1", "100.00")]
 
 
 def test_bias_csv_and_plot_bytes(tmp_path):
@@ -175,7 +179,7 @@ def test_survey_and_name_table_bytes(tmp_path):
     records = [SurveyRecord("S1", True, 0), SurveyRecord('S"2', False, 1)]
     assert _written(write_survey_csv, records, tmp_path=tmp_path) == _csv_writer_bytes(
         ["link_key", "eligible", "pa_observed"], [["S1", "1", "0"], ['S"2', "0", "1"]])
-    table = NameFrequencyTable({"zoe": 3, "anna, maria": 7})
+    table = {"zoe": 3, "anna, maria": 7}
     assert _written(write_name_table, table, tmp_path=tmp_path) == _csv_writer_bytes(
         ["name", "count"], [["anna, maria", "7"], ["zoe", "3"]])
 
@@ -213,6 +217,9 @@ def test_markdown_tables_text(tmp_path):
         b"| delta | kind | count | % of all | % of members | background |\n"
         b"|---|---|---|---|---|---|\n"
         b"| 0 | 0 | 3 | 75.00 | undefined | no migrant background |\n"
+        b"| 1 | 1 | 0 | 0.00 | 0.00 | 2nd generation Italian |\n"
+        b"| 1 | 2 | 0 | 0.00 | 0.00 | 2nd generation foreign |\n"
+        b"| 1 | 3 | 0 | 0.00 | 0.00 | Italian with migrant experience |\n"
         b"| 1 | 4 | 1 | 25.00 | 100.00 | Foreign |\n")
 
 
