@@ -147,6 +147,7 @@ def _synth(run, rel) -> Path:
     if args.config:
         with reading(args.config, TypeError):
             config = SynthConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+            run.inputs.append(Path(args.config))
             try:
                 config.validate()
             except DataError as exc:

@@ -135,33 +135,28 @@ def split_train_validate(data: LabeledDataset, ratio: float = 0.75, seed: int = 
         raise DataError("both classes must be present")
     n_train = round(ratio * n)
     rng = np.random.default_rng(seed)
-    class_idx = [np.nonzero(data.y == c)[0] for c in (0, 1)]
+    class_idx = [np.flatnonzero(data.y == c) for c in (0, 1)]
     take = _stratified_allocation([len(ix) for ix in class_idx], n_train, ratio)
     if min(take) == 0:
         raise DataError(f"ratio {ratio} leaves a class out of the {n_train} training rows")
-    train_idx, val_idx = [], []
+    train = np.zeros(n, dtype=bool)
     for ix, t in zip(class_idx, take):
-        shuffled = rng.permutation(ix)
-        train_idx.extend(shuffled[:t])
-        val_idx.extend(shuffled[t:])
-    return _subset(data, sorted(train_idx)), _subset(data, sorted(val_idx))
+        train[rng.permutation(ix)[:t]] = True
+    return _subset(data, np.flatnonzero(train)), _subset(data, np.flatnonzero(~train))
 
 
-def stratified_folds(y, k: int, seed: int) -> list:
-    """k index lists; stratified, overall fold sizes differing by at most 1.
+def stratified_folds(y, k: int, seed: int) -> np.ndarray:
+    """Each row's fold, 0 to k - 1; stratified, fold sizes differing by at most 1.
 
-    Shuffled indices are dealt class-by-class in one continuous round-robin
-    over the folds, so per-class and total counts are both balanced.
+    The shuffled rows of class 0, then of class 1, are dealt in one continuous
+    round-robin over the folds, so per-class and total counts are both balanced.
     """
     y = np.asarray(y, dtype=int)
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
-    cursor = 0
-    for c in (0, 1):
-        for i in rng.permutation(np.nonzero(y == c)[0]):
-            folds[cursor % k].append(int(i))
-            cursor += 1
-    return [sorted(f) for f in folds]
+    dealt = np.concatenate([rng.permutation(np.flatnonzero(y == c)) for c in (0, 1)])
+    fold = np.empty(len(y), dtype=np.intp)
+    fold[dealt] = np.arange(len(y)) % k
+    return fold
 
 
 @dataclass
@@ -189,12 +184,11 @@ def kfold_cv(data: LabeledDataset, trainer, k: int = 10, seed: int = 0,
     n = len(data.y)
     if n < k:
         raise DataError(f"n={n} < k={k}")
-    folds = stratified_folds(data.y, k, seed)
+    fold = stratified_folds(data.y, k, seed)
     reports = []
-    for f, test_idx in enumerate(folds):
-        train_idx = sorted(set(range(n)) - set(test_idx))
-        train = _subset(data, train_idx)
-        test = _subset(data, test_idx)
+    for f in range(k):
+        train = _subset(data, np.flatnonzero(fold != f))
+        test = _subset(data, np.flatnonzero(fold == f))
         if train.y.min() == train.y.max():
             raise DataError(f"fold {f}: training part lost a class")
         score_fn = trainer(train)

@@ -141,10 +141,10 @@ class ForestModel:
 class _Bins:
     """The histogram bins of the training columns, made once per fit.
 
-    Column f's bins are its distinct values in increasing order, as
-    np.unique gives them: bin b's value is value[first[f] + b], b < width[f].
-    A value falls in bin searchsorted(values of f, value), so -0.0 and 0.0
-    share a bin.  A histogram has two cells per bin, negatives then
+    Column f's bins are its distinct values in increasing order, and X[i, f]
+    falls in the bin np.unique's inverse gives it: bin b's value is
+    value[first[f] + b], b < width[f], and -0.0 and 0.0, which compare
+    equal, share a bin.  A histogram has two cells per bin, negatives then
     positives: keys[f, i] = 2 * (bin of X[i, f]) + y[i].
     """
 
@@ -155,12 +155,9 @@ class _Bins:
 
     @classmethod
     def of(cls, X, y):
-        columns = [np.unique(column) for column in X.T]
-        keys = np.array([2 * np.searchsorted(values, column) + y
-                         for values, column in zip(columns, X.T)])
-        value = np.concatenate(columns)
-        width = np.array([len(values) for values in columns])
-        return cls(keys, value, np.cumsum(width) - width, width)
+        values, bins = zip(*(np.unique(column, return_inverse=True) for column in X.T))
+        width = np.array([len(v) for v in values])
+        return cls(2 * np.array(bins) + y, np.concatenate(values), np.cumsum(width) - width, width)
 
 
 def _split_nodes(X, y, bins, rows, sizes, cands):
@@ -403,25 +400,25 @@ def fit_forest(data, *, n_trees: int = 500, seed: int = 0) -> ForestModel:
     positive = np.empty((len(first), n_trees), dtype=bool)
     for lo, hi, t0, t1, vote in model.leaf_tables.votes(X, first):
         positive[lo:hi, t0:t1] = vote
-    positive = positive[inverse].T
-    votes = np.column_stack([(oob & ~positive).sum(axis=0), (oob & positive).sum(axis=0)]
-                            ).astype(np.int64)  # OOB votes per class
-
-    voted = votes.sum(axis=1) > 0
-    oob_pred = (votes[:, 1] > votes[:, 0]).astype(int)
+    n_oob = oob.sum(axis=0)  # per training row, its out-of-bag trees and their positive votes
+    n_positive = (oob & positive[inverse].T).sum(axis=0)
+    voted = n_oob > 0
     if voted.any():
-        model.oob_error = float(np.mean(oob_pred[voted] != y[voted]))
+        model.oob_error = float(np.mean((2 * n_positive > n_oob)[voted] != y[voted]))
     log.info("forest: %d trees, mtry=%d, OOB error %.4f", n_trees, model.mtry, model.oob_error)
     return model
 
 
 def _table_bytes(forest):
-    """Bytes of a forest's tables: per feature, a row per distinct threshold and one more."""
+    """Bytes of the tables _group_tables builds: a row per distinct (feature, non-NaN
+    threshold) pair, and one more per split feature."""
     inner = forest.feature != _NO_FEATURE
-    feature, threshold = forest.feature[inner], forest.threshold[inner]
-    rows = sum(np.unique(threshold[feature == f]).size + 1 for f in np.unique(feature))
+    real = inner & ~np.isnan(forest.threshold)
+    values, rank = np.unique(forest.threshold[real], return_inverse=True)
+    pairs = np.unique(rank + forest.feature[real] * np.intp(len(values)), return_index=True)[1]
+    features = np.unique(forest.feature[inner], return_index=True)[1]
     words = -(-(int(forest.n_nodes.max()) + 1) // 128)  # leaves = (nodes + 1) / 2
-    return rows * forest.n_trees * words * 8
+    return (len(pairs) + len(features)) * forest.n_trees * words * 8
 
 
 def _node_masks(forest):
@@ -475,18 +472,18 @@ def _group_tables(forest):
     marking each tree's leaves of class 1.
     """
     feature, threshold, owner, masks, positive = _node_masks(forest)
-    features, thresholds, tables = [], [], []
-    for f in np.unique(feature):
-        at = feature == f
-        thr = threshold[at]
-        nan = np.isnan(thr)
-        values = np.unique(thr[~nan])
-        # x <= nan is false for every x: such a node's mask is in every row
-        row = np.where(nan, 0, np.searchsorted(values, thr) + 1)
+    features, which = np.unique(feature, return_inverse=True)
+    thresholds, tables = [], []
+    for i in range(len(features)):
+        at = which == i
+        real = ~np.isnan(threshold[at])
+        values, rank = np.unique(threshold[at][real], return_inverse=True)
+        # x <= nan is false for every x: such a node's mask is in every row, from row 0
+        row = np.zeros(len(real), dtype=np.intp)
+        row[real] = rank + 1
         table = np.full((len(values) + 1, *positive.shape), _LOW_BITS[64])
         np.bitwise_and.at(table, (row, owner[at]), masks[at])
         np.bitwise_and.accumulate(table, axis=0, out=table)
-        features.append(f)
         thresholds.append(values)
         tables.append(table)
     return features, thresholds, tables, positive

@@ -1,6 +1,7 @@
 """CLI subcommands: artifacts, manifests, exit codes, schema digest guard."""
 
 import csv
+import hashlib
 import json
 import shutil
 
@@ -129,7 +130,8 @@ def test_data_dir_environment_variable_is_ignored(cli_run, tmp_path, monkeypatch
     assert main(["pipeline", "--out", str(out), "--config", str(config),
                  "--model", "logistic", "--k", "0"]) == 0
     inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
-    assert inputs and all(path.startswith(str(out / "data")) for path in inputs)
+    assert str(config) in inputs
+    assert all(path.startswith(str(out / "data")) for path in inputs if path != str(config))
 
 
 def test_usage_error_exit_code():
@@ -194,6 +196,21 @@ def test_pipeline_with_config_override(tmp_path):
     assert (out / "report" / "bias_report.csv").exists()
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["seed"] == cfg.seed
+
+
+def test_manifest_records_the_config_read(cli_run, tmp_path):
+    """synth reads --config, and so does a pipeline that generates its data; a pipeline
+    given --data-dir reads none, and records none."""
+    _root, data, _train = cli_run
+    config = tmp_path / "config.json"
+    config.write_text(small_config().to_json())
+    digest = hashlib.sha256(config.read_bytes()).hexdigest()
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--config", str(config)]) == 0
+    assert _manifest(tmp_path / "synth")["inputs"] == {str(config): digest}
+    pipe = tmp_path / "pipe"
+    assert main(["pipeline", "--data-dir", str(data), "--out", str(pipe), "--config", str(config),
+                 "--model", "logistic", "--k", "0"]) == 0
+    assert _manifest(pipe)["inputs"] and str(config) not in _manifest(pipe)["inputs"]
 
 
 def test_pipeline_parses_inputs_once(cli_run, tmp_path, monkeypatch):

@@ -5,11 +5,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiddenpop.errors import DataError
 from hiddenpop.eval import (
     METRIC_NAMES,
     ConfusionMatrix,
+    _stratified_allocation,
     evaluate,
     kfold_cv,
     roc,
@@ -116,16 +119,69 @@ def test_split_too_small():
         split_train_validate(make_data(3, 4))
 
 
+def test_split_leaving_a_class_out_of_training():
+    with pytest.raises(DataError, match="^ratio 0.5 leaves a class out of the 5 training rows$"):
+        split_train_validate(make_data(1, 9), ratio=0.5)
+
+
 def test_stratified_folds_balanced():
     y = np.r_[np.ones(31, dtype=int), np.zeros(44, dtype=int)]
-    folds = stratified_folds(y, k=10, seed=0)
-    sizes = [len(f) for f in folds]
-    assert sum(sizes) == 75
+    fold = stratified_folds(y, k=10, seed=0)
+    assert fold.shape == (75,) and 0 <= fold.min() and fold.max() < 10  # one fold per row
+    sizes = np.bincount(fold, minlength=10)
+    assert sizes.sum() == 75
     assert max(sizes) - min(sizes) <= 1
-    pos = [int(y[f].sum()) for f in folds]
+    pos = np.bincount(fold[y == 1], minlength=10)
     assert max(pos) - min(pos) <= 1
-    all_idx = sorted(i for f in folds for i in f)
-    assert all_idx == list(range(75))
+
+
+def list_folds(y, k, seed):
+    """The fold lists that stratified_folds's array replaced: k sorted index lists."""
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    cursor = 0
+    for c in (0, 1):
+        for i in rng.permutation(np.nonzero(y == c)[0]):
+            folds[cursor % k].append(int(i))
+            cursor += 1
+    return [sorted(f) for f in folds]
+
+
+def list_split(y, ratio, seed):
+    """The sorted training and validation rows of the list code split_train_validate
+    replaced, or None where it leaves a class out of training."""
+    n_train = round(ratio * len(y))
+    rng = np.random.default_rng(seed)
+    class_idx = [np.nonzero(y == c)[0] for c in (0, 1)]
+    take = _stratified_allocation([len(ix) for ix in class_idx], n_train, ratio)
+    if min(take) == 0:
+        return None
+    train_idx, val_idx = [], []
+    for ix, t in zip(class_idx, take):
+        shuffled = rng.permutation(ix)
+        train_idx.extend(shuffled[:t])
+        val_idx.extend(shuffled[t:])
+    return sorted(train_idx), sorted(val_idx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=st.lists(st.integers(0, 1), min_size=8, max_size=60).filter(lambda y: len(set(y)) == 2),
+       k=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
+       ratio=st.floats(0.05, 0.95))
+def test_fold_array_and_split_mask_equal_the_list_code(y, k, seed, ratio):
+    y = np.array(y)
+    fold = stratified_folds(y, k, seed)
+    assert [np.flatnonzero(fold == f).tolist() for f in range(k)] == list_folds(y, k, seed)
+    data = LabeledDataset(X=np.arange(len(y), dtype=float)[:, None], y=y,
+                          row_ids=[str(i) for i in range(len(y))])
+    want = list_split(y, ratio, seed)
+    if want is None:
+        with pytest.raises(DataError, match="leaves a class out"):
+            split_train_validate(data, ratio=ratio, seed=seed)
+        return
+    train, val = split_train_validate(data, ratio=ratio, seed=seed)
+    assert [train.row_ids, val.row_ids] == [[str(i) for i in rows] for rows in want]
+    assert train.X[:, 0].tolist() == [float(i) for i in want[0]]
 
 
 def test_kfold_cv_runs_and_aggregates():
@@ -155,6 +211,12 @@ def test_kfold_cv_metric_defined_in_one_fold(tmp_path, caplog):
             for row in csv.reader(io.StringIO(path.read_text()))}
     assert rows["sd"]["precision"] == "0.000000"
     assert rows["n_undefined"]["precision"] == str(k - 1)
+
+
+def test_kfold_cv_fold_whose_training_part_lost_a_class():
+    """The one positive is dealt last, to fold 4, so fold 4 trains on negatives only."""
+    with pytest.raises(DataError, match="^fold 4: training part lost a class$"):
+        kfold_cv(make_data(1, 9), lambda train: lambda X: X[:, 0], k=5)
 
 
 def test_kfold_cv_too_few_rows():

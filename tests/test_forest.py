@@ -17,7 +17,8 @@ from hiddenpop.features import LabeledDataset
 from hiddenpop.models import (fit_forest, load_model, permutation_importance, predict_forest,
                               save_model)
 from hiddenpop.models import forest as forest_module
-from hiddenpop.models.forest import _BLOCK, _NODE_FIELDS, _draw_candidates, _gini
+from hiddenpop.models.forest import (_BLOCK, _NODE_FIELDS, _draw_candidates, _gini,
+                                     _group_tables, _table_bytes)
 
 
 def learnable_data(n=300, seed=0):
@@ -504,6 +505,28 @@ def test_bitmask_scorer_in_tree_groups_and_row_chunks(monkeypatch):
     assert len(model.leaf_tables.groups) > 2
     assert_scores_equal_the_walk(got, np.vstack([data.X, scoring_rows(rng, 30, 5)]))
     assert_scores_equal_the_walk(model, scoring_rows(rng, 90, 5))
+
+
+def built_table_bytes(forest):
+    _features, _thresholds, tables, _positive = _group_tables(forest)
+    return sum(table.nbytes for table in tables)
+
+
+def test_table_bytes_counts_the_rows_the_tables_build(small_training):
+    """A NaN threshold's node goes in row 0 of its feature's table, and adds no row.
+
+    A fitted forest with one threshold set to NaN, then hand-built trees whose
+    thresholds come from _POOL: NaN, -0.0 and 0.0, and the infinities.
+    """
+    schema, data = small_training
+    model = fit_forest(data, n_trees=20, seed=3)
+    model.threshold[np.flatnonzero(model.feature != -1)[0]] = np.nan
+    assert _table_bytes(model) == built_table_bytes(model)
+    rng = np.random.default_rng(3)
+    for sizes in ([1], [1, 2], [5, 64, 150, 3], [129, 70]):
+        model = reference.forest([random_tree(rng, n, schema.width) for n in sizes],
+                                 n_features=schema.width)
+        assert _table_bytes(model) == built_table_bytes(model)
 
 
 def assert_one_node_table(model):

@@ -1,10 +1,15 @@
 """Every name a module under src/ imports is used there, a package's __init__ re-exports,
-and every private module-level name is read somewhere in src/."""
+every private module-level name is read somewhere in src/, and a run imports no more of
+NumPy than it uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from conftest import small_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -76,3 +81,25 @@ def test_unread_private_names_are_found():
 def test_every_private_name_is_read():
     assert unread_private_names({p.relative_to(SRC).as_posix(): p.read_text(encoding="utf-8")
                                  for p in sorted(SRC.rglob("*.py"))}) == []
+
+
+_FOREST_RUN = """
+import sys
+from hiddenpop.cli import main
+out, config = sys.argv[1:]
+assert main(["pipeline", "--out", out + "/pipe", "--config", config, "--model", "both",
+             "--trees", "5", "--k", "2"]) == 0
+assert main(["impute", "--data-dir", out + "/pipe/data", "--out", out + "/impute",
+             "--model-file", out + "/pipe/train/model_forest.json"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_forest_runs_do_not_import_numpy_ma(tmp_path):
+    """A bare np.unique call imports numpy.ma, which costs start-up time and memory."""
+    config = tmp_path / "config.json"
+    config.write_text(small_config().to_json())
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", _FOREST_RUN, str(tmp_path), str(config)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
