@@ -411,7 +411,7 @@ def fit_forest(data, *, n_trees: int = 500, seed: int = 0) -> ForestModel:
 
 def _table_bytes(forest):
     """Bytes of the tables _group_tables builds: a row per distinct (feature, non-NaN
-    threshold) pair, and one more per split feature."""
+    threshold) pair, and one per split feature (return_* keeps numpy.ma unimported)."""
     inner = forest.feature != _NO_FEATURE
     real = inner & ~np.isnan(forest.threshold)
     values, rank = np.unique(forest.threshold[real], return_inverse=True)

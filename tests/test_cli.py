@@ -130,8 +130,9 @@ def test_data_dir_environment_variable_is_ignored(cli_run, tmp_path, monkeypatch
     assert main(["pipeline", "--out", str(out), "--config", str(config),
                  "--model", "logistic", "--k", "0"]) == 0
     inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+    others = [path for path in inputs if path != str(config)]
     assert str(config) in inputs
-    assert all(path.startswith(str(out / "data")) for path in inputs if path != str(config))
+    assert others and all(path.startswith(str(out / "data")) for path in others)
 
 
 def test_usage_error_exit_code():
