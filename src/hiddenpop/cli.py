@@ -3,7 +3,8 @@ plus `pipeline` which chains them all.  Every invocation writes its artifacts
 atomically, each through its Run, and one run manifest with the digests of
 the files it read and wrote, for reproducibility.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 internal error.
+Exit codes: 0 success, 2 usage error, 3 data error or an artifact that cannot be
+written, 4 internal error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import __version__
 from .errors import DataError, HiddenPopError, SchemaMismatch
 from .eval import evaluate, kfold_cv, roc, split_train_validate
 from .expand import (
+    SHARED_VARIABLES,
     bias_report,
     expand_dataset,
     impute_pa,
@@ -390,7 +392,8 @@ OPTIONS = {
     "--trees": dict(type=_trees, default=500),
     "--model-file": dict(required=True),
     "--expanded": dict(required=True, help="expanded register CSV"),
-    "--variables": dict(nargs="+", default=["gender", "department", "birth_place", "citizenship"]),
+    "--variables": dict(nargs="+", choices=list(SHARED_VARIABLES),
+                        default=["gender", "department", "birth_place", "citizenship"]),
     "--alert-threshold": dict(type=_gap, default=5.0),
 }
 _TRAIN = ["--data-dir", "--model", "--ratio", "--k", "--threshold", "--trees"]
@@ -437,7 +440,7 @@ def main(argv=None) -> int:
         write_manifest(run.out, args.subcommand,
                        {k: v for k, v in vars(args).items() if k != "func"},
                        run.seed, run.inputs, run.outputs)
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: an artifact path that cannot be written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except HiddenPopError as exc:

@@ -36,8 +36,6 @@ log = logging.getLogger(__name__)
 
 COMMON_NAME_MIN_COUNT = 5  # the reference data never defines "common"; this is fixed
 
-GENDERS = {"F", "M"}
-
 ADMIN_COLUMNS = [
     "link_key",
     "given_name",
@@ -88,6 +86,12 @@ _COURSE_ALIASES = {
 
 _COUNTRY_ALIASES = {"ITALY": ITALY, "ITALIA": ITALY, "ITA": ITALY}
 
+_GENDER_ALIASES = {"F": "F", "FEMALE": "F", "FEMMINA": "F",
+                   "M": "M", "MALE": "M", "MASCHIO": "M"}
+
+_BOOL_ALIASES = {"1": True, "true": True, "yes": True,
+                 "0": False, "false": False, "no": False}
+
 
 def normalize_name(name: str) -> str:
     """Case-fold, trim, collapse inner whitespace and strip diacritics."""
@@ -106,34 +110,29 @@ def _slug(value: str) -> str:
     return "_".join(v.split())
 
 
-def standardize_employment(raw: str) -> str:
-    key = _slug(raw)
-    if key in _EMPLOYMENT_ALIASES:
-        return _EMPLOYMENT_ALIASES[key]
-    raise ValueError(f"unrecognized employment {raw!r}")
+def _category(name: str, aliases: dict, key):
+    """Standardizer of a coded column: the value aliases holds for key(raw)."""
+
+    def standardize(raw: str):
+        try:
+            return aliases[key(raw)]
+        except KeyError:
+            raise ValueError(f"unrecognized {name} {raw!r}") from None
+
+    return standardize
 
 
-def standardize_course_level(raw: str) -> str:
-    key = _slug(raw)
-    if key in _COURSE_ALIASES:
-        return _COURSE_ALIASES[key]
-    raise ValueError(f"unrecognized course level {raw!r}")
+# each rule keeps its own key: str.upper maps "ı" to "I" and "ſ" to "S", so
+# "femmına" and "maſchio" are genders where a lower-case key would reject them
+standardize_employment = _category("employment", _EMPLOYMENT_ALIASES, _slug)
+standardize_course_level = _category("course level", _COURSE_ALIASES, _slug)
+standardize_gender = _category("gender", _GENDER_ALIASES, lambda raw: raw.strip().upper())
+_parse_bool = _category("boolean", _BOOL_ALIASES, lambda raw: raw.strip().lower())
 
 
 def standardize_country(raw: str) -> str:
     key = raw.strip().upper()
     return _COUNTRY_ALIASES.get(key, key)
-
-
-def standardize_gender(raw: str) -> str:
-    key = raw.strip().upper()
-    if key in GENDERS:
-        return key
-    if key in {"FEMALE", "FEMMINA"}:
-        return "F"
-    if key in {"MALE", "MASCHIO"}:
-        return "M"
-    raise ValueError(f"unrecognized gender {raw!r}")
 
 
 def _count(name: str, low: int):
@@ -471,15 +470,6 @@ def parse_admin(path) -> Register:
             f"(limit {MAX_REJECT_FRACTION:.0%})"
         )
     return register
-
-
-def _parse_bool(raw: str) -> bool:
-    key = raw.strip().lower()
-    if key in {"1", "true", "yes"}:
-        return True
-    if key in {"0", "false", "no"}:
-        return False
-    raise ValueError(f"unrecognized boolean {raw!r}")
 
 
 def parse_survey(*paths) -> list[SurveyRecord]:

@@ -295,6 +295,27 @@ def test_bad_input_exits_3_naming_the_file(bundle, tmp_path, capsys, corrupt):
     assert fragment in err
 
 
+@pytest.mark.parametrize("argv, blocked, make", [
+    (["pipeline", "--k", "0", "--trees", "5"], "train", "file"),  # a stage's directory
+    (["synth", "--n-register", "6000"], "admin.csv", "directory"),  # an artifact
+])
+def test_blocked_artifact_path_exits_3_naming_it(bundle, tmp_path, capsys, argv, blocked, make):
+    """A file or directory where the run must write exits 3, not with a traceback."""
+    out = tmp_path / "out"
+    out.mkdir()
+    if make == "file":
+        (out / blocked).touch()
+    else:
+        (out / blocked).mkdir()
+    data = ["--data-dir", str(bundle / "data")] if argv[0] == "pipeline" else []
+    capsys.readouterr()
+    assert main([argv[0], *data, "--out", str(out), *argv[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"'{out / blocked}'" in err and "Traceback" not in err
+    assert not (out / "run_manifest.json").exists()
+
+
 def _evaluate(d, model):
     return ["evaluate", "--data-dir", str(d), "--out", str(d / "out"),
             "--model-file", str(model)]

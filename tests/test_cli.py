@@ -3,7 +3,9 @@
 import csv
 import hashlib
 import json
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +56,23 @@ def test_ingest_summary(cli_run, tmp_path):
     assert main(["ingest", "--data-dir", str(data), "--out", str(out)]) == 0
     text = (out / "linkage_summary.csv").read_text()
     assert "matched,1096" in text  # 312 + 382 + 402
+
+
+def test_formats_doc_names_every_written_file(tmp_path):
+    """docs/formats.md has a section or a mention for each file pipeline and ingest write."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text("utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_register": 600, "n_survey_native": 20,
+                                  "n_survey_migrant": 20, "n_screened_out": 40}))
+    pipe, ingest = tmp_path / "pipe", tmp_path / "ingest"
+    assert main(["pipeline", "--out", str(pipe), "--config", str(config),
+                 "--trees", "5", "--k", "2"]) == 0
+    assert main(["ingest", "--data-dir", str(pipe / "data"), "--out", str(ingest)]) == 0
+    written = {"bias_<variable>.csv" if p.parent.name == "bias_plots" else p.name
+               for p in [*pipe.rglob("*"), *ingest.rglob("*")] if p.is_file()}
+    assert "linkage_summary.csv" in written and "bias_<variable>.csv" in written
+    assert {name for name in written
+            if not re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", doc)} == set()
 
 
 def test_evaluate_impute_report_chain(cli_run, tmp_path):
@@ -164,6 +183,15 @@ def test_out_of_range_option_is_usage_error(tmp_path, capsys, subcommand, flag, 
         main([subcommand, "--out", str(tmp_path / "o"), *required, flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_unknown_bias_variable_is_usage_error_before_any_stage(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--out", str(out), "--trees", "5", "--k", "0", "--variables", "foo"])
+    assert exc.value.code == 2
+    assert "argument --variables: invalid choice: 'foo'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_register_too_small_for_the_survey_names_both(tmp_path, capsys):
@@ -385,7 +413,9 @@ _DATA_DIR = {"data_dir": (None, None, False)}
 _TRAIN = {"model": ("both", ["logistic", "forest", "both"], False),
           "ratio": (0.75, None, False), "k": (10, None, False),
           "threshold": (0.5, None, False), "trees": (500, None, False)}
-_BIAS = {"variables": (["gender", "department", "birth_place", "citizenship"], None, False),
+_BIAS = {"variables": (["gender", "department", "birth_place", "citizenship"],
+                       ["gender", "department", "course_level", "employment", "birth_place",
+                        "citizenship"], False),
          "alert_threshold": (5.0, None, False)}
 _MODEL_FILE = {"model_file": (None, None, True), "threshold": (0.5, None, False)}
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hiddenpop.features
 import hiddenpop.ingest
 from hiddenpop.errors import DataError
 from hiddenpop.ingest import (
@@ -59,6 +60,25 @@ def test_standardizers():
     assert standardize_gender("femmina") == "F"
     with pytest.raises(ValueError):
         standardize_gender("?")
+    ingest = hiddenpop.ingest
+    rules = {"employment": (standardize_employment, ingest._EMPLOYMENT_ALIASES),
+             "course level": (standardize_course_level, ingest._COURSE_ALIASES),
+             "gender": (standardize_gender, ingest._GENDER_ALIASES),
+             "boolean": (ingest._parse_bool, ingest._BOOL_ALIASES)}
+    for name, (standardize, aliases) in rules.items():
+        for key, value in aliases.items():
+            for raw in (key, f"  {key.upper()} ", f"\t{key.lower()}\n", key.title()):
+                assert standardize(raw) == value, (name, raw)
+        with pytest.raises(ValueError) as exc:
+            standardize(" Bogus ")
+        assert str(exc.value) == f"unrecognized {name} ' Bogus '"
+    # str.upper maps "ı" to "I" and "ſ" to "S"
+    assert standardize_gender("femmına") == "F" and standardize_gender("maſchio") == "M"
+    assert ingest._parse_bool(" YES ") is True
+    # every canonical value is a level the encoder knows: its reference or an encoded one
+    for source, reference, levels in hiddenpop.features._CATEGORICALS:
+        aliases = rules[source.replace("_", " ")][1]
+        assert set(aliases.values()) == {reference, *levels}, source
 
 
 def test_bp_cit_derived_from_countries():
