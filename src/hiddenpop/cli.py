@@ -336,6 +336,8 @@ def cmd_report(run):
 
 def cmd_pipeline(run):
     args = run.args
+    for stage in ("train", "impute", "report", "report/bias_plots"):  # fail before any training
+        (run.out / stage).mkdir(parents=True, exist_ok=True)
     if not args.data_dir:
         run.data_dir = _synth(run, "data/")
     reports = _train(run, "train/")

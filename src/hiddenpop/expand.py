@@ -20,7 +20,7 @@ from .domain import KIND_LABELS, MEMBERSHIP, PA_UNOBSERVED, BackgroundKind, pa_o
 from .errors import DataError, HiddenPopError, SchemaMismatch
 from .features import FeatureSchema, distinct_rows, encode_matrix, level_codes
 from .ingest import LinkedDataset, Register, code_dtype
-from .models import ForestModel, LogisticModel, predict_forest, predict_logistic
+from .models import model_type, predict_forest, predict_logistic
 
 log = logging.getLogger(__name__)
 
@@ -65,11 +65,8 @@ class Expanded:
 
 
 def predict_scores(model, X: np.ndarray) -> np.ndarray:
-    if isinstance(model, LogisticModel):
-        return predict_logistic(model, X)
-    if isinstance(model, ForestModel):
-        return predict_forest(model, X)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    # built per call, so that a wrapper set on this module's predict_* names is called
+    return {"logistic": predict_logistic, "forest": predict_forest}[model_type(model)](model, X)
 
 
 def impute_pa(model, schema: FeatureSchema, admin: Register, name_table: dict[str, int],

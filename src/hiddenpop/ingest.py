@@ -14,7 +14,6 @@ schemas.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import os
@@ -35,20 +34,6 @@ from .errors import DataError, ExcludedCombination
 log = logging.getLogger(__name__)
 
 COMMON_NAME_MIN_COUNT = 5  # the reference data never defines "common"; this is fixed
-
-ADMIN_COLUMNS = [
-    "link_key",
-    "given_name",
-    "gender",
-    "birth_country",
-    "citizenship_country",
-    "course_level",
-    "department",
-    "enrollment_year",
-    "years_enrolled",
-    "ects_earned",
-    "employment",
-]
 
 SURVEY_COLUMNS = ["link_key", "eligible", "pa_observed"]
 
@@ -147,7 +132,7 @@ def _count(name: str, low: int):
     return standardize
 
 
-# column -> standardizer of one raw value; ValueError rejects the row
+# column -> standardizer of one raw value, in admin.csv's column order; ValueError rejects the row
 _STANDARDIZERS = {
     "given_name": str.strip,
     "gender": standardize_gender,
@@ -160,6 +145,7 @@ _STANDARDIZERS = {
     "ects_earned": _count("ects_earned", 0),
     "employment": standardize_employment,
 }
+ADMIN_COLUMNS = ["link_key", *_STANDARDIZERS]
 
 MAX_REJECT_FRACTION = 0.05
 # rows read, coded and written per block; a block's row lists are freed before
@@ -406,19 +392,24 @@ def atomic_open(path):
     """Write to a temp file beside path, then rename it over path.
 
     The temp file is created with mode 0666 less the umask, as open() would
-    create it (mkstemp would leave 0600).
+    create it (mkstemp would leave 0600); failing to create or rename it names path.
     """
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", newline="", encoding="utf-8") as f:
+                yield f
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != str(tmp):
+            raise
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
 
 
 def write_csv(path, header, rows):
@@ -561,15 +552,9 @@ _QUOTED = re.compile('[,"\r\n]')
 
 
 def _csv_cells(values) -> np.ndarray:
-    """Each value as csv.writer writes it as one cell of a row of several."""
-    buffer = io.StringIO()
-    writer, cells = csv.writer(buffer), []
-    for value in values:
-        writer.writerow(("", value))  # a row of one empty cell alone would read '""'
-        cells.append(buffer.getvalue()[1:-2])
-        buffer.seek(0)
-        buffer.truncate()
-    return np.array(cells, dtype=object)
+    """Each value as one cell of csv.writer: quoted, its quotes doubled, where _QUOTED matches."""
+    return np.array(['"' + v.replace('"', '""') + '"' if _QUOTED.search(v) else v
+                     for v in values], dtype=object)
 
 
 def write_admin_csv(path, register: Register, more=None, order=None):

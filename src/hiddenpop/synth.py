@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .domain import MEMBERSHIP
 from .errors import DataError
 from .features import NAME_FLAG, FeatureSchema, encode_matrix, feature_layout, level_codes
 from .ingest import (
@@ -278,12 +279,8 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     pa = np.zeros(n, dtype=int)
     pa[native] = (rng.random(native.sum()) >= p_pa0[native]).astype(int)
 
-    kind = np.empty(n, dtype=int)
-    kind[native] = np.where(pa[native] == 1, 0, 1)
-    kind[~native] = group[~native] + 1  # groups 1..3 are kinds 2..4
-
-    bp = np.where(np.isin(kind, [0, 1, 2]), 1, 0)
-    cit = np.where(np.isin(kind, [0, 1, 3]), 1, 0)
+    bp, cit = np.array([[1, 1], [1, 0], [0, 1], [0, 0]])[group].T  # (bp, cit) of groups 0..3
+    kind = MEMBERSHIP[bp, cit, pa, 1].astype(int)
 
     # given names consistent with the common-name flag and the reference table
     rare_names = _RARE_LISTED_NAMES + _RARE_UNLISTED_NAMES

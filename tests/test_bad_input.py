@@ -298,9 +298,11 @@ def test_bad_input_exits_3_naming_the_file(bundle, tmp_path, capsys, corrupt):
 @pytest.mark.parametrize("argv, blocked, make", [
     (["pipeline", "--k", "0", "--trees", "5"], "train", "file"),  # a stage's directory
     (["synth", "--n-register", "6000"], "admin.csv", "directory"),  # an artifact
+    (["pipeline", "--k", "0", "--trees", "5"], "impute", "file"),  # a later stage's directory
 ])
 def test_blocked_artifact_path_exits_3_naming_it(bundle, tmp_path, capsys, argv, blocked, make):
-    """A file or directory where the run must write exits 3, not with a traceback."""
+    """A file or directory where the run must write exits 3, not with a traceback, before
+    any stage runs; the message names the blocked path, not a temp file, so a rerun repeats it."""
     out = tmp_path / "out"
     out.mkdir()
     if make == "file":
@@ -309,11 +311,15 @@ def test_blocked_artifact_path_exits_3_naming_it(bundle, tmp_path, capsys, argv,
         (out / blocked).mkdir()
     data = ["--data-dir", str(bundle / "data")] if argv[0] == "pipeline" else []
     capsys.readouterr()
-    assert main([argv[0], *data, "--out", str(out), *argv[1:]]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert f"'{out / blocked}'" in err and "Traceback" not in err
+    errs = []
+    for _ in range(2):
+        assert main([argv[0], *data, "--out", str(out), *argv[1:]]) == 3
+        errs.append(capsys.readouterr().err)
+    err = errs[0]
+    assert errs[1] == err and err.startswith("error: ") and err.count("\n") == 1, errs
+    assert f"'{out / blocked}'" in err and f".{blocked}." not in err and "Traceback" not in err
     assert not (out / "run_manifest.json").exists()
+    assert not list(out.glob(".*")) and not list(out.glob("train/model_*.json"))
 
 
 def _evaluate(d, model):

@@ -1,7 +1,9 @@
 """The columnar register against the row-at-a-time reference parser."""
 
 import csv
+import io
 import itertools
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -245,3 +247,24 @@ def test_short_row_after_quoted_newline_names_its_last_line(tmp_path, block_rows
     with mock.patch.object(hiddenpop.ingest, "BLOCK_ROWS", block_rows):
         with pytest.raises(DataError, match=r"admin.csv:6: fewer fields than the header"):
             parse_admin(path)
+
+
+def _writer_cell(value: str) -> str:
+    """value as csv.writer writes it as one cell of a row of several."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(("", value))  # a row of one empty cell alone would read '""'
+    return buffer.getvalue()[1:-2]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.lists(st.text(st.sampled_from(',"\r\n \t\x00é') | st.characters(categories=["L"]))))
+def test_csv_cells_quote_as_csv_writer_does(values):
+    """write_admin_csv quotes each level and key by _QUOTED; csv.writer would write the same."""
+    assert hiddenpop.ingest._csv_cells(values).tolist() == list(map(_writer_cell, values))
+
+
+def test_admin_columns_are_the_documented_header():
+    """The register's header follows _STANDARDIZERS' order, which docs/formats.md states."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text("utf-8")
+    table = doc.split("### Register: `admin.csv`", 1)[1].split("\n\n")[2]
+    assert ADMIN_COLUMNS == re.findall(r"^\| `(\w+)` \|", table, re.M)
