@@ -128,6 +128,20 @@ class Run:
         self.inputs += files
         return link(self.register, parse_survey(*files))
 
+    @cached_property
+    def model(self):
+        """(model, schema, path) of --model-file, whose schema.json beside it, if any, must
+        hold the same schema; a pipeline sets the first model it fits."""
+        path = self.args.model_file
+        model, schema = load_model(path)
+        sidecar = Path(path).parent / "schema.json"
+        with reading(sidecar):
+            if sidecar.exists() and sidecar.read_text(encoding="utf-8") != schema.to_json():
+                raise SchemaMismatch(
+                    f"schema in {sidecar} does not match the model's embedded schema")
+        self.inputs.append(Path(path))
+        return model, schema, path
+
     def write(self, rel, writer, *values):
         """Write the artifact out/rel as writer(path, *values) and record it."""
         path = self.out / rel
@@ -180,6 +194,7 @@ def _train(run, rel) -> dict:
         scores = predict_logistic(lm, val.X)
         reports["logistic"] = evaluate(scores, val.y, args.threshold)
         run.write(rel + "model_logistic.json", save_model, lm, schema)
+        vars(run).setdefault("model", (lm, schema, run.outputs[-1]))
         run.write(rel + "roc_logistic.csv", write_roc_csv, roc(scores, val.y))
         if args.k:
             cv = kfold_cv(data, logistic_trainer(), k=args.k, seed=seed,
@@ -191,6 +206,7 @@ def _train(run, rel) -> dict:
         scores = predict_forest(fm, val.X)
         reports["forest"] = evaluate(scores, val.y, args.threshold)
         run.write(rel + "model_forest.json", save_model, fm, schema)
+        vars(run).setdefault("model", (fm, schema, run.outputs[-1]))
         groups = [(g, schema.group_indices(g)) for g in schema.groups]
         imp = permutation_importance(fm, train, seed=seed, groups=groups,
                                      threshold=args.threshold)
@@ -201,11 +217,10 @@ def _train(run, rel) -> dict:
     return reports
 
 
-def _impute(run, rel, model_file):
+def _impute(run, rel):
     """Impute pa for the unlinked bp=cit=1 rows and write the expanded register."""
     register, linked, names = run.register, run.linked, run.names
-    model, schema = load_model(model_file)
-    _check_schema_digest(model_file, schema)
+    model, schema, model_file = run.model
     with reading(model_file, OverflowError):
         imputations = impute_pa(model, schema, register, names,
                                 linked_rows=linked.rows, threshold=run.args.threshold)
@@ -262,29 +277,14 @@ def cmd_train(run):
               f"tpr={'-' if r.true_positive_rate is None else f'{r.true_positive_rate:.3f}'}")
 
 
-def _check_schema_digest(model_path, schema):
-    """The train stage leaves schema.json beside the model; if present it must match."""
-    sidecar = Path(model_path).parent / "schema.json"
-    if sidecar.exists():
-        with reading(sidecar):
-            text = sidecar.read_text(encoding="utf-8")
-        if text != schema.to_json():
-            raise SchemaMismatch(
-                f"schema in {sidecar} does not match the model's embedded schema"
-            )
-
-
 def cmd_evaluate(run):
     """Score a saved model on every linked bp=cit=1 row.
 
     Those rows include the ones the model was trained on, so the figures are
     not a held-out estimate; train's validation split gives that.
     """
-    model_file = run.args.model_file
     run.data_dir  # a missing data directory is reported before a bad model
-    model, schema = load_model(model_file)
-    _check_schema_digest(model_file, schema)
-    run.inputs.append(Path(model_file))
+    model, schema, model_file = run.model
     data = assemble_training_set(run.linked, schema, run.names)
     name = model_type(model)
     with reading(model_file, OverflowError):
@@ -297,8 +297,7 @@ def cmd_evaluate(run):
 
 
 def cmd_impute(run):
-    _expanded, dist = _impute(run, "", run.args.model_file)
-    run.inputs.append(Path(run.args.model_file))
+    _expanded, dist = _impute(run, "")
     print(f"expanded {dist.n_total} records; estimated members: {dist.n_members}")
 
 
@@ -341,8 +340,7 @@ def cmd_pipeline(run):
     if not args.data_dir:
         run.data_dir = _synth(run, "data/")
     reports = _train(run, "train/")
-    model = "logistic" if args.model in ("logistic", "both") else "forest"
-    expanded, dist = _impute(run, "impute/", run.out / "train" / f"model_{model}.json")
+    expanded, dist = _impute(run, "impute/")
     _report(run, "report/", expanded)
     print(f"pipeline complete: {dist.n_total} records, "
           f"{dist.n_members} estimated members, artifacts in {run.out}")

@@ -139,6 +139,8 @@ def split_train_validate(data: LabeledDataset, ratio: float = 0.75, seed: int = 
     take = _stratified_allocation([len(ix) for ix in class_idx], n_train, ratio)
     if min(take) == 0:
         raise DataError(f"ratio {ratio} leaves a class out of the {n_train} training rows")
+    if any(t == len(ix) for t, ix in zip(take, class_idx)):
+        raise DataError(f"ratio {ratio} leaves a class out of the {n - n_train} validation rows")
     train = np.zeros(n, dtype=bool)
     for ix, t in zip(class_idx, take):
         train[rng.permutation(ix)[:t]] = True

@@ -85,6 +85,33 @@ def pa_observed_x(d):
     return _ingest(d), f"{d / 'survey.csv'}:4: invalid literal for int()"
 
 
+def pa_observed_2(d):
+    _set_field(d / "survey.csv", 2, 2, "2")
+    return _ingest(d), f"error: DataError: {d / 'survey.csv'}:2: pa_observed must be 0/1"
+
+
+def _survey_header_only(d):
+    survey = d / "survey.csv"
+    survey.write_text(survey.read_text().splitlines(keepends=True)[0])
+
+
+def evaluate_without_native_rows(d):
+    """No survey respondent and no screened_out.csv: nothing linked to score."""
+    _survey_header_only(d)
+    (d / "screened_out.csv").unlink()
+    return (["evaluate", "--data-dir", str(d), "--out", str(d / "out"),
+             "--model-file", str(d / "model_logistic.json")],
+            "error: DataError: no linked rows with bp=cit=1\n")
+
+
+def report_without_eligible_rows(d):
+    """Only the screened-out rows link, and none of them is eligible."""
+    _survey_header_only(d)
+    return (["report", "--data-dir", str(d), "--out", str(d / "out"),
+             "--expanded", str(d / EXPANDED)],
+            "error: DataError: no eligible linked survey respondents for the bias report\n")
+
+
 def truncated_model(d):
     model = d / "model_logistic.json"
     model.write_bytes(model.read_bytes()[:500])
@@ -133,6 +160,33 @@ def nan_logistic_intercept(d):
     model = _edit_model(d, "model_logistic.json",
                         lambda p: p["model"].__setitem__("intercept", float("nan")))
     return _impute(d, model), f"{model}: ValueError: intercept and weights must be finite"
+
+
+def model_type_tree(d):
+    model = _edit_model(d, "model_forest.json", lambda p: p.__setitem__("model_type", "tree"))
+    return _impute(d, model), f"error: SchemaMismatch: {model}: unknown model_type 'tree'\n"
+
+
+def logistic_weight_missing(d):
+    model = _edit_model(d, "model_logistic.json", lambda p: p["model"]["weights"].pop())
+    return (_impute(d, model),
+            f"error: SchemaMismatch: {model}: schema width does not match model width\n")
+
+
+def forest_first_tree_two_nodes_longer(d):
+    def grow(p):
+        p["model"]["n_nodes"][0] += 2
+    model = _edit_model(d, "model_forest.json", grow)
+    return _impute(d, model), f"{model}: ValueError: n_nodes must be counts >= 1 that sum to the "
+
+
+def forest_threshold_one_short(d):
+    def shorten(p):  # threshold items are 8-byte floats
+        raw = base64.b64decode(p["model"]["threshold"])
+        p["model"]["threshold"] = base64.b64encode(raw[:-8]).decode("ascii")
+    model = _edit_model(d, "model_forest.json", shorten)
+    return (_impute(d, model), f"{model}: ValueError: feature, threshold, left and right must "
+                               "hold one value per node")
 
 
 def _numeric_column(payload):
@@ -205,6 +259,13 @@ def config_shares_not_100(d):
     config.write_text(json.dumps({"kind_shares": [84.91, 7.77, 0.36, 1.82, 4.14]}))
     return (["synth", "--config", str(config), "--out", str(d / "out")],
             f"error: DataError: {config}: kind_shares must sum to 100, got ")
+
+
+def config_not_an_object(d):
+    config = d / "config.json"
+    config.write_text("[1, 2]")
+    return (["synth", "--config", str(config), "--out", str(d / "out")],
+            f"error: DataError: {config}: TypeError: the config must be a JSON object\n")
 
 
 def config_not_json(d):
@@ -284,7 +345,9 @@ def foreign_born_foreigner_with_italian_parents(d):
     schema_sd_zero, schema_mean_nan, missing_model_file, misspelt_config_key,
     config_value_wrong_type, config_shares_not_100, config_not_json,
     expanded_without_register_columns, names_not_utf8, foreign_born_foreigner_with_italian_parents,
-    *SCHEMA_EDITS,
+    *SCHEMA_EDITS, model_type_tree, logistic_weight_missing, forest_first_tree_two_nodes_longer,
+    forest_threshold_one_short, pa_observed_2, config_not_an_object, evaluate_without_native_rows,
+    report_without_eligible_rows,
 ])
 def test_bad_input_exits_3_naming_the_file(bundle, tmp_path, capsys, corrupt):
     argv, fragment = corrupt(_case_dir(bundle, tmp_path / "case"))

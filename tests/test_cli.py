@@ -3,14 +3,18 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import hiddenpop.cli
 from hiddenpop.cli import build_parser, main
+from hiddenpop.errors import HiddenPopError
 from conftest import small_config
 
 
@@ -252,9 +256,31 @@ def test_pipeline_parses_inputs_once(cli_run, tmp_path, monkeypatch):
         return parse_admin(*args, **kwargs)
 
     monkeypatch.setattr(hiddenpop.cli, "parse_admin", counting_parse_admin)
+    loads = []
+    load_model = hiddenpop.cli.load_model
+
+    def counting_load_model(*args, **kwargs):
+        loads.append(args)
+        return load_model(*args, **kwargs)
+
+    monkeypatch.setattr(hiddenpop.cli, "load_model", counting_load_model)
     assert main(["pipeline", "--data-dir", str(data), "--out", str(tmp_path / "pipe"),
                  "--model", "logistic", "--k", "0"]) == 0
     assert len(calls) == 1
+    assert loads == []  # it imputes with the model it fitted
+
+
+@pytest.mark.parametrize("model, extra", [("forest", ["--trees", "20"]), ("logistic", [])])
+def test_pipeline_imputes_as_impute_does_from_its_saved_model(cli_run, tmp_path, model, extra):
+    """pipeline imputes with the model it fitted, into the bytes impute writes from its file."""
+    _root, data, _train = cli_run
+    pipe, imp = tmp_path / "pipe", tmp_path / "impute"
+    assert main(["pipeline", "--data-dir", str(data), "--out", str(pipe), "--model", model,
+                 "--k", "0", *extra]) == 0
+    assert main(["impute", "--data-dir", str(data), "--out", str(imp),
+                 "--model-file", str(pipe / "train" / f"model_{model}.json")]) == 0
+    for name in ("expanded_register.csv", "distribution.csv"):
+        assert (pipe / "impute" / name).read_bytes() == (imp / name).read_bytes(), name
 
 
 def _impute(data, train, out):
@@ -344,6 +370,61 @@ def test_train_without_native_respondents_exits_3(cli_run, tmp_path, capsys):
     assert main(["train", "--data-dir", str(copy), "--out", str(tmp_path / "train")]) == 3
     err = capsys.readouterr().err
     assert err == "error: DataError: no linked records with bp=cit=1 to train on\n"
+
+
+def test_ratio_leaving_a_class_out_of_validation_exits_3_before_any_fit(cli_run, tmp_path,
+                                                                       capsys):
+    """Of the 714 linked bp=cit=1 rows, ratio 0.999 trains on 713: every row of one class."""
+    _root, data, _train = cli_run
+    out = tmp_path / "train"
+    capsys.readouterr()
+    assert main(["train", "--data-dir", str(data), "--out", str(out), "--ratio", "0.999",
+                 "--trees", "5", "--k", "0"]) == 3
+    assert capsys.readouterr().err == ("error: DataError: ratio 0.999 leaves a class out of "
+                                       "the 1 validation rows\n")
+    assert not list(out.glob("model_*.json"))
+
+
+def test_internal_error_exits_4_without_a_manifest(cli_run, tmp_path, capsys, monkeypatch):
+    """A broken invariant inside a stage is not the input's fault: exit 4, one line."""
+    _root, data, _train = cli_run
+
+    def broken_evaluate(scores, labels, threshold):
+        raise HiddenPopError("no predictions to evaluate")
+
+    monkeypatch.setattr(hiddenpop.cli, "evaluate", broken_evaluate)
+    out = tmp_path / "train"
+    capsys.readouterr()
+    assert main(["train", "--data-dir", str(data), "--out", str(out), "--model", "logistic",
+                 "--k", "0"]) == 4
+    assert capsys.readouterr().err == "internal error: HiddenPopError: no predictions to evaluate\n"
+    assert not (out / "run_manifest.json").exists()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv, code, last_line", [
+    (["synth", "--n-register", "6000"], 0, None),
+    (["train", "--trees", "0"], 2,
+     "hiddenpop train: error: argument --trees: '0' is not an integer >= 1"),
+    (["synth", "--n-register", "600"], 3,
+     "error: DataError: n_register 600 is too small for n_survey_native 312: "),
+], ids=["synth", "usage", "data"])
+def test_module_run_exits_with_the_code_main_returns(tmp_path, argv, code, last_line):
+    """python -m hiddenpop.cli, as perfbench/run.py starts each run, exits with main's code
+    and ends a failure with one error line, never a traceback."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", "hiddenpop.cli", argv[0],
+                           "--out", str(tmp_path / "o"), *argv[1:]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == code and "Traceback" not in done.stderr, done.stderr
+    if last_line is None:
+        assert done.stderr == "" and (tmp_path / "o" / "run_manifest.json").exists()
+    else:  # argparse prints its usage above a usage error
+        *usage, line = done.stderr.splitlines()
+        assert line.startswith(last_line) and bool(usage) == (code == 2), done.stderr
+        assert not any("error" in text for text in usage)
 
 
 def _added_admin_row(path):

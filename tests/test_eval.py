@@ -122,6 +122,8 @@ def test_split_too_small():
 def test_split_leaving_a_class_out_of_training():
     with pytest.raises(DataError, match="^ratio 0.5 leaves a class out of the 5 training rows$"):
         split_train_validate(make_data(1, 9), ratio=0.5)
+    with pytest.raises(DataError, match="^ratio 0.9 leaves a class out of the 1 validation rows$"):
+        split_train_validate(make_data(1, 9), ratio=0.9)
 
 
 def test_stratified_folds_balanced():
@@ -149,12 +151,12 @@ def list_folds(y, k, seed):
 
 def list_split(y, ratio, seed):
     """The sorted training and validation rows of the list code split_train_validate
-    replaced, or None where it leaves a class out of training."""
+    replaced, or None where it leaves a class out of training or of validation."""
     n_train = round(ratio * len(y))
     rng = np.random.default_rng(seed)
     class_idx = [np.nonzero(y == c)[0] for c in (0, 1)]
     take = _stratified_allocation([len(ix) for ix in class_idx], n_train, ratio)
-    if min(take) == 0:
+    if min(take) == 0 or any(t == len(ix) for t, ix in zip(take, class_idx)):
         return None
     train_idx, val_idx = [], []
     for ix, t in zip(class_idx, take):
