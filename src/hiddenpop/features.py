@@ -45,13 +45,19 @@ _NUMERICS = ["years_enrolled", "ects_earned"]
 
 @dataclass
 class Column:
-    name: str
-    kind: str  # "onehot" | "binary" | "numeric"
-    group: str
-    source: str = ""
+    kind: str  # "onehot" | "binary" | "numeric"; group and name follow from kind, source, level
+    source: str
     level: str = ""
     mean: float = 0.0
     sd: float = 1.0
+
+    @property
+    def group(self) -> str:
+        return NAME_FLAG if self.kind == "binary" else self.source
+
+    @property
+    def name(self) -> str:
+        return f"{self.group}={self.level}" if self.kind == "onehot" else self.group
 
 
 @dataclass
@@ -80,7 +86,7 @@ class FeatureSchema:
     def to_json(self) -> str:
         payload = {
             "version": SCHEMA_VERSION,
-            "columns": [vars(c) for c in self.columns],
+            "columns": [vars(c) | {"name": c.name, "group": c.group} for c in self.columns],
             "dropped": self.dropped,
             "name_rule": NAME_RULE,
         }
@@ -129,18 +135,9 @@ def feature_layout(moments: dict) -> list[Column]:
 
     moments maps each numeric source to the (mean, sd) it is z-scored by.
     """
-    columns = [
-        Column(name=f"{source}={level}", kind="onehot", group=source,
-               source=source, level=level)
-        for source, _ref, levels in _CATEGORICALS for level in levels
-    ]
-    columns.append(Column(name=NAME_FLAG, kind="binary", group=NAME_FLAG,
-                          source="given_name"))
-    for source in _NUMERICS:
-        mean, sd = moments[source]
-        columns.append(Column(name=source, kind="numeric", group=source,
-                              source=source, mean=mean, sd=sd))
-    return columns
+    return ([Column("onehot", source, level) for source, _ref, levels in _CATEGORICALS
+             for level in levels] + [Column("binary", "given_name")]
+            + [Column("numeric", source, "", *moments[source]) for source in _NUMERICS])
 
 
 def level_codes(register: Register, name_table, rows=slice(None)) -> dict:

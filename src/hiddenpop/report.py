@@ -110,22 +110,6 @@ def write_expanded_csv(path, expanded: Expanded):
         (scores, expanded.score_codes)])), expanded.register.key_order)
 
 
-def _allowed() -> np.ndarray:
-    """[bp, cit, provenance, kind] -> whether write_expanded_csv writes such a row: exact
-    where bp/cit settle it; linked where an observed pa decides what they do not (inside
-    (1,1), or pa = 1 at (0,1)); predicted for an imputed pa, inside (1,1) only."""
-    allowed = np.zeros((2, 2, len(PROVENANCES), len(BackgroundKind)), dtype=bool)
-    for bp, cit, pa in np.argwhere(MEMBERSHIP[..., 1] >= 0):
-        kind, settled = MEMBERSHIP[bp, cit, [pa, PA_UNOBSERVED], 1]
-        observed = pa != PA_UNOBSERVED
-        allowed[bp, cit, :, kind] |= [not observed, observed and kind != settled,
-                                      observed and pa_open(bp, cit)]
-    return allowed
-
-
-_ALLOWED = _allowed()
-
-
 def _first_fault(register, coders):
     """(position, reason) of the first row that write_expanded_csv could not write, or None.
 
@@ -135,13 +119,19 @@ def _first_fault(register, coders):
     codes, levels, bp, cit = register.codes, register.levels, register.bp, register.cit
     delta, kind, provenance, score = (codes[c] for c in _MEMBERSHIP_COLUMNS)
     predicted = provenance == PROVENANCES.index("predicted")
+    # expand_dataset's (delta, kind): an exact row takes the pair bp and cit settle, a linked
+    # row a pair of pa 0 or 1 that differs from it, a predicted row either, inside (1,1) only
+    found = np.stack([delta, kind], axis=1)[:, None]
+    settled, by_pa = MEMBERSHIP[bp, cit, PA_UNOBSERVED], MEMBERSHIP[bp, cit, :2]
+    exact = (found[:, 0] == settled).all(axis=1)
+    from_pa = (found == by_pa).all(axis=2).any(axis=1)
+    allowed = np.choose(provenance, [exact, from_pa & ~exact, from_pa & pa_open(bp, cit)],
+                        mode="clip")
     faults = [*((codes[c] < 0, c) for c in codes if c != "predicted_score"),
               (kind >= len(BackgroundKind), "{kind} is not a valid BackgroundKind"),
               ((delta == 0) != (kind == 0), "inconsistent delta={delta} kind={kind}"),
               (provenance >= len(PROVENANCES), "bad provenance {provenance!r}"),
-              (~_ALLOWED[bp, cit, np.minimum(provenance, len(PROVENANCES) - 1),
-                         np.clip(kind, 0, len(BackgroundKind) - 1)] | (delta != (kind != 0)),
-               "delta={delta} kind={kind} provenance={provenance!r} is not allowed for "
+              (~allowed, "delta={delta} kind={kind} provenance={provenance!r} is not allowed for "
                "bp={bp} cit={cit}"),
               (score < 0, "predicted_score"),
               (predicted & (score == 0), "predicted record without a score"),
@@ -163,8 +153,9 @@ def _score(cell):
 
 
 def read_expanded_csv(path) -> Expanded:
-    """Read write_expanded_csv's output.  The first line that repeats a link_key, or that
-    write_expanded_csv could not have written, raises DataError naming it."""
+    """Read write_expanded_csv's output.  DataError names a missing column, or the first line
+    with too few fields, a NUL or repeated link_key, a non-integer year or count, or a fault
+    _first_fault finds; other cells load as they stand (gender X, ects_earned -5, ...)."""
     ints = ("enrollment_year", "years_enrolled", "ects_earned")
     coders = {c: Coder(int if c in ints else None) for c in ADMIN_COLUMNS[1:]}
     # valid membership values come first: a valid delta or kind codes as its value, a

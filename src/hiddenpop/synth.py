@@ -241,8 +241,6 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     config.validate()
     if seed is None:
         seed = config.seed
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     n = config.n_register
 
@@ -323,6 +321,8 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     table = {**{nm: 120 + 37 * j for j, nm in enumerate(_COMMON_NAMES)},
              **{nm: 1 + j % 4 for j, nm in enumerate(_RARE_LISTED_NAMES)}}
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     bundle = SyntheticBundle(*(out_dir / name for name in (
         "admin.csv", "survey.csv", "screened_out.csv", "names.csv", "truth.csv",
         "synth_meta.json")))

@@ -15,6 +15,7 @@ import pytest
 import hiddenpop.cli
 from hiddenpop.cli import build_parser, main
 from hiddenpop.errors import HiddenPopError
+from hiddenpop.synth import generate
 from conftest import small_config
 
 
@@ -202,6 +203,23 @@ def test_synth_register_too_small_for_the_survey_names_both(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "o"), "--n-register", "1500"]) == 3
     err = capsys.readouterr().err
     assert "n_register 1500 is too small for n_survey_native 312" in err
+
+
+def test_a_failed_synth_leaves_no_out_directory(tmp_path, capsys):
+    out = tmp_path / "o3"
+    assert main(["synth", "--out", str(out), "--n-register", "600"]) == 3
+    assert "n_register 600 is too small for n_survey_native 312" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_seed_overrides_the_config_seed(tmp_path):
+    out = tmp_path / "o"
+    assert main(["synth", "--out", str(out), "--seed", "9", "--n-register", "6000"]) == 0
+    config = small_config()
+    config.seed = 9
+    for path in vars(generate(config, tmp_path / "generated")).values():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+    assert _manifest(out)["seed"] == 9
 
 
 @pytest.mark.parametrize("argv", [
@@ -461,6 +479,26 @@ def test_report_checks_expanded_came_from_its_data(cli_run, tmp_path, capsys, la
         err = capsys.readouterr().err
         assert str(data / changed) in err and str(copy / changed) in err, err
         assert not (other / "bias_report.csv").exists()
+
+
+def test_report_passes_over_a_manifest_beside_expanded_that_does_not_list_it(
+        cli_run, tmp_path, capsys):
+    """An unrelated run_manifest.json beside --expanded is passed over for the pipeline's
+    one directory up, which still finds a changed names.csv."""
+    _root, data, _train = cli_run
+    pipe = tmp_path / "pipe"
+    assert main(["pipeline", "--data-dir", str(data), "--out", str(pipe),
+                 "--model", "logistic", "--k", "0"]) == 0
+    shutil.copy(data / "run_manifest.json", pipe / "impute")
+    copy = tmp_path / "copy"
+    shutil.copytree(data, copy)
+    with open(copy / "names.csv", "a", encoding="utf-8") as f:
+        f.write("zebedeo,9\n")
+    capsys.readouterr()
+    assert main(["report", "--data-dir", str(copy), "--out", str(tmp_path / "report"),
+                 "--expanded", str(pipe / "impute" / "expanded_register.csv")]) == 3
+    err = capsys.readouterr().err
+    assert f"({pipe / 'run_manifest.json'})" in err and str(copy / "names.csv") in err, err
 
 
 def test_pipeline_writes_a_linked_pa_1_of_a_foreign_born_citizen(cli_run, tmp_path):

@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hiddenpop.domain import MEMBERSHIP, BackgroundKind
 from hiddenpop.errors import DataError
 from hiddenpop.expand import PROVENANCES, Imputations, expand_dataset
 from hiddenpop.ingest import ADMIN_COLUMNS, ITALY, SurveyRecord, link
-from hiddenpop.report import _ALLOWED, read_expanded_csv, write_expanded_csv
+from hiddenpop.report import read_expanded_csv, write_expanded_csv
 
 from register_reference import read_expanded_rows, register_of
 from test_ingest import make_admin
@@ -177,14 +178,35 @@ def test_first_bad_line_is_named_ahead_of_a_later_read_failure(tmp_path):
         read_expanded_csv(path)
 
 
-def test_allowed_table_is_what_expand_dataset_writes():
-    """The table allows exactly the (bp, cit, provenance, kind) that expand_dataset gives
-    over every admissible (bp, cit, pa) triple, linked or not."""
+def test_reader_accepts_exactly_what_expand_dataset_writes(tmp_path):
+    """Row 0 given each (bp, cit), provenance and kind, with delta = kind != 0: the reader
+    accepts exactly the (bp, cit, provenance, kind) that expand_dataset gives over every
+    admissible (bp, cit, pa) triple, linked or not, and says why it rejects any other."""
     expanded = _expansion(_EVERY_ROW, [0.5])
     written = set(zip(expanded.register.bp.tolist(), expanded.register.cit.tolist(),
                       expanded.provenance.tolist(), expanded.kind.tolist()))
-    assert set(zip(*(a.tolist() for a in np.nonzero(_ALLOWED)))) == written
-    assert _ALLOWED.shape == (2, 2, len(PROVENANCES), len(BackgroundKind))
+    path = tmp_path / "expanded.csv"
+    write_expanded_csv(path, expanded)
+    lines = path.read_bytes().decode().split("\r\n")
+    accepted = set()
+    for bp, cit, provenance, kind in product((0, 1), (0, 1), range(len(PROVENANCES)),
+                                             range(len(BackgroundKind))):
+        cells = lines[1].split(",")
+        for column, cell in [("birth_country", _COUNTRY[bp]),
+                             ("citizenship_country", _COUNTRY[cit]),
+                             ("delta", str(int(kind != 0))), ("kind", str(kind)),
+                             ("provenance", PROVENANCES[provenance]),
+                             ("predicted_score",
+                              "0.500000" if PROVENANCES[provenance] == "predicted" else "")]:
+            cells[_COLUMN[column]] = cell
+        path.write_bytes("\r\n".join([lines[0], ",".join(cells), *lines[2:]]).encode())
+        try:
+            read_expanded_csv(path)
+        except DataError as exc:
+            assert "is not allowed for" in str(exc), exc
+        else:
+            accepted.add((bp, cit, provenance, kind))
+    assert accepted == written
 
 
 @pytest.mark.parametrize("n_scores", [126, 127, 128])

@@ -1,11 +1,14 @@
 """IRLS logistic regression: optimality, gradients, recovery, prediction."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from hiddenpop.errors import HiddenPopError
-from hiddenpop.features import LabeledDataset
-from hiddenpop.models import LogisticModel, fit_logistic, predict_logistic
+from hiddenpop.features import FeatureSchema, LabeledDataset, feature_layout
+from hiddenpop.models import (LogisticModel, fit_logistic, load_model, logistic,
+                              predict_logistic, save_model)
 from hiddenpop.models.logistic import _newton, penalized_gradient, penalized_loglik
 
 
@@ -120,3 +123,53 @@ def test_equal_rows_score_equally_wherever_they_stand():
             X[::3] = row
             assert set(predict_logistic(model, X)[::3].tolist()) == {alone}
             assert set(predict_logistic(model, np.tile(row, (n, 1))).tolist()) == {alone}
+
+
+def _singular(monkeypatch, times):
+    """Make the first times Newton solves raise LinAlgError, as a singular system does."""
+    newton, calls = logistic._newton, []
+
+    def singular_newton(X1, y, lam):
+        calls.append(lam)
+        if len(calls) <= times:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return newton(X1, y, lam)
+
+    monkeypatch.setattr(logistic, "_newton", singular_newton)
+
+
+@pytest.mark.parametrize("times, ridge, warned", [
+    (1, 9.999999999999999e-06, ["1e-05"]),
+    (4, 0.01, ["1e-05", "0.0001", "0.001", "0.01"]),  # FIT_RANGES' upper bound
+])
+def test_a_singular_newton_system_escalates_the_ridge(tmp_path, monkeypatch, caplog,
+                                                      times, ridge, warned):
+    """Each singular system restarts the fit at ten times the ridge, with one warning, and
+    the model fitted at the ridge reached saves and loads."""
+    _singular(monkeypatch, times)
+    with caplog.at_level(logging.WARNING, logger="hiddenpop.models.logistic"):
+        model = fit_logistic(synth_logistic(300, np.linspace(-1, 1, 9), 0.2, seed=7))
+    assert model.ridge_lambda == ridge and model.converged
+    assert [r.getMessage() for r in caplog.records] == [
+        f"singular IRLS system; escalating ridge to {lam}" for lam in warned]
+    schema = FeatureSchema(feature_layout({s: (0.0, 1.0)
+                                           for s in ("years_enrolled", "ects_earned")}))
+    save_model(tmp_path / "model.json", model, schema)
+    loaded, _schema = load_model(tmp_path / "model.json")
+    assert loaded.ridge_lambda == ridge
+    np.testing.assert_array_equal(loaded.weights, model.weights)
+
+
+def test_a_newton_system_singular_at_the_ceiling_raises(monkeypatch):
+    _singular(monkeypatch, 5)
+    with pytest.raises(HiddenPopError, match=r"^Newton system singular even at ridge 0\.01$"):
+        fit_logistic(synth_logistic(300, np.linspace(-1, 1, 9), 0.2, seed=7))
+
+
+def test_the_iteration_limit_returns_an_unconverged_model(monkeypatch, caplog):
+    monkeypatch.setattr(logistic, "_MAX_ITER", 1)
+    with caplog.at_level(logging.WARNING, logger="hiddenpop.models.logistic"):
+        model = fit_logistic(synth_logistic(300, np.array([1.0, -2.0, 0.5]), 0.3, seed=0))
+    assert not model.converged and model.iterations == 1
+    assert [r.getMessage().split(" with ")[0] for r in caplog.records] == [
+        "IRLS stopped at max_iter=1"]
