@@ -350,8 +350,8 @@ def first_repeat(keys, order, line):
         return i, f"link_key {keys[i]!r} already on line {line[first]}"
 
 
-def read_register(path, coders, *, strip=True, keep=None, check=None):
-    """The rows of a CSV file: link_key, stripped if strip, and each coders column, coded.
+def read_register(path, coders, *, keep=None, check=None):
+    """The rows of a CSV file: link_key, stripped, and each coders column, coded.
 
     keep(header, lines, rows, part) picks the rows of each block to keep (all by
     default); check(register, coders) gives (position, reason) of the first row
@@ -364,8 +364,7 @@ def read_register(path, coders, *, strip=True, keep=None, check=None):
     try:
         for header, block_lines, rows in read_blocks(path, ["link_key", *coders]):
             columns = dict(zip(header, zip(*rows)))  # a repeated name reads its last column
-            keys = map(str.strip, columns["link_key"]) if strip else columns["link_key"]
-            part = Register(np.array(list(keys), dtype=object),
+            part = Register(np.array(list(map(str.strip, columns["link_key"])), dtype=object),
                             {c: coder.code(columns[c]) for c, coder in coders.items()}, levels)
             kept = slice(None) if keep is None else keep(header, block_lines, rows, part)
             part, keys = part.take(kept), part.link_key[kept].tolist()

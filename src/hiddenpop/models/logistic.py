@@ -72,8 +72,8 @@ def fit_logistic(data) -> LogisticModel:
 
     The ridge starts at _RIDGE.  A singular Newton system triggers an
     automatic restart with the ridge escalated x10, up to 1e-2; past that
-    HiddenPopError is raised.  Hitting _MAX_ITER returns the model with
-    converged=False rather than raising.
+    HiddenPopError is raised.  Hitting _MAX_ITER, or a step that no halving
+    makes ascend, returns the model with converged=False rather than raising.
     """
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=float)
@@ -97,7 +97,8 @@ def fit_logistic(data) -> LogisticModel:
 
     model = LogisticModel(float(beta[0]), beta[1:].copy(), lam, iters, float(gmax))
     if not model.converged:
-        log.warning("IRLS stopped at max_iter=%d with max|gradient|=%.3e", _MAX_ITER, gmax)
+        at = f"max_iter={iters}" if iters == _MAX_ITER else f"iteration {iters} (no ascent step)"
+        log.warning("IRLS stopped at %s with max|gradient|=%.3e", at, gmax)
     return model
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .domain import MEMBERSHIP, PA_UNOBSERVED, BackgroundKind, pa_open
 from .eval import CvResult, RocCurve, METRIC_NAMES
 from .expand import PROVENANCES, BiasReport, DistributionTable, Expanded
-from .ingest import ADMIN_COLUMNS, Coder, atomic_open, read_register, write_admin_csv, write_csv
+from .ingest import _STANDARDIZERS, Coder, atomic_open, read_register, write_admin_csv, write_csv
 from .models import ImportanceReport
 
 
@@ -114,7 +114,7 @@ def _first_fault(register, coders):
     """(position, reason) of the first row that write_expanded_csv could not write, or None.
 
     A row's reason is its first fault below; a column name stands for the error
-    of its cell there, which did not parse (only the int columns and the score can fail).
+    of its cell there, which its coder rejected.
     """
     codes, levels, bp, cit = register.codes, register.levels, register.bp, register.cit
     delta, kind, provenance, score = (codes[c] for c in _MEMBERSHIP_COLUMNS)
@@ -153,16 +153,15 @@ def _score(cell):
 
 
 def read_expanded_csv(path) -> Expanded:
-    """Read write_expanded_csv's output.  DataError names a missing column, or the first line
-    with too few fields, a NUL or repeated link_key, a non-integer year or count, or a fault
-    _first_fault finds; other cells load as they stand (gender X, ects_earned -5, ...)."""
-    ints = ("enrollment_year", "years_enrolled", "ects_earned")
-    coders = {c: Coder(int if c in ints else None) for c in ADMIN_COLUMNS[1:]}
+    """Read write_expanded_csv's output, each register cell standardized as parse_admin does.
+    DataError names a missing column, or the first line with too few fields, a NUL or
+    repeated link_key, a cell parse_admin would reject, or a fault _first_fault finds."""
+    coders = {c: Coder(s) for c, s in _STANDARDIZERS.items()}
     # valid membership values come first: a valid delta or kind codes as its value, a
     # provenance as its index in PROVENANCES, and an empty score (read as None) as 0
     coders.update(delta=Coder(int, (0, 1)), kind=Coder(int, range(len(BackgroundKind))),
                   provenance=Coder(None, PROVENANCES), predicted_score=Coder(_score, [None]))
-    register = read_register(path, coders, strip=False, check=_first_fault)
+    register = read_register(path, coders, check=_first_fault)
     codes = [register.codes.pop(c) for c in _MEMBERSHIP_COLUMNS]
     scores = np.array(register.levels.pop("predicted_score"), dtype=float)
     for c in _MEMBERSHIP_COLUMNS[:3]:

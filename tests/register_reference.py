@@ -7,9 +7,10 @@ Tests compare `hiddenpop.ingest.parse_admin` against it (same rows, same
 reject file bytes, same DataError text).
 
 read_expanded_rows is the expanded-register reader `report` used before it
-read through parse_admin's block path: one dict per row, each membership
-checked on its own.  Tests compare `hiddenpop.report.read_expanded_csv`
-against it (equal Expanded objects, or a DataError naming the same line).
+read through parse_admin's block path: one dict per row, each register cell
+standardized and each membership checked on its own.  Tests compare
+`hiddenpop.report.read_expanded_csv` against it (equal Expanded objects, or a
+DataError naming the same line).
 """
 
 import csv
@@ -25,6 +26,7 @@ from hiddenpop.ingest import (
     ADMIN_COLUMNS,
     ITALY,
     KEY,
+    _STANDARDIZERS,
     Coder,
     Register,
     _slug,
@@ -161,7 +163,6 @@ def narrowed(codes) -> np.ndarray:
                              if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max))
 
 
-_INT_FIELDS = ("enrollment_year", "years_enrolled", "ects_earned")
 _EXPANDED_COLUMNS = ADMIN_COLUMNS + ["delta", "kind", "provenance", "predicted_score"]
 
 
@@ -193,18 +194,18 @@ def _membership(row: dict) -> tuple:
 
 
 def read_expanded_rows(path) -> Expanded:
-    """The reference read of write_expanded_csv's output, one row at a time."""
-    coders = {c: Coder(int if c in _INT_FIELDS else None) for c in ADMIN_COLUMNS[1:]}
+    """The reference read of write_expanded_csv's output, one row at a time: the link_key
+    stripped, and each register cell standardized as parse_admin standardizes it, the
+    first failing column's error, in column order, naming the line."""
+    coders = {c: Coder() for c in _STANDARDIZERS}
     lines, codes, found = {}, [], []  # lines: link_key -> line, in file order
     for lineno, row in read_csv(path, _EXPANDED_COLUMNS):
-        key = row["link_key"]
+        key = row["link_key"].strip()
         if key in lines:
             raise DataError(f"{path}:{lineno}: link_key {key!r} already on line {lines[key]}")
         try:
+            row.update({c: standardize(row[c]) for c, standardize in _STANDARDIZERS.items()})
             codes.append([coders[c][row[c]] for c in coders])
-            if min(codes[-1]) < 0:  # only an int column codes a value as negative
-                for c in _INT_FIELDS:
-                    int(row[c])
             found.append(_membership(row))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc

@@ -294,6 +294,7 @@ _CONFIG_CASES = [
     ({"response_offsets": {"shoe_size": {"42": 1.0}}}, "response_offsets may only hold ("),
     ({"response_offsets": {"gender": {"M": float("inf")}}},
      "response_offsets must hold finite numbers"),
+    ({"seed": True}, "TypeError: seed: expected a value like the default 3, got True"),
 ]
 
 

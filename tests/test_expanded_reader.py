@@ -1,5 +1,7 @@
 """report's expanded-register reader against the row-at-a-time reference."""
 
+import csv
+import json
 import re
 import tempfile
 from itertools import product
@@ -10,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hiddenpop.ingest
+from hiddenpop.cli import main
 from hiddenpop.domain import MEMBERSHIP, BackgroundKind
 from hiddenpop.errors import DataError
 from hiddenpop.expand import PROVENANCES, Imputations, expand_dataset
-from hiddenpop.ingest import ADMIN_COLUMNS, ITALY, SurveyRecord, link
+from hiddenpop.ingest import (_STANDARDIZERS, ADMIN_COLUMNS, ITALY, SurveyRecord, link,
+                              parse_admin, write_admin_csv)
 from hiddenpop.report import read_expanded_csv, write_expanded_csv
 
 from register_reference import read_expanded_rows, register_of
@@ -245,3 +250,76 @@ def test_a_zero_score_reads_as_positive_zero_in_either_order(tmp_path, zeros):
     write_expanded_csv(again, read)
     assert [line.rsplit(",", 1)[1] for line in again.read_bytes().decode().split("\r\n")[1:-1]
             ] == ["0.000000"] * 2
+
+
+# per column, a cell parse_admin rejects
+_REJECTED = {"gender": "X", "course_level": "phd", "employment": "banana",
+             "years_enrolled": "0", "ects_earned": "-5", "enrollment_year": "20x0"}
+
+
+@pytest.mark.parametrize("column, cell", _REJECTED.items())
+def test_a_cell_parse_admin_rejects_names_its_line_with_its_reject_reason(tmp_path, column, cell):
+    """The same row of admin.csv and of the expanded file, given the same bad cell: the
+    readers name its line with the reason parse_admin writes to its reject file."""
+    expanded = _expansion(_EVERY_ROW * 2, [0.5])  # 24 rows, so one reject is under 5%
+    admin, path = tmp_path / "admin.csv", tmp_path / "expanded.csv"
+    write_admin_csv(admin, expanded.register)
+    write_expanded_csv(path, expanded)
+    for written in (admin, path):  # both in key order, S00 first
+        lines = written.read_bytes().decode().split("\r\n")[:-1]
+        _corrupt(lines, "cell", column, cell, 2, 0)
+        written.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    assert len(parse_admin(admin)) == len(expanded.delta) - 1
+    with open(admin.with_suffix(".rejects.csv"), newline="", encoding="utf-8") as f:
+        [(line, reason, _raw)] = list(csv.reader(f))[1:]
+    assert line == "4" and reason
+    for reader in (read_expanded_rows, read_expanded_csv):
+        with pytest.raises(DataError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}:4: {reason}"
+
+
+_ALIASES = [*hiddenpop.ingest._EMPLOYMENT_ALIASES, *hiddenpop.ingest._COURSE_ALIASES,
+            *hiddenpop.ingest._GENDER_ALIASES, *hiddenpop.ingest._COUNTRY_ALIASES]
+# raw cells: any text, counts, aliases, and aliases with case and separators changed
+_RAW = st.one_of(st.text(), st.integers(-2, 2**54).map(str), st.sampled_from(_ALIASES),
+                 st.builds("{}{}{}".format, st.text(" \t-./(>%"),
+                           st.sampled_from(_ALIASES).map(str.title) | st.sampled_from(_ALIASES),
+                           st.text(" \t-./()>%")))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(list(_STANDARDIZERS)), _RAW)
+def test_each_standardizer_is_a_fixed_point_on_its_own_output(column, raw):
+    """What a register writer writes for a standardized value standardizes back to it, so
+    report reads the expanded register impute writes to the levels impute wrote."""
+    standardize = _STANDARDIZERS[column]
+    try:
+        value = standardize(raw)
+    except ValueError:
+        return
+    assert standardize(str(value)) == value
+
+
+def test_report_exits_3_on_a_cell_parse_admin_rejects(tmp_path, capsys):
+    """A member row's gender set to X: report names the line and writes no bias report."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_register": 600, "n_survey_native": 20,
+                                  "n_survey_migrant": 20, "n_screened_out": 40}))
+    pipe = tmp_path / "pipe"
+    assert main(["pipeline", "--out", str(pipe), "--config", str(config),
+                 "--model", "logistic", "--k", "0"]) == 0
+    path = pipe / "impute" / "expanded_register.csv"
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    at = next(i for i, row in enumerate(rows) if row[_COLUMN["delta"]] == "1")
+    rows[at][_COLUMN["gender"]] = "X"
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows(rows)
+    capsys.readouterr()
+    out = tmp_path / "report"
+    assert main(["report", "--data-dir", str(pipe / "data"), "--out", str(out),
+                 "--expanded", str(path)]) == 3
+    assert capsys.readouterr().err == \
+        f"error: DataError: {path}:{at + 1}: unrecognized gender 'X'\n"
+    assert not (out / "bias_report.csv").exists()

@@ -173,3 +173,41 @@ def test_the_iteration_limit_returns_an_unconverged_model(monkeypatch, caplog):
     assert not model.converged and model.iterations == 1
     assert [r.getMessage().split(" with ")[0] for r in caplog.records] == [
         "IRLS stopped at max_iter=1"]
+
+
+def test_a_fit_with_no_ascent_step_says_where_it_stopped(caplog):
+    """At x = 1e160 no halving of the first Newton step ascends: the fit stops at
+    iteration 1, and the warning says so rather than naming the iteration limit."""
+    data = LabeledDataset(X=np.array([[0.0], [1.0], [2.0], [1e160]]), y=np.array([0, 1, 0, 1]),
+                          row_ids=list("abcd"))
+    with caplog.at_level(logging.WARNING, logger="hiddenpop.models.logistic"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        model = fit_logistic(data)
+    assert not model.converged and model.iterations == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "IRLS stopped at iteration 1 (no ascent step) with max|gradient|=5.000e+159"]
+
+
+def test_step_halving_keeps_the_log_likelihood_ascending(monkeypatch):
+    """Data whose full Newton step overshoots once: the halved step is taken, and the
+    fit converges with a log-likelihood that never falls between iterations."""
+    X = np.array([[-59, 130, .58], [11, 86, -.085], [47, 150, .63], [-26, 61, .71],
+                  [-7.3, -30, 1.1], [-27, -100, .12], [270, 58, .6], [-240, -37, .75]])
+    y = np.array([0, 0, 0, 1, 1, 1, 0, 1])
+    evaluated, accepted = [], []  # every log-likelihood computed; each iteration's (beta, ...)
+
+    def loglik(*args):
+        evaluated.append(penalized_loglik(*args))
+        return evaluated[-1]
+
+    def gradient(*args):
+        accepted.append(args)
+        return penalized_gradient(*args)
+
+    monkeypatch.setattr(logistic, "penalized_loglik", loglik)
+    monkeypatch.setattr(logistic, "penalized_gradient", gradient)
+    model = fit_logistic(LabeledDataset(X=X, y=y, row_ids=list("abcdefgh")))
+    assert model.converged
+    assert len(evaluated) > model.iterations + 1  # a candidate step was refused
+    logliks = [penalized_loglik(*args) for args in accepted]
+    assert all(b >= a for a, b in zip(logliks, logliks[1:]))

@@ -276,10 +276,22 @@ _AWKWARD = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", ""
             ","]
 
 
+def _exact_or_predicted(register, predicted):
+    """register expanded with an exact (0,0) row, or a predicted (1,1) member where predicted,
+    scored 0.0, 0.5 and 1.0, repeated within a block and across blocks."""
+    members = [MEMBERSHIP[1, 1, 0] if p else MEMBERSHIP[0, 0, PA_UNOBSERVED] for p in predicted]
+    return Expanded(register, *np.array(members, dtype=np.int8).T,
+                    np.array([PROVENANCES.index("predicted" if p else "exact")
+                              for p in predicted], dtype=np.int8),
+                    np.array([(i // 2 % 3) / 2 if p else np.nan
+                              for i, p in enumerate(predicted)]))
+
+
 def test_register_writers_quote_as_csv_writer(tmp_path, monkeypatch):
     """Both register writers give csv.writer's bytes on levels and keys that need quoting:
     write_admin_csv in row order, write_expanded_csv in link_key order, each row's
-    membership and score beside its own key."""
+    membership and score beside its own key.  read_expanded_csv reads back a register
+    whose cells need quoting and are each a fixed point of their column's standardizer."""
     monkeypatch.setattr(hiddenpop.ingest, "BLOCK_ROWS", 4)  # blocks with and without quoted keys
     n = 30
     keys = [f"K{i}" for i in range(n)]
@@ -296,13 +308,7 @@ def test_register_writers_quote_as_csv_writer(tmp_path, monkeypatch):
     write_admin_csv(tmp_path / "admin.csv", register)
     assert (tmp_path / "admin.csv").read_bytes() == _csv_writer_bytes(ADMIN_COLUMNS, rows)
 
-    members = [MEMBERSHIP[1, 1, 0] if p else MEMBERSHIP[0, 0, PA_UNOBSERVED] for p in predicted]
-    expanded = Expanded(register, *np.array(members, dtype=np.int8).T,
-                        np.array([PROVENANCES.index("predicted" if p else "exact")
-                                  for p in predicted], dtype=np.int8),
-                        # scores 0.0, 0.5 and 1.0, repeated within a block and across blocks
-                        np.array([(i // 2 % 3) / 2 if p else np.nan
-                                  for i, p in enumerate(predicted)]))
+    expanded = _exact_or_predicted(register, predicted)
     path = tmp_path / "expanded.csv"
     write_expanded_csv(path, expanded)
     tails = [[str(d), str(k), PROVENANCES[p], "" if np.isnan(s) else f"{s:.6f}"]
@@ -313,6 +319,22 @@ def test_register_writers_quote_as_csv_writer(tmp_path, monkeypatch):
     assert path.read_bytes() == _csv_writer_bytes(
         ADMIN_COLUMNS + ["delta", "kind", "provenance", "predicted_score"],
         [rows[i] + tails[i] for i in order])
+
+    keys[22] = "K 22"  # " K22" reads back stripped
+    fixed = {"given_name": ["plain", "a,b", 'say "hi"', "two\nlines"], "gender": ["F", "M"],
+             "birth_country": ["A,B"], "citizenship_country": ["A,B"],
+             "course_level": ["bachelor", "master", "bachelor_and_master"],
+             "department": ["a,b", "science"],
+             "employment": ["student", "student_worker", "worker_student", "not_available"]}
+    columns.update({c: [cells[i % len(cells)] for i in range(n)] for c, cells in fixed.items()})
+    columns.update(enrollment_year=[2000 + i for i in range(n)],
+                   years_enrolled=[1 + i for i in range(n)], ects_earned=[7 * i for i in range(n)])
+    for c in ("birth_country", "citizenship_country"):
+        columns[c] = [ITALY if p else v for v, p in zip(columns[c], predicted)]
+    register = register_from_columns(columns)
+    expanded = _exact_or_predicted(register, predicted)
+    write_expanded_csv(path, expanded)
+    order = sorted(range(n), key=keys.__getitem__)
     again = read_expanded_csv(path)
     assert register_rows(again.register) == register_rows(register.take(order))
     for column in ("delta", "kind", "provenance"):

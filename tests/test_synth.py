@@ -83,6 +83,14 @@ def test_truth_consistency(small_bundle, small_inputs):
         assert srec.eligible == (t["kind"] != 0)
 
 
+def test_load_truth_names_the_line_of_a_bad_pa(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text("link_key,pa,kind,responded\nS1,0,4,0\nS2,x,4,0\n", encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_truth(path)
+    assert str(info.value) == f"{path}:3: invalid literal for int() with base 10: 'x'"
+
+
 def test_survey_counts_exact(small_inputs):
     admin, survey, _table, _linked = small_inputs
     cfg = small_config()
