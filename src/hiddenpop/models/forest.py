@@ -43,10 +43,11 @@ so 324 rows; 500 trees; W = 2).  Trees are taken in groups whose tables fit
 in _TABLE_BYTES (4 MB, or one tree); a forest that fits one group keeps its
 tables, a larger one builds each group's anew per call, so deep trees cost
 time, not memory.
-Rows are scored in chunks of _SCORE_WORDS mask words (1 MB), in two buffers,
-each chunk reading its rows of X through the distinct-row index, a column at
-a time.  The node table takes the model file's 28 bytes a node: 2.0 MiB for
-the default forest at seed 3 (75,210 nodes).
+Rows are scored in chunks of _SCORE_WORDS mask words (256 KiB), in two buffers,
+each chunk reading its rows of X through the distinct-row index, a column at a
+time; permutation_importance scores one group's _REPEATS copies at a time, only
+their rows a permutation changed.  The node table takes the model file's 28
+bytes a node: 2.0 MiB for the default forest at seed 3 (75,210 nodes).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ _NO_FEATURE = -1
 _SEARCH_CHUNK = 1 << 17  # (row, candidate) pairs plus histogram bins per vectorized split search
 _BLOCK = 64  # nodes per candidate draw of one tree
 _TABLE_BYTES = 1 << 22  # leaf-mask tables of one group of trees
-_SCORE_WORDS = 1 << 17  # mask words per scoring chunk (rows x trees x W)
+_SCORE_WORDS = 1 << 15  # mask words per scoring chunk (rows x trees x W)
 _REPEATS = 10  # permutations per group in permutation_importance
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)  # k lowest bits set
 
@@ -429,7 +430,7 @@ def _node_masks(forest):
     numbered in order, left to right; bit i of a set is word i // 64, bit
     i % 64, and a node's mask clears the bits of its left subtree's leaves.
     """
-    start = np.cumsum(forest.n_nodes) - forest.n_nodes
+    start = (np.cumsum(forest.n_nodes) - forest.n_nodes).astype(np.int32)  # left, right are int32
     owner = np.repeat(np.arange(forest.n_trees, dtype=np.int32), forest.n_nodes)
     left = forest.left + start[owner]
     right = forest.right + start[owner]
@@ -453,9 +454,11 @@ def _node_masks(forest):
     positive = np.zeros((forest.n_trees, n_words), dtype=np.uint64)
     np.bitwise_or.at(positive, (owner[leaf], first[leaf] // 64),
                      np.uint64(1) << (first[leaf] % 64).astype(np.uint64))
+    del levels, right, leaf  # each index is freed once read, before the masks are made
 
     nodes = np.flatnonzero(inner)
     lo, hi = first[nodes], first[nodes] + n_leaves[left[nodes]]
+    del first, n_leaves, left
     masks = np.empty((len(nodes), n_words), dtype=np.uint64)
     for w in range(n_words):
         below_hi = _LOW_BITS[np.clip(hi - 64 * w, 0, 64)]
@@ -582,22 +585,25 @@ def permutation_importance(
 
     groups is a list of (name, [column indices]); one-hot dummies of the same
     categorical should be passed as a single group so the whole predictor is
-    scrambled jointly.  Default: every column is its own group.  Every permuted
-    copy is stacked and scored in one predict_forest call; a copy equal to the
-    data scores as the data does, so it drops exactly 0.0.
+    scrambled jointly.  Default: every column is its own group.  A group's permuted
+    copies are made together, and only their rows that a permutation changed are
+    scored again, in one predict_forest call; every other row keeps its baseline score,
+    so a copy equal to the data drops exactly 0.0.
     """
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=int)
     if groups is None:
         groups = [(f"x{j}", [j]) for j in range(X.shape[1])]
-    baseline = float(np.mean((predict_forest(model, X) > threshold).astype(int) == y))
+    scores = predict_forest(model, X)
+    baseline = float(np.mean((scores > threshold).astype(int) == y))
     rng = np.random.default_rng(seed)
-    copies = np.repeat(X[None], len(groups) * _REPEATS, axis=0)  # group-major, then repeat
-    for i, (_name, cols) in enumerate(groups):
-        for Xp in copies[i * _REPEATS:(i + 1) * _REPEATS]:
+    mda = {}
+    for name, cols in groups:
+        copies = np.repeat(X[None], _REPEATS, axis=0)
+        for Xp in copies:
             Xp[:, cols] = X[np.ix_(rng.permutation(len(X)), cols)]
-    scores = predict_forest(model, copies.reshape(-1, X.shape[1])).reshape(len(copies), len(X))
-    drops = baseline - np.mean((scores > threshold) == y, axis=1)
-    mda = {name: float(np.mean(drop))
-           for (name, _cols), drop in zip(groups, drops.reshape(len(groups), _REPEATS))}
+        changed = (copies[:, :, cols] != X[:, cols]).any(axis=2)
+        copy_scores = np.repeat(scores[None], _REPEATS, axis=0)
+        copy_scores[changed] = predict_forest(model, copies[changed])
+        mda[name] = float(np.mean(baseline - np.mean((copy_scores > threshold) == y, axis=1)))
     return ImportanceReport(mda=mda, baseline_accuracy=baseline)

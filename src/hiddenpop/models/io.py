@@ -6,6 +6,7 @@ import base64
 import binascii
 import json
 from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +22,7 @@ FORMAT_VERSION = 2
 # _payload); a forest's node table is the list n_nodes and a base64 string per node field
 _MODEL_TYPES = {LogisticModel: "logistic", ForestModel: "forest"}
 _NODE_TABLE = ("n_nodes", *_NODE_FIELDS)
+_SLICE = 48 << 10  # node bytes per base64 write: a multiple of 3, so the slices join unpadded
 # how a model field of each annotated type is read from its JSON value; an array is
 # read flat, so a nested list of weights loads as a list that differs from it
 _CASTS = {"int": int, "float": float,
@@ -93,13 +95,19 @@ def _node_table(model: dict, n_features: int) -> tuple:
 
 def save_model(path, model, schema: FeatureSchema):
     payload = _payload(model, schema)
-    if isinstance(model, ForestModel):
-        payload["model"].update({name: base64.b64encode(getattr(model, name)).decode("ascii")
-                                 for name in _NODE_FIELDS})
+    nodes = {}  # a forest's node fields as bytes, by the JSON text of the placeholder saved
+    for name in _NODE_FIELDS if isinstance(model, ForestModel) else ():
+        payload["model"][name] = f"\0{name}"
+        nodes[json.dumps(f"\0{name}")] = getattr(model, name).reshape(-1).view(np.uint8)
     with atomic_open(path) as f:
-        # streamed by the Python encoder, quick on a payload without long lists, so the
-        # whole text is never held beside the node strings
-        json.dump(payload, f, sort_keys=True)
+        # json.dump's chunks, by the Python encoder (quick on a payload without long lists),
+        # never the whole text; a placeholder's is its field's base64, _SLICE bytes at a time
+        for chunk in json.JSONEncoder(sort_keys=True).iterencode(payload):
+            if (data := nodes.pop(chunk, None)) is None:
+                f.write(chunk)
+            else:
+                f.writelines(chain('"', (base64.b64encode(data[at:at + _SLICE]).decode("ascii")
+                                         for at in range(0, len(data), _SLICE)), '"'))
 
 
 def load_model(path):

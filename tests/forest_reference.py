@@ -1,9 +1,10 @@
 """Sequential reference implementation of the forest, for equality tests.
 
 Grows one tree after another, one node search at a time, walks every row
-through every tree, and scores each permuted copy on its own.  The package's
-lockstep growth, bitmask scoring and batched versions must reproduce these
-bit for bit; nothing here calls the package's scoring code.
+through every tree, and scores each permuted copy on its own, or all of them
+stacked in one matrix.  The package's lockstep growth, bitmask scoring and
+batched versions must reproduce these bit for bit; nothing here calls the
+package's scoring code.
 """
 
 import math
@@ -190,3 +191,23 @@ def permutation_importance(model, data, *, seed=0, groups=None, threshold=0.5):
         mda[name] = float(np.mean(drops))
     ranking = sorted(mda, key=lambda k: mda[k], reverse=True)
     return mda, ranking, baseline
+
+
+def permutation_importance_stacked(model, data, *, seed=0, groups=None, threshold=0.5):
+    """(mda, baseline accuracy): every group's ten permuted copies, stacked group after
+    group, scored as one matrix, all rows of every copy."""
+    X = np.asarray(data.X, dtype=float)
+    y = np.asarray(data.y, dtype=int)
+    if groups is None:
+        groups = [(f"x{j}", [j]) for j in range(X.shape[1])]
+    baseline = float(np.mean((predict_forest(model, X) > threshold).astype(int) == y))
+    rng = np.random.default_rng(seed)
+    copies = np.repeat(X[None], len(groups) * 10, axis=0)  # group-major, then repeat
+    for i, (_name, cols) in enumerate(groups):
+        for Xp in copies[i * 10:(i + 1) * 10]:
+            Xp[:, cols] = X[np.ix_(rng.permutation(len(X)), cols)]
+    scores = predict_forest(model, copies.reshape(-1, X.shape[1])).reshape(len(copies), len(X))
+    drops = baseline - np.mean((scores > threshold) == y, axis=1)
+    mda = {name: float(np.mean(drop))
+           for (name, _cols), drop in zip(groups, drops.reshape(len(groups), 10))}
+    return mda, baseline

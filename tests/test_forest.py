@@ -5,6 +5,7 @@ import tempfile
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -581,6 +582,21 @@ def test_load_model_retains_at_most_28_bytes_per_node(small_training, tmp_path):
     assert traced["retained"] <= 28 * n + (64 << 10), traced
 
 
+def test_save_model_peaks_below_a_quarter_of_the_node_table(small_training, tmp_path):
+    """The node strings are written in slices as they are encoded, never held whole."""
+    schema, _data = small_training
+    rng = np.random.default_rng(0)
+    built = reference.forest([random_tree(rng, 150, schema.width) for _ in range(200)],
+                             n_features=schema.width)
+    path = tmp_path / "model.json"
+    save_model(path, built, schema)  # whatever a first save caches is made here
+    first = path.read_bytes()
+    with traced_memory() as traced:
+        save_model(path, built, schema)
+    assert path.read_bytes() == first
+    assert traced["peak"] < 28 * int(built.n_nodes.sum()) // 4, traced
+
+
 def test_predict_forest_copies_no_distinct_rows():
     """Each scoring chunk reads its rows through the distinct-row index: the scoring of
     30,000 distinct rows peaks below one (distinct rows x width) float copy of them."""
@@ -591,3 +607,59 @@ def test_predict_forest_copies_no_distinct_rows():
     with traced_memory() as traced:
         predict_forest(model, X)
     assert traced["peak"] < X.nbytes, traced
+
+
+def assert_same_importance(got, want):
+    """Bit for bit: each group's MDA, in group order, and the baseline accuracy."""
+    mda, baseline = want
+    assert list(got.mda) == list(mda)
+    assert np.array(list(got.mda.values())).tobytes() == np.array(list(mda.values())).tobytes()
+    assert np.float64(got.baseline_accuracy).tobytes() == np.float64(baseline).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 60),
+       threshold=st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+def test_permutation_importance_matches_the_stacked_reference(seed, n_rows, threshold):
+    """Small random forests, rows of tied values, random disjoint groups and thresholds; column
+    0 is constant, so its group's permutations change no row and it scores no row again."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 7))
+    model = reference.forest([random_tree(rng, int(rng.integers(1, 10)), p)
+                              for _ in range(int(rng.integers(1, 8)))], n_features=p)
+    X = scoring_rows(rng, n_rows, p)[rng.integers(0, n_rows, size=n_rows)]  # repeated rows
+    X[:, 0] = rng.choice(_POOL[np.isfinite(_POOL)])
+    data = LabeledDataset(X=X, y=rng.integers(0, 2, size=n_rows), row_ids=list(range(n_rows)))
+    cuts = np.sort(rng.choice(np.arange(1, p - 1), size=int(rng.integers(0, p - 1)), replace=False))
+    parts = np.split(rng.permutation(np.arange(1, p)), cuts)  # columns 1..p-1 in random groups
+    groups = [("constant", [0])] + [(f"g{i}", part.tolist()) for i, part in enumerate(parts)]
+    groups = [groups[i] for i in rng.permutation(len(groups))]
+    for chosen in (groups, None):
+        got = permutation_importance(model, data, seed=seed, groups=chosen, threshold=threshold)
+        assert_same_importance(got, reference.permutation_importance_stacked(
+            model, data, seed=seed, groups=chosen, threshold=threshold))
+        assert got.mda["constant" if chosen else "x0"] == 0.0
+
+    scored = []
+    real = forest_module.predict_forest
+    with mock.patch.object(forest_module, "predict_forest",
+                           lambda m, rows: scored.append(len(rows)) or real(m, rows)):
+        permutation_importance(model, data, seed=seed, groups=[("constant", [0])])
+    assert scored[0] == n_rows and not any(scored[1:]), scored  # the baseline, then no row
+
+
+def test_permutation_importance_holds_one_group_of_copies_at_a_time():
+    """Listing every group twice scores twice the copies at about the same traced peak."""
+    rng = np.random.default_rng(1)
+    model = reference.forest([random_tree(rng, 30, 6) for _ in range(50)], n_features=6)
+    X = rng.normal(size=(3000, 6))
+    data = LabeledDataset(X=X, y=rng.integers(0, 2, size=len(X)), row_ids=list(range(len(X))))
+    groups = [(f"x{j}", [j]) for j in range(6)]
+    twice = groups + [(f"{name} again", cols) for name, cols in groups]
+    predict_forest(model, X[:10])  # the leaf tables, which the forest keeps, are built here
+    peaks = []
+    for chosen in (groups, twice):
+        with traced_memory() as traced:
+            permutation_importance(model, data, seed=0, groups=chosen)
+        peaks.append(traced["peak"])
+    assert peaks[1] <= 1.2 * peaks[0], peaks
