@@ -365,7 +365,7 @@ _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _trees = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _ratio = _checked(float, lambda v: 0 < v < 1, "a fraction strictly between 0 and 1")
 _folds = _checked(int, lambda v: v == 0 or v >= 2, "0 (no CV) or an integer >= 2")
-_n_register = _checked(int, lambda v: v >= 100, "an integer >= 100")
+_n_register = _checked(int, lambda v: 100 <= v < 2**31, "an integer in [100, 2**31)")
 _threshold = _checked(float, lambda v: 0 <= v <= 1, "a number between 0 and 1")
 _gap = _checked(float, lambda v: 0 <= v <= 100, "a gap between 0 and 100 percentage points")
 
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
         write_manifest(run.out, args.subcommand,
                        {k: v for k, v in vars(args).items() if k != "func"},
                        run.seed, run.inputs, run.outputs)
-    except (DataError, OSError) as exc:  # OSError: an artifact path that cannot be written
+    except (DataError, OSError, MemoryError) as exc:  # an unwritable artifact; a huge register
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except HiddenPopError as exc:

@@ -3,8 +3,8 @@
 All files are UTF-8 CSV with a comma-separated header row.  The register is
 held as one columnar `Register`: every column but `link_key` is dictionary
 encoded, so each distinct raw value is standardized once.  Register rows that
-fail standardization are routed to a reject file with a reason code rather
-than aborting the whole load; an error is raised only when more than 5% of
+fail standardization go to a reject file with their first bad cell's error
+rather than abort the whole load; an error is raised only when more than 5% of
 the rows are rejected.  A file that cannot be read, lacks a column or holds a
 row with too few fields raises DataError naming the file and line (the
 physical line on which the row ends).  See docs/formats.md for the column
@@ -419,17 +419,6 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _reject_reason(row: dict) -> str:
-    """Why a register row fails standardization: its first failing check."""
-    try:
-        int(row["years_enrolled"]), int(row["ects_earned"])  # both parse before any range check
-        for name in ("years_enrolled", "ects_earned", "gender", "course_level",
-                     "enrollment_year", "employment"):
-            _STANDARDIZERS[name](row[name])
-    except ValueError as exc:
-        return str(exc)
-
-
 def parse_admin(path) -> Register:
     """Load and standardize the register; bad rows go to <path>.rejects.csv.
 
@@ -438,18 +427,20 @@ def parse_admin(path) -> Register:
     """
     path = Path(path)
     rejects = []  # (line number, reason, raw row)
+    coders = {c: Coder(s) for c, s in _STANDARDIZERS.items()}
 
     def keep(header, lines, rows, part):
         bad = np.any([a < 0 for a in part.codes.values()], axis=0)
         for i in np.flatnonzero(bad):
             row = dict(zip(header, rows[i]))
-            reason = _reject_reason(row)
+            # the error of the row's first rejected cell, in column order
+            reason = next(coders[c].errors[-1 - a[i]] for c, a in part.codes.items() if a[i] < 0)
             if len(rows[i]) > len(header):  # csv.DictReader's restkey, as before
                 row[None] = rows[i][len(header):]
             rejects.append((lines[i], reason, ";".join(f"{k}={v}" for k, v in row.items())))
         return np.flatnonzero(~bad)
 
-    register = read_register(path, {c: Coder(s) for c, s in _STANDARDIZERS.items()}, keep=keep)
+    register = read_register(path, coders, keep=keep)
     total = len(register) + len(rejects)
     if rejects:
         write_csv(path.with_suffix(".rejects.csv"), ["line", "reason", "raw"], rejects)

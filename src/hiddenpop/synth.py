@@ -127,13 +127,16 @@ class SynthConfig:
 
     def validate(self):
         """Raise DataError naming the first field that generate cannot draw from."""
-        if self.n_register < 100:
-            raise DataError("n_register must be >= 100")
+        if not 100 <= self.n_register < 2**31:
+            raise DataError(f"n_register must be >= 100 and < 2**31, got {self.n_register}")
         if len(self.kind_shares) != 5:
             raise DataError("kind_shares must hold 5 shares, one per kind 0..4")
         for name, low in _LEAST.items():
             if not low <= getattr(self, name) < math.inf:
                 raise DataError(f"{name} must be finite and >= {low}, got {getattr(self, name)}")
+        for name in ("years_max", "ects_max"):  # caps of int64 draws
+            if getattr(self, name) >= 2**63:
+                raise DataError(f"{name} must be < 2**63, got {getattr(self, name)}")
         for name in ("years_sd", "ects_sd"):  # generate z-scores by them
             if not 0 < getattr(self, name) < math.inf:
                 raise DataError(f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -148,11 +151,13 @@ class SynthConfig:
             raise DataError(f"signal must hold exactly the keys {SIGNAL_COLUMNS}")
         if not set(self.response_offsets) <= set(_RESPONSE_VARIABLES):
             raise DataError(f"response_offsets may only hold {_RESPONSE_VARIABLES}")
+        offsets = [v for table in self.response_offsets.values() for v in table.values()]
         for name, values in [("ects_mean", [self.ects_mean]), ("signal", self.signal.values()),
-                             ("response_offsets", [v for table in self.response_offsets.values()
-                                                   for v in table.values()])]:
+                             ("response_offsets", offsets)]:
             if not np.isfinite(list(values)).all():
                 raise DataError(f"{name} must hold finite numbers")
+        if not all(-100 <= v <= 100 for v in offsets):  # so exp of a row's sum is finite and > 0
+            raise DataError(f"response_offsets must be in [-100, 100], got {self.response_offsets}")
 
 
 # the least value of each bounded field; each must also be finite
@@ -233,6 +238,8 @@ def _weighted_sample(rng, in_pool, weights, config, count_field):
         raise DataError(f"n_register {config.n_register} is too small for {count_field} "
                         f"{size}: cannot sample {size} from a pool of {len(pool)}")
     p = weights[pool] / weights[pool].sum()
+    if size > np.count_nonzero(p):  # a weight below exp(-745) of the pool's sum reads as 0
+        raise DataError(f"response_offsets leave under {size} rows a weight > 0 for {count_field}")
     return rng.choice(pool, size=size, replace=False, p=p)
 
 

@@ -59,13 +59,15 @@ class AdminRecord:
     employment: str
 
 
+def _count(raw: str, name: str, low: int) -> int:
+    value = int(raw)
+    if not low <= value < _MAX_COUNT:
+        raise ValueError(f"{name} must be in [{low}, 2**53), got {value}")
+    return value
+
+
 def standardize_admin_row(row: dict) -> AdminRecord:
-    years = int(row["years_enrolled"])
-    ects = int(row["ects_earned"])
-    if not 1 <= years < _MAX_COUNT:
-        raise ValueError(f"years_enrolled must be in [1, 2**53), got {years}")
-    if not 0 <= ects < _MAX_COUNT:
-        raise ValueError(f"ects_earned must be in [0, 2**53), got {ects}")
+    """The row's cells standardized in column order: the first bad cell raises."""
     return AdminRecord(
         link_key=row["link_key"].strip(),
         given_name=row["given_name"].strip(),
@@ -75,8 +77,8 @@ def standardize_admin_row(row: dict) -> AdminRecord:
         course_level=standardize_course_level(row["course_level"]),
         department=_slug(row["department"]),
         enrollment_year=int(row["enrollment_year"]),
-        years_enrolled=years,
-        ects_earned=ects,
+        years_enrolled=_count(row["years_enrolled"], "years_enrolled", 1),
+        ects_earned=_count(row["ects_earned"], "ects_earned", 0),
         employment=standardize_employment(row["employment"]),
     )
 

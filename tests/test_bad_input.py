@@ -295,6 +295,14 @@ _CONFIG_CASES = [
     ({"response_offsets": {"gender": {"M": float("inf")}}},
      "response_offsets must hold finite numbers"),
     ({"seed": True}, "TypeError: seed: expected a value like the default 3, got True"),
+    ({"n_register": 10**20}, f"n_register must be >= 100 and < 2**31, got {10**20}"),
+    ({"n_register": 2**31}, "n_register must be >= 100 and < 2**31, got 2147483648"),
+    ({"years_max": 10**29}, f"years_max must be < 2**63, got {10**29}"),
+    ({"ects_max": 10**29}, f"ects_max must be < 2**63, got {10**29}"),
+    ({"response_offsets": {"gender": {"M": 1000}}},
+     "response_offsets must be in [-100, 100], got {'gender': {'M': 1000}}"),
+    ({"response_offsets": {"gender": {"M": -1000, "F": -1000}}},
+     "response_offsets must be in [-100, 100], got {'gender': {'M': -1000, 'F': -1000}}"),
 ]
 
 
@@ -311,6 +319,29 @@ def test_config_value_out_of_range_exits_3_naming_it(tmp_path, capsys, config, m
                  "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: DataError: {path}: {message}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("config", [config for config, _ in _CONFIG_CASES], ids=json.dumps)
+def test_a_rejected_config_leaves_no_out_directory(tmp_path, config):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    assert main(["synth", "--config", str(path), "--n-register", "2000", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_response_offsets_at_their_bounds_draw_a_bundle(tmp_path):
+    """+100 and -100 in turn on the levels of each variable: a row's weight lies
+    between exp(-400) and exp(400), finite and above 0."""
+    defaults = SynthConfig()
+    levels = {"gender": ["M", "F"], "department": defaults.department_shares,
+              "course_level": defaults.course_shares, "employment": defaults.employment_shares}
+    offsets = {var: {level: (100, -100)[i % 2] for i, level in enumerate(names)}
+               for var, names in levels.items()}
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({"response_offsets": offsets, "n_survey_native": 20,
+                                "n_survey_migrant": 20, "n_screened_out": 40}))
+    assert main(["synth", "--config", str(path), "--n-register", "2000", "--out", str(out)]) == 0
+    assert len((out / "survey.csv").read_text().splitlines()) == 1 + 40
 
 
 def expanded_without_register_columns(d):

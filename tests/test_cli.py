@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hiddenpop.cli
@@ -173,7 +174,7 @@ def test_usage_error_exit_code():
     ]
 ] + [
     pytest.param("synth", "--n-register", value, id=f"--n-register-{value}-synth")
-    for value in ["0", "-5", "99"]
+    for value in ["0", "-5", "99", "2147483648"]
 ] + [
     pytest.param(subcommand, "--threshold", value, id=f"--threshold-{value}-{subcommand}")
     for subcommand in ["train", "evaluate", "impute", "pipeline"] for value in ["7", "-0.1", "nan"]
@@ -209,6 +210,23 @@ def test_a_failed_synth_leaves_no_out_directory(tmp_path, capsys):
     out = tmp_path / "o3"
     assert main(["synth", "--out", str(out), "--n-register", "600"]) == 3
     assert "n_register 600 is too small for n_survey_native 312" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raise_it", [
+    lambda: np.empty(2**60, dtype=np.int8),  # a MemoryError subclass, raised before allocating
+    lambda: [0] * 2**62,
+], ids=["numpy", "python"])
+def test_a_register_too_large_for_memory_exits_3_in_one_line(tmp_path, capsys, monkeypatch,
+                                                            raise_it):
+    def generate(config, out_dir):
+        raise_it()
+
+    monkeypatch.setattr(hiddenpop.cli, "generate", generate)
+    out = tmp_path / "o"
+    assert main(["synth", "--out", str(out), "--n-register", str(2**31 - 1)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: MemoryError: ") and err.count("\n") == 1, err
     assert not out.exists()
 
 

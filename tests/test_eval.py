@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiddenpop.errors import DataError
+from hiddenpop.errors import DataError, HiddenPopError
 from hiddenpop.eval import (
     METRIC_NAMES,
     ConfusionMatrix,
@@ -112,6 +112,20 @@ def test_split_is_seeded():
     c, _ = split_train_validate(data, seed=6)
     assert a.row_ids == b.row_ids
     assert a.row_ids != c.row_ids
+
+
+def test_scores_and_labels_must_pair_up():
+    with pytest.raises(HiddenPopError, match="^3 scores vs 2 labels$"):
+        evaluate([0.1, 0.2, 0.9], [0, 1])
+    with pytest.raises(HiddenPopError, match="^no predictions to evaluate$"):
+        evaluate([], [])
+    with pytest.raises(HiddenPopError, match="^1 scores vs 2 labels$"):
+        roc([0.5], [0, 1])
+
+
+def test_split_needs_both_classes():
+    with pytest.raises(DataError, match="^both classes must be present$"):
+        split_train_validate(make_data(0, 10))
 
 
 def test_split_too_small():

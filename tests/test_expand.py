@@ -349,6 +349,14 @@ def test_bias_report_rejects_stray_sample_levels():
         bias_report(pop, sample, variables=["department"])
 
 
+@pytest.mark.parametrize("empty", ["population", "sample"])
+def test_bias_report_needs_a_nonempty_population_and_sample(empty):
+    registers = {"population": register_of([make_admin("P1")]),
+                 "sample": register_of([make_admin("Q1")]), empty: register_of([])}
+    with pytest.raises(DataError, match="^both population and sample must be nonempty$"):
+        bias_report(registers["population"], registers["sample"], variables=["gender"])
+
+
 def test_bias_report_unknown_variable():
     pop = register_of([make_admin("P1")])
     with pytest.raises(DataError, match="unknown shared variable 'shoe_size'"):

@@ -323,3 +323,25 @@ def test_report_exits_3_on_a_cell_parse_admin_rejects(tmp_path, capsys):
     assert capsys.readouterr().err == \
         f"error: DataError: {path}:{at + 1}: unrecognized gender 'X'\n"
     assert not (out / "bias_report.csv").exists()
+
+
+
+def test_a_reject_reason_names_the_cell_that_report_names(tmp_path):
+    """gender '?' and years_enrolled 0 on the same row of admin.csv and of the expanded
+    file: the reject reason is report's message, the first bad cell's in column order."""
+    expanded = _expansion(_EVERY_ROW * 2, [0.5])
+    admin, path = tmp_path / "admin.csv", tmp_path / "expanded.csv"
+    write_admin_csv(admin, expanded.register)
+    write_expanded_csv(path, expanded)
+    for written in (admin, path):
+        lines = written.read_bytes().decode().split("\r\n")[:-1]
+        _corrupt(lines, "cell", "gender", "?", 2, 0)
+        _corrupt(lines, "cell", "years_enrolled", "0", 2, 0)
+        written.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    assert len(parse_admin(admin)) == len(expanded.delta) - 1
+    with open(admin.with_suffix(".rejects.csv"), newline="", encoding="utf-8") as f:
+        [(line, reason, _raw)] = list(csv.reader(f))[1:]
+    assert (line, reason) == ("4", "unrecognized gender '?'")
+    with pytest.raises(DataError) as info:
+        read_expanded_csv(path)
+    assert str(info.value) == f"{path}:4: {reason}"

@@ -13,6 +13,7 @@ from hiddenpop.features import (
     correlation_report,
     encode_matrix,
     FeatureSchema,
+    LabeledDataset,
     level_codes,
 )
 from hiddenpop.ingest import SurveyRecord, is_common_name, link
@@ -174,6 +175,11 @@ def test_assemble_training_set_requires_both_classes():
     schema = build_schema(records, TABLE)
     with pytest.raises(DataError, match="training labels are all 1"):
         assemble_training_set(linked, schema, TABLE)
+
+
+def test_labeled_dataset_needs_one_label_per_row():
+    with pytest.raises(ValueError, match="^X and y length mismatch$"):
+        LabeledDataset(X=np.zeros((3, 2)), y=np.zeros(2, dtype=int), row_ids=["a", "b"])
 
 
 def test_correlation_report_shape_and_diagonal(small_training):

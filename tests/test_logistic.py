@@ -7,7 +7,7 @@ import pytest
 
 from hiddenpop.errors import HiddenPopError
 from hiddenpop.features import FeatureSchema, LabeledDataset, feature_layout
-from hiddenpop.models import (LogisticModel, fit_logistic, load_model, logistic,
+from hiddenpop.models import (LogisticModel, fit_logistic, load_model, logistic, model_type,
                               predict_logistic, save_model)
 from hiddenpop.models.logistic import _newton, penalized_gradient, penalized_loglik
 
@@ -96,6 +96,18 @@ def test_single_class_rejected():
                           row_ids=[str(i) for i in range(10)])
     with pytest.raises(ValueError):
         fit_logistic(data)
+
+
+def test_a_non_finite_design_matrix_is_rejected():
+    X = np.zeros((4, 2))
+    X[1, 0] = np.nan
+    with pytest.raises(ValueError, match="^non-finite entries in design matrix$"):
+        fit_logistic(LabeledDataset(X=X, y=np.array([0, 1, 0, 1]), row_ids=list("abcd")))
+
+
+def test_model_type_rejects_an_unsupported_model():
+    with pytest.raises(TypeError, match="^unsupported model type object$"):
+        model_type(object())
 
 
 def test_intercept_unpenalized():

@@ -11,6 +11,7 @@ from hiddenpop.ingest import is_common_name
 from hiddenpop.synth import (
     SIGNAL_COLUMNS,
     SynthConfig,
+    _weighted_sample,
     generate,
     generating_design,
     load_truth,
@@ -62,6 +63,16 @@ def test_oversized_survey_is_infeasible(tmp_path):
     cfg.n_survey_migrant = 10_000
     with pytest.raises(DataError, match="cannot sample 10000 from a pool of"):
         generate(cfg, tmp_path / "x", seed=0)
+
+
+def test_a_pool_whose_light_rows_weigh_0_is_infeasible():
+    """Offsets of +400 and -400 on a row's total: the light row's share of the pool's
+    weight, exp(-800), reads as 0, and a draw of the whole pool cannot take it."""
+    with pytest.raises(DataError, match=r"^response_offsets leave under 2 rows a weight > 0 "
+                                        r"for n_survey_native$"):
+        _weighted_sample(np.random.default_rng(0), np.ones(2, dtype=bool),
+                         np.exp([400.0, -400.0]), SynthConfig(n_survey_native=2),
+                         "n_survey_native")
 
 
 def test_truth_consistency(small_bundle, small_inputs):
