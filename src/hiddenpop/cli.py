@@ -161,7 +161,7 @@ def _synth(run, rel) -> Path:
     args = run.args
     config = SynthConfig()
     if args.config:
-        with reading(args.config, TypeError):
+        with reading(args.config, TypeError, ValueError):
             config = SynthConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
             run.inputs.append(Path(args.config))
             try:
@@ -310,7 +310,7 @@ def _check_expanded_inputs(run, expanded_file):
         manifest = out_dir / "run_manifest.json"
         if not manifest.is_file():
             continue
-        with reading(manifest, AttributeError, KeyError, TypeError):
+        with reading(manifest, AttributeError, KeyError, TypeError, ValueError):
             recorded = json.loads(manifest.read_text(encoding="utf-8"))
             if recorded["outputs"].get(path.relative_to(out_dir).as_posix()) != digest:
                 continue
@@ -372,7 +372,10 @@ _gap = _checked(float, lambda v: 0 <= v <= 100, "a gap between 0 and 100 percent
 
 def _makeable_dir(path) -> bool:
     """Whether path is a directory, or can become one: its nearest existing ancestor is."""
-    return next(p for p in [Path(path), *Path(path).parents] if p.exists()).is_dir()
+    try:
+        return next(p for p in [Path(path), *Path(path).parents] if p.exists()).is_dir()
+    except OSError:  # a name longer than the file system allows
+        return False
 
 
 _out = _checked(str, _makeable_dir, "a directory or a path where one can be made")

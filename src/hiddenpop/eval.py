@@ -187,15 +187,13 @@ def kfold_cv(data: LabeledDataset, trainer, k: int = 10, seed: int = 0,
     if n < k:
         raise DataError(f"n={n} < k={k}")
     fold = stratified_folds(data.y, k, seed)
-    reports = []
+    scores = np.empty(n)  # each row's out-of-fold score
     for f in range(k):
         train = _subset(data, np.flatnonzero(fold != f))
-        test = _subset(data, np.flatnonzero(fold == f))
         if train.y.min() == train.y.max():
             raise DataError(f"fold {f}: training part lost a class")
-        score_fn = trainer(train)
-        reports.append(evaluate(score_fn(test.X), test.y, threshold))
-    result = CvResult(reports)
+        scores[fold == f] = trainer(train)(data.X[fold == f])
+    result = CvResult([evaluate(scores[fold == f], data.y[fold == f], threshold) for f in range(k)])
     undefined = result.undefined_counts
     if any(undefined.values()):
         log.warning("CV aggregation skipped undefined metrics: %s", undefined)

@@ -86,8 +86,6 @@ def impute_pa(model, schema: FeatureSchema, admin: Register, name_table: dict[st
     target = pa_open(admin.bp, admin.cit)
     target[np.asarray(linked_rows, dtype=np.intp)] = False
     rows = np.flatnonzero(target)
-    if not len(rows):  # no pa, no scores, no codes
-        return Imputations(rows, np.empty(0, dtype=np.int8), np.empty(0), rows)
     groups = level_codes(admin, name_table, rows)
     first, inverse = distinct_rows([codes for _levels, codes in groups.values()])
     X = encode_matrix({group: (levels, codes[first]) for group, (levels, codes) in groups.items()},
@@ -98,8 +96,7 @@ def impute_pa(model, schema: FeatureSchema, admin: Register, name_table: dict[st
         predict_scores(model, X[inverse])
         raise
     pa = np.where(scores > threshold, 0, 1).astype(np.int8)[inverse]
-    log.info("imputed pa for %d records (%.1f%% predicted pa=0)",
-             len(rows), 100 * np.mean(pa == 0))
+    log.info("imputed pa for %d records, %d predicted pa=0", len(rows), np.sum(pa == 0))
     return Imputations(rows, pa, scores, inverse)
 
 

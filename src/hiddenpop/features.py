@@ -130,6 +130,16 @@ def design_matrix(X, width: int) -> np.ndarray:
     return X
 
 
+def fit_input(data) -> tuple[np.ndarray, np.ndarray]:
+    """A training set's X as floats and y as ints, the input of every model's fit."""
+    X, y = np.asarray(data.X, dtype=float), np.asarray(data.y, dtype=int)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite entries in design matrix")
+    if y.min() == y.max():
+        raise ValueError("both classes must be present")
+    return X, y
+
+
 def feature_layout(moments: dict) -> list[Column]:
     """Every column in the fixed order: categorical dummies, the name flag, numerics.
 

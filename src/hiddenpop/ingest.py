@@ -268,8 +268,8 @@ def reading(path, *content_errors):
     """
     try:
         yield
-    except (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError,
-            *content_errors) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError, RecursionError,
+            *content_errors) as exc:  # RecursionError: JSON nested too deep to parse
         raise DataError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -60,7 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import HiddenPopError
-from ..features import design_matrix, distinct_rows
+from ..features import design_matrix, distinct_rows, fit_input
 
 log = logging.getLogger(__name__)
 
@@ -385,12 +385,7 @@ def _assemble_trees(n_nodes, roots, records):
 
 def fit_forest(data, *, n_trees: int = 500, seed: int = 0) -> ForestModel:
     """Bagged Gini trees with per-node feature subsampling and OOB error."""
-    X = np.asarray(data.X, dtype=float)
-    y = np.asarray(data.y, dtype=int)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite entries in design matrix")
-    if y.min() == y.max():
-        raise ValueError("both classes must be present")
+    X, y = fit_input(data)
     n, p = X.shape
     n_nodes, roots, records, oob = _grow_trees(X, y, seed, n_trees, math.ceil(math.sqrt(p)))
     model = ForestModel(n_nodes, *_assemble_trees(n_nodes, roots, records), seed=seed,

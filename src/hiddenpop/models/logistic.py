@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import HiddenPopError
-from ..features import design_matrix
+from ..features import design_matrix, fit_input
 
 log = logging.getLogger(__name__)
 
@@ -75,13 +75,7 @@ def fit_logistic(data) -> LogisticModel:
     HiddenPopError is raised.  Hitting _MAX_ITER, or a step that no halving
     makes ascend, returns the model with converged=False rather than raising.
     """
-    X = np.asarray(data.X, dtype=float)
-    y = np.asarray(data.y, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite entries in design matrix")
-    if y.min() == y.max():
-        raise ValueError("both classes must be present")
-
+    X, y = fit_input(data)
     n, p = X.shape
     X1 = np.hstack([np.ones((n, 1)), X])
     lam = _RIDGE

@@ -275,6 +275,48 @@ def config_not_json(d):
             f"{config}: JSONDecodeError")
 
 
+_DEEP = "[" * 5000 + "]" * 5000  # nested past the JSON decoder's recursion limit
+_LONG = "1" + "0" * 5000  # past Python's 4,300-digit limit on int()
+
+
+def config_nested_too_deep(d):
+    config = d / "config.json"
+    config.write_text(f'{{"seed": {_DEEP}}}')
+    return (["synth", "--config", str(config), "--out", str(d / "out")],
+            f"error: DataError: {config}: RecursionError: ")
+
+
+def config_integer_too_long(d):
+    config = d / "config.json"
+    config.write_text(f'{{"seed": {_LONG}}}')
+    return (["pipeline", "--config", str(config), "--out", str(d / "out")],
+            f"error: DataError: {config}: ValueError: Exceeds the limit (4300 digits)")
+
+
+def model_nested_too_deep(d):
+    model = d / "model_logistic.json"
+    text = model.read_text()
+    at = text.index('"dropped": [') + len('"dropped": [')
+    model.write_text(text[:at] + _DEEP + ("" if text[at] == "]" else ", ") + text[at:])
+    return _impute(d, model), f"error: DataError: {model}: RecursionError: "
+
+
+def _manifest_beside_expanded(d, value):
+    (d / "run_manifest.json").write_text(f'{{"inputs": {{}}, "outputs": {value}}}')
+    return ["report", "--data-dir", str(d), "--out", str(d / "out"),
+            "--expanded", str(d / EXPANDED)]
+
+
+def manifest_nested_too_deep(d):
+    return (_manifest_beside_expanded(d, _DEEP),
+            f"error: DataError: {d / 'run_manifest.json'}: RecursionError: ")
+
+
+def manifest_integer_too_long(d):
+    return (_manifest_beside_expanded(d, _LONG),
+            f"error: DataError: {d / 'run_manifest.json'}: ValueError: Exceeds the limit")
+
+
 # a value that generate would draw from, out of range, and the start of its message
 _CONFIG_CASES = [
     ({"seed": -1}, "seed must be finite and >= 0, got -1"),
@@ -379,7 +421,8 @@ def foreign_born_foreigner_with_italian_parents(d):
     expanded_without_register_columns, names_not_utf8, foreign_born_foreigner_with_italian_parents,
     *SCHEMA_EDITS, model_type_tree, logistic_weight_missing, forest_first_tree_two_nodes_longer,
     forest_threshold_one_short, pa_observed_2, config_not_an_object, evaluate_without_native_rows,
-    report_without_eligible_rows,
+    report_without_eligible_rows, config_nested_too_deep, config_integer_too_long,
+    model_nested_too_deep, manifest_nested_too_deep, manifest_integer_too_long,
 ])
 def test_bad_input_exits_3_naming_the_file(bundle, tmp_path, capsys, corrupt):
     argv, fragment = corrupt(_case_dir(bundle, tmp_path / "case"))

@@ -254,6 +254,16 @@ def test_out_naming_a_file_is_usage_error(tmp_path, capsys, argv):
     assert plain.read_text() == "not a directory\n"
 
 
+def test_out_longer_than_the_file_system_allows_is_usage_error(tmp_path, capsys):
+    out = tmp_path / ("a" * 300) / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--n-register", "6000", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --out" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pipeline_with_config_override(tmp_path):
     cfg = small_config()
     cfg_path = tmp_path / "config.json"

@@ -5,13 +5,14 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hiddenpop.errors import DataError, HiddenPopError
 from hiddenpop.eval import (
     METRIC_NAMES,
     ConfusionMatrix,
+    CvResult,
     _stratified_allocation,
     evaluate,
     kfold_cv,
@@ -207,6 +208,32 @@ def test_kfold_cv_runs_and_aggregates():
     assert 0.5 < result.mean["accuracy"] <= 1.0
     assert result.sd["accuracy"] >= 0.0
     assert result.undefined_counts["accuracy"] == 0
+
+
+def per_fold_cv(data, trainer, k, seed, threshold=0.5):
+    """kfold_cv as a loop that copies each fold's test rows and scores them alone."""
+    fold = stratified_folds(data.y, k, seed)
+    reports = []
+    for f in range(k):
+        train, test = [LabeledDataset(X=data.X[rows], y=data.y[rows],
+                                      row_ids=[data.row_ids[i] for i in rows])
+                       for rows in (np.flatnonzero(fold != f), np.flatnonzero(fold == f))]
+        reports.append(evaluate(trainer(train)(test.X), test.y, threshold))
+    return CvResult(reports)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_pos=st.integers(2, 40), n_neg=st.integers(2, 40), k=st.integers(2, 10),
+       seed=st.integers(0, 2**32 - 1), logistic=st.booleans())
+def test_kfold_cv_equals_the_per_fold_loop(n_pos, n_neg, k, seed, logistic):
+    """Two or more rows of each class keep both classes in every fold's training part."""
+    assume(n_pos + n_neg >= k)
+    data = make_data(n_pos, n_neg, seed)
+    trainer = logistic_trainer() if logistic else (lambda train: lambda X: X[:, 0] - 0.5)
+    got, want = kfold_cv(data, trainer, k=k, seed=seed), per_fold_cv(data, trainer, k, seed)
+    assert got.fold_reports == want.fold_reports
+    assert (got.mean, got.sd, got.undefined_counts) == (
+        want.mean, want.sd, want.undefined_counts)
 
 
 def test_kfold_cv_metric_defined_in_one_fold(tmp_path, caplog):
