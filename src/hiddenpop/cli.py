@@ -10,7 +10,6 @@ written, 4 internal error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import sys
@@ -62,6 +61,7 @@ from .synth import SynthConfig, generate
 
 
 def _sha256(path) -> str:
+    import hashlib  # here, not at the top: its libcrypto is 3.5 MB that only digests need
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):
@@ -90,7 +90,7 @@ def write_manifest(out_dir, subcommand, config, seed, inputs, outputs):
 
 class Run:
     """One invocation: its options, out dir and seed, its inputs (each loaded once, when
-    first used) and the files it reads and writes, which main() digests into one manifest."""
+    first used) and the files it reads and writes, digested into one manifest once it is freed."""
 
     def __init__(self, args):
         self.args = args
@@ -440,9 +440,10 @@ def main(argv=None) -> int:
     run = Run(args)
     try:
         args.func(run)
-        write_manifest(run.out, args.subcommand,
-                       {k: v for k, v in vars(args).items() if k != "func"},
-                       run.seed, run.inputs, run.outputs)
+        out, seed, inputs, outputs = run.out, run.seed, run.inputs, run.outputs
+        del run  # frees all the run loaded (the model, the register) before any digest
+        write_manifest(out, args.subcommand, {k: v for k, v in vars(args).items() if k != "func"},
+                       seed, inputs, outputs)
     except (DataError, OSError, MemoryError) as exc:  # an unwritable artifact; a huge register
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

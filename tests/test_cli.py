@@ -339,6 +339,28 @@ def _manifest(out):
     return json.loads((out / "run_manifest.json").read_text())
 
 
+@pytest.mark.parametrize("subcommand", ["impute", "evaluate", "pipeline"])
+def test_manifest_digests_are_those_of_the_files_on_disk(cli_run, tmp_path, subcommand):
+    """Each digest is the SHA-256 of its file as the run left it, and outputs lists
+    exactly the files the run wrote under --out."""
+    _root, data, train = cli_run
+    out, config = tmp_path / "out", tmp_path / "config.json"
+    config.write_text(json.dumps({"n_register": 600, "n_survey_native": 20,
+                                  "n_survey_migrant": 20, "n_screened_out": 40}))
+    options = (["--config", str(config), "--trees", "5", "--k", "2"] if subcommand == "pipeline"
+               else ["--data-dir", str(data), "--model-file", str(train / "model_forest.json")])
+    assert main([subcommand, "--out", str(out), *options]) == 0
+
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    manifest = _manifest(out)
+    assert manifest["inputs"] == {p: sha256(Path(p)) for p in manifest["inputs"]}
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert manifest["outputs"] == {p: sha256(out / p) for p in written - {"run_manifest.json"}}
+    assert str(config if subcommand == "pipeline" else data / "survey.csv") in manifest["inputs"]
+
+
 def test_report_manifest_lists_only_what_it_wrote(cli_run, tmp_path):
     _root, data, train = cli_run
     expanded = _impute(data, train, tmp_path / "impute")

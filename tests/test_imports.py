@@ -1,6 +1,6 @@
 """Every name a module under src/ imports is used there, a package's __init__ re-exports,
 every private module-level name is read somewhere in src/, and a run imports no more of
-NumPy than it uses."""
+NumPy than it uses, and OpenSSL only once it has freed its data."""
 
 import ast
 import os
@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 from conftest import small_config
+
+from hiddenpop.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -103,3 +105,42 @@ def test_forest_runs_do_not_import_numpy_ma(tmp_path):
     done = subprocess.run([sys.executable, "-c", _FOREST_RUN, str(tmp_path), str(config)],
                           env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "False"
+
+
+_FIRST_DIGEST = """
+import gc, sys
+import hiddenpop.cli as cli
+from hiddenpop.ingest import Register
+from hiddenpop.models import ForestModel
+print("_hashlib" in sys.modules)
+sha256, first = cli._sha256, []
+
+
+def digest(path):
+    if not first:
+        first.append(("_hashlib" in sys.modules,
+                      sum(isinstance(o, (ForestModel, Register)) for o in gc.get_objects())))
+    return sha256(path)
+
+
+cli._sha256 = digest
+assert cli.main(["impute", "--data-dir", sys.argv[1], "--model-file", sys.argv[2],
+                 "--out", sys.argv[3]]) == 0
+print(*first[0])
+"""
+
+
+def test_openssl_loads_only_after_an_impute_run_frees_its_data(tmp_path):
+    """hashlib's libcrypto adds 3.5 MB to the peak; it loads at the first digest, and
+    by then no model or register is live.  A fresh process, since pytest imports hashlib."""
+    config = tmp_path / "config.json"
+    config.write_text(small_config().to_json())
+    pipe = tmp_path / "pipe"
+    assert main(["pipeline", "--out", str(pipe), "--config", str(config), "--model", "forest",
+                 "--trees", "5", "--k", "0"]) == 0
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", _FIRST_DIGEST, str(pipe / "data"),
+                           str(pipe / "train" / "model_forest.json"), str(tmp_path / "impute")],
+                          env=env, capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "False 0")
