@@ -46,7 +46,6 @@ from .models import (
 from .report import (
     read_expanded_csv,
     write_bias_csv,
-    write_bias_plot,
     write_correlation_csv,
     write_cv_csv,
     write_distribution_csv,
@@ -243,8 +242,6 @@ def _report(run, rel, expanded):
     br = bias_report(members, sample, run.args.variables,
                      alert_threshold=run.args.alert_threshold)
     run.write(rel + "bias_report.csv", write_bias_csv, br)
-    for var, table in br.variables.items():
-        run.write(f"{rel}bias_plots/bias_{var}.csv", write_bias_plot, table)
     return br
 
 
@@ -335,7 +332,7 @@ def cmd_report(run):
 
 def cmd_pipeline(run):
     args = run.args
-    for stage in ("train", "impute", "report", "report/bias_plots"):  # fail before any training
+    for stage in ("train", "impute", "report"):  # fail before any training
         (run.out / stage).mkdir(parents=True, exist_ok=True)
     if not args.data_dir:
         run.data_dir = _synth(run, "data/")

@@ -90,13 +90,6 @@ def write_bias_csv(path, report: BiasReport):
                for level, (pop, sample, gap) in table.items()))
 
 
-def write_bias_plot(path, table: dict):
-    """Plot data of one BiasReport variable: level -> (population, sample, gap)."""
-    write_csv(path, ["level", "population_share", "sample_share"],
-              ([level, _fmt(pop, 2), _fmt(sample, 2)]
-               for level, (pop, sample, _gap) in table.items()))
-
-
 _MEMBERSHIP_COLUMNS = ["delta", "kind", "provenance", "predicted_score"]
 _DIGITS = [str(d) for d in range(10)]
 

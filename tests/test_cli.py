@@ -64,21 +64,33 @@ def test_ingest_summary(cli_run, tmp_path):
     assert "matched,1096" in text  # 312 + 382 + 402
 
 
-def test_formats_doc_names_every_written_file(tmp_path):
-    """docs/formats.md has a section or a mention for each file pipeline and ingest write."""
-    doc = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text("utf-8")
+def _tiny_config(tmp_path):
+    """A --config for a 600-row register, small enough for a pipeline run per test."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n_register": 600, "n_survey_native": 20,
                                   "n_survey_migrant": 20, "n_screened_out": 40}))
+    return config
+
+
+def test_formats_doc_names_every_written_file(tmp_path):
+    """docs/formats.md has a section or a mention for each file pipeline and ingest write."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text("utf-8")
     pipe, ingest = tmp_path / "pipe", tmp_path / "ingest"
-    assert main(["pipeline", "--out", str(pipe), "--config", str(config),
+    assert main(["pipeline", "--out", str(pipe), "--config", str(_tiny_config(tmp_path)),
                  "--trees", "5", "--k", "2"]) == 0
     assert main(["ingest", "--data-dir", str(pipe / "data"), "--out", str(ingest)]) == 0
-    written = {"bias_<variable>.csv" if p.parent.name == "bias_plots" else p.name
-               for p in [*pipe.rglob("*"), *ingest.rglob("*")] if p.is_file()}
-    assert "linkage_summary.csv" in written and "bias_<variable>.csv" in written
+    written = {p.name for p in [*pipe.rglob("*"), *ingest.rglob("*")] if p.is_file()}
+    assert "linkage_summary.csv" in written
     assert {name for name in written
             if not re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", doc)} == set()
+
+
+def test_pipeline_leaves_no_empty_directory(tmp_path):
+    """Every directory pipeline makes under --out holds a file it wrote."""
+    out = tmp_path / "pipe"
+    assert main(["pipeline", "--out", str(out), "--config", str(_tiny_config(tmp_path)),
+                 "--trees", "5", "--k", "2"]) == 0
+    assert [p for p in out.rglob("*") if p.is_dir() and not any(p.iterdir())] == []
 
 
 def test_evaluate_impute_report_chain(cli_run, tmp_path):
@@ -97,8 +109,7 @@ def test_evaluate_impute_report_chain(cli_run, tmp_path):
     rep = tmp_path / "report"
     assert main(["report", "--data-dir", str(data), "--out", str(rep),
                  "--expanded", str(imp / "expanded_register.csv")]) == 0
-    assert (rep / "bias_report.csv").exists()
-    assert (rep / "bias_plots" / "bias_gender.csv").exists()
+    assert sorted(p.name for p in rep.iterdir()) == ["bias_report.csv", "run_manifest.json"]
 
 
 def _tampered_model(train, tmp_path):
@@ -148,9 +159,7 @@ def test_data_dir_environment_variable_is_ignored(cli_run, tmp_path, monkeypatch
     capsys.readouterr()
     assert main(["ingest", "--out", str(tmp_path / "ingest")]) == 3
     assert capsys.readouterr().err == "error: DataError: no data directory: pass --data-dir\n"
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"n_register": 600, "n_survey_native": 20,
-                                  "n_survey_migrant": 20, "n_screened_out": 40}))
+    config = _tiny_config(tmp_path)
     out = tmp_path / "pipe"
     assert main(["pipeline", "--out", str(out), "--config", str(config),
                  "--model", "logistic", "--k", "0"]) == 0
@@ -344,9 +353,7 @@ def test_manifest_digests_are_those_of_the_files_on_disk(cli_run, tmp_path, subc
     """Each digest is the SHA-256 of its file as the run left it, and outputs lists
     exactly the files the run wrote under --out."""
     _root, data, train = cli_run
-    out, config = tmp_path / "out", tmp_path / "config.json"
-    config.write_text(json.dumps({"n_register": 600, "n_survey_native": 20,
-                                  "n_survey_migrant": 20, "n_screened_out": 40}))
+    out, config = tmp_path / "out", _tiny_config(tmp_path)
     options = (["--config", str(config), "--trees", "5", "--k", "2"] if subcommand == "pipeline"
                else ["--data-dir", str(data), "--model-file", str(train / "model_forest.json")])
     assert main([subcommand, "--out", str(out), *options]) == 0
@@ -365,12 +372,14 @@ def test_report_manifest_lists_only_what_it_wrote(cli_run, tmp_path):
     _root, data, train = cli_run
     expanded = _impute(data, train, tmp_path / "impute")
     rep = tmp_path / "report"
-    for variables in (["gender", "department", "birth_place", "citizenship"], ["gender"]):
-        assert main(["report", "--data-dir", str(data), "--out", str(rep),
-                     "--expanded", str(expanded), "--variables", *variables]) == 0
-    assert (rep / "bias_plots" / "bias_department.csv").exists()  # left by the first run
-    assert sorted(_manifest(rep)["outputs"]) == ["bias_plots/bias_gender.csv",
-                                                  "bias_report.csv"]
+    report = ["report", "--data-dir", str(data), "--out", str(rep), "--expanded", str(expanded),
+              "--variables"]
+    assert main([*report, "gender", "department", "birth_place", "citizenship"]) == 0
+    (rep / "left_over.csv").write_text("not written by the next run\n")
+    assert main([*report, "gender"]) == 0
+    assert list(_manifest(rep)["outputs"]) == ["bias_report.csv"]
+    with open(rep / "bias_report.csv", newline="") as f:
+        assert {row["variable"] for row in csv.DictReader(f)} == {"gender"}
 
 
 def test_manifest_config_records_the_options(cli_run, tmp_path):

@@ -24,7 +24,6 @@ from hiddenpop.report import (
     atomic_open,
     read_expanded_csv,
     write_bias_csv,
-    write_bias_plot,
     write_correlation_csv,
     write_cv_csv,
     write_distribution_csv,
@@ -158,15 +157,12 @@ def test_distribution_has_a_row_per_kind_when_kinds_are_empty(tmp_path):
         ("4", "1", "100.00")]
 
 
-def test_bias_csv_and_plot_bytes(tmp_path):
+def test_bias_csv_bytes(tmp_path):
     assert _written(write_bias_csv, _BIAS, tmp_path=tmp_path) == _csv_writer_bytes(
         ["variable", "level", "population_share", "sample_share", "gap_pp", "flagged"],
         [["department", 'a,"b"', "60.00", "50.00", "-10.00", "1"],
          ["department", "science", "40.00", "50.00", "10.00", "1"],
          ["gender", "F", "50.00", "52.50", "2.50", "0"]])
-    assert _written(write_bias_plot, _BIAS.variables["department"], tmp_path=tmp_path) == \
-        _csv_writer_bytes(["level", "population_share", "sample_share"],
-                          [['a,"b"', "60.00", "50.00"], ["science", "40.00", "50.00"]])
 
 
 def test_correlation_csv_bytes(tmp_path):
