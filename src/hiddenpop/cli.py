@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DataError, HiddenPopError, SchemaMismatch
+from .errors import DataError, HiddenPopError
 from .eval import evaluate, kfold_cv, roc, split_train_validate
 from .expand import (
     SHARED_VARIABLES,
@@ -129,17 +129,10 @@ class Run:
 
     @cached_property
     def model(self):
-        """(model, schema, path) of --model-file, whose schema.json beside it, if any, must
-        hold the same schema; a pipeline sets the first model it fits."""
-        path = self.args.model_file
-        model, schema = load_model(path)
-        sidecar = Path(path).parent / "schema.json"
-        with reading(sidecar):
-            if sidecar.exists() and sidecar.read_text(encoding="utf-8") != schema.to_json():
-                raise SchemaMismatch(
-                    f"schema in {sidecar} does not match the model's embedded schema")
-        self.inputs.append(Path(path))
-        return model, schema, path
+        """(model, schema, path) of --model-file; a pipeline sets the first model it fits."""
+        model, schema = load_model(self.args.model_file)
+        self.inputs.append(Path(self.args.model_file))
+        return model, schema, self.args.model_file
 
     def write(self, rel, writer, *values):
         """Write the artifact out/rel as writer(path, *values) and record it."""
@@ -184,7 +177,6 @@ def _train(run, rel) -> dict:
     schema = build_schema(register.take(linked.rows[linked.native()]), names)
     data = assemble_training_set(linked, schema, names)
     train, val = split_train_validate(data, ratio=args.ratio, seed=seed)
-    run.write(rel + "schema.json", _write_text, schema.to_json())
     run.write(rel + "correlation.csv", write_correlation_csv, correlation_report(data, schema))
     reports = {}
 

@@ -37,8 +37,8 @@ _CATEGORICALS = [
     ("course_level", "bachelor", ["master", "bachelor_and_master"]),
 ]
 NAME_FLAG = "common_italian_name"
-# the rule is fixed; schema.json and model files record it, with top_k, a
-# retired rule, as null so that they keep their bytes
+# the rule is fixed; every model file records it, with top_k, a retired
+# rule, as null so that model files keep their bytes
 NAME_RULE = {"min_count": COMMON_NAME_MIN_COUNT, "top_k": None}
 _NUMERICS = ["years_enrolled", "ects_earned"]
 

@@ -110,6 +110,13 @@ class SynthConfig:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
+    @property
+    def level_shares(self) -> dict:
+        """The drawn categorical register columns, in draw order: level -> percent share."""
+        return {"gender": {"M": self.male_share, "F": 100 - self.male_share},
+                "department": self.department_shares, "course_level": self.course_shares,
+                "employment": self.employment_shares}
+
     @classmethod
     def from_json(cls, text: str) -> "SynthConfig":
         """A config from a JSON object; a value unlike its field's default raises TypeError."""
@@ -149,8 +156,11 @@ class SynthConfig:
                 raise DataError(f"{name} must sum to 100, got {sum(shares)}")
         if sorted(self.signal) != sorted(SIGNAL_COLUMNS):
             raise DataError(f"signal must hold exactly the keys {SIGNAL_COLUMNS}")
-        if not set(self.response_offsets) <= set(_RESPONSE_VARIABLES):
-            raise DataError(f"response_offsets may only hold {_RESPONSE_VARIABLES}")
+        if not set(self.response_offsets) <= set(self.level_shares):
+            raise DataError(f"response_offsets may only hold {tuple(self.level_shares)}")
+        for var, table in self.response_offsets.items():  # generate would draw no such row
+            if stray := [level for level in table if level not in self.level_shares[var]]:
+                raise DataError(f"response_offsets: {var} has no level {stray[0]!r}")
         offsets = [v for table in self.response_offsets.values() for v in table.values()]
         for name, values in [("ects_mean", [self.ects_mean]), ("signal", self.signal.values()),
                              ("response_offsets", offsets)]:
@@ -165,8 +175,6 @@ _LEAST = {"seed": 0, "n_survey_native": 0, "n_survey_migrant": 0, "n_screened_ou
           "years_mean": 1, "years_max": 1, "ects_max": 0}
 _SHARES = ("kind_shares", "department_shares", "course_shares", "employment_shares",
            "male_share", "common_name_share_native", "common_name_share_migrant")
-# the drawn categorical register columns, in draw order; response_offsets may shift their levels
-_RESPONSE_VARIABLES = ("gender", "department", "course_level", "employment")
 
 
 def _conforms(value, default) -> bool:
@@ -258,10 +266,7 @@ def generate(config: SynthConfig, out_dir, *, seed: int | None = None) -> Synthe
     group = rng.choice(4, size=n, p=group_p / group_p.sum())
     native = group == 0  # bp = cit = 1
 
-    drawn = {var: _draw_levels(rng, level_shares, n) for var, level_shares in zip(
-        _RESPONSE_VARIABLES, [{"M": config.male_share, "F": 100 - config.male_share},
-                              config.department_shares, config.course_shares,
-                              config.employment_shares])}
+    drawn = {var: _draw_levels(rng, table, n) for var, table in config.level_shares.items()}
     years = np.minimum(rng.geometric(p=1.0 / config.years_mean, size=n), config.years_max)
     ects = np.clip(
         np.rint(rng.normal(config.ects_mean, config.ects_sd, size=n)),

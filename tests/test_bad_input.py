@@ -336,6 +336,8 @@ _CONFIG_CASES = [
     ({"response_offsets": {"shoe_size": {"42": 1.0}}}, "response_offsets may only hold ("),
     ({"response_offsets": {"gender": {"M": float("inf")}}},
      "response_offsets must hold finite numbers"),
+    ({"response_offsets": {"department": {"Science": 5.0}}},
+     "response_offsets: department has no level 'Science'\n"),
     ({"seed": True}, "TypeError: seed: expected a value like the default 3, got True"),
     ({"n_register": 10**20}, f"n_register must be >= 100 and < 2**31, got {10**20}"),
     ({"n_register": 2**31}, "n_register must be >= 100 and < 2**31, got 2147483648"),

@@ -1,4 +1,4 @@
-"""CLI subcommands: artifacts, manifests, exit codes, schema digest guard."""
+"""CLI subcommands: artifacts, manifests, exit codes."""
 
 import csv
 import hashlib
@@ -47,11 +47,10 @@ def test_synth_artifacts_and_manifest(cli_run):
 
 def test_train_artifacts(cli_run):
     _root, _data, train = cli_run
-    for name in ["schema.json", "correlation.csv", "model_logistic.json",
-                 "model_forest.json", "roc_logistic.csv", "cv_logistic.csv",
-                 "importance_forest.csv", "metrics.csv", "metrics.md",
-                 "run_manifest.json"]:
-        assert (train / name).exists()
+    assert sorted(p.name for p in train.iterdir()) == [
+        "correlation.csv", "cv_logistic.csv", "importance_forest.csv", "metrics.csv",
+        "metrics.md", "model_forest.json", "model_logistic.json", "roc_logistic.csv",
+        "run_manifest.json"]
     manifest = json.loads((train / "run_manifest.json").read_text())
     assert manifest["inputs"]  # digests of the data files
 
@@ -112,36 +111,30 @@ def test_evaluate_impute_report_chain(cli_run, tmp_path):
     assert sorted(p.name for p in rep.iterdir()) == ["bias_report.csv", "run_manifest.json"]
 
 
-def _tampered_model(train, tmp_path):
-    """A copy of the logistic model beside a schema.json that disagrees with it."""
-    tampered = tmp_path / "tampered"
-    tampered.mkdir()
-    model = tampered / "model_logistic.json"
-    model.write_bytes((train / "model_logistic.json").read_bytes())
-    sidecar = (train / "schema.json").read_text()
-    (tampered / "schema.json").write_text(sidecar.replace("gender=M", "gender=X"))
-    return model
-
-
-def test_schema_digest_guard(cli_run, tmp_path):
+def test_a_file_beside_the_model_is_not_read(cli_run, tmp_path):
+    """The model file is the model's one record: a schema.json beside --model-file that
+    disagrees with its schema changes no artifact of evaluate or impute, nor their inputs."""
     _root, data, train = cli_run
-    model = _tampered_model(train, tmp_path)
-    out = tmp_path / "eval"
-    code = main(["evaluate", "--data-dir", str(data), "--out", str(out),
-                 "--model-file", str(model)])
-    assert code == 3
+    model = tmp_path / "model" / "model_logistic.json"
+    model.parent.mkdir()
+    shutil.copy(train / "model_logistic.json", model)
 
+    def run(subcommand, out):
+        assert main([subcommand, "--data-dir", str(data), "--out", str(out),
+                     "--model-file", str(model)]) == 0
+        inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+        return inputs, {p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name != "run_manifest.json"}
 
-def test_schema_digest_guard_on_impute(cli_run, tmp_path, capsys):
-    _root, data, train = cli_run
-    model = _tampered_model(train, tmp_path)
-    out = tmp_path / "impute"
-    capsys.readouterr()
-    code = main(["impute", "--data-dir", str(data), "--out", str(out),
-                 "--model-file", str(model)])
-    assert code == 3
-    assert "does not match the model's embedded schema" in capsys.readouterr().err
-    assert not (out / "expanded_register.csv").exists()
+    subcommands = ["evaluate", "impute"]
+    without = {c: run(c, tmp_path / f"{c}_without") for c in subcommands}
+    stray = model.parent / "schema.json"
+    schema = json.dumps(json.loads(model.read_text())["schema"], indent=2, sort_keys=True)
+    stray.write_text(schema.replace("gender=M", "gender=X"))
+    for c in subcommands:
+        inputs, artifacts = run(c, tmp_path / f"{c}_with")
+        assert (inputs, artifacts) == without[c]
+        assert str(stray) not in inputs
 
 
 def test_missing_data_dir_is_data_error(tmp_path, monkeypatch):

@@ -23,8 +23,9 @@ from register_reference import decoded
 
 def test_same_seed_same_bytes(tmp_path):
     cfg = small_config()
-    a = generate(cfg, tmp_path / "a", seed=9)
-    b = generate(cfg, tmp_path / "b", seed=9)
+    cfg.seed = 9
+    a = generate(cfg, tmp_path / "a")
+    b = generate(cfg, tmp_path / "b")
     for name in ["admin_path", "survey_path", "screened_out_path",
                  "name_table_path", "truth_path", "meta_path"]:
         assert getattr(a, name).read_bytes() == getattr(b, name).read_bytes()
@@ -32,8 +33,10 @@ def test_same_seed_same_bytes(tmp_path):
 
 def test_different_seed_different_register(tmp_path):
     cfg = small_config()
-    a = generate(cfg, tmp_path / "a", seed=1)
-    b = generate(cfg, tmp_path / "b", seed=2)
+    cfg.seed = 1
+    a = generate(cfg, tmp_path / "a")
+    cfg.seed = 2
+    b = generate(cfg, tmp_path / "b")
     assert a.admin_path.read_bytes() != b.admin_path.read_bytes()
 
 
@@ -60,9 +63,9 @@ def test_validation_rejects_bad_shares():
 
 def test_oversized_survey_is_infeasible(tmp_path):
     cfg = small_config()
-    cfg.n_survey_migrant = 10_000
+    cfg.n_survey_migrant, cfg.seed = 10_000, 0
     with pytest.raises(DataError, match="cannot sample 10000 from a pool of"):
-        generate(cfg, tmp_path / "x", seed=0)
+        generate(cfg, tmp_path / "x")
 
 
 def test_a_pool_whose_light_rows_weigh_0_is_infeasible():
